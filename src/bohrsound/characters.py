@@ -1,11 +1,25 @@
 """Character tables over GF(p) and restriction/Clifford analysis.
 
-Tables are computed by the class-algebra eigenvector method: the structure
-constants of the class sums give r commuting matrices over GF(p) whose common
-eigenvectors are the central characters; degrees and values are recovered from
-orthogonality.  The prime satisfies p = 1 mod exponent(G) and p > 2|G|, so
-character values live in GF(p) and every inner product of genuine characters
-lifts to the true integer.
+Tables are computed by the class-algebra eigenvector method (Dixon, Numer.
+Math. 10, 1967): the structure constants of the class sums give r commuting
+matrices over GF(p) whose common eigenvectors are the central characters;
+degrees and values are recovered from orthogonality.  The prime satisfies
+p = 1 mod exponent(G) and p > 2|G|, so character values live in GF(p) and
+every inner product of genuine characters lifts to the true integer.
+
+Each refinement round splits the pending subspaces by the eigenspaces of one
+random linear combination of the class matrices, usually all of them in the
+first round.  Eigenvalues are the roots of the characteristic polynomial f,
+taken as gcd(f, x^p - x) and split by Cantor-Zassenhaus (Math. Comp. 36,
+1981); every eigenspace of a matrix comes from one block Krylov basis.  No
+cost or allocation grows with p.  The random choices (round coefficients,
+Krylov blocks, splitting shifts) come from a generator seeded with the
+prime, so each computation is reproducible; the table does not depend on
+them, since rows are canonical and sorted by (degree, values).
+
+Residues are int64 in [0, p).  Every sum of products of residues goes
+through _mod_product, so all arithmetic is exact for every prime below
+config.PRIME_SEARCH_LIMIT = 2**31.
 
 Value vectors at different primes are not comparable, so any operation that
 crosses between a group and a subgroup computes both tables at one shared
@@ -14,6 +28,7 @@ prime (the ambient group's, or a family-wide common prime).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -77,10 +92,52 @@ def common_prime(groups) -> int:
     return splitting_prime(e, m)
 
 
-# -- modular linear algebra ---------------------------------------------------
+# -- modular arithmetic ---------------------------------------------------------
+#
+# With p < 2**31 the product of two residues fits in int64, but a sum of such
+# products may not.
+
+
+def _mod_product(op, a: np.ndarray, b: np.ndarray, terms: int, p: int) -> np.ndarray:
+    """op(a, b) mod p, exact, for a bilinear op whose outputs sum `terms` products.
+
+    Entries of a and b lie in [0, p).  Products by a vector (or a single
+    column), and small ones, run in int64 when that cannot overflow: there
+    BLAS gains nothing over numpy's own loops.  Otherwise a is cut
+    into limbs narrow enough that every sum stays below 2**53, where float64
+    (and BLAS) is exact; for small p one limb suffices and this is a single
+    float64 product.
+    """
+    bits = (p - 1).bit_length()
+    if terms << (2 * bits) < 1 << 63 and (b.size == b.shape[0]
+                                         or a.size * b.shape[-1] <= 1 << 15):
+        return op(a, b) % p
+    width = 53 - terms.bit_length() - bits
+    if width < 1:
+        raise ArithmeticError("too many terms for an exact modular product")
+    fb = b.astype(np.float64)
+    if width >= bits:
+        return (op(a.astype(np.float64), fb) % p).astype(np.int64)
+    out = 0
+    mask = (1 << width) - 1
+    for shift in range(0, bits, width):
+        part = op(((a >> shift) & mask).astype(np.float64), fb) % p
+        out = (out + part.astype(np.int64) * pow(2, shift, p)) % p
+    return out
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, exact for every p < 2**31."""
+    return _mod_product(np.matmul, a, b, a.shape[-1], p)
+
+
+def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of the product of two residue polynomials, mod p."""
+    return _mod_product(np.convolve, a, b, min(len(a), len(b)), p)
 
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a over GF(p), and its pivot columns."""
     a = a.astype(np.int64) % p
     rows, cols = a.shape
     pivots = []
@@ -88,108 +145,335 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        i = r + int(a[r:, c].argmax())
+        if not a[i, c]:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        other = np.nonzero(a[:, c])[0]
-        for j in other:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        pivot = a[i] * pow(int(a[i, c]), p - 2, p) % p
+        a[i] = a[r]
+        # one rank-1 update clears column c everywhere; row r is then the pivot row
+        a -= a[:, c, None] * pivot % p
+        a %= p
+        a[r] = pivot
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def _nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the right nullspace of a over GF(p)."""
-    rref, pivots = _rref_mod(a, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-rref[r, c]) % p
-    return basis
-
-
-def _solve_mod(b: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """X with b X = y (b of full column rank d); returns (d, y.shape[1])."""
-    d = b.shape[1]
-    aug = np.concatenate([b % p, y % p], axis=1)
-    rref, pivots = _rref_mod(aug, p)
-    if pivots[:d] != list(range(d)):
-        raise ArithmeticError("basis matrix is column-degenerate")
-    return rref[:d, d:]
-
-
 def _charpoly_mod(a: np.ndarray, p: int) -> list[int]:
-    """Monic characteristic polynomial of a over GF(p), low degree first."""
+    """Monic characteristic polynomial of a over GF(p), low degree first.
+
+    Both routes reduce a to upper Hessenberg form H by similarity and expand
+    det(xI - H) along the leading blocks.  Below 16 rows Python integers
+    beat numpy's per-call overhead.
+    """
+    if a.shape[0] < 16:
+        return _charpoly_small(a.tolist(), p)
+    return _charpoly_numpy(a, p)
+
+
+def _charpoly_numpy(a: np.ndarray, p: int) -> list[int]:
+    """_charpoly_mod with one column elimination and one polynomial update per step."""
     h = a.astype(np.int64) % p
     d = h.shape[0]
     for j in range(d - 2):
-        nz = np.nonzero(h[j + 1:, j])[0]
-        if nz.size == 0:
+        i = j + 1 + int(h[j + 1:, j].argmax())
+        if not h[i, j]:
             continue
-        i = j + 1 + int(nz[0])
         if i != j + 1:
             h[[j + 1, i]] = h[[i, j + 1]]
             h[:, [j + 1, i]] = h[:, [i, j + 1]]
-        inv = pow(int(h[j + 1, j]), p - 2, p)
-        for i in range(j + 2, d):
-            f = int(h[i, j]) * inv % p
-            if f:
-                h[i] = (h[i] - f * h[j + 1]) % p
-                h[:, j + 1] = (h[:, j + 1] + f * h[:, i]) % p
-    # determinant expansion of xI - H along the last row of each leading block
-    polys: list[list[int]] = [[1]]
+        f = h[j + 2:, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        # rows j+2.. lose f times row j+1 (zero left of column j), then
+        # column j+1 gains the matching combination of columns j+2..
+        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(f, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + _matmul_mod(h[:, j + 2:], f, p)) % p
+    # det(xI - H) of the leading k x k blocks, expanding along the last
+    # column: p_k = x p_{k-1} - sum_m h[k-1-m, k-1] * runs[m] * p_{k-1-m},
+    # where runs[m] is the subdiagonal product h[k-1, k-2] ... h[k-m, k-m-1]
+    polys = np.zeros((d + 1, d + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    runs = np.ones(1, dtype=np.int64)
     for k in range(1, d + 1):
-        prev = polys[k - 1]
-        # (x - h[k-1,k-1]) * p_{k-1}
-        cur = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] = (cur[i + 1] + c) % p
-            cur[i] = (cur[i] - c * h[k - 1, k - 1]) % p
-        run = 1
-        for m in range(1, k):
-            run = run * int(h[k - m, k - m - 1]) % p
-            if run == 0:
-                break
-            coeff = int(h[k - 1 - m, k - 1]) * run % p
-            if coeff:
-                sub = polys[k - 1 - m]
-                for i, c in enumerate(sub):
-                    cur[i] = (cur[i] - coeff * c) % p
-        polys.append(cur)
+        if k > 1:
+            runs = np.concatenate(([1], h[k - 1, k - 2] * runs % p))
+        coeff = h[k - 1::-1, k - 1] * runs % p
+        polys[k, 1:k + 1] = polys[k - 1, :k]
+        polys[k, :k] = (polys[k, :k]
+                        - _matmul_mod(coeff, polys[k - 1::-1, :k], p)) % p
+    return polys[d].tolist()
+
+
+def _charpoly_small(h: list[list[int]], p: int) -> list[int]:
+    """_charpoly_mod on a list of rows (changed in place), one entry at a time."""
+    d = len(h)
+    for j in range(d - 2):
+        i = next((i for i in range(j + 1, d) if h[i][j]), None)
+        if i is None:
+            continue
+        if i != j + 1:
+            h[j + 1], h[i] = h[i], h[j + 1]
+            for row in h:
+                row[j + 1], row[i] = row[i], row[j + 1]
+        inv = pow(h[j + 1][j], p - 2, p)
+        for i in range(j + 2, d):
+            f = h[i][j] * inv % p
+            if f:
+                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + f * row[i]) % p
+    polys = [[1]]
+    runs = [1]
+    for k in range(1, d + 1):
+        if k > 1:
+            runs = [1] + [h[k - 1][k - 2] * r % p for r in runs]
+        cur = [0] + polys[k - 1]
+        for m, run in enumerate(runs):
+            c = h[k - 1 - m][k - 1] * run % p
+            if c:
+                for i, x in enumerate(polys[k - 1 - m]):
+                    cur[i] -= c * x
+        polys.append([x % p for x in cur])
     return polys[d]
 
 
-def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % p
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+# -- polynomials over GF(p): lists of ints, low degree first, no trailing zeros --
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    return q, _poly_trim([c % p for c in a[:db]])
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd; a must be nonzero."""
+    a = _poly_monic(a, p)
+    while b:
+        b = _poly_monic(b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def _poly_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + shift)**e mod the monic f, of degree k >= 2."""
+    k = len(f) - 1
+    # red[i] = x**(k + i) mod f: the high half of a product folds onto these
+    red = []
+    row = [-c % p for c in f[:k]]
+    for _ in range(k - 1):
+        red.append(row)
+        top = row[-1]
+        row = [(lo - top * c) % p for lo, c in zip([0] + row[:-1], f)]
+    if k < 16:
+        # below about 16 coefficients Python integers beat numpy's call
+        # overhead.  Polynomials are packed one coefficient per slot into a
+        # big integer (Kronecker substitution): the square is one product,
+        # and folding the high half adds multiples of the packed rows of
+        # red; slots stay below 2k p**2, so they never carry into each other.
+        width = 2 * (p - 1).bit_length() + (2 * k).bit_length()
+        mask = (1 << width) - 1
+        low = (1 << width * k) - 1
+
+        def pack(coeffs):
+            packed = 0
+            for x in reversed(coeffs):
+                packed = packed << width | x
+            return packed
+
+        red_packed = [pack(r) for r in red]
+
+        def square(u):
+            sq = pack(u) ** 2
+            acc = sq & low
+            for i, r in enumerate(red_packed):
+                acc += (sq >> width * (k + i) & mask) % p * r
+            return [(acc >> width * j & mask) % p for j in range(k)]
+    else:
+        red_rows = np.array(red, dtype=np.int64)
+
+        def square(u):
+            u = np.array(u, dtype=np.int64)
+            c = _convolve_mod(u, u, p)
+            if len(c) > k:
+                c = (c[:k] + _matmul_mod(c[k:], red_rows[:len(c) - k], p)) % p
+            return c.tolist()
+    out = [shift % p, 1]
+    for bit in bin(e)[3:]:
+        out = square(out)
+        if bit == "1":
+            # times (x + shift): shift up, fold the x**k coefficient onto red[0]
+            out += [0] * (k - len(out))
+            top = out[-1]
+            out = [(lo + shift * c + top * r) % p
+                   for lo, c, r in zip([0] + out[:-1], out, red[0])]
+    return _poly_trim(out)
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime p (Tonelli-Shanks)."""
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _small_roots(g: list[int], p: int) -> list[int]:
+    """Distinct roots in GF(p) of a monic g of degree at most two."""
+    if len(g) < 3:
+        return [-g[0] % p] if len(g) == 2 else []
+    c, b = g[0], g[1]
+    disc = (b * b - 4 * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    root = _sqrt_mod(disc, p)
+    half = (p + 1) // 2
+    return sorted({(root - b) * half % p, (-root - b) * half % p})
+
+
+def _roots_mod(f, p: int, rng: random.Random) -> list[int]:
+    """Distinct roots of the nonzero f (coefficients low degree first) in GF(p), ascending.
+
+    Above degree two their product is gcd(f, x^p - x); Cantor-Zassenhaus
+    splits it with gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down
+    to factors of degree two, which the quadratic formula finishes.  The
+    cost is polynomial in deg f and log p; nothing is sized by p.
+    """
+    f = _poly_monic(_poly_trim([int(c) % p for c in f]), p)
+    if len(f) > 3:
+        xp = _poly_powmod(0, p, f, p) + [0, 0]
+        xp[1] -= 1
+        f = _poly_gcd(f, _poly_trim([c % p for c in xp]), p)
+    pending = [f]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) <= 3:
+            roots += _small_roots(g, p)
+            continue
+        while True:
+            w = _poly_powmod(rng.randrange(p), (p - 1) // 2, g, p) or [0]
+            w[0] = (w[0] - 1) % p
+            h = _poly_gcd(g, _poly_trim(w), p)
+            if 2 <= len(h) < len(g):
+                pending += [h, _poly_divmod(g, h, p)[0]]
+                break
+    return sorted(roots)
+
+
+# -- eigenspaces -------------------------------------------------------------------
+
+
+def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
+                 start: np.ndarray | None = None) -> list[tuple]:
+    """The eigenspaces of a over GF(p), by ascending eigenvalue.
+
+    Each is (basis, rows, start): basis columns span it; when it has more
+    than one dimension, basis[rows] is the identity (column echelon form)
+    and start holds the coordinates of the image of `start` in it.
+
+    With lam_1..lam_m the distinct eigenvalues and s = prod (x - lam_j),
+    s(a) = 0 when a is diagonalizable, so (s / (x - lam_j))(a) maps onto the
+    lam_j-eigenspace.  All m images of a block V are read off one block
+    Krylov basis [V, aV, ..., a^(m-1) V] times the coefficients of
+    s / (x - lam_j).  V has (largest multiplicity) columns; the first is
+    `start` (default e_0): every central character has a nonzero e_0
+    component, and passing on the coordinates of its image keeps that true
+    in the subspaces of later rounds.  The other columns are random, and so
+    is all of V on a retry.  The result is checked (a U = U Lambda, with d
+    columns in all); PrimeSearchFailure unless a diagonalizes over GF(p).
+    """
+    d = a.shape[0]
+    f = _charpoly_mod(a, p)
+    roots = _roots_mod(f, p, rng)
+    m = len(roots)
+    s = [1]
+    for lam in roots:
+        s = [(lo - lam * hi) % p for lo, hi in zip([0] + s, s + [0])]
+    mult = [1] * m
+    rest = _poly_divmod(f, s, p)[0]
+    for j, lam in enumerate(roots):
+        while len(rest) > 1:
+            quot, rem = _poly_divmod(rest, [-lam % p, 1], p)
+            if rem:
+                break
+            rest = quot
+            mult[j] += 1
+    if sum(mult) != d:
+        raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
+    lams = np.array(roots, dtype=np.int64)
+    # numer[t, j] = coefficient of x^t in s / (x - lam_j), by synthetic division
+    numer = np.empty((m, m), dtype=np.int64)
+    numer[m - 1] = 1
+    for t in range(m - 1, 0, -1):
+        numer[t - 1] = (s[t] + lams * numer[t]) % p
+    k = max(mult)
+    if start is None:
+        start = np.zeros(d, dtype=np.int64)
+        start[0] = 1
+    for attempt in range(3):
+        krylov = np.empty((m, d, k), dtype=np.int64)
+        # V: `start` and then random columns; all random on a retry
+        first = 0 if attempt else 1
+        if k > first:
+            krylov[0, :, first:] = [[rng.randrange(p) for _ in range(first, k)]
+                                    for _ in range(d)]
+        if not attempt:
+            krylov[0, :, 0] = start
+        for t in range(1, m):
+            krylov[t] = _matmul_mod(a, krylov[t - 1], p)
+        images = _matmul_mod(numer.T, krylov.reshape(m, d * k), p).reshape(m, d, k)
+        nonzero = images.any(axis=1).tolist()
+        spaces = []
+        for j in range(m):
+            if mult[j] == 1:
+                c = nonzero[j].index(True) if True in nonzero[j] else k
+                spaces.append((images[j][:, c:c + 1], None, None))
+            else:
+                echelon, rows = _rref_mod(images[j].T, p)
+                spaces.append((echelon[:len(rows)].T, rows, images[j][rows, 0]))
+        u = np.concatenate([space[0] for space in spaces], axis=1)
+        lam_cols = np.repeat(lams, [space[0].shape[1] for space in spaces])
+        if (_matmul_mod(a, u, p) != u * lam_cols % p).any():
+            raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
+        if u.shape[1] == d:
+            return spaces
+    raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
 
 
 # -- the table -----------------------------------------------------------------
-
-
-def _class_matrix(g: FiniteGroup, i: int, p: int) -> np.ndarray:
-    """M with M[j, k] = #{x in C_i : x^-1 z_k in C_j}; acts on omega columns."""
-    r = len(g.conjugacy_classes)
-    reps = np.array(g.class_reps)
-    out = np.zeros((r, r), dtype=np.int64)
-    cls = g.class_of
-    ks = np.arange(r)
-    for x in g.conjugacy_classes[i]:
-        w = g.mul[g.inv[x], reps]
-        np.add.at(out, (cls[w], ks), 1)
-    return out % p
 
 
 class CharacterTable:
@@ -235,11 +519,11 @@ class CharacterTable:
         Exact whenever the true inner product lies in [0, p), which holds for
         all restriction and multiplicity computations used here.
         """
-        u = np.asarray(u, dtype=np.int64) % self.prime
-        v = np.asarray(v, dtype=np.int64) % self.prime
-        tot = int(np.sum(self._sizes * u * v[self._inv_cls] % self.prime)
-                  % self.prime)
-        return tot * self._order_inv % self.prime
+        p = self.prime
+        u = np.asarray(u, dtype=np.int64) % p
+        v = np.asarray(v, dtype=np.int64) % p
+        tot = int(_matmul_mod(u * self._sizes % p, v[self._inv_cls], p))
+        return tot * self._order_inv % p
 
     def trivial_index(self) -> int:
         return self.row_index([1] * self.n_classes)
@@ -261,59 +545,81 @@ class CharacterTable:
                 f"p={self.prime}>")
 
 
-def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
+def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
+    """Columns spanning the r one-dimensional common eigenspaces of the class
+    matrices M_i[j, k] = #{x in C_i : x^-1 z_k in C_j}, in no fixed order.
+
+    Each round splits every pending subspace by the eigenspaces of one random
+    combination sum_i c_i M_i.  Two distinct central characters agree on a
+    combination with probability 1/p, so one round nearly always finishes,
+    and a pair survives the 64 rounds allowed with probability p**-64.  The
+    seed is the prime, so the rounds taken are reproducible.
+    """
     r = len(g.conjugacy_classes)
+    if r == 1:
+        return np.ones((1, 1), dtype=np.int64)
+    rng = random.Random(p)
+    cls = g.class_of
+    reps = np.array(g.class_reps)
+    # x, k -> flat cell (class of x^-1 z_k, k), weighted by the coefficient of x's class
+    cells = (cls[g.mul[g.inv[:, None], reps]] * r + np.arange(r)).ravel()
+    cell_class = np.repeat(cls, r)
+    found: list[np.ndarray] = []
+    # (basis, rows, start) as _eigenspaces returns them; None: the whole space
+    pending: list[tuple] = [(None, None, None)]
+    for _ in range(64):
+        if not pending:
+            return np.concatenate(found, axis=1)
+        coeffs = np.array([rng.randrange(p) for _ in range(r)], dtype=np.float64)
+        # entries sum at most |G| coefficients below p: exact in float64
+        comb = np.bincount(cells, weights=coeffs[cell_class], minlength=r * r)
+        comb = (comb % p).astype(np.int64).reshape(r, r)
+        refined = []
+        for basis, rows, start in pending:
+            # comb maps the span of basis into itself and basis[rows] = I,
+            # so the rows of comb @ basis at `rows` are the restricted matrix
+            rest = comb if basis is None else _matmul_mod(comb[rows], basis, p)
+            for vecs, sub_rows, sub_start in _eigenspaces(rest, p, rng, start):
+                if basis is not None:
+                    vecs = _matmul_mod(basis, vecs, p)
+                    sub_rows = None if sub_rows is None else [rows[i] for i in sub_rows]
+                if vecs.shape[1] == 1:
+                    found.append(vecs)
+                else:
+                    refined.append((vecs, sub_rows, sub_start))
+        pending = refined
+    raise PrimeSearchFailure("class matrices did not separate the characters")
+
+
+def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
+    n = g.order
     sizes = np.array([len(c) for c in g.conjugacy_classes], dtype=np.int64)
     inv_cls = list(g.inverse_class)
-    subspaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
-    for i in range(1, r):
-        if all(b.shape[1] == 1 for b in subspaces):
-            break
-        mi = _class_matrix(g, i, p)
-        refined: list[np.ndarray] = []
-        for b in subspaces:
-            d = b.shape[1]
-            if d == 1:
-                refined.append(b)
-                continue
-            rest = _solve_mod(b, mi @ b % p, p)
-            roots = _poly_roots_mod(_charpoly_mod(rest, p), p)
-            split_dim = 0
-            for lam in roots:
-                null = _nullspace_mod((rest - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if null.shape[1]:
-                    refined.append(b @ null % p)
-                    split_dim += null.shape[1]
-            if split_dim != d:
-                raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
-        subspaces = refined
-    if any(b.shape[1] != 1 for b in subspaces):
-        raise PrimeSearchFailure("class matrices did not separate the characters")
-
+    vecs = _central_characters(g, p)
+    if not vecs[0].all():
+        raise PrimeSearchFailure("degenerate central character")
+    omega = vecs * np.array([pow(int(x), p - 2, p) for x in vecs[0]]) % p
     size_inv = np.array([pow(int(s), p - 2, p) for s in sizes], dtype=np.int64)
-    rows = []
-    for b in subspaces:
-        v = b[:, 0] % p
-        if v[0] == 0:
-            raise PrimeSearchFailure("degenerate central character")
-        omega = v * pow(int(v[0]), p - 2, p) % p
-        t = int(np.sum(omega * omega[inv_cls] % p * size_inv % p) % p)
-        dsq = g.order * pow(t, p - 2, p) % p
-        deg = next((d for d in range(1, isqrt(g.order) + 1) if d * d % p == dsq), None)
-        if deg is None:
+    weighted = omega * size_inv[:, None] % p
+    t = (omega[inv_cls] * weighted % p).sum(axis=0) % p
+    # chi(1)^2 = |G| / t; below p, since p > 2|G|
+    degrees = []
+    for x in t:
+        dsq = n * pow(int(x), p - 2, p) % p
+        deg = isqrt(dsq)
+        if not 0 < dsq <= n or deg * deg != dsq:
             raise PrimeSearchFailure("degree recovery failed")
-        chi = deg * omega % p * size_inv % p
-        rows.append((deg, tuple(int(x) for x in chi)))
-    rows.sort()
-    degrees = [d for d, _ in rows]
-    values = np.array([list(v) for _, v in rows], dtype=np.int64)
-
-    if sum(d * d for d in degrees) != g.order:
+        degrees.append(deg)
+    if sum(d * d for d in degrees) != n:
         raise PrimeSearchFailure("degree square sum mismatch")
+    degrees = np.array(degrees, dtype=np.int64)
+    values = (weighted * degrees % p).T
+    order = np.lexsort((*values.T[::-1], degrees))
+    degrees = degrees[order]
+    values = values[order]
     table = CharacterTable(g, p, degrees, values)
-    weighted = values * sizes[None, :] % p
-    gram = weighted @ values[:, inv_cls].T % p
-    if not np.array_equal(gram, np.eye(r, dtype=np.int64) * (g.order % p) % p):
+    gram = _matmul_mod(values * sizes % p, values[:, inv_cls].T, p)
+    if not np.array_equal(gram, np.eye(len(sizes), dtype=np.int64) * (n % p)):
         raise PrimeSearchFailure("orthogonality check failed")
     return table
 
@@ -391,14 +697,17 @@ def _check_aligned(tg: CharacterTable, th: CharacterTable, emb: GroupHom) -> Non
         raise SourceMismatch("tables must share a prime for restriction work")
 
 
+def _fused_columns(tg: CharacterTable, th: CharacterTable, emb: GroupHom) -> list[int]:
+    """For each class of the subgroup, the ambient class its image lies in."""
+    _check_aligned(tg, th, emb)
+    g = tg.group
+    return [int(g.class_of[emb(rep)]) for rep in th.group.class_reps]
+
+
 def restricted_values(tg: CharacterTable, pi: int, emb: GroupHom,
                       th: CharacterTable) -> np.ndarray:
     """Values of pi composed with emb, as a class function on the subgroup."""
-    _check_aligned(tg, th, emb)
-    g = tg.group
-    h = th.group
-    cols = [int(g.class_of[emb(rep)]) for rep in h.class_reps]
-    return tg.values[pi][cols]
+    return tg.values[pi][_fused_columns(tg, th, emb)]
 
 
 def restriction_multiplicity(tg: CharacterTable, pi: int, th: CharacterTable,
@@ -411,14 +720,15 @@ def restriction_multiplicity(tg: CharacterTable, pi: int, th: CharacterTable,
 
 def restriction_matrix(tg: CharacterTable, th: CharacterTable,
                        emb: GroupHom) -> np.ndarray:
-    """Multiplicity matrix M[pi, rho] = <pi|_H, rho>, exact integers."""
-    _check_aligned(tg, th, emb)
-    out = np.empty((tg.n_irreducibles, th.n_irreducibles), dtype=np.int64)
-    for pi in range(tg.n_irreducibles):
-        res = restricted_values(tg, pi, emb, th)
-        for rho in range(th.n_irreducibles):
-            out[pi, rho] = th.inner(res, th.row(rho))
-    return out
+    """Multiplicity matrix M[pi, rho] = <pi|_H, rho>, exact integers.
+
+    One modular product: the ambient rows on the fused columns, weighted by
+    the subgroup's class sizes, times its conjugated rows, times |H|^-1.
+    """
+    p = th.prime
+    fused = tg.values[:, _fused_columns(tg, th, emb)] * th._sizes % p
+    m = _matmul_mod(fused, th.values[:, th._inv_cls].T, p)
+    return m * th._order_inv % p
 
 
 # -- equalizer dichotomy ------------------------------------------------------------
@@ -470,22 +780,19 @@ def _conjugation_row_permutations(tg: CharacterTable, th: CharacterTable,
                                   emb: GroupHom) -> list[tuple[int, ...]]:
     """Row permutations of Irr(H) induced by conjugation with ambient elements."""
     _check_aligned(tg, th, emb)
+    emb.require_injective()
     g = tg.group
     h = th.group
-    image = set(emb.image)
-    pre = emb.preimage
-    perms = set()
-    for x in range(g.order):
-        cols = []
-        for rep in h.class_reps:
-            y = g.conjugate(x, emb(rep))
-            if y not in image:
-                raise NotNormal((x, rep))
-            cols.append(int(h.class_of[pre[y]]))
-        perm = tuple(th.row_index(th.values[rho][cols])
-                     for rho in range(th.n_irreducibles))
-        perms.add(perm)
-    return sorted(perms)
+    pre = np.full(g.order, -1)
+    pre[emb.mapping] = np.arange(h.order)
+    xs = np.arange(g.order)[:, None]
+    # conj[x, k] = x z_k x^-1 for the image z_k of the k-th subgroup class rep
+    conj = pre[g.mul[g.mul[xs, emb.mapping[list(h.class_reps)]], g.inv[xs]]]
+    if (conj < 0).any():
+        x, k = np.argwhere(conj < 0)[0]
+        raise NotNormal((int(x), h.class_reps[k]))
+    return sorted({tuple(th.row_index(row) for row in th.values[:, cols])
+                   for cols in np.unique(h.class_of[conj], axis=0)})
 
 
 def _orbit_under(rho: int, actions) -> tuple[int, ...]:
@@ -516,17 +823,18 @@ def clifford_class(rho: int, embs: list[GroupHom]) -> tuple[int, ...]:
     return _orbit_under(rho, actions)
 
 
+def _least_positive(column: np.ndarray) -> int:
+    positive = column[column > 0]
+    if not positive.size:
+        raise AssertionError("rho does not appear in any restriction")
+    return int(positive.min())
+
+
 def clifford_multiplicity(tg: CharacterTable, th: CharacterTable,
                           emb: GroupHom, rho: int) -> int:
     """Smallest positive <pi|_H, rho> over the ambient irreducibles."""
-    best = None
-    for pi in range(tg.n_irreducibles):
-        mult = restriction_multiplicity(tg, pi, th, rho, emb)
-        if mult > 0 and (best is None or mult < best):
-            best = mult
-    if best is None:
-        raise AssertionError("rho does not appear in any restriction")
-    return best
+    emb.require_injective()
+    return _least_positive(restriction_matrix(tg, th, emb)[:, rho])
 
 
 @dataclass(frozen=True)
@@ -573,16 +881,15 @@ def fin_check(embs: list[GroupHom],
     p = common_prime([h] + [e.target for e in embs])
     th = character_table(h, prime=p)
     actions = []
-    tables = []
+    restrictions = []
     for e in embs:
         tg = character_table(e.target, prime=p)
-        tables.append(tg)
+        restrictions.append(restriction_matrix(tg, th, e))
         actions.extend(_conjugation_row_permutations(tg, th, e))
     reports = []
     for rho in range(th.n_irreducibles):
         members = _orbit_under(rho, actions)
-        per = {i: clifford_multiplicity(tables[i], th, e, rho)
-               for i, e in enumerate(embs)}
+        per = {i: _least_positive(m[:, rho]) for i, m in enumerate(restrictions)}
         sup = max(per.values()) if per else None
         reports.append(CliffordReport(
             rho=rho, rho_degree=th.degrees[rho], class_members=members,

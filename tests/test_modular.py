@@ -1,0 +1,274 @@
+"""Exact modular primitives of the table engine, and tables at large primes.
+
+Every reference here takes another route: Python integers for products,
+cofactor expansion for characteristic polynomials, evaluation at every
+point of GF(p) for roots (small p only), and known integer character values.
+"""
+
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bohrsound
+from bohrsound.characters import (
+    CharacterTable,
+    _charpoly_mod,
+    _charpoly_numpy,
+    _charpoly_small,
+    _convolve_mod,
+    _eigenspaces,
+    _matmul_mod,
+    _roots_mod,
+    character_table,
+    common_prime,
+    restriction_matrix,
+    restriction_multiplicity,
+)
+from bohrsound.errors import PrimeSearchFailure
+from bohrsound.groups import Subgroup, cyclic, normal_subgroups, symmetric
+
+from oracles import charpoly_eval_oracle
+
+P31 = 2**31 - 1                 # the largest prime below PRIME_SEARCH_LIMIT
+LARGE_PRIMES = [P31, 892371481, 106696591]
+
+
+def _eval(coeffs, x, p):
+    return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+
+
+def _from_roots(roots, p):
+    f = [1]
+    for lam in roots:
+        f = [(lo - lam * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    return f
+
+
+class TestMatmulMod:
+    def test_against_python_ints(self):
+        rng = np.random.default_rng(5)
+        for p in (P31, 892371481, 4084081, 97):
+            for inner in (1, 2, 7, 33, 64, 128):
+                a = rng.integers(0, p, (5, inner))
+                b = rng.integers(0, p, (inner, 3))
+                want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(inner)) % p
+                         for j in range(3)] for i in range(5)]
+                assert _matmul_mod(a, b, p).tolist() == want
+                assert _matmul_mod(a[0], b, p).tolist() == want[0]
+                assert _matmul_mod(a, b[:, 0], p).tolist() == [row[0] for row in want]
+
+    @pytest.mark.parametrize("p", [P31, 4084081])   # several float64 limbs, one
+    def test_large_square_product(self, p):
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, p, (128, 128))
+        b = rng.integers(0, p, (128, 128))
+        got = _matmul_mod(a, b, p)
+        for i, j in [(0, 0), (5, 77), (127, 127), (64, 3)]:
+            assert got[i, j] == sum(int(a[i, t]) * int(b[t, j]) for t in range(128)) % p
+
+    def test_convolution(self):
+        rng = np.random.default_rng(7)
+        for p in (P31, 13):
+            a = rng.integers(0, p, 40)
+            b = rng.integers(0, p, 25)
+            want = [sum(int(a[i]) * int(b[t - i]) for i in range(40) if 0 <= t - i < 25) % p
+                    for t in range(64)]
+            assert _convolve_mod(a, b, p).tolist() == want
+
+
+class TestCharpoly:
+    def _random(self, rng, n, p):
+        # every third matrix sparse, so pivot searches hit zero columns
+        sparse = rng.random() < 0.35
+        return [[0 if sparse and rng.random() < 0.5 else rng.randrange(p)
+                 for _ in range(n)] for _ in range(n)]
+
+    @pytest.mark.parametrize("p", [5, 13, 97, 2147483629, P31])
+    def test_both_routes_match_cofactor_oracle(self, p):
+        rng = random.Random(p)
+        for n in range(1, 7):
+            for _ in range(4):
+                a = self._random(rng, n, p)
+                for f in (_charpoly_numpy(np.array(a, dtype=np.int64), p),
+                          _charpoly_small([row[:] for row in a], p)):
+                    assert len(f) == n + 1 and f[-1] == 1
+                    for x in (0, 1, rng.randrange(p)):
+                        assert _eval(f, x, p) == charpoly_eval_oracle(a, p, x)
+
+    def test_routes_agree_on_larger_matrices(self):
+        rng = random.Random(11)
+        for p in (1153, P31):
+            for n in (16, 23, 40):
+                a = self._random(rng, n, p)
+                assert (_charpoly_mod(np.array(a, dtype=np.int64), p)
+                        == _charpoly_small([row[:] for row in a], p))
+
+    def test_similarity_invariant_at_large_prime(self):
+        # charpoly(diag(d) conjugated by a unimodular matrix) = prod (x - d_i)
+        rng = random.Random(12)
+        n = 24
+        diag = [rng.randrange(P31) for _ in range(n)]
+        a = np.diag(np.array(diag, dtype=np.int64))
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randrange(P31)
+            a[i] = (a[i] + c * a[j] % P31) % P31          # E a
+            a[:, j] = (a[:, j] - c * a[:, i] % P31) % P31  # (E a) E^-1
+        assert _charpoly_mod(a, P31) == _from_roots(diag, P31)
+
+
+class TestRoots:
+    @pytest.mark.parametrize("p", [5, 7, 13, 31, 97, 193])
+    def test_against_brute_force(self, p):
+        rng = random.Random(p)
+        for deg in range(1, 9):
+            for _ in range(6):
+                f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+                want = [x for x in range(p) if _eval(f, x, p) == 0]
+                assert _roots_mod(f, p, random.Random(1)) == want
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_known_roots_with_repeats(self, p):
+        rng = random.Random(p)
+        # x^2 - c for a non-residue c has no roots in GF(p)
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        for distinct in (1, 2, 3, 9, 20, 33):
+            roots = rng.sample(range(p), distinct)
+            repeated = roots + rng.choices(roots, k=distinct // 2 + 1)
+            f = _from_roots(repeated, p)
+            assert _roots_mod(f, p, random.Random(2)) == sorted(roots)
+            g = [(lo - c * hi) % p for lo, hi in zip([0, 0] + f, f + [0, 0])]  # f (x^2 - c)
+            assert _roots_mod(g, p, random.Random(3)) == sorted(roots)
+
+    def test_no_roots(self):
+        p = 13
+        assert _roots_mod([2, 0, 1], p, random.Random(0)) == []  # x^2 + 2
+        assert _roots_mod([5], p, random.Random(0)) == []
+        assert _roots_mod([4, 4, 1], p, random.Random(0)) == [11]  # (x + 2)^2
+
+
+class TestEigenspaces:
+    def test_diagonalizable_split(self):
+        p = 97
+        rng = random.Random(4)
+        # a = t diag(3, 3, 5, 7) t^-1 with t unit lower triangular
+        a = np.diag([3, 3, 5, 7]).astype(np.int64)
+        for i, j in [(1, 0), (2, 1), (3, 0), (3, 2)]:
+            c = rng.randrange(p)
+            a[i] = (a[i] + c * a[j]) % p
+            a[:, j] = (a[:, j] - c * a[:, i]) % p
+        spaces = _eigenspaces(a, p, random.Random(1))
+        assert [s[0].shape[1] for s in spaces] == [2, 1, 1]
+        for (basis, _, _), lam in zip(spaces, (3, 5, 7)):
+            assert np.array_equal(_matmul_mod(a, basis, p), basis * lam % p)
+
+    @pytest.mark.parametrize("a", [
+        [[3, 1], [0, 3]],
+        [[2, 0, 0], [0, 3, 1], [0, 0, 3]],
+        [[5, 1, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 1]],
+    ])
+    def test_jordan_block_raises(self, a):
+        with pytest.raises(PrimeSearchFailure):
+            _eigenspaces(np.array(a, dtype=np.int64), 13, random.Random(0))
+
+    def test_irreducible_charpoly_raises(self):
+        # x^2 + 2 has no root mod 13
+        with pytest.raises(PrimeSearchFailure):
+            _eigenspaces(np.array([[0, 11], [1, 0]], dtype=np.int64), 13, random.Random(0))
+
+
+def _s3_integer_rows(g):
+    """Trivial, sign and standard characters of S3 in the group's class order."""
+    orders = [g.element_order(rep) for rep in g.class_reps]
+    sign = [-1 if o == 2 else 1 for o in orders]
+    standard = [{1: 2, 2: 0, 3: -1}[o] for o in orders]
+    return [1, 1, 2], [[1] * 3, sign, standard]
+
+
+class TestLargePrimeInner:
+    def test_s3_inner_products_at_largest_prime(self):
+        g = symmetric(3)
+        degrees, rows = _s3_integer_rows(g)
+        tab = CharacterTable(g, P31, degrees, rows)
+        for i in range(3):
+            for j in range(3):
+                assert tab.inner(tab.row(i), tab.row(j)) == (1 if i == j else 0)
+
+    def test_restriction_matrix_matches_inner_products(self, corpus_small):
+        for g in corpus_small[::6]:
+            for elems in normal_subgroups(g):
+                h, emb = Subgroup(g, elems).materialize()
+                p = common_prime([g, h])
+                tg = character_table(g, prime=p)
+                th = character_table(h, prime=p)
+                m = restriction_matrix(tg, th, emb)
+                for pi in range(tg.n_irreducibles):
+                    for rho in range(th.n_irreducibles):
+                        assert m[pi, rho] == restriction_multiplicity(tg, pi, th, rho, emb)
+
+
+# -- large primes, each in a child process under a 1 GiB address-space limit,
+# so an engine that sized an array by p fails cleanly instead of swapping
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_limited(code: str) -> dict:
+    src = str(Path(bohrsound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_memory, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+_S3_AT_P31 = """
+import json
+from bohrsound.characters import character_table
+from bohrsound.groups import symmetric
+tab = character_table(symmetric(3), prime=2**31 - 1)
+print(json.dumps({"degrees": list(tab.degrees),
+                  "norms": [tab.inner(tab.row(i), tab.row(i)) for i in range(3)]}))
+"""
+
+_FAMILY = """
+import json, time
+from bohrsound.soundness import soundness_verdict
+ns = {ns}
+request = {{"schema": 1, "kind": "finite-normal-family",
+            "kernel": {{"kind": "cyclic", "n": 2}},
+            "embeddings": [{{"group": {{"kind": "cyclic", "n": n}},
+                             "mapping": [0, n // 2]}} for n in ns]}}
+start = time.perf_counter()
+verdict = soundness_verdict(request)
+seconds = time.perf_counter() - start
+print(json.dumps({{"verdict": verdict.verdict, "seconds": seconds,
+                   "per_member": [r["per_member"] for r in verdict.certificate["reports"]]}}))
+"""
+
+
+class TestLargePrimeTables:
+    def test_s3_table_at_largest_prime(self):
+        out = _run_limited(_S3_AT_P31)
+        assert out == {"degrees": [1, 1, 2], "norms": [1, 1, 1]}
+
+    @pytest.mark.parametrize("ns, prime", [
+        ([6, 10, 14, 22, 26, 34, 38], 106696591),
+        ([6, 10, 14, 22, 26, 34, 38, 46], 892371481),
+    ])
+    def test_cyclic_family_at_large_common_prime(self, ns, prime):
+        assert common_prime([cyclic(2)] + [cyclic(n) for n in ns]) == prime
+        out = _run_limited(_FAMILY.format(ns=ns))
+        assert out["verdict"] == "Sound"
+        assert out["seconds"] < 5.0
+        assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]
+        assert all(len(per) == len(ns) for per in out["per_member"])
