@@ -91,12 +91,13 @@ def run_soundness(args) -> int:
     if not isinstance(request, dict):
         raise SchemaError("request: expected a JSON object")
     verdict = soundness_verdict(request, seed=args.seed, samples=args.samples)
-    payload = verdict.to_json()
-    lines = [f"verdict: {verdict.verdict}",
-             f"criterion: {verdict.criterion or '(none)'}",
-             "certificate:",
-             json.dumps(verdict.certificate, indent=2, sort_keys=True)]
-    emit(payload, args.format, lines)
+    lines = []
+    if args.format == "text":  # the certificate is large; render it once
+        lines = [f"verdict: {verdict.verdict}",
+                 f"criterion: {verdict.criterion or '(none)'}",
+                 "certificate:",
+                 json.dumps(verdict.certificate, indent=2, sort_keys=True)]
+    emit(verdict.to_json(), args.format, lines)
     return verdict.exit_code
 
 

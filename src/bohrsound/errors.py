@@ -19,6 +19,10 @@ class SizeLimit(BohrsoundError):
     """Input exceeds a configured size limit."""
 
 
+class InvariantViolation(BohrsoundError):
+    """An internal consistency check failed: a bug, not a bad input."""
+
+
 # group-core
 
 class NoIdentity(BohrsoundError):

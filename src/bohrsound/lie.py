@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     DoesNotCommute,
     InvalidDelta,
+    InvariantViolation,
     NotMember,
     NotUnimodular,
     SchemaError,
@@ -413,7 +414,8 @@ def compactness_conditions(datum: LieDatum) -> ConditionsReport:
     a = datum.torus_rank <= 1
     torus_dim, _ = lie_center(datum)
     b = torus_dim <= 1
-    assert a == b, "presentation and center computations disagree"
+    if a != b:
+        raise InvariantViolation("presentation and center computations disagree")
     c = a
     if c:
         largest: bool | None = True
@@ -478,7 +480,8 @@ def centralizer_in_finite_group(m, ambient: MatrixGroupResult) -> frozenset:
                     if mat_mul(g, m) == mat_mul(m, g))
     for a in out:
         for b in out:
-            assert mat_mul(a, b) in out
+            if mat_mul(a, b) not in out:
+                raise InvariantViolation("centralizer is not closed under products")
     return out
 
 

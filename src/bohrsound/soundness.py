@@ -21,7 +21,7 @@ from .descriptors import (
     hom_from_descriptor,
     _int_rows,
 )
-from .errors import SchemaError
+from .errors import InvariantViolation, SchemaError
 from .zmat import MatrixGroupResult, torus_soundness
 
 CRITERIA = frozenset({
@@ -44,9 +44,12 @@ class SoundnessVerdict:
 
     def __post_init__(self):
         if self.verdict in (SOUND, UNSOUND):
-            assert self.criterion in CRITERIA
-        else:
-            assert self.criterion is None
+            if self.criterion not in CRITERIA:
+                raise InvariantViolation(
+                    f"decided verdict with unknown criterion {self.criterion!r}")
+        elif self.criterion is not None:
+            raise InvariantViolation(
+                f"undecided verdict names criterion {self.criterion!r}")
 
     @property
     def exit_code(self) -> int:

@@ -1,14 +1,31 @@
 """Exact integer matrix groups, Smith normal form and torus actions.
 
-Matrices are tuples of tuples of Python ints, so products never overflow.
-Finiteness of generated subgroups of GL(k, Z) is decided by enumeration
-against Minkowski's bound M(k): any finite subgroup has order dividing M(k),
-so seeing M(k) + 1 distinct elements certifies infinitude.
+Matrices are tuples of tuples of Python ints at the interface, and results
+(group elements, orbit vectors) come back in that form.  Finiteness of
+generated subgroups of GL(k, Z) is decided by enumeration against
+Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
+seeing M(k) + 1 distinct elements certifies infinitude.
+
+Group and orbit enumeration share one breadth-first closure (`_closure`).
+Each level multiplies the whole frontier by every step matrix in a single
+batched `np.matmul` over int64 and dedupes the products in frontier-major,
+step-minor order, so the first M(k) + 1 distinct elements are the same ones
+a one-product-at-a-time search would find.  Before each level it checks
+that the products cannot overflow: max|frontier entry| times the largest
+column abs-sum of the step matrices must stay below 2^63.  When that fails,
+or an input entry does not fit in int64, the closure continues in exact
+Python ints (object arrays), so results are exact for every input.
+
+`element_order` uses Minkowski's lemma instead of enumeration: the kernel
+of GL(k, Z) -> GL(k, F_3) is torsion-free, so an element of finite order
+has the order of its reduction mod 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, FactorNotFinite, NotUnimodular, SizeLimit
@@ -293,35 +310,84 @@ def _checked_gens(gens) -> tuple[list[IntMatrix], int]:
     return gens, k
 
 
+_INT64_LIMIT = 1 << 63
+
+
+def _steps_with_inverses(gens: list[IntMatrix]) -> list[IntMatrix]:
+    step = []
+    for g in gens:
+        step.append(g)
+        step.append(mat_inv_unimodular(g))
+    return step
+
+
+def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
+             bound: int) -> list | None:
+    """Distinct products seed * w over words w in `step`, breadth first.
+
+    Seeds are r x k and step matrices k x k, all of Python ints.  Returns
+    every element found, as nested lists of Python ints, or None as soon as
+    more than `bound` distinct elements have been seen.
+    """
+    r, k = len(seeds[0]), len(step[0])
+    colsum = max(sum(abs(g[i][j]) for i in range(k))
+                 for g in step for j in range(k))
+    exact = max(abs(v) for m in (*seeds, *step)
+                for row in m for v in row) >= _INT64_LIMIT
+    dtype = object if exact else np.int64
+    steps = np.array(step, dtype=dtype)
+    frontier = np.array(seeds, dtype=dtype)
+    levels = [frontier]
+    seen = set(_closure_keys(frontier))
+    while len(frontier):
+        if not exact and int(np.abs(frontier).max()) * colsum >= _INT64_LIMIT:
+            # int64 products could wrap: continue in Python ints, rekeyed
+            exact = True
+            steps = steps.astype(object)
+            frontier = frontier.astype(object)
+            levels = [level.astype(object) for level in levels]
+            seen = set(_closure_keys(np.concatenate(levels)))
+        products = np.matmul(frontier[:, None], steps[None]).reshape(-1, r, k)
+        fresh = []
+        for i, key in enumerate(_closure_keys(products)):
+            if key not in seen:
+                seen.add(key)
+                if len(seen) > bound:
+                    return None
+                fresh.append(i)
+        frontier = products[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels).tolist()
+
+
+def _closure_keys(elements: np.ndarray) -> list:
+    """Hashable keys for an (n, r, k) array: raw bytes for int64, else tuples."""
+    n = len(elements)
+    if elements.dtype == object:
+        return list(map(tuple, elements.reshape(n, -1).tolist()))
+    flat = np.ascontiguousarray(elements).reshape(n, -1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel().tolist()
+
+
 def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
     """BFS closure of the generated subgroup, stopping past Minkowski's bound."""
     gens, k = _checked_gens(gens)
     if bound is None:
         bound = minkowski_bound(k)
-    step = []
-    for g in gens:
-        step.append(g)
-        step.append(mat_inv_unimodular(g))
-    seen = {identity(k)}
-    frontier = [identity(k)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in step:
-                y = mat_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > bound:
-                        return MatrixGroupResult(finite=False, rank=k,
-                                                 witness_count=len(seen))
-                    nxt.append(y)
-        frontier = nxt
-    return MatrixGroupResult(finite=True, rank=k, order=len(seen),
-                             elements=frozenset(seen))
+    found = _closure([identity(k)], _steps_with_inverses(gens), bound)
+    if found is None:
+        return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
+    return MatrixGroupResult(
+        finite=True, rank=k, order=len(found),
+        elements=frozenset(tuple(map(tuple, m)) for m in found))
 
 
 def element_order(m: IntMatrix, bound: int | None = None) -> int | None:
-    """Multiplicative order, or None when the element has infinite order."""
+    """Multiplicative order, or None when it is infinite or exceeds `bound`.
+
+    A finite order equals n3, the order of m mod 3 (at most 3^k - 1), so m
+    has finite order exactly when m^n3 = I over Z.
+    """
     m = mat(m)
     k = len(m)
     d = mat_det(m)
@@ -329,13 +395,26 @@ def element_order(m: IntMatrix, bound: int | None = None) -> int | None:
         raise NotUnimodular(d)
     if bound is None:
         bound = minkowski_bound(k)
-    ident = identity(k)
-    x = m
-    for o in range(1, bound + 1):
-        if x == ident:
-            return o
-        x = mat_mul(x, m)
+    ident = np.eye(k, dtype=np.int64)
+    m3 = np.array([[v % 3 for v in row] for row in m], dtype=np.int64)
+    x = m3
+    for n3 in range(1, min(bound, 3 ** k - 1) + 1):
+        if np.array_equal(x, ident):
+            return n3 if _mat_pow(m, n3) == identity(k) else None
+        x = (x @ m3) % 3
     return None
+
+
+def _mat_pow(m: IntMatrix, e: int) -> IntMatrix:
+    """m^e over Z by square-and-multiply."""
+    out = identity(len(m))
+    while e:
+        if e & 1:
+            out = mat_mul(out, m)
+        e >>= 1
+        if e:
+            m = mat_mul(m, m)
+    return out
 
 
 # -- orbits on the character lattice ---------------------------------------------
@@ -355,24 +434,13 @@ def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult
     v = tuple(int(x) for x in vector)
     if len(v) != k:
         raise DimensionMismatch("vector rank does not match the generators")
-    step = []
-    for g in gens:
-        step.append(g)
-        step.append(mat_inv_unimodular(g))
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in step:
-                y = mat_vec(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        return OrbitResult(finite=False, cap=cap)
-                    nxt.append(y)
-        frontier = nxt
-    return OrbitResult(finite=True, size=len(seen), elements=frozenset(seen))
+    # g.v is the row vector v^T g^T, so the orbit is a closure of rows
+    step = [transpose(g) for g in _steps_with_inverses(gens)]
+    found = _closure([(v,)], step, cap)
+    if found is None:
+        return OrbitResult(finite=False, cap=cap)
+    return OrbitResult(finite=True, size=len(found),
+                       elements=frozenset(tuple(row) for (row,) in found))
 
 
 # -- fixed subgroups on the torus -------------------------------------------------

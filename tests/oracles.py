@@ -3,7 +3,8 @@
 Everything here favors a different computational route over speed: numeric
 regular-representation decomposition instead of mod-p tables, backtracking
 subgroup search instead of partition dominance, exhaustive tuple enumeration
-instead of dynamic programming, minor gcds instead of elimination.
+instead of dynamic programming, minor gcds instead of elimination,
+one-product-at-a-time tuple searches instead of batched numpy closures.
 """
 
 from __future__ import annotations
@@ -13,6 +14,17 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+
+from bohrsound.zmat import (
+    MatrixGroupResult,
+    OrbitResult,
+    identity,
+    mat,
+    mat_inv_unimodular,
+    mat_mul,
+    mat_vec,
+    minkowski_bound,
+)
 
 
 # -- character tables via the regular representation -----------------------------
@@ -222,3 +234,74 @@ def charpoly_eval_oracle(a, p: int, x: int) -> int:
     n = len(a)
     m = [[(x if i == j else 0) - int(a[i][j]) for j in range(n)] for i in range(n)]
     return det_cofactor(m) % p
+
+
+# -- integer matrix groups by tuple breadth-first search ----------------------------
+
+
+def _steps(gens):
+    step = []
+    for g in gens:
+        step.append(g)
+        step.append(mat_inv_unimodular(g))
+    return step
+
+
+def generated_group_bfs(gens, bound=None) -> MatrixGroupResult:
+    """Closure of unimodular generators, one Python product per BFS edge."""
+    gens = [mat(g) for g in gens]
+    k = len(gens[0])
+    if bound is None:
+        bound = minkowski_bound(k)
+    step = _steps(gens)
+    seen = {identity(k)}
+    frontier = [identity(k)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in step:
+                y = mat_mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > bound:
+                        return MatrixGroupResult(finite=False, rank=k,
+                                                 witness_count=len(seen))
+                    nxt.append(y)
+        frontier = nxt
+    return MatrixGroupResult(finite=True, rank=k, order=len(seen),
+                             elements=frozenset(seen))
+
+
+def char_orbit_bfs(vector, gens, cap) -> OrbitResult:
+    """Orbit of an integer vector, one matrix-vector product per BFS edge."""
+    step = _steps([mat(g) for g in gens])
+    v = tuple(int(x) for x in vector)
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in step:
+                y = mat_vec(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > cap:
+                        return OrbitResult(finite=False, cap=cap)
+                    nxt.append(y)
+        frontier = nxt
+    return OrbitResult(finite=True, size=len(seen), elements=frozenset(seen))
+
+
+def element_order_loop(m, bound=None):
+    """Order by multiplying m until the identity or past the bound."""
+    m = mat(m)
+    k = len(m)
+    if bound is None:
+        bound = minkowski_bound(k)
+    ident = identity(k)
+    x = m
+    for o in range(1, bound + 1):
+        if x == ident:
+            return o
+        x = mat_mul(x, m)
+    return None

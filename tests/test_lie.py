@@ -9,12 +9,15 @@ from bohrsound.errors import (
     DimensionMismatch,
     DoesNotCommute,
     InvalidDelta,
+    InvariantViolation,
     NotMember,
     NotUnimodular,
     SchemaError,
     UnsupportedRank,
     WrongOrder,
 )
+from bohrsound import lie
+from bohrsound.cli import main
 from bohrsound.groups import FiniteAbelian
 from bohrsound.lie import (
     LieDatum,
@@ -33,7 +36,7 @@ from bohrsound.lie import (
     torus2_automorphism_family_witness,
     torus_image_invariants,
 )
-from bohrsound.zmat import generated_group, mat_mul
+from bohrsound.zmat import MatrixGroupResult, generated_group, mat_mul
 
 A1 = SimpleType("A", 1)
 ROT3 = ((0, 1), (-1, -1))
@@ -286,6 +289,16 @@ class TestCompactnessConditions:
                 report.aut_compact) == (False, False, False)
         assert report.has_largest_compact is False
 
+    def test_disagreeing_center_raises(self, monkeypatch, capsys):
+        # unreachable from a datum: the center's torus rank is read off it
+        monkeypatch.setattr(lie, "lie_center",
+                            lambda datum: (datum.torus_rank + 2,
+                                           FiniteAbelian(())))
+        with pytest.raises(InvariantViolation):
+            compactness_conditions(su2_datum())
+        assert main(["liecheck", "--datum", "su2.json"]) == 1
+        assert "InvariantViolation" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k,l", [(3, 2), (4, 2), (4, 3)])
     def test_glued_fails_conditions_but_keeps_largest(self, k, l):
         report = compactness_conditions(glued_torus_su_datum(k, l))
@@ -445,6 +458,14 @@ class TestCentralizer:
         ambient = generated_group([ROT3, NEG2])
         with pytest.raises(NotMember):
             centralizer_in_finite_group(((1, 1), (0, 1)), ambient)
+
+    def test_unclosed_ambient_raises(self):
+        # a real group's centralizer is closed; build a set that is not one
+        ident = ((1, 0), (0, 1))
+        fake = MatrixGroupResult(finite=True, rank=2, order=2,
+                                 elements=frozenset({ident, ROT3}))
+        with pytest.raises(InvariantViolation):
+            centralizer_in_finite_group(ROT3, fake)
 
     def test_infinite_ambient_rejected(self):
         infinite = generated_group([((1, 1), (0, 1))])

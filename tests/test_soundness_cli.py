@@ -17,10 +17,10 @@ from bohrsound.descriptors import (
     resolve_element,
     target_from_descriptor,
 )
-from bohrsound.errors import SchemaError
+from bohrsound.errors import InvariantViolation, SchemaError
 from bohrsound.groups import cyclic, dihedral
 from bohrsound.lie import glued_torus_su_datum
-from bohrsound.soundness import CRITERIA, soundness_verdict
+from bohrsound.soundness import CRITERIA, SoundnessVerdict, soundness_verdict
 from bohrsound.zmat import minkowski_bound
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -283,6 +283,19 @@ class TestSoundnessDispatch:
             soundness_verdict(bad)
 
 
+class TestVerdictInvariants:
+    def test_decided_verdict_needs_known_criterion(self):
+        with pytest.raises(InvariantViolation):
+            SoundnessVerdict("Sound", "no-such-criterion", {})
+        with pytest.raises(InvariantViolation):
+            SoundnessVerdict("Unsound", None, {})
+
+    def test_undecided_verdict_names_no_criterion(self):
+        with pytest.raises(InvariantViolation):
+            SoundnessVerdict("UnknownPrefixOnly", "split-family", {})
+        assert SoundnessVerdict("UnknownPrefixOnly", None, {}).exit_code == 2
+
+
 class TestGoldenCertificates:
     @pytest.mark.parametrize("argv,golden", [
         (("soundness", "--request", "torus-collapse.json"),
@@ -303,6 +316,11 @@ class TestGoldenCertificates:
         code, out, _ = cli(*argv, "--format", "json")
         assert code in (0, 2)
         assert out == (GOLDEN / golden).read_text()
+
+    def test_text_output_is_pinned(self, cli):
+        code, out, _ = cli("soundness", "--request", "torus-collapse.json")
+        assert code == 0
+        assert out == (GOLDEN / "torus-collapse.verdict.txt").read_text()
 
 
 class TestCliExitCodes:

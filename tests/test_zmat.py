@@ -1,6 +1,8 @@
 """Integer matrix machinery: SNF, finiteness, orbits, fixed structure, embeddings."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -32,7 +34,14 @@ from bohrsound.zmat import (
     transpose,
 )
 
-from oracles import abelian_embeds_oracle, det_cofactor, snf_invariants_oracle
+from oracles import (
+    abelian_embeds_oracle,
+    char_orbit_bfs,
+    det_cofactor,
+    element_order_loop,
+    generated_group_bfs,
+    snf_invariants_oracle,
+)
 
 ALPHA = ((0, -1), (1, 0))   # order 4
 BETA = ((0, -1), (1, 1))    # order 6
@@ -61,6 +70,36 @@ def random_unimodular(rng, k, steps=12):
         else:
             m[i], m[j] = m[j], m[i]
     return mat(m)
+
+
+def permutation_matrix(perm):
+    k = len(perm)
+    return tuple(tuple(int(perm[j] == i) for j in range(k)) for i in range(k))
+
+
+def signed_permutation(rng, k):
+    """A seeded signed permutation matrix u and its inverse."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(k)]
+    u = tuple(tuple(signs[i] * int(perm[j] == i) for j in range(k))
+              for i in range(k))
+    return u, mat_inv_unimodular(u)
+
+
+def hyperoctahedral_gens(k):
+    """S_k by a k-cycle and a transposition, plus one sign flip: B_k."""
+    cycle = permutation_matrix([(i + 1) % k for i in range(k)])
+    swap = permutation_matrix([1, 0] + list(range(2, k)))
+    sign = tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(k))
+                 for i in range(k))
+    return [cycle, swap, sign]
+
+
+def padded_block(k, block):
+    """The 2x2 block in the top-left corner, identity elsewhere."""
+    return tuple(tuple(block[i][j] if i < 2 and j < 2 else int(i == j)
+                       for j in range(k)) for i in range(k))
 
 
 class TestMatBasics:
@@ -195,6 +234,153 @@ class TestGeneratedGroup:
         assert element_order(NEG) == 2
         assert element_order(BETA) == 6
         assert element_order(((1, 1), (0, 1))) is None
+
+
+class TestBatchedClosure:
+    """The batched numpy closure against the tuple BFS in oracles.py."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_torus_shapes_conjugated(self, k):
+        rng = random.Random(100 + k)
+        u, u_inv = signed_permutation(rng, k)
+
+        def conj(m):
+            return mat_mul(mat_mul(u, m), u_inv)
+
+        cases = [
+            [conj(g) for g in hyperoctahedral_gens(k)],
+            [conj(padded_block(k, ALPHA)), conj(padded_block(k, BETA))],
+            [conj(padded_block(k, ALPHA))],
+            [conj(padded_block(k, BETA))],
+        ]
+        for gens in cases:
+            assert generated_group(gens) == generated_group_bfs(gens)
+        assert generated_group(cases[0]).order == 2 ** k * math.factorial(k)
+        joint = generated_group(cases[1])
+        assert joint.witness_count == minkowski_bound(k) + 1
+
+    def test_random_unimodular_sweep(self):
+        rng = random.Random(2024)
+        finite = infinite = 0
+        for _ in range(60):
+            k = rng.choice((1, 2, 2, 3, 3, 3, 4))
+            gens = [random_unimodular(rng, k, steps=rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 2))]
+            # both sides at one bound; at rank 4 a bound of 1,200 (above the
+            # largest finite order, 1,152) spares the oracle 5,760 products
+            bound = None if k < 4 else 1200
+            res = generated_group(gens, bound)
+            assert res == generated_group_bfs(gens, bound)
+            finite += res.finite
+            infinite += not res.finite
+            v = tuple(rng.randint(-3, 3) for _ in range(k))
+            assert char_orbit(v, gens, cap=500) == char_orbit_bfs(v, gens, 500)
+        assert finite > 10 and infinite > 10
+
+    def test_products_cross_the_int64_guard(self):
+        big = 2 ** 30
+        cases = [
+            [((1, 2 ** 40), (0, 1))],  # second level runs in Python ints
+            [((1, big), (0, 1)), ((1, 0), (big, 1))],  # third level does
+        ]
+        for gens in cases:
+            for bound in (24, 200):
+                res = generated_group(gens, bound=bound)
+                assert not res.finite and res.witness_count == bound + 1
+                assert res == generated_group_bfs(gens, bound=bound)
+        for c in (1000, 2 ** 31):
+            # finite groups with large entries, exact either way
+            t = ((1, c), (0, 1))
+            t_inv = mat_inv_unimodular(t)
+            gens = [mat_mul(mat_mul(t, g), t_inv) for g in (ALPHA, SWAP)]
+            res = generated_group(gens)
+            assert res.finite and res.order == 8
+            assert res == generated_group_bfs(gens)
+        v = (1, 0)
+        gens = [((1, big), (0, 1)), ((1, 0), (big, 1))]
+        assert char_orbit(v, gens, cap=300) == char_orbit_bfs(v, gens, 300)
+
+    def test_input_entries_beyond_int64(self):
+        huge = 2 ** 64
+        t = ((1, huge), (0, 1))
+        t_inv = mat_inv_unimodular(t)
+        gens = [mat_mul(mat_mul(t, g), t_inv) for g in (ALPHA, NEG)]
+        res = generated_group(gens)
+        assert res.finite and res.order == 4
+        assert res == generated_group_bfs(gens)
+        assert all(type(v) is int for m in res.elements for row in m
+                   for v in row)
+        res = generated_group([t], bound=30)
+        assert res == generated_group_bfs([t], bound=30)
+        v = (2 ** 70, -3)
+        assert char_orbit(v, [ALPHA]) == char_orbit_bfs(v, [ALPHA], 10 ** 6)
+        assert char_orbit(v, [t], cap=50) == char_orbit_bfs(v, [t], 50)
+
+    def test_results_hold_python_ints(self):
+        res = generated_group([ALPHA])
+        assert all(type(v) is int for m in res.elements for row in m
+                   for v in row)
+        orb = char_orbit((1, 0), [ALPHA])
+        assert all(type(v) is int for x in orb.elements for v in x)
+
+    def test_orbit_at_and_past_cap(self):
+        for p in (2, 3, 5, 7):
+            gen = tuple(tuple(1 if i == (j + 1) % p else 0 for j in range(p))
+                        for i in range(p))
+            v = (1,) + (0,) * (p - 1)
+            at = char_orbit(v, [gen], cap=p)
+            assert at.finite and at.size == p
+            assert at == char_orbit_bfs(v, [gen], p)
+            past = char_orbit(v, [gen], cap=p - 1)
+            assert not past.finite and past.cap == p - 1
+            assert past == char_orbit_bfs(v, [gen], p - 1)
+        fixed = char_orbit((1, 1), [SWAP], cap=1)
+        assert fixed == char_orbit_bfs((1, 1), [SWAP], 1)
+        assert fixed.finite and fixed.size == 1
+
+
+class TestElementOrder:
+    def test_unipotent_rank_8_is_fast(self):
+        u = tuple(tuple(int(j in (i, i + 1)) for j in range(8))
+                  for i in range(8))
+        start = time.perf_counter()
+        assert element_order(u) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_cyclotomic_block_sum(self):
+        def companion(coeffs):
+            # monic x^n + c_{n-1} x^{n-1} + ... + c_0, coeffs = [c_0 .. c_{n-1}]
+            n = len(coeffs)
+            return [[(1 if i == j + 1 else 0) if j < n - 1 else -coeffs[i]
+                     for j in range(n)] for i in range(n)]
+
+        blocks = [companion([1, 0]), companion([1, 1]),
+                  companion([1, 1, 1, 1])]  # Phi_4, Phi_3, Phi_5
+        m = [[0] * 8 for _ in range(8)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                m[at + i][at:at + len(row)] = row
+            at += len(b)
+        assert element_order(m) == 60
+        assert element_order(m, bound=59) is None
+        assert element_order(m, bound=60) == 60
+
+    def test_random_sweep_against_loop(self):
+        rng = random.Random(99)
+        seen = set()
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            m = random_unimodular(rng, k, steps=rng.randint(1, 5))
+            # finite orders in GL(4, Z) are at most 12, so bound 60 at rank 4
+            # gives the default-bound answer without 5,760 big-int products
+            big = None if k < 4 else 60
+            got = element_order(m, big)
+            assert got == element_order_loop(m, big)
+            seen.add(got)
+            bound = rng.randint(0, 8)
+            assert element_order(m, bound) == element_order_loop(m, bound)
+        assert None in seen and len(seen) > 3
 
 
 class TestCharOrbit:
