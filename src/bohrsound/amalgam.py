@@ -5,6 +5,15 @@ head * t_1 * ... * t_n with the head in the amalgamated group, every t_k a
 non-identity coset representative, and adjacent letters from distinct
 factors.  The word problem, homomorphism evaluation, the coproduct
 pseudometric, and the split-family checks all ride on that uniqueness.
+
+The coproduct pseudometric is an interval dynamic program in numpy: a
+segment of the word keeps one integer cost per element of each factor (the
+identity entry, "reduces to the empty word", shared by all factors), and
+two segments combine by a min-plus convolution over the factor, batched
+over every interval and split point of one width.  Costs are exact
+integers over the lengths' common denominator with a finite "unreachable"
+sentinel; they live in int64 arrays while twice the sentinel fits, and in
+arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     DisagreeOnAmalgam,
     InvalidLetter,
+    InvariantViolation,
     NonzeroAtIdentity,
     NotClassFunction,
     NotSubadditive,
@@ -84,6 +95,29 @@ class AmalgamSpec:
     @property
     def n_factors(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def pseudometric_tables(self):
+        """Index tables for the pseudometric DP, built once per spec.
+
+        The DP state stacks one block per factor, block i holding the
+        elements of factor i at offsets[i] + x.  Returns (offsets,
+        letter_cost, blocks): letter_cost[offsets[i] + g, offsets[m] + z]
+        is the position of g z^-1 (m = i) or of g (z = 0) in the
+        concatenated factor elements, and their count t otherwise; blocks
+        holds (offsets[m], offsets[m] + table of x^-1 z) for each factor m.
+        """
+        sizes = [fac.order for fac in self.factors]
+        total = sum(sizes)
+        offsets = [sum(sizes[:m]) for m in range(len(sizes))]
+        letter_cost = np.full((total, total), total, dtype=np.intp)
+        blocks = []
+        for off, fac in zip(offsets, self.factors):
+            block = slice(off, off + fac.order)
+            letter_cost[block, offsets] = np.arange(off, off + fac.order)[:, None]
+            letter_cost[block, block] = off + fac.mul[:, fac.inv]
+            blocks.append((off, off + fac.mul[fac.inv]))
+        return offsets, letter_cost, blocks
 
     def check_word(self, word) -> tuple[tuple[int, int], ...]:
         out = []
@@ -389,10 +423,21 @@ def coproduct_pseudometric(spec: AmalgamSpec, lengths, word) -> Fraction:
 
     Minimizes sum_k l_{i_k}(g_k e_k^{-1}) over tuples (e_k), e_k in the
     same factor as letter k, whose product is trivial in the coproduct.
-    Interval dynamic program: a segment either reduces to the empty word
-    or to one surviving letter; segments combine CYK-style.  Completeness
-    of these two state kinds is checked against exhaustive enumeration in
-    the test suite, not assumed.
+    Interval dynamic program: a segment reduces either to the empty word or
+    to one surviving letter, so its state V[m][a,b] is one cost per element
+    z of each factor m, entry z = 0 (the empty word) equal in every factor.
+    Segments combine by a min-plus convolution over the factor,
+        V[m][a,b][z] = min over c in (a,b), x in G_m of
+                       V[m][a,c][x] + V[m][c,b][x^-1 z],
+    after which the least entry 0 over all m is written back into each.
+    One width at a time, all its intervals and split points form one numpy
+    batch; x runs in chunks that keep every temporary within the size of
+    the state.  Costs are integers over the common denominator, and
+    "unreachable" is the finite sentinel top = n * max + 1; each width
+    starts from top, so no entry exceeds it and no sum exceeds 2 * top.
+    The arrays are int64 while 2 * top < 2^63 and hold Python ints
+    otherwise.  Completeness of the two state kinds is checked
+    against exhaustive enumeration in the test suite, not assumed.
     """
     if spec.h.order != 1:
         raise AmalgamNotTrivial("the pseudometric construction needs a coproduct")
@@ -406,59 +451,34 @@ def coproduct_pseudometric(spec: AmalgamSpec, lengths, word) -> Fraction:
     if n == 0:
         return Fraction(0)
 
-    denom = 1
-    for lf in lengths:
-        for v in lf.values:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    scaled = [[int(v * denom) for v in lf.values] for lf in lengths]
-
-    INF = math.inf
-    empty: list[list] = [[INF] * (n + 1) for _ in range(n + 1)]
-    single: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
-    for a in range(n):
-        i, g = letters[a]
-        fac = spec.factors[i]
-        lv = scaled[i]
-        empty[a][a + 1] = lv[g]
-        single[a][a + 1] = {
-            (i, x): lv[fac.op(g, fac.inverse(x))]
-            for x in range(1, fac.order)
-        }
+    denom = math.lcm(*(v.denominator for lf in lengths for v in lf.values))
+    scaled = [v.numerator * (denom // v.denominator)
+              for lf in lengths for v in lf.values]
+    top = n * max(scaled) + 1
+    dtype = np.int64 if 2 * top < 1 << 63 else object
+    offsets, letter_cost, blocks = spec.pseudometric_tables
+    costs = np.array(scaled + [top], dtype=dtype)
+    v = np.empty((len(letter_cost), n + 1, n + 1), dtype=dtype)
+    starts = np.arange(n)
+    v[:, starts, starts + 1] = costs[
+        letter_cost[[offsets[i] + g for i, g in letters]]].T
     for width in range(2, n + 1):
-        for a in range(n - width + 1):
-            b = a + width
-            best_e = INF
-            best_s: dict = {}
-            for c in range(a + 1, b):
-                le, re = empty[a][c], empty[c][b]
-                ls, rs = single[a][c], single[c][b]
-                if le + re < best_e:
-                    best_e = le + re
-                if re < INF:
-                    for key, cost in ls.items():
-                        t = cost + re
-                        if t < best_s.get(key, INF):
-                            best_s[key] = t
-                if le < INF:
-                    for key, cost in rs.items():
-                        t = le + cost
-                        if t < best_s.get(key, INF):
-                            best_s[key] = t
-                for (m, y), cy in ls.items():
-                    fac = spec.factors[m]
-                    for (m2, z), cz in rs.items():
-                        if m2 != m:
-                            continue
-                        prod = fac.op(y, z)
-                        t = cy + cz
-                        if prod == 0:
-                            if t < best_e:
-                                best_e = t
-                        elif t < best_s.get((m, prod), INF):
-                            best_s[(m, prod)] = t
-            empty[a][b] = best_e
-            single[a][b] = best_s
-    return Fraction(int(empty[0][n]), denom)
+        a = starts[:n - width + 1, None]
+        c = a + starts[1:width]
+        left, right = v[:, a, c], v[:, c, a + width]
+        best = np.full(right.shape[:2], top, dtype=dtype)
+        for off, inv_mul in blocks:
+            order = len(inv_mul)
+            part = best[off:off + order]
+            step = max(1, v.size // (order * c.size))
+            for x in range(0, order, step):
+                x_end = min(x + step, order)
+                pairs = (left[off + x:off + x_end, None]
+                         + right[inv_mul[x:x_end]])
+                np.minimum(part, pairs.min(axis=(0, 3)), out=part)
+        best[offsets] = best[offsets].min(axis=0)
+        v[:, a[:, 0], a[:, 0] + width] = best
+    return Fraction(int(v[0, 0, n]), denom)
 
 
 def pseudometric_distance(spec: AmalgamSpec, lengths, w1, w2) -> Fraction:
@@ -576,7 +596,8 @@ def split_decomposition_check(h: FiniteGroup, members, sample_count: int = 200,
     if not members:
         return True
     acts = [validate_action(fac, h, action) for fac, action in members]
-    built = [semidirect(fac, h, action) for fac, action in members]
+    built = [semidirect(fac, h, act, _validated=True)
+             for (fac, _), act in zip(members, acts)]
     spec_a = AmalgamSpec(h, [grp for grp, _, _ in built],
                          [emb_h for _, _, emb_h in built])
     spec_b = free_product([fac for fac, _ in members])
@@ -631,15 +652,16 @@ def split_family_verdict(h: FiniteGroup, members, sample_count: int = 200,
     """Families of split embeddings are sound unconditionally.
 
     The certificate records that fact; for finite data the two-machine
-    decomposition check is attached as corroborating evidence.
+    decomposition check is attached as corroborating evidence.  A failed
+    corroboration means the word machinery itself is broken, so it raises
+    InvariantViolation instead of yielding a verdict.
     """
-    members = list(members)
-    for fac, action in members:
-        validate_action(fac, h, action)
-    passed = split_decomposition_check(h, members, sample_count=sample_count,
-                                       seed=seed)
+    if not split_decomposition_check(h, members, sample_count=sample_count,
+                                     seed=seed):
+        raise InvariantViolation(
+            "split family failed the two-machine decomposition check")
     return SplitVerdict(sound=True, kind="split",
-                        decomposition_passed=passed, samples=sample_count)
+                        decomposition_passed=True, samples=sample_count)
 
 
 # -- the canonical worked example --------------------------------------------------------

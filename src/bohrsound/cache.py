@@ -10,14 +10,26 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 from . import config
 from .characters import CharacterTable, character_table, splitting_prime
 from .groups import FiniteGroup
 
 
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}-p[0-9]+\.json")
+
+
 def _entry_path(base: str, digest: str, prime: int) -> str:
     return os.path.join(base, f"{digest}-p{prime}.json")
+
+
+def _entry_names(base: str) -> list[str]:
+    """Cache entries in base, <sha256 digest>-p<prime>.json; nothing else."""
+    if not os.path.isdir(base):
+        return []
+    return [name for name in sorted(os.listdir(base))
+            if _ENTRY_NAME.fullmatch(name)]
 
 
 def _canonical_prime(group: FiniteGroup, prime: int | None) -> int:
@@ -72,35 +84,29 @@ def warm(groups) -> list[str]:
 
 
 def clear() -> int:
-    """Remove all cache entries; returns how many files were deleted."""
+    """Remove every cache entry, and no other file; returns how many."""
     base = config.cache_dir()
-    removed = 0
-    if os.path.isdir(base):
-        for name in sorted(os.listdir(base)):
-            if name.endswith(".json"):
-                os.unlink(os.path.join(base, name))
-                removed += 1
-    return removed
+    names = _entry_names(base)
+    for name in names:
+        os.unlink(os.path.join(base, name))
+    return len(names)
 
 
 def inspect() -> list[dict]:
     """One row per cache entry: digest, order, prime, class count."""
     base = config.cache_dir()
     rows = []
-    if os.path.isdir(base):
-        for name in sorted(os.listdir(base)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(base, name), encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            rows.append({
-                "file": name,
-                "group_digest": data.get("group_digest"),
-                "order": data.get("order"),
-                "prime": data.get("prime"),
-                "classes": len(data.get("class_reps", [])),
-            })
+    for name in _entry_names(base):
+        try:
+            with open(os.path.join(base, name), encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        rows.append({
+            "file": name,
+            "group_digest": data.get("group_digest"),
+            "order": data.get("order"),
+            "prime": data.get("prime"),
+            "classes": len(data.get("class_reps", [])),
+        })
     return rows

@@ -67,6 +67,8 @@ def _int_rows(value, where) -> list[list[int]]:
         if not isinstance(row, list) or \
                 not all(isinstance(x, int) for x in row):
             raise SchemaError(f"{where}: rows must be arrays of integers")
+        if len(row) != len(value[0]):
+            raise SchemaError(f"{where}: rows must all have the same length")
         rows.append(list(row))
     return rows
 

@@ -124,6 +124,9 @@ class LieDatum:
             raise InvalidDelta("torus rank must be nonnegative")
         self.torus_rank = torus_rank
         self.factors = tuple(factors)
+        self.block_widths = tuple(len(f.center_orders) for f in self.factors)
+        self.block_offsets = tuple(
+            sum(self.block_widths[:i]) for i in range(len(self.factors)))
         self.center_orders = tuple(
             m for f in self.factors for m in f.center_orders)
         c = len(self.center_orders)
@@ -164,15 +167,6 @@ class LieDatum:
         zero_t = (Fraction(0),) * torus_rank
         self.kernel_parts = frozenset(
             s for s, t in torus_part_of.items() if t == zero_t)
-
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        off = []
-        pos = 0
-        for f in self.factors:
-            off.append(pos)
-            pos += len(f.center_orders)
-        return tuple(off)
 
 
 def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
@@ -256,14 +250,13 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
 def apply_center_auto(datum: LieDatum, auto, simple: tuple[int, ...]) -> tuple[int, ...]:
     sigma, signs = auto
     offsets = datum.block_offsets
-    out = [0] * len(datum.center_orders)
-    for i, f in enumerate(datum.factors):
-        width = len(f.center_orders)
-        src = offsets[i]
-        dst = offsets[sigma[i]]
+    orders = datum.center_orders
+    out = [0] * len(orders)
+    for src, width, dst_block, sign in zip(offsets, datum.block_widths,
+                                           sigma, signs):
+        dst = offsets[dst_block]
         for k in range(width):
-            m = datum.center_orders[dst + k]
-            out[dst + k] = (signs[i] * simple[src + k]) % m
+            out[dst + k] = (sign * simple[src + k]) % orders[dst + k]
     return tuple(out)
 
 

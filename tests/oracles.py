@@ -3,18 +3,25 @@
 Everything here favors a different computational route over speed: numeric
 regular-representation decomposition instead of mod-p tables, backtracking
 subgroup search instead of partition dominance, exhaustive tuple enumeration
-instead of dynamic programming, minor gcds instead of elimination,
+instead of dynamic programming, dict-keyed loops instead of vectorised
+min-plus convolutions, minor gcds instead of elimination,
 one-product-at-a-time tuple searches instead of batched numpy closures.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
+from bohrsound.errors import (
+    AmalgamNotTrivial,
+    DimensionMismatch,
+    SourceMismatch,
+)
 from bohrsound.zmat import (
     MatrixGroupResult,
     OrbitResult,
@@ -193,6 +200,85 @@ def pseudometric_oracle(factors, lengths, letters) -> Fraction:
     if best is None:
         raise AssertionError("no tuple multiplies to the identity")
     return best
+
+
+def coproduct_pseudometric_dict(spec: AmalgamSpec, lengths, word) -> Fraction:
+    """Cheapest letterwise replacement that trivializes the word, by dicts.
+
+    The interval DP over Python dicts, one `FiniteGroup.op` per merge of
+    two surviving letters; the vectorised DP in `amalgam` must agree.
+    Minimizes sum_k l_{i_k}(g_k e_k^{-1}) over tuples (e_k), e_k in the
+    same factor as letter k, whose product is trivial in the coproduct.
+    Interval dynamic program: a segment either reduces to the empty word
+    or to one surviving letter; segments combine CYK-style.  Completeness
+    of these two state kinds is checked against exhaustive enumeration in
+    the test suite, not assumed.
+    """
+    if spec.h.order != 1:
+        raise AmalgamNotTrivial("the pseudometric construction needs a coproduct")
+    if len(lengths) != spec.n_factors:
+        raise DimensionMismatch("one length function per factor required")
+    for lf, fac in zip(lengths, spec.factors):
+        if lf.group is not fac:
+            raise SourceMismatch("length function group mismatch")
+    letters = spec.check_word(word)
+    n = len(letters)
+    if n == 0:
+        return Fraction(0)
+
+    denom = 1
+    for lf in lengths:
+        for v in lf.values:
+            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    scaled = [[int(v * denom) for v in lf.values] for lf in lengths]
+
+    INF = math.inf
+    empty: list[list] = [[INF] * (n + 1) for _ in range(n + 1)]
+    single: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
+    for a in range(n):
+        i, g = letters[a]
+        fac = spec.factors[i]
+        lv = scaled[i]
+        empty[a][a + 1] = lv[g]
+        single[a][a + 1] = {
+            (i, x): lv[fac.op(g, fac.inverse(x))]
+            for x in range(1, fac.order)
+        }
+    for width in range(2, n + 1):
+        for a in range(n - width + 1):
+            b = a + width
+            best_e = INF
+            best_s: dict = {}
+            for c in range(a + 1, b):
+                le, re = empty[a][c], empty[c][b]
+                ls, rs = single[a][c], single[c][b]
+                if le + re < best_e:
+                    best_e = le + re
+                if re < INF:
+                    for key, cost in ls.items():
+                        t = cost + re
+                        if t < best_s.get(key, INF):
+                            best_s[key] = t
+                if le < INF:
+                    for key, cost in rs.items():
+                        t = le + cost
+                        if t < best_s.get(key, INF):
+                            best_s[key] = t
+                for (m, y), cy in ls.items():
+                    fac = spec.factors[m]
+                    for (m2, z), cz in rs.items():
+                        if m2 != m:
+                            continue
+                        prod = fac.op(y, z)
+                        t = cy + cz
+                        if prod == 0:
+                            if t < best_e:
+                                best_e = t
+                        elif t < best_s.get((m, prod), INF):
+                            best_s[(m, prod)] = t
+            empty[a][b] = best_e
+            single[a][b] = best_s
+    return Fraction(int(empty[0][n]), denom)
 
 
 # -- exact linear algebra oracles ----------------------------------------------------

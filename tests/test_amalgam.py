@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from bohrsound.errors import (
     DimensionMismatch,
     DisagreeOnAmalgam,
     InvalidLetter,
+    InvariantViolation,
     NonzeroAtIdentity,
     NotAnAction,
     NotClassFunction,
@@ -28,6 +30,7 @@ from bohrsound.groups import (
     klein_four,
     symmetric,
     trivial_group,
+    validate_action,
 )
 from bohrsound.amalgam import (
     AmalgamSpec,
@@ -57,7 +60,7 @@ from bohrsound.amalgam import (
     _operator_norm,
 )
 
-from oracles import pseudometric_oracle
+from oracles import coproduct_pseudometric_dict, pseudometric_oracle
 
 INVERT3 = [[0, 1, 2], [0, 2, 1]]
 
@@ -429,6 +432,90 @@ class TestPseudometric:
                 assert d >= 1
 
 
+SMALL_FACTORS = [cyclic(2), cyclic(3), cyclic(4), symmetric(3), klein_four()]
+
+
+class TestVectorizedDP:
+    """The numpy interval DP against the dict DP it replaced."""
+
+    @staticmethod
+    def cases():
+        for ga, gb in itertools.combinations(SMALL_FACTORS, 2):
+            spec = free_product([ga, gb])
+            for maker in (discrete_length, regular_pullback_length):
+                yield spec, [maker(ga), maker(gb)]
+
+    def test_random_words_up_to_24(self):
+        rng = random.Random(2024)
+        for spec, lengths in self.cases():
+            words = [random_word(rng, spec, m) for m in (6, 12, 24)]
+            words.append(tuple((i, rng.randrange(spec.factors[i].order))
+                               for i in (rng.randrange(2) for _ in range(24))))
+            for w in words:
+                assert coproduct_pseudometric(spec, lengths, w) == \
+                    coproduct_pseudometric_dict(spec, lengths, w)
+
+    def test_empty_single_and_identity_letters(self):
+        rng = random.Random(7)
+        for spec, lengths in self.cases():
+            singles = [((i, x),) for i in range(2)
+                       for x in range(spec.factors[i].order)]
+            identities = [((i, 0),) * k for i in range(2) for k in (2, 3)]
+            mixed = [tuple((rng.randrange(2), 0) if rng.random() < 0.5 else
+                           letter for letter in random_word(rng, spec, 10))
+                     for _ in range(4)]
+            for w in [()] + singles + identities + mixed:
+                assert coproduct_pseudometric(spec, lengths, w) == \
+                    coproduct_pseudometric_dict(spec, lengths, w)
+
+    def test_three_factors(self):
+        rng = random.Random(11)
+        spec = free_product([cyclic(2), symmetric(3), klein_four()])
+        lengths = [regular_pullback_length(f) for f in spec.factors]
+        for _ in range(12):
+            w = random_word(rng, spec, 14)
+            assert coproduct_pseudometric(spec, lengths, w) == \
+                coproduct_pseudometric_dict(spec, lengths, w)
+
+    def test_python_int_path_beyond_int64(self):
+        z3, s3 = cyclic(3), symmetric(3)
+        eps = Fraction(1, 2 ** 70)
+        l3 = length_function_validate(
+            LengthFunction(z3, (Fraction(0), 1 + eps, 1 + eps)))
+        l6 = length_function_validate(LengthFunction(s3, tuple(
+            Fraction(0) if g == 0 else
+            Fraction(2) - eps if s3.element_order(g) == 2 else
+            Fraction(3, 2) + 3 * eps for g in range(6))))
+        spec = free_product([z3, s3])
+        lengths = [l3, l6]
+        rng = random.Random(70)
+        words = [random_word(rng, spec, 12) for _ in range(20)]
+        words.append(((0, 1), (1, 1), (0, 2), (1, 3)))
+        for w in words:
+            assert coproduct_pseudometric(spec, lengths, w) == \
+                coproduct_pseudometric_dict(spec, lengths, w)
+        # the exact answer's numerator and denominator both exceed int64
+        got = coproduct_pseudometric(spec, lengths, words[-1])
+        assert got.numerator > 2 ** 63 and got.denominator > 2 ** 63
+
+    def test_conjugate_word_of_length_65(self):
+        z3, s3 = cyclic(3), symmetric(3)
+        spec = free_product([z3, s3])
+        lengths = [discrete_length(z3), discrete_length(s3)]
+        rng = random.Random(65)
+        u = [(i % 2, rng.randrange(1, spec.factors[i % 2].order))
+             for i in range(31)]
+        x = ((0, 1), (1, 3), (0, 2))
+        word = tuple(u) + x + word_inverse(spec, u)
+        assert len(word) == 65
+        start = time.perf_counter()
+        got = coproduct_pseudometric(spec, lengths, word)
+        elapsed = time.perf_counter() - start
+        assert got == pseudometric_oracle(
+            [z3, s3], [lf.values for lf in lengths], x)
+        assert elapsed < 1.0
+
+
 class TestOperatorNorm:
     def test_diagonal(self):
         assert abs(_operator_norm(np.diag([3.0, 1.0])) - 3.0) < 1e-8
@@ -524,6 +611,27 @@ class TestSplitFamilies:
     def test_bad_action(self):
         with pytest.raises(NotAnAction):
             split_family_verdict(cyclic(2), [(cyclic(3), [[0, 1, 2], [1, 2, 0]])])
+
+    def test_failed_corroboration_raises_invariant_violation(
+            self, monkeypatch):
+        monkeypatch.setattr("bohrsound.amalgam.split_decomposition_check",
+                            lambda *args, **kwargs: False)
+        with pytest.raises(InvariantViolation):
+            split_family_verdict(cyclic(2), [(cyclic(3), INVERT3)])
+
+    def test_each_action_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(normal, acting, action):
+            calls.append(normal.order)
+            return validate_action(normal, acting, action)
+
+        monkeypatch.setattr("bohrsound.amalgam.validate_action", counting)
+        monkeypatch.setattr("bohrsound.groups.validate_action", counting)
+        members = [(cyclic(3), INVERT3), (cyclic(2), [[0, 1], [0, 1]])]
+        v = split_family_verdict(cyclic(2), members, sample_count=20)
+        assert v.decomposition_passed
+        assert sorted(calls) == [2, 3]
 
     def test_nonabelian_factor(self):
         s3 = symmetric(3)

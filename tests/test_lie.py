@@ -222,6 +222,15 @@ class TestAchievableAutos:
             images = {apply_center_auto(datum, auto, p) for p in points}
             assert len(images) == len(points)
 
+    def test_blocks_of_mixed_widths(self):
+        datum = LieDatum(0, [SimpleType("D", 4), SimpleType("A", 2),
+                             SimpleType("E", 8), SimpleType("A", 2)])
+        assert datum.block_widths == (2, 1, 0, 1)
+        assert datum.block_offsets == (0, 2, 3, 3)
+        # swap the two A2 factors and invert the first of them
+        auto = ((0, 3, 2, 1), (1, -1, 1, 1))
+        assert apply_center_auto(datum, auto, (1, 0, 1, 2)) == (1, 0, 2, 2)
+
     def test_closed_under_composition(self):
         datum = LieDatum(0, [SimpleType("A", 2)] * 2)
         points = [(a, b) for a in range(3) for b in range(3)]

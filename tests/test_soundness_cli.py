@@ -77,6 +77,7 @@ class TestGroupDescriptors:
         {"kind": "table", "table": []},
         {"kind": "table", "table": [[0, "x"], [1, 0]]},
         {"n": 4},
+        {"kind": "table", "table": [[0, 1], [1]]},
         "not an object",
     ])
     def test_rejects_malformed(self, bad):
@@ -295,6 +296,16 @@ class TestVerdictInvariants:
             SoundnessVerdict("UnknownPrefixOnly", "split-family", {})
         assert SoundnessVerdict("UnknownPrefixOnly", None, {}).exit_code == 2
 
+    def test_failed_split_corroboration_is_invariant_violation(
+            self, cli, monkeypatch):
+        monkeypatch.setattr("bohrsound.amalgam.split_decomposition_check",
+                            lambda *args, **kwargs: False)
+        code, out, err = cli("soundness", "--request", "split-inversion.json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InvariantViolation:")
+        assert "Traceback" not in err
+
 
 class TestGoldenCertificates:
     @pytest.mark.parametrize("argv,golden", [
@@ -350,6 +361,14 @@ class TestCliExitCodes:
         code, _, err = cli(*argv)
         assert code == 1
         assert "error:" in err
+
+    def test_ragged_table_is_schema_error(self, cli):
+        code, out, err = cli("chartable", "--group",
+                             '{"kind":"table","table":[[0,1],[1]]}')
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: SchemaError:")
+        assert err.count("\n") == 1
 
 
 class TestCliCommands:
@@ -482,6 +501,23 @@ class TestChartableAndCache:
         assert code == 0
         assert json.loads(out)["removed"] == 2
         assert not list(base.glob("*.json"))
+
+    def test_cache_commands_leave_foreign_files(self, cli, tmp_path):
+        base = tmp_path / "cache"
+        base.mkdir()
+        foreign = base / "notmine.json"
+        foreign.write_text('{"order": 6}')
+        code, _, _ = cli("cache", "warm", "--group", '{"kind":"cyclic","n":6}')
+        assert code == 0
+        code, out, _ = cli("cache", "inspect", "--format", "json")
+        files = [e["file"] for e in json.loads(out)["entries"]]
+        assert len(files) == 1 and files[0].endswith(".json")
+        assert "notmine.json" not in files
+        code, out, _ = cli("cache", "clear", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["removed"] == 1
+        assert foreign.read_text() == '{"order": 6}'
+        assert [p.name for p in base.iterdir()] == ["notmine.json"]
 
     def test_stale_cache_entry_recomputed(self, cli, tmp_path):
         argv = ("chartable", "--group", '{"kind":"cyclic","n":5}',
