@@ -37,13 +37,14 @@ import numpy as np
 from . import config
 from .errors import (
     DegreeMismatch,
+    InvariantViolation,
     NotNormal,
     NotProper,
     PrimeSearchFailure,
     SizeLimit,
     SourceMismatch,
 )
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, reachable
 
 
 # -- primes -----------------------------------------------------------------
@@ -663,10 +664,6 @@ class Character:
     def degree(self) -> int:
         return sum(c * d for c, d in zip(self.coeffs, self.table.degrees))
 
-    def value_vector(self) -> np.ndarray:
-        c = np.array(self.coeffs, dtype=np.int64)
-        return (c @ self.table.values) % self.table.prime
-
     def __add__(self, other: "Character") -> "Character":
         if other.table is not self.table:
             raise SourceMismatch("characters over different tables")
@@ -770,7 +767,7 @@ def equalizer_witness(emb: GroupHom) -> EqualizerWitness:
                 return EqualizerWitness(kind="collision", indices=(i, j),
                                         self_intersection=None, prime=tg.prime,
                                         degrees=(tg.degrees[i], tg.degrees[j]))
-    raise AssertionError("proper subgroup without split or collision witness")
+    raise InvariantViolation("proper subgroup without split or collision witness")
 
 
 # -- Clifford classes ----------------------------------------------------------------
@@ -795,38 +792,18 @@ def _conjugation_row_permutations(tg: CharacterTable, th: CharacterTable,
                    for cols in np.unique(h.class_of[conj], axis=0)})
 
 
-def _orbit_under(rho: int, actions) -> tuple[int, ...]:
-    seen = {rho}
-    frontier = [rho]
-    while frontier:
-        x = frontier.pop()
-        for perm in actions:
-            y = perm[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return tuple(sorted(seen))
-
-
 def clifford_class(rho: int, embs: list[GroupHom]) -> tuple[int, ...]:
     """Orbit of the rho-th irreducible of the common source under conjugation
     by every ambient group of the family.  Images must be normal."""
     if not embs:
         raise SourceMismatch("need at least one embedding to locate the source")
-    h = embs[0].source
-    p = common_prime([h] + [e.target for e in embs])
-    th = character_table(h, prime=p)
-    actions = []
-    for e in embs:
-        tg = character_table(e.target, prime=p)
-        actions.extend(_conjugation_row_permutations(tg, th, e))
-    return _orbit_under(rho, actions)
+    return fin_check(embs)[rho].class_members
 
 
 def _least_positive(column: np.ndarray) -> int:
     positive = column[column > 0]
     if not positive.size:
-        raise AssertionError("rho does not appear in any restriction")
+        raise InvariantViolation("rho does not appear in any restriction")
     return int(positive.min())
 
 
@@ -888,7 +865,8 @@ def fin_check(embs: list[GroupHom],
         actions.extend(_conjugation_row_permutations(tg, th, e))
     reports = []
     for rho in range(th.n_irreducibles):
-        members = _orbit_under(rho, actions)
+        members = tuple(sorted(reachable(
+            [rho], lambda x: [perm[x] for perm in actions])))
         per = {i: _least_positive(m[:, rho]) for i, m in enumerate(restrictions)}
         sup = max(per.values()) if per else None
         reports.append(CliffordReport(
@@ -920,7 +898,8 @@ def coproduct_extension(phi_h: Character, phi_k: Character,
         rho = next(i for i, c in enumerate(need) if c > 0)
         pi = next((i for i in range(tg.n_irreducibles) if m[i, rho] > 0), None)
         if pi is None:
-            raise AssertionError("restriction of the regular character misses a row")
+            raise InvariantViolation(
+                "restriction of the regular character misses a row")
         chosen[pi] += 1
         for j in range(th.n_irreducibles):
             need[j] = max(0, need[j] - int(m[pi, j]))

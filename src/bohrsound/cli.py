@@ -25,19 +25,25 @@ from .amalgam import (
     regular_pullback_length,
     word_equal,
 )
-from .characters import character_table, fin_check
+from .characters import character_table, equalizer_witness, fin_check
 from .descriptors import (
     amalgam_from_descriptor,
+    check_schema,
     group_from_descriptor,
     hom_from_descriptor,
+    int_rows,
     lie_datum_from_descriptor,
     parse_word,
-    _int_rows,
-    _require,
+    require_field,
+    target_from_descriptor,
 )
 from .errors import BohrsoundError, SchemaError
 from .lie import compactness_conditions, largest_compact_verdict, lie_center
-from .soundness import serialize_matrix_group, soundness_verdict
+from .soundness import (
+    serialize_matrix_group,
+    serialize_reports,
+    soundness_verdict,
+)
 from .zmat import char_orbit, fixed_subgroup_structure, generated_group
 
 # -- input plumbing ----------------------------------------------------------------
@@ -105,17 +111,15 @@ def run_equalizer(args) -> int:
     spec = load_json(args.spec, "spec")
     if not isinstance(spec, dict):
         raise SchemaError("spec: expected a JSON object")
-    from .descriptors import check_schema
     check_schema(spec, "spec")
-    if _require(spec, "kind", str, "spec") != "subgroup-embedding":
+    if require_field(spec, "kind", str, "spec") != "subgroup-embedding":
         raise SchemaError("spec: expected kind 'subgroup-embedding'")
-    subgroup = group_from_descriptor(_require(spec, "subgroup", dict, "spec"),
+    subgroup = group_from_descriptor(require_field(spec, "subgroup", dict, "spec"),
                                      "spec.subgroup")
     emb = hom_from_descriptor(subgroup, {
-        "group": _require(spec, "ambient", dict, "spec"),
-        "mapping": _require(spec, "mapping", list, "spec"),
+        "group": require_field(spec, "ambient", dict, "spec"),
+        "mapping": require_field(spec, "mapping", list, "spec"),
     }, "spec")
-    from .characters import equalizer_witness
     witness = equalizer_witness(emb)
     table = character_table(emb.target, prime=witness.prime)
     rows = [[int(v) for v in table.row(i)] for i in witness.indices]
@@ -141,15 +145,13 @@ def run_clifford(args) -> int:
     spec = load_json(args.spec, "spec")
     if not isinstance(spec, dict):
         raise SchemaError("spec: expected a JSON object")
-    from .descriptors import check_schema
     check_schema(spec, "spec")
-    kernel = group_from_descriptor(_require(spec, "kernel", dict, "spec"),
+    kernel = group_from_descriptor(require_field(spec, "kernel", dict, "spec"),
                                    "spec.kernel")
     embs = [hom_from_descriptor(kernel, e, f"spec.embeddings[{i}]")
-            for i, e in enumerate(_require(spec, "embeddings", list, "spec"))]
+            for i, e in enumerate(require_field(spec, "embeddings", list, "spec"))]
     reports = fin_check(embs, source=kernel)
-    from .soundness import _serialize_reports
-    serialized = _serialize_reports(reports)
+    serialized = serialize_reports(reports)
     payload = {"kernel_order": kernel.order,
                "member_orders": [e.target.order for e in embs],
                "reports": serialized}
@@ -183,7 +185,7 @@ def run_chartable(args) -> int:
 
 def run_zmat(args) -> int:
     if args.zmat_command == "finiteness":
-        gens = [_int_rows(g, f"gens[{i}]")
+        gens = [int_rows(g, f"gens[{i}]")
                 for i, g in enumerate(_gen_list(args.gens))]
         result = generated_group(gens)
         payload = serialize_matrix_group(result)
@@ -191,7 +193,7 @@ def run_zmat(args) -> int:
         emit(payload, args.format, lines)
         return 0
     if args.zmat_command == "orbit":
-        gens = [_int_rows(g, f"gens[{i}]")
+        gens = [int_rows(g, f"gens[{i}]")
                 for i, g in enumerate(_gen_list(args.gens))]
         vector = load_json(args.vector, "vector")
         if not isinstance(vector, list) or \
@@ -208,7 +210,7 @@ def run_zmat(args) -> int:
         emit(payload, args.format, lines)
         return 0
     if args.zmat_command == "fixed":
-        matrix = _int_rows(load_json(args.matrix, "matrix"), "matrix")
+        matrix = int_rows(load_json(args.matrix, "matrix"), "matrix")
         fs = fixed_subgroup_structure(matrix)
         payload = {
             "circle_rank": fs.circle_rank,
@@ -274,7 +276,6 @@ def run_amalgam(args) -> int:
         emit(payload, args.format, [frac_str(value)])
         return 0
     if args.amalgam_command == "eval":
-        from .descriptors import target_from_descriptor
         target = target_from_descriptor(spec, load_json(args.targets,
                                                         "targets"))
         word = parse_word(spec, args.word)

@@ -33,7 +33,7 @@ SCHEMA_VERSION = 1
 GROUP_KINDS = ("table", "cyclic", "symmetric", "heisenberg", "semidirect")
 
 
-def _require(d, field, types, where):
+def require_field(d, field, types, where):
     if not isinstance(d, dict):
         raise SchemaError(f"{where}: expected an object, got {type(d).__name__}")
     if field not in d:
@@ -44,7 +44,7 @@ def _require(d, field, types, where):
     return value
 
 
-def _optional(d, field, types, where, default=None):
+def optional_field(d, field, types, where, default=None):
     if field not in d:
         return default
     value = d[field]
@@ -54,12 +54,12 @@ def _optional(d, field, types, where, default=None):
 
 
 def check_schema(d: dict, where: str = "document") -> None:
-    version = _require(d, "schema", int, where)
+    version = require_field(d, "schema", int, where)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{where}: unsupported schema version {version}")
 
 
-def _int_rows(value, where) -> list[list[int]]:
+def int_rows(value, where) -> list[list[int]]:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty array of rows")
     rows = []
@@ -80,26 +80,26 @@ def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
     table {table, labels?}, semidirect {normal, acting, action}.
     All kinds accept an optional "name"; cyclic and table accept "labels".
     """
-    kind = _require(d, "kind", str, where)
-    name = _optional(d, "name", str, where)
+    kind = require_field(d, "kind", str, where)
+    name = optional_field(d, "name", str, where)
     if kind == "cyclic":
-        n = _require(d, "n", int, where)
-        labels = _optional(d, "labels", list, where)
+        n = require_field(d, "n", int, where)
+        labels = optional_field(d, "labels", list, where)
         return cyclic(n, labels=labels, name=name)
     if kind == "symmetric":
-        return symmetric(_require(d, "n", int, where))
+        return symmetric(require_field(d, "n", int, where))
     if kind == "heisenberg":
-        return heisenberg(_require(d, "level", int, where))
+        return heisenberg(require_field(d, "level", int, where))
     if kind == "table":
-        table = _int_rows(_require(d, "table", list, where), where)
-        labels = _optional(d, "labels", list, where)
+        table = int_rows(require_field(d, "table", list, where), where)
+        labels = optional_field(d, "labels", list, where)
         return group_from_table(table, labels=labels, name=name)
     if kind == "semidirect":
         normal = group_from_descriptor(
-            _require(d, "normal", dict, where), f"{where}.normal")
+            require_field(d, "normal", dict, where), f"{where}.normal")
         acting = group_from_descriptor(
-            _require(d, "acting", dict, where), f"{where}.acting")
-        action = _int_rows(_require(d, "action", list, where), where)
+            require_field(d, "acting", dict, where), f"{where}.acting")
+        action = int_rows(require_field(d, "action", list, where), where)
         grp, _, _ = semidirect(normal, acting, action, name=name)
         return grp
     raise SchemaError(f"{where}: unknown group kind {kind!r}; "
@@ -120,9 +120,9 @@ def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:
 def hom_from_descriptor(source: FiniteGroup, d: dict,
                         where: str = "embedding") -> GroupHom:
     """{"group": <descriptor>, "mapping": [element tokens]} -> GroupHom."""
-    target = group_from_descriptor(_require(d, "group", dict, where),
+    target = group_from_descriptor(require_field(d, "group", dict, where),
                                    f"{where}.group")
-    mapping = _require(d, "mapping", list, where)
+    mapping = require_field(d, "mapping", list, where)
     resolved = [resolve_element(target, tok, f"{where}.mapping[{i}]")
                 for i, tok in enumerate(mapping)]
     return GroupHom(source, target, resolved)
@@ -131,16 +131,16 @@ def hom_from_descriptor(source: FiniteGroup, d: dict,
 def amalgam_from_descriptor(d: dict, where: str = "amalgam") -> AmalgamSpec:
     """{"kind": "amalgam", "amalgam": <group>, "factors": [{group, injection}]}"""
     check_schema(d, where)
-    if _require(d, "kind", str, where) != "amalgam":
+    if require_field(d, "kind", str, where) != "amalgam":
         raise SchemaError(f"{where}: expected kind 'amalgam'")
-    h = group_from_descriptor(_require(d, "amalgam", dict, where),
+    h = group_from_descriptor(require_field(d, "amalgam", dict, where),
                               f"{where}.amalgam")
     factors = []
     injections = []
-    for i, entry in enumerate(_require(d, "factors", list, where)):
+    for i, entry in enumerate(require_field(d, "factors", list, where)):
         sub = f"{where}.factors[{i}]"
-        grp = group_from_descriptor(_require(entry, "group", dict, sub), sub)
-        inj = _require(entry, "injection", list, sub)
+        grp = group_from_descriptor(require_field(entry, "group", dict, sub), sub)
+        inj = require_field(entry, "injection", list, sub)
         resolved = [resolve_element(grp, tok, f"{sub}.injection[{j}]")
                     for j, tok in enumerate(inj)]
         factors.append(grp)
@@ -172,38 +172,38 @@ def target_from_descriptor(spec: AmalgamSpec, d: dict,
                            where: str = "targets"):
     """Evaluation targets: matrix, finite-group, or torus-semidirect maps."""
     check_schema(d, where)
-    kind = _require(d, "kind", str, where)
+    kind = require_field(d, "kind", str, where)
     if kind == "matrix-targets":
-        dim = _require(d, "dimension", int, where)
-        modulus = _optional(d, "modulus", int, where)
+        dim = require_field(d, "dimension", int, where)
+        modulus = optional_field(d, "modulus", int, where)
         maps = []
-        for i, factor_maps in enumerate(_require(d, "factors", list, where)):
+        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
             if not isinstance(factor_maps, list):
                 raise SchemaError(f"{where}.factors[{i}] must be an array")
-            maps.append([_int_rows(m, f"{where}.factors[{i}][{j}]")
+            maps.append([int_rows(m, f"{where}.factors[{i}][{j}]")
                          for j, m in enumerate(factor_maps)])
         return MatrixTarget(dim, maps, modulus=modulus)
     if kind == "finite-targets":
-        grp = group_from_descriptor(_require(d, "group", dict, where),
+        grp = group_from_descriptor(require_field(d, "group", dict, where),
                                     f"{where}.group")
         maps = []
-        for i, factor_maps in enumerate(_require(d, "factors", list, where)):
+        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
             if not isinstance(factor_maps, list):
                 raise SchemaError(f"{where}.factors[{i}] must be an array")
             maps.append([resolve_element(grp, tok, f"{where}.factors[{i}][{j}]")
                          for j, tok in enumerate(factor_maps)])
         return FiniteTarget(grp, maps)
     if kind == "torus-semidirect-targets":
-        rank = _require(d, "rank", int, where)
+        rank = require_field(d, "rank", int, where)
         maps = []
-        for i, factor_maps in enumerate(_require(d, "factors", list, where)):
+        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
             entries = []
             for j, entry in enumerate(factor_maps):
                 sub = f"{where}.factors[{i}][{j}]"
-                coords = _require(entry, "torus", list, sub)
+                coords = require_field(entry, "torus", list, sub)
                 point = TorusPoint(
                     Fraction(int(num), int(den)) for num, den in coords)
-                matrix = _int_rows(_require(entry, "matrix", list, sub), sub)
+                matrix = int_rows(require_field(entry, "matrix", list, sub), sub)
                 entries.append((point, tuple(tuple(r) for r in matrix)))
             maps.append(entries)
         return TorusSemidirectTarget(rank, maps)
@@ -213,13 +213,13 @@ def target_from_descriptor(spec: AmalgamSpec, d: dict,
 def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
     """{"z", "factors": ["A26", ...], "delta": {generators and images}}."""
     check_schema(d, where)
-    z = _require(d, "z", int, where)
-    factors = [simple_type(tok) for tok in _require(d, "factors", list, where)]
-    delta = _optional(d, "delta", dict, where)
+    z = require_field(d, "z", int, where)
+    factors = [simple_type(tok) for tok in require_field(d, "factors", list, where)]
+    delta = optional_field(d, "delta", dict, where)
     generators = []
     if delta is not None:
-        simple_gens = _require(delta, "simple_part_generators", list, where)
-        images = _require(delta, "phi_images", list, where)
+        simple_gens = require_field(delta, "simple_part_generators", list, where)
+        images = require_field(delta, "phi_images", list, where)
         if len(simple_gens) != len(images):
             raise SchemaError(
                 f"{where}: generator and image counts differ")

@@ -314,22 +314,28 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
 # -- subgroups ----------------------------------------------------------------
 
 
-def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
-    """Subgroup generated by gens, as a sorted element tuple."""
-    seen = {0}
-    frontier = [0]
-    gens = [int(x) for x in gens]
-    seen.update(gens)
-    frontier.extend(x for x in gens if x != 0)
-    mul = g.mul
+def reachable(seeds, step) -> set:
+    """Every state reachable from `seeds` by repeated `step`.
+
+    `step(x)` returns the successors of x.  There is no cap: callers pass
+    steps that stay inside a finite set (a group, its subgroups, a set of
+    indices), so the search ends.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = int(mul[x, s])
+        for y in step(frontier.pop()):
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return tuple(sorted(seen))
+    return seen
+
+
+def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """Subgroup generated by gens, as a sorted element tuple."""
+    gens = [int(x) for x in gens]
+    products = g.mul[:, gens].tolist()  # products[x] = [x * s for s in gens]
+    return tuple(sorted(reachable([0, *gens], products.__getitem__)))
 
 
 class Subgroup:
@@ -412,16 +418,9 @@ def normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     closures = set()
     for cls in g.conjugacy_classes:
         closures.add(closure(g, cls))
-    found = {(0,)} | closures
-    frontier = list(closures)
-    while frontier:
-        a = frontier.pop()
-        for b in closures:
-            j = closure(g, set(a) | set(b))
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=lambda t: (len(t), t))
+    found = reachable(closures, lambda a: [closure(g, set(a) | set(b))
+                                           for b in closures])
+    return sorted(found | {(0,)}, key=lambda t: (len(t), t))
 
 
 # -- constructors --------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRank,
     WrongOrder,
 )
-from .groups import FiniteAbelian, abelian_from_orders
+from .groups import FiniteAbelian, abelian_from_orders, reachable
 from .zmat import (
     MatrixGroupResult,
     element_order,
@@ -141,20 +141,15 @@ class LieDatum:
             gens.append((_mod_orders(simple, self.center_orders), _mod1(torus)))
         self.generators = tuple(gens)
 
+        def step(element):
+            s0, t0 = element
+            return [(tuple((a + b) % m for a, b, m in
+                           zip(s0, s1, self.center_orders)),
+                     tuple((a + b) % 1 for a, b in zip(t0, t1)))
+                    for s1, t1 in self.generators]
+
         zero = ((0,) * c, (Fraction(0),) * torus_rank)
-        elements = {zero}
-        frontier = [zero]
-        while frontier:
-            s0, t0 = frontier.pop()
-            for s1, t1 in self.generators:
-                nxt = (
-                    tuple((a + b) % m for a, b, m in
-                          zip(s0, s1, self.center_orders)),
-                    tuple((a + b) % 1 for a, b in zip(t0, t1)),
-                )
-                if nxt not in elements:
-                    elements.add(nxt)
-                    frontier.append(nxt)
+        elements = reachable([zero], step)
         self.graph_elements = frozenset(elements)
         torus_part_of: dict = {}
         for s, t in elements:
@@ -232,19 +227,15 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
             perm = list(range(n))
             perm[i], perm[j] = j, i
             gens.append((tuple(perm), (1,) * n))
-    autos = {ident}
-    frontier = [ident]
-    while frontier:
-        sigma_a, signs_a = frontier.pop()
-        for sigma_b, signs_b in gens:
-            # apply b after a
-            sigma = tuple(sigma_b[sigma_a[i]] for i in range(n))
-            signs = tuple(signs_a[i] * signs_b[sigma_a[i]] for i in range(n))
-            cand = (sigma, signs)
-            if cand not in autos:
-                autos.add(cand)
-                frontier.append(cand)
-    return sorted(autos)
+
+    def step(a):
+        # apply each generator b after a
+        sigma_a, signs_a = a
+        return [(tuple(sigma_b[sigma_a[i]] for i in range(n)),
+                 tuple(signs_a[i] * signs_b[sigma_a[i]] for i in range(n)))
+                for sigma_b, signs_b in gens]
+
+    return sorted(reachable([ident], step))
 
 
 def apply_center_auto(datum: LieDatum, auto, simple: tuple[int, ...]) -> tuple[int, ...]:
@@ -285,12 +276,11 @@ def liftable(datum: LieDatum, alpha0) -> bool:
         raise NotUnimodular(mat_det(alpha0))
     support = datum.simple_parts
     for auto in achievable_center_autos(datum.factors):
-        mapped = {apply_center_auto(datum, auto, s) for s in support}
-        if mapped != support:
+        image = {s: apply_center_auto(datum, auto, s) for s in support}
+        if set(image.values()) != support:
             continue
         if all(_apply_torus_matrix(alpha0, datum.torus_part_of[s])
-               == datum.torus_part_of[apply_center_auto(datum, auto, s)]
-               for s in support):
+               == datum.torus_part_of[image[s]] for s in support):
             return True
     return False
 
@@ -307,15 +297,13 @@ def _rigidity(datum: LieDatum) -> bool | None:
     kernel = datum.kernel_parts
     rigid = True
     for auto in achievable_center_autos(datum.factors):
-        mapped = {apply_center_auto(datum, auto, s): s for s in support}
-        if set(mapped) != support:
+        image = {s: apply_center_auto(datum, auto, s) for s in support}
+        if set(image.values()) != support:
             continue
-        if {apply_center_auto(datum, auto, s) for s in kernel} != kernel:
+        if {image[s] for s in kernel} != kernel:
             continue
-        joint = any(
-            all(apply_center_auto(datum, auto, s) == _scaled(datum, s, eps)
-                for s in support)
-            for eps in (1, -1))
+        joint = any(all(image[s] == _scaled(datum, s, eps) for s in support)
+                    for eps in (1, -1))
         if not joint:
             rigid = False
             break

@@ -14,12 +14,12 @@ from . import config
 from .amalgam import split_family_verdict
 from .characters import fin_check
 from .descriptors import (
-    _optional,
-    _require,
     check_schema,
     group_from_descriptor,
     hom_from_descriptor,
-    _int_rows,
+    int_rows,
+    optional_field,
+    require_field,
 )
 from .errors import InvariantViolation, SchemaError
 from .zmat import MatrixGroupResult, torus_soundness
@@ -76,14 +76,14 @@ def serialize_matrix_group(res: MatrixGroupResult) -> dict:
 
 
 def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
-    rank = _require(d, "rank", int, where)
-    raw = _require(d, "factor_generators", list, where)
+    rank = require_field(d, "rank", int, where)
+    raw = require_field(d, "factor_generators", list, where)
     factor_gens = []
     for i, gens in enumerate(raw):
         if not isinstance(gens, list):
             raise SchemaError(f"{where}.factor_generators[{i}] must be an array")
         factor_gens.append([
-            _int_rows(g, f"{where}.factor_generators[{i}][{j}]")
+            int_rows(g, f"{where}.factor_generators[{i}][{j}]")
             for j, g in enumerate(gens)])
     result = torus_soundness(rank, factor_gens)
     certificate = {
@@ -97,16 +97,16 @@ def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
 
 
 def _build_normal_family(d: dict, where: str):
-    kernel = group_from_descriptor(_require(d, "kernel", dict, where),
+    kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
                                    f"{where}.kernel")
     embs = []
-    for i, entry in enumerate(_require(d, "embeddings", list, where)):
+    for i, entry in enumerate(require_field(d, "embeddings", list, where)):
         embs.append(hom_from_descriptor(kernel, entry,
                                         f"{where}.embeddings[{i}]"))
     return kernel, embs
 
 
-def _serialize_reports(reports) -> list[dict]:
+def serialize_reports(reports) -> list[dict]:
     return [{
         "rho": r.rho,
         "degree": r.rho_degree,
@@ -123,7 +123,7 @@ def _finite_normal_verdict(d: dict, where: str) -> SoundnessVerdict:
     certificate = {
         "kernel_order": kernel.order,
         "member_orders": [e.target.order for e in embs],
-        "reports": _serialize_reports(reports),
+        "reports": serialize_reports(reports),
     }
     return SoundnessVerdict(SOUND, "compact-automorphism-group", certificate)
 
@@ -144,7 +144,7 @@ def _prefix_verdict(d: dict, where: str) -> SoundnessVerdict:
     certificate = {
         "kernel_order": kernel.order,
         "member_orders": [e.target.order for e in embs],
-        "reports": _serialize_reports(reports),
+        "reports": serialize_reports(reports),
         "multiplicity_sequences": sequences,
         "growing_classes": growing,
         "growth_flag": bool(growing),
@@ -156,17 +156,17 @@ def _prefix_verdict(d: dict, where: str) -> SoundnessVerdict:
 
 def _split_verdict(d: dict, where: str, seed: int,
                    samples: int) -> SoundnessVerdict:
-    kernel = group_from_descriptor(_require(d, "kernel", dict, where),
+    kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
                                    f"{where}.kernel")
     members = []
-    for i, entry in enumerate(_require(d, "members", list, where)):
+    for i, entry in enumerate(require_field(d, "members", list, where)):
         sub = f"{where}.members[{i}]"
-        grp = group_from_descriptor(_require(entry, "normal", dict, sub),
+        grp = group_from_descriptor(require_field(entry, "normal", dict, sub),
                                     f"{sub}.normal")
-        action = _int_rows(_require(entry, "action", list, sub), sub)
+        action = int_rows(require_field(entry, "action", list, sub), sub)
         members.append((grp, action))
-    samples = _optional(d, "samples", int, where, samples)
-    seed = _optional(d, "seed", int, where, seed)
+    samples = optional_field(d, "samples", int, where, samples)
+    seed = optional_field(d, "seed", int, where, seed)
     result = split_family_verdict(kernel, members, sample_count=samples,
                                   seed=seed)
     certificate = {
@@ -181,7 +181,7 @@ def _split_verdict(d: dict, where: str, seed: int,
 
 def _family_verdict(d: dict, where: str, seed: int,
                     samples: int) -> SoundnessVerdict:
-    kind = _require(d, "kind", str, where)
+    kind = require_field(d, "kind", str, where)
     if kind == "torus-family":
         return _torus_verdict(d, where)
     if kind == "finite-normal-family":
@@ -197,7 +197,7 @@ def _family_verdict(d: dict, where: str, seed: int,
 
 def _mixed_verdict(d: dict, where: str, seed: int,
                    samples: int) -> SoundnessVerdict:
-    raw = _require(d, "members", list, where)
+    raw = require_field(d, "members", list, where)
     if not raw:
         raise SchemaError(f"{where}: a mixed family needs members")
     inner = [_family_verdict(m, f"{where}.members[{i}]", seed, samples)

@@ -19,6 +19,19 @@ Python ints (object arrays), so results are exact for every input.
 `element_order` uses Minkowski's lemma instead of enumeration: the kernel
 of GL(k, Z) -> GL(k, F_3) is torsion-free, so an element of finite order
 has the order of its reduction mod 3.
+
+`smith_normal_form` is one elimination loop per diagonal position t.  Each
+round moves the nonzero entry of least absolute value in the remaining
+block (rows and columns >= t; ties go to (t, t)) to (t, t) and clears its
+row and column by floor division.  A nonzero remainder is smaller than the
+pivot, so the next round's pivot is smaller.  Once the row and column are
+clear, a row holding an entry the pivot does not divide is added to the
+pivot row; clearing that row then leaves such a remainder.  So |pivot|
+falls at least every second round and the loop ends.  The pivot it ends
+with divides every later entry, and row and column operations keep them
+multiples of it, so d_t | d_{t+1} holds without a repair pass.  Taking the
+least pivot each round is what keeps the entries from exploding (Havas,
+Holt and Rees, Linear Algebra Appl. 192, 1993).
 """
 
 from __future__ import annotations
@@ -111,139 +124,57 @@ def mat_inv_unimodular(a: IntMatrix) -> IntMatrix:
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, S, V) with U a V = S diagonal, nonnegative, d_i | d_{i+1}.
 
-    U and V are unimodular; works on rectangular input.
+    U and V are unimodular; works on rectangular input.  The elimination
+    loop and its pivot rule are described in the module docstring.
     """
     m = [list(row) for row in a]
     rows, cols = len(m), len(m[0])
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(src, dst, c):
-        # row dst += c * row src
-        for k in range(cols):
-            m[dst][k] += c * m[src][k]
-        for k in range(rows):
-            u[dst][k] += c * u[src][k]
+        # row dst += c * row src, in m and in u
+        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in v:
+        # column dst += c * column src, in m and in v
+        for row in (*m, *v):
             row[dst] += c * row[src]
 
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+    def move_to(t, i, j):
+        # swap row i into row t and column j into column t
+        m[t], m[i] = m[i], m[t]
+        u[t], u[i] = u[i], u[t]
+        for row in (*m, *v):
+            row[t], row[j] = row[j], row[t]
 
-    t = 0
-    while t < min(rows, cols):
-        # find a nonzero pivot of minimal magnitude in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+    for t in range(min(rows, cols)):
         while True:
+            # least |entry| in the block; ties go to (t, t), then row-major
+            best = min(((abs(m[i][j]), i, j) for i in range(t, rows)
+                        for j in range(t, cols) if m[i][j]), default=None)
+            if best is None:
+                return mat(u), mat(m), mat(v)
+            move_to(t, best[1], best[2])
             pivot = m[t][t]
-            reduced = False
             for i in range(t + 1, rows):
                 if m[i][t]:
-                    q = m[i][t] // pivot
-                    add_row(t, i, -q)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        reduced = True
-                        pivot = m[t][t]
+                    add_row(t, i, -(m[i][t] // pivot))
             for j in range(t + 1, cols):
                 if m[t][j]:
-                    q = m[t][j] // pivot
-                    add_col(t, j, -q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        reduced = True
-                        pivot = m[t][t]
-            if reduced:
+                    add_col(t, j, -(m[t][j] // pivot))
+            if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1:]):
                 continue
-            # pivot must divide every remaining entry; fold a violator in and retry
-            violator = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % pivot:
-                        violator = i
-                        break
-                if violator is not None:
-                    break
-            if violator is None:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % pivot for x in m[i][t + 1:])), None)
+            if bad is None:
                 break
-            add_row(violator, t, 1)
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-    # The min-pivot loop already yields a divisibility chain; this pass is a
-    # cheap local repair in case of a missed pair (gcd to i, lcm to i+1).
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if a_ and b_ % a_:
-                _chain_fix(m, u, v, i)
-                changed = True
-    s = mat(m)
-    return mat(u), s, mat(v)
-
-
-def _chain_fix(m, u, v, i):
-    """Replace diag entries (a, b) at i, i+1 by (gcd, +-lcm) via 2x2 row/col ops."""
-    rows, cols = len(m), len(m[0])
-
-    def add_row(src, dst, c):
-        for k in range(cols):
-            m[dst][k] += c * m[src][k]
-        for k in range(rows):
-            u[dst][k] += c * u[src][k]
-
-    def add_col(src, dst, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def swap_cols(x, y):
-        for row in m:
-            row[x], row[y] = row[y], row[x]
-        for row in v:
-            row[x], row[y] = row[y], row[x]
-
-    j = i + 1
-    add_row(j, i, 1)            # row i becomes (a, b) at columns (i, j)
-    while m[i][j]:
-        q = m[i][i] // m[i][j]
-        add_col(j, i, -q)       # Euclid between the two columns
-        swap_cols(i, j)
-    # column j of row i is zero; clear the stray entry below the new pivot
-    if m[j][i]:
-        q = m[j][i] // m[i][i]  # exact: the entry is a multiple of gcd(a, b)
-        add_row(i, j, -q)
-    for t in (i, j):
+            add_row(bad, t, 1)
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
+    return mat(u), mat(m), mat(v)
 
 
 def snf_diagonal(a: IntMatrix) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ regular-representation decomposition instead of mod-p tables, backtracking
 subgroup search instead of partition dominance, exhaustive tuple enumeration
 instead of dynamic programming, dict-keyed loops instead of vectorised
 min-plus convolutions, minor gcds instead of elimination,
-one-product-at-a-time tuple searches instead of batched numpy closures.
+one-product-at-a-time tuple searches instead of batched numpy closures,
+hand-written breadth-first loops instead of the shared `reachable` closure.
 """
 
 from __future__ import annotations
@@ -304,10 +305,13 @@ def snf_invariants_oracle(a) -> tuple[int, ...]:
     prev = 1
     for k in range(1, min(rows, cols) + 1):
         g = 0
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.combinations(range(cols), k):
-                minor = [[a[r][c] for c in csel] for r in rsel]
-                g = gcd(g, det_cofactor(minor))
+        for rsel, csel in itertools.product(
+                itertools.combinations(range(rows), k),
+                itertools.combinations(range(cols), k)):
+            minor = [[a[r][c] for c in csel] for r in rsel]
+            g = gcd(g, det_cofactor(minor))
+            if g == 1:  # no later minor can lower the gcd
+                break
         if g == 0:
             break
         out.append(g // prev)
@@ -391,3 +395,36 @@ def element_order_loop(m, bound=None):
             return o
         x = mat_mul(x, m)
     return None
+
+
+# -- achievable center automorphisms by a hand-written breadth-first loop -----------
+
+
+def achievable_center_autos_bfs(factors):
+    """Closure of the inversion and swap generators, one tuple composition per edge."""
+    factors = tuple(factors)
+    n = len(factors)
+    ident = (tuple(range(n)), (1,) * n)
+    gens = []
+    for i, f in enumerate(factors):
+        if f.inversion_achievable:
+            signs = tuple(-1 if j == i else 1 for j in range(n))
+            gens.append((ident[0], signs))
+    for i, j in itertools.combinations(range(n), 2):
+        if factors[i] == factors[j]:
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            gens.append((tuple(perm), (1,) * n))
+    autos = {ident}
+    frontier = [ident]
+    while frontier:
+        sigma_a, signs_a = frontier.pop()
+        for sigma_b, signs_b in gens:
+            # apply b after a
+            sigma = tuple(sigma_b[sigma_a[i]] for i in range(n))
+            signs = tuple(signs_a[i] * signs_b[sigma_a[i]] for i in range(n))
+            cand = (sigma, signs)
+            if cand not in autos:
+                autos.add(cand)
+                frontier.append(cand)
+    return sorted(autos)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from bohrsound import characters, config
+from bohrsound.cli import main
 from bohrsound.errors import (
     DegreeMismatch,
+    InvariantViolation,
     NotInjective,
     NotNormal,
     NotProper,
@@ -530,3 +533,46 @@ class TestCoproductExtension:
             m = restriction_matrix(tgp, thp, emb)
             got = sum(c * int(m[pi, rho]) for pi, c in enumerate(phi_g.coeffs))
             assert got >= 1
+
+
+class TestInvariantViolations:
+    """States a correct restriction matrix never produces, built by patching it.
+
+    Each must end as InvariantViolation (a BohrsoundError), not an assert.
+    """
+
+    def test_equalizer_without_witness_is_invariant_violation(self, monkeypatch):
+        _, _, emb = a3_in_s3()
+        # no irreducible splits and no two restrict alike
+        monkeypatch.setattr(characters, "restriction_matrix",
+                            lambda tg, th, emb: np.eye(3, dtype=np.int64))
+        with pytest.raises(InvariantViolation):
+            equalizer_witness(emb)
+
+    def test_absent_constituent_is_invariant_violation(self, monkeypatch):
+        _, _, emb = a3_in_s3()
+        monkeypatch.setattr(characters, "restriction_matrix",
+                            lambda tg, th, emb: np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(InvariantViolation):
+            fin_check([emb])
+
+    def test_uncovered_extension_is_invariant_violation(self, monkeypatch):
+        z4 = cyclic(4)
+        z2 = cyclic(2)
+        emb = GroupHom(z2, z4, [0, 2])
+        th = character_table(z2, prime=character_table(z4).prime)
+        tk = character_table(cyclic(3))
+        monkeypatch.setattr(characters, "restriction_matrix",
+                            lambda tg, th, emb: np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(InvariantViolation):
+            coproduct_extension(trivial_character(th), trivial_character(tk), emb)
+
+    def test_cli_reports_invariant_violation(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
+        monkeypatch.setattr(characters, "restriction_matrix",
+                            lambda tg, th, emb: np.eye(3, dtype=np.int64))
+        assert main(["equalizer", "--spec", "a3-in-s3.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvariantViolation:")
+        assert "Traceback" not in captured.err

@@ -37,6 +37,7 @@ from bohrsound.groups import (
     identity_hom,
     klein_four,
     normal_subgroups,
+    reachable,
     semidirect,
     symmetric,
     trivial_group,
@@ -152,6 +153,19 @@ class TestCenterAndDerived:
 
     def test_derived_s4(self):
         assert len(symmetric(4).derived_subgroup().elements) == 12
+
+
+class TestReachable:
+    def test_orbit_under_one_step(self):
+        assert reachable([1], lambda x: [2 * x % 15]) == {1, 2, 4, 8}
+
+    def test_several_seeds_and_successors(self):
+        step = {0: [1], 1: [2, 0], 2: [], 5: [6], 6: [5]}.__getitem__
+        assert reachable([0, 5], step) == {0, 1, 2, 5, 6}
+
+    def test_seeds_without_successors(self):
+        assert reachable([3, 7], lambda x: []) == {3, 7}
+        assert reachable([], lambda x: [x]) == set()
 
 
 class TestSubgroups:

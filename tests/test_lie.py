@@ -38,6 +38,8 @@ from bohrsound.lie import (
 )
 from bohrsound.zmat import MatrixGroupResult, generated_group, mat_mul
 
+from oracles import achievable_center_autos_bfs
+
 A1 = SimpleType("A", 1)
 ROT3 = ((0, 1), (-1, -1))
 NEG2 = ((-1, 0), (0, -1))
@@ -230,6 +232,13 @@ class TestAchievableAutos:
         # swap the two A2 factors and invert the first of them
         auto = ((0, 3, 2, 1), (1, -1, 1, 1))
         assert apply_center_auto(datum, auto, (1, 0, 1, 2)) == (1, 0, 2, 2)
+
+    @pytest.mark.parametrize("tokens", [
+        ["A2"] * 3, ["A2", "D5", "A2"], ["D4"] * 2, ["E6", "E7"]])
+    def test_matches_breadth_first_oracle(self, tokens):
+        factors = [simple_type(t) for t in tokens]
+        assert achievable_center_autos(factors) == \
+            achievable_center_autos_bfs(factors)
 
     def test_closed_under_composition(self):
         datum = LieDatum(0, [SimpleType("A", 2)] * 2)

@@ -1,11 +1,17 @@
 """Integer matrix machinery: SNF, finiteness, orbits, fixed structure, embeddings."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bohrsound
 from bohrsound.errors import (
     DimensionMismatch,
     FactorNotFinite,
@@ -183,6 +189,55 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         a = ((0, 0), (0, 0))
         assert self.check(a) == ()
+
+    def test_seeded_sweep_against_minor_oracle(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                              lo=-100, hi=100)
+            assert self.check(a) == snf_invariants_oracle(a)
+
+    def test_coefficient_growth_matrix_terminates(self):
+        # each run in a child process, so a hang fails the test instead of
+        # stalling the suite
+        out = json.loads(_run_child(_TIMED_SNF.format(a=GROWTH_MATRIX)))
+        assert out["seconds"] < 1.0
+        assert self.check(GROWTH_MATRIX) == snf_invariants_oracle(GROWTH_MATRIX)
+        assert tuple(out["diagonal"]) == snf_invariants_oracle(GROWTH_MATRIX)
+
+    def test_fixed_points_of_growth_matrix_from_the_cli(self):
+        out = _run_child(_CLI, "zmat", "fixed", "--matrix",
+                         json.dumps(GROWTH_MATRIX))
+        assert out == "fixed points: Z/6 x Z/42238044\n"
+
+
+# Reducing by whichever remainder turns up first, instead of re-picking the
+# least entry of the block each round, lets the entries of this matrix grow
+# past 800,000 decimal digits within 88 row and column operations.
+GROWTH_MATRIX = [[8, -24, -44, 2, 48], [48, -7, 30, 33, -18],
+                 [72, 36, -29, -108, 18], [6, 36, -12, -5, -18],
+                 [4, 24, -20, 32, 8]]
+
+_TIMED_SNF = """
+import json, time
+from bohrsound.zmat import smith_normal_form
+start = time.perf_counter()
+_, s, _ = smith_normal_form({a})
+seconds = time.perf_counter() - start
+print(json.dumps({{"seconds": seconds,
+                   "diagonal": [s[i][i] for i in range(len(s)) if s[i][i]]}}))
+"""
+
+_CLI = "import sys; from bohrsound.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_child(code: str, *argv: str) -> str:
+    src = str(Path(bohrsound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 class TestMinkowskiBound:
