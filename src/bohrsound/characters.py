@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -493,12 +494,14 @@ class CharacterTable:
         vals.setflags(write=False)
         self.values = vals
         self.n_classes = len(group.conjugacy_classes)
-        self._row_lookup = {tuple(int(v) for v in vals[i]): i
-                            for i in range(vals.shape[0])}
         self._sizes = np.array([len(c) for c in group.conjugacy_classes],
                                dtype=np.int64)
         self._inv_cls = list(group.inverse_class)
         self._order_inv = pow(group.order, prime - 2, prime)
+
+    @cached_property
+    def _row_lookup(self) -> dict[tuple[int, ...], int]:
+        return {row: i for i, row in enumerate(map(tuple, self.values.tolist()))}
 
     @property
     def n_irreducibles(self) -> int:
@@ -629,12 +632,16 @@ _TABLE_MEMO: dict[tuple[str, int], CharacterTable] = {}
 
 
 def character_table(g: FiniteGroup, prime: int | None = None) -> CharacterTable:
-    """Character table at the given prime (default: the group's canonical one)."""
+    """Character table at the given prime (default: the group's canonical one).
+
+    A given p must be a prime = 1 mod exponent(G) in (2|G|, PRIME_SEARCH_LIMIT).
+    """
     if g.order > config.CHARTABLE_MAX_ORDER:
         raise SizeLimit(f"character tables limited to order {config.CHARTABLE_MAX_ORDER}")
     if prime is None:
         prime = splitting_prime(g.exponent, g.order)
-    elif (prime - 1) % g.exponent or prime <= 2 * g.order:
+    elif (not 2 * g.order < prime < config.PRIME_SEARCH_LIMIT
+          or (prime - 1) % g.exponent or not _is_prime(prime)):
         raise PrimeSearchFailure(f"prime {prime} inadmissible for {g.name}")
     key = (g.table_digest, prime)
     memo = _TABLE_MEMO.get(key)
@@ -797,7 +804,10 @@ def clifford_class(rho: int, embs: list[GroupHom]) -> tuple[int, ...]:
     by every ambient group of the family.  Images must be normal."""
     if not embs:
         raise SourceMismatch("need at least one embedding to locate the source")
-    return fin_check(embs)[rho].class_members
+    reports = fin_check(embs)
+    if not 0 <= rho < len(reports):
+        raise SourceMismatch(f"rho = {rho} is not one of {len(reports)} irreducibles")
+    return reports[rho].class_members
 
 
 def _least_positive(column: np.ndarray) -> int:

@@ -4,13 +4,14 @@ Arguments that take JSON accept either a file path or an inline JSON
 string (anything starting with '{' or '['); bare file names also resolve
 against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation, 2 when only an unknown-prefix verdict
-is possible, 1 for input errors.
+is possible, 1 for input errors and for a reader that closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -481,6 +482,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except BohrsoundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout closed early (`| head`): devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,17 +1,13 @@
 """Size limits and environment knobs.
 
 All limits are module constants so tests can monkeypatch them; the CLI reads
-the cache directory from the environment at call time.
+the cache directory from the environment at call time.  Table validation has
+no knob: it is exact at every order (see groups).
 """
 
 from __future__ import annotations
 
 import os
-
-# exhaustive multiplication-table validation up to this order, seeded sampling above
-VALIDATE_EXHAUSTIVE_MAX = 512
-VALIDATE_SAMPLE_FACTOR = 10  # sampled triples = factor * order**2
-VALIDATE_SAMPLE_SEED = 0xB04A
 
 # character tables refuse larger groups (Dixon cost grows fast past this)
 CHARTABLE_MAX_ORDER = 1024

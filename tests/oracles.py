@@ -6,11 +6,14 @@ subgroup search instead of partition dominance, exhaustive tuple enumeration
 instead of dynamic programming, dict-keyed loops instead of vectorised
 min-plus convolutions, minor gcds instead of elimination,
 one-product-at-a-time tuple searches instead of batched numpy closures,
-hand-written breadth-first loops instead of the shared `reachable` closure.
+hand-written breadth-first loops instead of the shared `reachable` closure,
+per-pair and per-element group loops instead of whole-table numpy passes,
+every triple instead of Light's associativity test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -33,6 +36,64 @@ from bohrsound.zmat import (
     mat_vec,
     minkowski_bound,
 )
+
+
+# -- group primitives by per-pair and per-element loops ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_table_loop(n: int) -> tuple[np.ndarray, list[str]]:
+    """Table and labels of S_n, one tuple composition p . q per pair."""
+    perms = list(itertools.permutations(range(n)))
+    rank = {p: i for i, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = rank[tuple(p[q[k]] for k in range(n))]
+    return table, ["".join(str(v) for v in p) for p in perms]
+
+
+def alternating_table_loop(n: int) -> tuple[np.ndarray, list[str]]:
+    """Table and labels of A_n: the even rows of the S_n loop, re-indexed."""
+    table, labels = symmetric_table_loop(n)
+    perms = list(itertools.permutations(range(n)))
+    evens = [i for i, p in enumerate(perms)
+             if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+    pos = {e: k for k, e in enumerate(evens)}
+    sub = [[pos[int(table[a, b])] for b in evens] for a in evens]
+    return np.array(sub, dtype=np.int32), [labels[e] for e in evens]
+
+
+def group_element_order_loop(group, a: int) -> int:
+    """Order of a, multiplying by a until the identity."""
+    o, x = 1, a
+    while x != 0:
+        x = group.op(x, a)
+        o += 1
+    return o
+
+
+def conjugacy_classes_loop(group) -> tuple[tuple[int, ...], ...]:
+    """Classes by minimal member, one conjugation orbit per unseen element."""
+    n = group.order
+    seen = np.zeros(n, dtype=bool)
+    rng = np.arange(n)
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        orbit = np.unique(group.mul[group.mul[rng, x], group.inv[rng]])
+        seen[orbit] = True
+        classes.append(tuple(int(v) for v in orbit))
+    return tuple(classes)
+
+
+def associativity_failures(mul) -> np.ndarray:
+    """Every triple (a, b, c) with (a b) c != a (b c), row-major."""
+    mul = np.asarray(mul)
+    bad = [np.argwhere(mul[mul[a], :] != mul[a][mul]) for a in range(len(mul))]
+    return np.array([(a, int(b), int(c)) for a, rows in enumerate(bad)
+                     for b, c in rows], dtype=np.int64).reshape(-1, 3)
 
 
 # -- character tables via the regular representation -----------------------------

@@ -612,6 +612,7 @@ class TestSplitFamilies:
         with pytest.raises(NotAnAction):
             split_family_verdict(cyclic(2), [(cyclic(3), [[0, 1, 2], [1, 2, 0]])])
 
+    @pytest.mark.invariant
     def test_failed_corroboration_raises_invariant_violation(
             self, monkeypatch):
         monkeypatch.setattr("bohrsound.amalgam.split_decomposition_check",

@@ -147,6 +147,22 @@ class TestTableConstruction:
         with pytest.raises(PrimeSearchFailure):
             character_table(symmetric(3), prime=7)    # not > 2*6
 
+    def test_supplied_prime_must_be_prime(self):
+        for p in (9, 25, 49, 91):  # = 1 mod 2 and > 4, but composite
+            with pytest.raises(PrimeSearchFailure):
+                character_table(cyclic(2), prime=p)
+        with pytest.raises(PrimeSearchFailure):
+            character_table(symmetric(3), prime=25)
+
+    def test_supplied_prime_below_search_limit(self):
+        # prime and = 1 mod 2, but products of residues would overflow int64
+        assert characters._is_prime(2147483659)
+        assert 2147483659 >= config.PRIME_SEARCH_LIMIT
+        with pytest.raises(PrimeSearchFailure):
+            character_table(cyclic(2), prime=2147483659)
+        with pytest.raises(PrimeSearchFailure):
+            character_table(cyclic(2), prime=(1 << 61) - 1)
+
     def test_supplied_prime_accepted(self):
         tab = character_table(symmetric(3), prime=31)
         assert tab.prime == 31
@@ -161,6 +177,10 @@ class TestTableConstruction:
 
     def test_row_index_roundtrip(self):
         tab = character_table(dihedral(4))
+        fresh = characters.CharacterTable(tab.group, tab.prime, tab.degrees,
+                                          tab.values)
+        assert "_row_lookup" not in vars(fresh)  # built on first lookup
+        assert fresh.row_index(tab.row(1)) == 1
         for i in range(tab.n_irreducibles):
             assert tab.row_index(tab.row(i)) == i
         with pytest.raises(SourceMismatch):
@@ -359,6 +379,12 @@ class TestClifford:
         with pytest.raises(SourceMismatch):
             clifford_class(0, [])
 
+    @pytest.mark.parametrize("rho", [-1, 3, 10])
+    def test_rho_out_of_range(self, rho):
+        _, _, emb = a3_in_s3()  # A3 has three irreducibles
+        with pytest.raises(SourceMismatch, match="is not one of 3 irreducibles"):
+            clifford_class(rho, [emb])
+
     def test_multiplicity_examples(self):
         _, a3, emb = a3_in_s3()
         p = common_prime([emb.target, a3])
@@ -535,6 +561,7 @@ class TestCoproductExtension:
             assert got >= 1
 
 
+@pytest.mark.invariant
 class TestInvariantViolations:
     """States a correct restriction matrix never produces, built by patching it.
 

@@ -41,10 +41,16 @@ from bohrsound.groups import (
     semidirect,
     symmetric,
     trivial_group,
-    validate_group,
 )
 
 from conftest import multiplication_action
+from oracles import (
+    alternating_table_loop,
+    associativity_failures,
+    conjugacy_classes_loop,
+    group_element_order_loop,
+    symmetric_table_loop,
+)
 
 # 5x5 loop: latin square, two-sided identity and inverses, but (1*1)*2 != 1*(1*2)
 NONASSOC_LOOP = [
@@ -54,6 +60,45 @@ NONASSOC_LOOP = [
     [3, 2, 4, 0, 1],
     [4, 3, 1, 2, 0],
 ]
+
+# identity 0, 1 its own inverse, 2 and 3 each other's; but row 1 repeats 1,
+# so 1 (1 2) = 0 differs from (1 1) 2 = 2: not a Latin square, not associative
+NON_LATIN_MAGMA = [
+    [0, 1, 2, 3],
+    [1, 0, 1, 1],
+    [2, 1, 3, 0],
+    [3, 1, 0, 2],
+]
+
+
+def one_involution_magma(group) -> np.ndarray:
+    """group plus one element u with u u = e and u g = g u = u for g != e.
+
+    It has an identity and two-sided inverses but is not a Latin square.  Its
+    non-associative triples are (u, u, g) and (g, u, u) for g not in {e, u}:
+    2(n - 2) of the n^3, and at n = 4 an exhaustive search finds no table
+    with identity and inverses that has fewer.
+    """
+    n = group.order + 1
+    table = np.full((n, n), n - 1)
+    table[:-1, :-1] = group.mul
+    table[0] = table[:, 0] = np.arange(n)
+    table[-1, -1] = 0
+    return table
+
+
+def loop_times_group(loop, group) -> np.ndarray:
+    """Direct product of a loop table and a group: a Latin square with identity 0."""
+    loop = np.asarray(loop)
+    m = group.order
+    il, ig = np.divmod(np.arange(len(loop) * m), m)
+    return loop[np.ix_(il, il)] * m + group.mul[np.ix_(ig, ig)]
+
+
+def assert_fails_at(table, triple):
+    t = np.asarray(table)
+    a, b, c = triple
+    assert t[t[a, b], c] != t[a, t[b, c]]
 
 
 class TestConstruction:
@@ -84,12 +129,135 @@ class TestConstruction:
             group_from_table([[0, 1], [1, 7]])
 
     def test_validate_group_roundtrip(self):
-        validate_group(symmetric(4))
+        s4 = symmetric(4)
+        assert np.array_equal(group_from_table(s4.mul).mul, s4.mul)
 
-    def test_sampled_validation_path(self):
-        big = direct_product(cyclic(32), cyclic(32))
-        assert big.order == 1024
-        validate_group(big)  # order > exhaustive cap exercises the sampled branch
+    def test_large_groups_validate(self):
+        for big in (direct_product(cyclic(32), cyclic(32)), dihedral(512),
+                    heisenberg(3)):
+            assert np.array_equal(group_from_table(big.mul).mul, big.mul)
+
+    def test_large_non_associative_rejected(self):
+        table = one_involution_magma(cyclic(1023))
+        assert table.shape == (1024, 1024)
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(table)
+        assert_fails_at(table, info.value.triple)
+        assert info.value.triple.count(1023) == 2
+
+    def test_large_non_associative_loop_rejected(self):
+        table = loop_times_group(NONASSOC_LOOP, cyclic(128))
+        assert table.shape == (640, 640)
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(table)
+        assert_fails_at(table, info.value.triple)
+
+    def test_non_latin_magma_rejected(self):
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(NON_LATIN_MAGMA)
+        assert_fails_at(NON_LATIN_MAGMA, info.value.triple)
+        # the same magma with rows and columns transposed fails in a column
+        transposed = np.array(NON_LATIN_MAGMA).T
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(transposed)
+        assert_fails_at(transposed, info.value.triple)
+
+    def test_non_associative_witness_is_a_failing_triple(self):
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(NONASSOC_LOOP)
+        assert tuple(info.value.triple) in set(
+            map(tuple, associativity_failures(NONASSOC_LOOP).tolist()))
+
+    def test_identity_among_many_idempotents(self):
+        left_zero = np.repeat(np.arange(5)[:, None], 5, axis=1)  # x y = x
+        with pytest.raises(NoIdentity):
+            group_from_table(left_zero)
+        swap = np.array([1, 0, 2])  # Z3 relabelled: its identity sits at index 1
+        with pytest.raises(NoIdentity, match="index 0"):
+            FiniteGroup(swap[cyclic(3).mul[np.ix_(swap, swap)]])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_verdicts_match_exhaustive_oracle(self, seed):
+        """Perturbed small groups: rejected exactly when not a group."""
+        rng = np.random.default_rng(seed)
+        base = [cyclic(6), klein_four(), dihedral(4), symmetric(3),
+                direct_product(cyclic(2), cyclic(4)), heisenberg(1)][seed % 6]
+        table = base.mul.copy()
+        n = base.order
+        if seed % 2:  # swap an intercalate: the table stays a Latin square
+            quads = [(r1, r2, c1, c2)
+                     for r1 in range(1, n) for r2 in range(r1 + 1, n)
+                     for c1 in range(1, n) for c2 in range(c1 + 1, n)
+                     if table[r1, c1] == table[r2, c2]
+                     and table[r1, c2] == table[r2, c1]]
+            r1, r2, c1, c2 = quads[rng.integers(len(quads))]
+            x, y = table[r1, c1], table[r1, c2]
+            table[r1, c1] = table[r2, c2] = y
+            table[r1, c2] = table[r2, c1] = x
+        else:
+            for _ in range(1 + seed % 3):
+                table[rng.integers(1, n), rng.integers(1, n)] = rng.integers(n)
+        zero = table == 0
+        has_inverses = (zero & zero.T).any(axis=1).all()
+        failures = set(map(tuple, associativity_failures(table).tolist()))
+        if has_inverses and not failures:
+            assert group_from_table(table).order == n
+        elif not has_inverses:
+            with pytest.raises(NoInverse):
+                group_from_table(table)
+        else:
+            with pytest.raises(NonAssociative) as info:
+                group_from_table(table)
+            assert tuple(info.value.triple) in failures
+
+
+def oracle_groups(corpus):
+    return [*corpus, symmetric(5), symmetric(6), alternating(5), alternating(6),
+            dihedral(128), heisenberg(3),
+            direct_product(cyclic(8), symmetric(4))]
+
+
+class TestPrimitiveOracles:
+    """Whole-table passes against the per-pair and per-element loops."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_matches_loop(self, n):
+        table, labels = symmetric_table_loop(n)
+        g = symmetric(n)
+        assert g.mul.dtype == np.int32 and np.array_equal(g.mul, table)
+        assert g.labels == tuple(labels)
+        assert g.name == f"S{n}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_alternating_matches_loop(self, n):
+        table, labels = alternating_table_loop(n)
+        g = alternating(n)
+        assert np.array_equal(g.mul, table)
+        assert g.labels == tuple(labels)
+        assert g.name == f"A{n}"
+
+    def test_element_orders_match_loop(self, corpus):
+        for g in oracle_groups(corpus):
+            want = tuple(group_element_order_loop(g, a) for a in range(g.order))
+            assert g.element_orders == want, g.name
+            assert g.element_order(g.order - 1) == want[-1]
+
+    def test_classes_match_loop(self, corpus):
+        for g in oracle_groups(corpus):
+            classes = conjugacy_classes_loop(g)
+            assert g.conjugacy_classes == classes, g.name
+            want = np.empty(g.order, dtype=np.int32)
+            for i, cls in enumerate(classes):
+                want[list(cls)] = i
+            assert np.array_equal(g.class_of, want)
+            assert g.inverse_class == tuple(
+                int(want[g.inverse(c[0])]) for c in classes)
+
+    def test_validation_matches_exhaustive(self, corpus):
+        for g in oracle_groups(corpus):
+            assert np.array_equal(group_from_table(g.mul).mul, g.mul)
+            if g.order <= 512:
+                assert not associativity_failures(g.mul).size, g.name
 
 
 class TestBasicInvariants:

@@ -307,6 +307,7 @@ class TestCompactnessConditions:
                 report.aut_compact) == (False, False, False)
         assert report.has_largest_compact is False
 
+    @pytest.mark.invariant
     def test_disagreeing_center_raises(self, monkeypatch, capsys):
         # unreachable from a datum: the center's torus rank is read off it
         monkeypatch.setattr(lie, "lie_center",
@@ -477,6 +478,7 @@ class TestCentralizer:
         with pytest.raises(NotMember):
             centralizer_in_finite_group(((1, 1), (0, 1)), ambient)
 
+    @pytest.mark.invariant
     def test_unclosed_ambient_raises(self):
         # a real group's centralizer is closed; build a set that is not one
         ident = ((1, 0), (0, 1))

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bohrsound
 from bohrsound import cache, config
 from bohrsound.cli import fixture_path, main
 from bohrsound.descriptors import (
@@ -284,6 +287,7 @@ class TestSoundnessDispatch:
             soundness_verdict(bad)
 
 
+@pytest.mark.invariant
 class TestVerdictInvariants:
     def test_decided_verdict_needs_known_criterion(self):
         with pytest.raises(InvariantViolation):
@@ -361,6 +365,34 @@ class TestCliExitCodes:
         code, _, err = cli(*argv)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("prime", ["9", "25", "2147483659"])
+    def test_inadmissible_prime_is_one(self, cli, prime):
+        # 9 and 25 are composite; 2147483659 is a prime past the exact range
+        for cached in ((), ("--no-cache",)):
+            code, out, err = cli("chartable", "--group",
+                                 '{"kind":"cyclic","n":2}', "--prime", prime,
+                                 *cached)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: PrimeSearchFailure:")
+            assert err.count("\n") == 1
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        # 170 kB of JSON: more than a pipe buffer, so writing outlives the reader
+        env = dict(os.environ, PYTHONPATH=str(Path(bohrsound.__file__).parents[1]),
+                   **{config.CACHE_ENV_VAR: str(tmp_path / "cache")})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bohrsound.cli", "chartable", "--no-cache",
+             "--group", '{"kind":"cyclic","n":128}', "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(200)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head.startswith(b"{")
+        assert err == ""
 
     def test_ragged_table_is_schema_error(self, cli):
         code, out, err = cli("chartable", "--group",
