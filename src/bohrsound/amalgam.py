@@ -273,6 +273,10 @@ class TorusSemidirectTarget:
         self.rank = rank
         self.maps = [[(tp, mat(m)) for tp, m in factor_maps]
                      for factor_maps in maps]
+        for factor_maps in self.maps:
+            for tp, m in factor_maps:
+                if tp.dim != rank or len(m) != rank or len(m[0]) != rank:
+                    raise DimensionMismatch(f"torus targets must have rank {rank}")
 
     def identity(self):
         return TorusPoint.zero(self.rank), mat_identity(self.rank)
@@ -280,10 +284,7 @@ class TorusSemidirectTarget:
     def multiply(self, a, b):
         t1, m1 = a
         t2, m2 = b
-        moved = TorusPoint(
-            sum(m1[r][c] * t2.coords[c] for c in range(self.rank))
-            for r in range(self.rank))
-        return t1 + moved, mat_mul(m1, m2)
+        return t1 + t2.act(m1), mat_mul(m1, m2)
 
     def image(self, i: int, x: int):
         return self.maps[i][x]

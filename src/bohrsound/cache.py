@@ -2,8 +2,9 @@
 
 Strictly an optimization: a cache hit reconstructs the exact same table a
 fresh computation would produce, so downstream output is byte-identical
-whether the cache is cold, warm, or disabled.  The directory comes from
-the environment at call time (see config.cache_dir).
+whether the cache is cold, warm, or disabled.  A load re-runs the check
+that ends a fresh computation; an entry failing it is stale and recomputed.
+The directory comes from the environment at call time (see config.cache_dir).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import os
 import re
 
 from . import config
-from .characters import CharacterTable, character_table, splitting_prime
+from .characters import CharacterTable, character_table, check_table, splitting_prime
+from .errors import PrimeSearchFailure
 from .groups import FiniteGroup
 
 
@@ -45,8 +47,10 @@ def store_table(table: CharacterTable) -> str:
     path = _entry_path(base, table.group.table_digest, table.prime)
     payload = json.dumps(table.serialize(), sort_keys=True,
                          separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"  # a reader never sees half an entry
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(payload)
+    os.replace(tmp, path)
     return path
 
 
@@ -58,13 +62,19 @@ def load_table(group: FiniteGroup, prime: int) -> CharacterTable | None:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (data.get("schema") != "bohrsound/chartable/1"
+    if (not isinstance(data, dict)
+            or data.get("schema") != "bohrsound/chartable/1"
             or data.get("group_digest") != group.table_digest
             or data.get("order") != group.order
             or data.get("prime") != prime
             or data.get("class_reps") != list(group.class_reps)):
         return None
-    return CharacterTable(group, prime, data["degrees"], data["values"])
+    try:
+        table = CharacterTable(group, prime, data["degrees"], data["values"])
+        check_table(table)
+    except (KeyError, TypeError, ValueError, OverflowError, PrimeSearchFailure):
+        return None
+    return table
 
 
 def cached_character_table(group: FiniteGroup,

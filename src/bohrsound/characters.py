@@ -622,10 +622,23 @@ def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
     degrees = degrees[order]
     values = values[order]
     table = CharacterTable(g, p, degrees, values)
-    gram = _matmul_mod(values * sizes % p, values[:, inv_cls].T, p)
-    if not np.array_equal(gram, np.eye(len(sizes), dtype=np.int64) * (n % p)):
-        raise PrimeSearchFailure("orthogonality check failed")
+    check_table(table)
     return table
+
+
+def check_table(table: CharacterTable) -> None:
+    """Raise PrimeSearchFailure unless the table is square with the degrees
+    in its identity column, rows in canonical order, and orthonormal rows."""
+    vals, p, r = table.values, table.prime, table.n_classes
+    if vals.shape != (r, r) or len(table.degrees) != r:
+        raise PrimeSearchFailure("table shape does not match the class count")
+    degrees = np.array(table.degrees, dtype=np.int64)
+    if not np.array_equal(vals[:, 0], degrees) or \
+            not np.array_equal(np.lexsort((*vals.T[::-1], degrees)), np.arange(r)):
+        raise PrimeSearchFailure("degree column or row order check failed")
+    gram = _matmul_mod(vals * table._sizes % p, vals[:, table._inv_cls].T, p)
+    if not np.array_equal(gram, np.eye(r, dtype=np.int64) * (table.group.order % p)):
+        raise PrimeSearchFailure("orthogonality check failed")
 
 
 _TABLE_MEMO: dict[tuple[str, int], CharacterTable] = {}
@@ -678,17 +691,12 @@ class Character:
 
 
 def irreducible_character(table: CharacterTable, index: int) -> Character:
+    if not 0 <= index < table.n_irreducibles:
+        raise SourceMismatch(
+            f"index {index} is not one of {table.n_irreducibles} irreducibles")
     coeffs = [0] * table.n_irreducibles
     coeffs[index] = 1
     return Character(table, tuple(coeffs))
-
-
-def trivial_character(table: CharacterTable) -> Character:
-    return irreducible_character(table, table.trivial_index())
-
-
-def regular_character(table: CharacterTable) -> Character:
-    return Character(table, tuple(table.degrees))
 
 
 # -- restriction ------------------------------------------------------------------

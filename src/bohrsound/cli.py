@@ -39,7 +39,7 @@ from .descriptors import (
     target_from_descriptor,
 )
 from .errors import BohrsoundError, SchemaError
-from .lie import compactness_conditions, largest_compact_verdict, lie_center
+from .lie import compactness_conditions, lie_center
 from .soundness import (
     serialize_matrix_group,
     serialize_reports,
@@ -326,7 +326,7 @@ def run_liecheck(args) -> int:
              f"largest compact subgroup: {report.has_largest_compact}",
              f"sign-rigid gluing: {report.inversion_only}"]
     if datum.torus_rank == 2:
-        verdict = largest_compact_verdict(datum)
+        verdict = report.verdict
         payload["verdict"] = {
             "kind": verdict.kind,
             "witness_label": verdict.witness_label,

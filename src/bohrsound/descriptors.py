@@ -7,8 +7,6 @@ labels; mathematical validation stays in the constructors it calls.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SchemaError
 from .amalgam import (
     AmalgamSpec,
@@ -197,12 +195,13 @@ def target_from_descriptor(spec: AmalgamSpec, d: dict,
         rank = require_field(d, "rank", int, where)
         maps = []
         for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
+            if not isinstance(factor_maps, list):
+                raise SchemaError(f"{where}.factors[{i}] must be an array")
             entries = []
             for j, entry in enumerate(factor_maps):
                 sub = f"{where}.factors[{i}][{j}]"
-                coords = require_field(entry, "torus", list, sub)
-                point = TorusPoint(
-                    Fraction(int(num), int(den)) for num, den in coords)
+                point = TorusPoint.parse(
+                    require_field(entry, "torus", list, sub), sub)
                 matrix = int_rows(require_field(entry, "matrix", list, sub), sub)
                 entries.append((point, tuple(tuple(r) for r in matrix)))
             maps.append(entries)
@@ -227,12 +226,6 @@ def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
             if not isinstance(s, list) or \
                     not all(isinstance(x, int) for x in s):
                 raise SchemaError(f"{where}: generator {i} must be integers")
-            coords = []
-            for pair in t:
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(x, int) for x in pair)):
-                    raise SchemaError(
-                        f"{where}: image {i} entries must be [num, den]")
-                coords.append(Fraction(pair[0], pair[1]))
-            generators.append((tuple(s), tuple(coords)))
+            point = TorusPoint.parse(t, f"{where}: image {i}")
+            generators.append((tuple(s), point.coords))
     return LieDatum(z, factors, generators)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     NotASubgroup,
     NotInjective,
     NotNormal,
+    SchemaError,
     SizeLimit,
     SourceMismatch,
 )
@@ -290,10 +291,6 @@ class GroupHom:
         return f"<GroupHom {self.source.name} -> {self.target.name}>"
 
 
-def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom(g, g, np.arange(g.order), _validated=True)
-
-
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     if inner.target is not outer.source:
         raise SourceMismatch("homomorphisms do not compose")
@@ -334,6 +331,9 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
         self.parent = parent
         self.elements = tuple(sorted(set(int(x) for x in elements)))
+        if self.elements and (self.elements[0] < 0
+                              or self.elements[-1] >= parent.order):
+            raise NotASubgroup(f"elements must lie in range({parent.order})")
         if not self.elements or self.elements[0] != 0:
             raise NotASubgroup("subgroup must contain the identity")
         # a finite set closed under the product is closed under inverses too
@@ -370,40 +370,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent.name}>"
-
-
-def all_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every subgroup, as sorted element tuples (BFS over generated extensions).
-
-    Each found subgroup keeps the generating chain that produced it; a proper
-    extension at least doubles the order, so chains stay short and closures fast.
-    """
-    trivial = (0,)
-    found = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        base = queue.pop()
-        base_set = set(base)
-        gens = found[base]
-        for x in range(1, g.order):
-            if x in base_set:
-                continue
-            new_gens = gens + (x,)
-            ext = closure(g, new_gens)
-            if ext not in found:
-                found[ext] = new_gens
-                queue.append(ext)
-    return sorted(found, key=lambda t: (len(t), t))
-
-
-def normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every normal subgroup: joins of normal closures of conjugacy classes."""
-    closures = set()
-    for cls in g.conjugacy_classes:
-        closures.add(closure(g, cls))
-    found = reachable(closures, lambda a: [closure(g, set(a) | set(b))
-                                           for b in closures])
-    return sorted(found | {(0,)}, key=lambda t: (len(t), t))
 
 
 # -- constructors --------------------------------------------------------------
@@ -665,47 +631,78 @@ def abelian_from_orders(orders) -> FiniteAbelian:
 
 
 class TorusPoint:
-    """A point of (R/Z)^k with exact rational coordinates in [0, 1)."""
+    """A point of (Q/Z)^k: numerators in [0, den) over one positive denominator,
+    in lowest terms, so den is the order.  TorusPoint(nums, den) is nums/den;
+    TorusPoint(coords) takes rational (int or Fraction) coordinates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coords):
-        self.coords = tuple(Fraction(c) % 1 for c in coords)
+    def __init__(self, nums, den: int = 1):
+        nums = tuple(nums)
+        common = lcm(*(a.denominator for a in nums))
+        nums = [a.numerator * (common // a.denominator) for a in nums]
+        den *= common
+        g = gcd(den, *nums)
+        self.den = den // g
+        self.nums = tuple(a // g % self.den for a in nums)
 
     @classmethod
     def zero(cls, k: int) -> "TorusPoint":
         return cls((0,) * k)
 
+    @classmethod
+    def parse(cls, pairs, where: str) -> "TorusPoint":
+        """The point a descriptor writes as [[num, den], ...]."""
+        if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(type(x) is int for x in pair) and pair[1] != 0
+                for pair in pairs):
+            raise SchemaError(f"{where}: torus coordinates must be "
+                              "[num, den] integer pairs with den != 0")
+        den = lcm(*(abs(d) for _, d in pairs))
+        return cls([n * (den // d) for n, d in pairs], den)
+
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    @property
+    def order(self) -> int:
+        return self.den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def numerators_over(self, n: int) -> tuple[int, ...]:
+        """The numerators over n, a multiple of den."""
+        return tuple(a * (n // self.den) for a in self.nums)
+
+    def act(self, matrix) -> "TorusPoint":
+        """Image under an integer k x k matrix acting on (Q/Z)^k."""
+        return TorusPoint([sum(m * a for m, a in zip(row, self.nums))
+                           for row in matrix], self.den)
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         if self.dim != other.dim:
             raise SourceMismatch("torus points of different rank")
-        return TorusPoint(a + b for a, b in zip(self.coords, other.coords))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return TorusPoint([x * a + y * b for x, y in zip(self.nums, other.nums)],
+                          den)
 
     def __neg__(self) -> "TorusPoint":
-        return TorusPoint(-a for a in self.coords)
+        return TorusPoint([-a for a in self.nums], self.den)
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return self + (-other)
 
-    def scale(self, k: int) -> "TorusPoint":
-        return TorusPoint(a * k for a in self.coords)
-
-    @property
-    def order(self) -> int:
-        o = 1
-        for a in self.coords:
-            o = o * a.denominator // gcd(o, a.denominator)
-        return o
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, TorusPoint) and self.coords == other.coords
+        return isinstance(other, TorusPoint) and \
+            (self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

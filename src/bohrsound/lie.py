@@ -3,16 +3,20 @@
 The group is described by its central torus rank, a list of simple factor
 types, and a finite gluing subgroup D given as the graph of a map from a
 subgroup of the product of simple centers into the torus.  Everything here
-is exact: centers come from the classification table, torus points are
-rational, and verdicts reduce to integer matrix computations.
+is exact: centers come from the classification table, torus parts are
+integer numerators over N, the common denominator of the generators' torus
+images, and verdicts reduce to integer matrix computations.  The center
+automorphisms and the gluing map are homomorphisms, and D's generators
+generate its support, so support preservation, the joint sign and the
+intertwining with a torus automorphism are checked on the generators
+alone; only kernel preservation is checked element by element.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +29,7 @@ from .errors import (
     UnsupportedRank,
     WrongOrder,
 )
-from .groups import FiniteAbelian, abelian_from_orders, reachable
+from .groups import FiniteAbelian, TorusPoint, abelian_from_orders, reachable
 from .zmat import (
     MatrixGroupResult,
     element_order,
@@ -103,20 +107,15 @@ def simple_type(token: str) -> SimpleType:
 # -- the datum ----------------------------------------------------------------------------
 
 
-def _mod1(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) % 1 for v in values)
-
-
-def _mod_orders(values, orders) -> tuple[int, ...]:
-    return tuple(int(v) % m for v, m in zip(values, orders))
-
-
 class LieDatum:
     """(T^torus_rank x prod factors) / D with D the graph of a gluing map.
 
-    Generators give pairs (simple center part, torus image); the generated
-    subgroup must project injectively to the simple part, so the torus
-    coordinate is a function of the simple coordinate.
+    Generators give pairs (simple center part, rational torus image); the
+    generated subgroup must project injectively to the simple part, so the
+    torus coordinate is a function of the simple coordinate.  D is
+    enumerated once, as integer vectors modulo (center orders, N, ..., N)
+    with N the common denominator of the torus images, and `torus_part_of`
+    maps each simple part to its torus numerators over N.
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -138,30 +137,27 @@ class LieDatum:
             if len(torus) != torus_rank:
                 raise InvalidDelta(
                     f"torus part needs {torus_rank} coordinates, got {len(torus)}")
-            gens.append((_mod_orders(simple, self.center_orders), _mod1(torus)))
+            simple = tuple(int(v) % m for v, m in zip(simple, self.center_orders))
+            gens.append((simple, TorusPoint(torus)))
         self.generators = tuple(gens)
+        n = self.denominator = lcm(*(t.den for _, t in gens))
+        moduli = self.center_orders + (n,) * torus_rank
+        vectors = [s + t.numerators_over(n) for s, t in gens]
 
-        def step(element):
-            s0, t0 = element
-            return [(tuple((a + b) % m for a, b, m in
-                           zip(s0, s1, self.center_orders)),
-                     tuple((a + b) % 1 for a, b in zip(t0, t1)))
-                    for s1, t1 in self.generators]
+        def step(v):
+            return [tuple((a + b) % m for a, b, m in zip(v, g, moduli))
+                    for g in vectors]
 
-        zero = ((0,) * c, (Fraction(0),) * torus_rank)
-        elements = reachable([zero], step)
-        self.graph_elements = frozenset(elements)
         torus_part_of: dict = {}
-        for s, t in elements:
-            if s in torus_part_of and torus_part_of[s] != t:
+        for v in reachable([(0,) * len(moduli)], step):
+            s, t = v[:c], v[c:]
+            if torus_part_of.setdefault(s, t) != t:
                 raise InvalidDelta(
                     f"gluing subgroup is not a graph at simple part {s}")
-            torus_part_of[s] = t
         self.torus_part_of = torus_part_of
         self.simple_parts = frozenset(torus_part_of)
-        zero_t = (Fraction(0),) * torus_rank
         self.kernel_parts = frozenset(
-            s for s, t in torus_part_of.items() if t == zero_t)
+            s for s, t in torus_part_of.items() if not any(t))
 
 
 def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
@@ -184,20 +180,20 @@ def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
 
 
 def torus_image_invariants(datum: LieDatum) -> FiniteAbelian:
-    """Structure of the gluing subgroup's image inside the torus."""
+    """Structure of the gluing subgroup's image inside the torus.
+
+    Over N the image is the generators' row lattice modulo N Z^z, so each
+    invariant factor d of that lattice gives a cyclic factor N / gcd(d, N).
+    """
     z = datum.torus_rank
-    gens = [t for _, t in datum.generators]
-    if z == 0 or not gens:
+    if z == 0 or not datum.generators:
         return FiniteAbelian(())
-    denom = 1
-    for t in gens:
-        for v in t:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    w = [[int(v * denom) for v in t] for t in gens]
-    _, s, _ = smith_normal_form(w)
+    n = datum.denominator
+    _, s, _ = smith_normal_form(
+        [t.numerators_over(n) for _, t in datum.generators])
     orders = []
-    for i in range(min(len(gens), z)):
-        d = denom // gcd(int(s[i][i]), denom)
+    for i in range(min(len(datum.generators), z)):
+        d = n // gcd(int(s[i][i]), n)
         if d > 1:
             orders.append(d)
     return abelian_from_orders(orders)
@@ -255,18 +251,22 @@ def _scaled(datum: LieDatum, simple: tuple[int, ...], factor: int) -> tuple[int,
     return tuple((factor * v) % m for v, m in zip(simple, datum.center_orders))
 
 
-def _apply_torus_matrix(matrix, coords) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((Fraction(matrix[r][c]) * coords[c] for c in range(len(coords))),
-            Fraction(0)) % 1
-        for r in range(len(matrix)))
+def _preserved_autos(datum: LieDatum):
+    """(auto, generator images) for each achievable auto mapping the support
+    onto itself; a generator check suffices for an automorphism."""
+    support = datum.simple_parts
+    for auto in achievable_center_autos(datum.factors):
+        images = [apply_center_auto(datum, auto, s) for s, _ in datum.generators]
+        if all(image in support for image in images):
+            yield auto, images
 
 
 def liftable(datum: LieDatum, alpha0) -> bool:
     """Whether the torus automorphism extends over the whole quotient.
 
     True iff some achievable automorphism of the simple centers preserves
-    the gluing support and intertwines the gluing map with alpha0.
+    the gluing support and intertwines the gluing map with alpha0; both
+    sides of the intertwining are homomorphisms, so the generators decide.
     """
     alpha0 = mat(alpha0)
     z = datum.torus_rank
@@ -274,15 +274,11 @@ def liftable(datum: LieDatum, alpha0) -> bool:
         raise DimensionMismatch(f"matrix must be {z}x{z}")
     if mat_det(alpha0) not in (1, -1):
         raise NotUnimodular(mat_det(alpha0))
-    support = datum.simple_parts
-    for auto in achievable_center_autos(datum.factors):
-        image = {s: apply_center_auto(datum, auto, s) for s in support}
-        if set(image.values()) != support:
-            continue
-        if all(_apply_torus_matrix(alpha0, datum.torus_part_of[s])
-               == datum.torus_part_of[image[s]] for s in support):
-            return True
-    return False
+    n = datum.denominator
+    moved = [t.act(alpha0).numerators_over(n) for _, t in datum.generators]
+    return any(
+        all(datum.torus_part_of[image] == m for image, m in zip(images, moved))
+        for _, images in _preserved_autos(datum))
 
 
 def _rigidity(datum: LieDatum) -> bool | None:
@@ -290,25 +286,18 @@ def _rigidity(datum: LieDatum) -> bool | None:
 
     Quantifies over automorphisms preserving both the gluing support and
     its kernel (the only ones that can intertwine with an injective torus
-    automorphism).  None means undecided: the achievable list is an
+    automorphism).  The joint sign is tested on the generators, the kernel
+    on its elements.  None means undecided: the achievable list is an
     under-approximation whenever a D4 factor is present.
     """
-    support = datum.simple_parts
     kernel = datum.kernel_parts
-    rigid = True
-    for auto in achievable_center_autos(datum.factors):
-        image = {s: apply_center_auto(datum, auto, s) for s in support}
-        if set(image.values()) != support:
+    for auto, images in _preserved_autos(datum):
+        if {apply_center_auto(datum, auto, s) for s in kernel} != kernel:
             continue
-        if {image[s] for s in kernel} != kernel:
-            continue
-        joint = any(all(image[s] == _scaled(datum, s, eps) for s in support)
-                    for eps in (1, -1))
-        if not joint:
-            rigid = False
-            break
-    if not rigid:
-        return False
+        if not any(all(image == _scaled(datum, s, eps)
+                       for image, (s, _) in zip(images, datum.generators))
+                   for eps in (1, -1)):
+            return False
     if any(f.series == "D" and f.rank == 4 for f in datum.factors):
         return None
     return True
@@ -333,6 +322,7 @@ class LargestCompactVerdict:
     delta0: FiniteAbelian
     fixed_profiles: tuple[tuple[str, str, int | None], ...]
     reason: str
+    inversion_only: bool | None
 
 
 def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
@@ -342,37 +332,35 @@ def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
     whose relevant center automorphisms act as a joint sign, to whether
     any non-central torsion class of GL(2,Z) has fixed points large enough
     to swallow the glued torus subgroup; a hit denies the largest compact
-    subgroup, a full sweep of misses confirms it.
+    subgroup, a full sweep of misses confirms it.  The joint-sign answer
+    is kept as `inversion_only` at every rank.
     """
     z = datum.torus_rank
     if z >= 3:
         raise UnsupportedRank(f"verdict implemented for torus rank <= 2, got {z}")
     delta0 = torus_image_invariants(datum)
-    if z <= 1:
-        return LargestCompactVerdict(
-            kind="HasLargest", witness_label=None, witness=None, delta0=delta0,
-            fixed_profiles=(), reason="automorphism group is compact")
     rigid = _rigidity(datum)
-    if rigid is not True:
-        why = ("achievable automorphism list is an under-approximation"
-               if rigid is None else
-               "a relevant center automorphism is not a joint sign")
-        return LargestCompactVerdict(
-            kind="Unknown", witness_label=None, witness=None, delta0=delta0,
-            fixed_profiles=(), reason=why)
     profiles = []
+
+    def verdict(kind, reason, label=None, rep=None):
+        return LargestCompactVerdict(kind, label, rep, delta0, tuple(profiles),
+                                     reason, rigid)
+
+    if z <= 1:
+        return verdict("HasLargest", "automorphism group is compact")
+    if rigid is not True:
+        return verdict("Unknown",
+                       "achievable automorphism list is an under-approximation"
+                       if rigid is None else
+                       "a relevant center automorphism is not a joint sign")
     for label, rep in TORSION_CLASSES:
         fs = fixed_subgroup_structure(rep)
         profiles.append((label, str(fs), fs.finite_order))
         if embeds_into_fixed(delta0, fs):
-            return LargestCompactVerdict(
-                kind="NoLargest", witness_label=label, witness=rep,
-                delta0=delta0, fixed_profiles=tuple(profiles),
-                reason=f"glued subgroup embeds into the fixed points of {label}")
-    return LargestCompactVerdict(
-        kind="HasLargest", witness_label=None, witness=None, delta0=delta0,
-        fixed_profiles=tuple(profiles),
-        reason="no torsion class fixes a subgroup as large as the glued one")
+            return verdict("NoLargest", "glued subgroup embeds into the fixed "
+                           f"points of {label}", label, rep)
+    return verdict("HasLargest",
+                   "no torsion class fixes a subgroup as large as the glued one")
 
 
 @dataclass(frozen=True)
@@ -382,33 +370,32 @@ class ConditionsReport:
     aut_compact: bool
     has_largest_compact: bool | None
     inversion_only: bool | None
+    verdict: LargestCompactVerdict | None
 
 
 def compactness_conditions(datum: LieDatum) -> ConditionsReport:
     """The equivalent compactness conditions plus the follow-up verdicts.
 
     The first is read off the presentation, the second recomputed through
-    the center; they must agree.  Compact automorphisms always leave a
-    largest compact subgroup; otherwise the rank-2 torsion scan decides
-    when it can.
+    the center; they must agree.  Up to torus rank 2 the largest-compact
+    verdict is decided once and kept in the report; compact automorphisms
+    (rank <= 1) always leave a largest compact subgroup.
     """
     a = datum.torus_rank <= 1
     torus_dim, _ = lie_center(datum)
     b = torus_dim <= 1
     if a != b:
         raise InvariantViolation("presentation and center computations disagree")
-    c = a
-    if c:
-        largest: bool | None = True
-    elif datum.torus_rank == 2:
+    if datum.torus_rank <= 2:
         verdict = largest_compact_verdict(datum)
         largest = {"HasLargest": True, "NoLargest": False,
                    "Unknown": None}[verdict.kind]
+        rigid = verdict.inversion_only
     else:
-        largest = None
+        verdict, largest, rigid = None, None, _rigidity(datum)
     return ConditionsReport(
-        no_central_2torus=a, dual_rank_le_1=b, aut_compact=c,
-        has_largest_compact=largest, inversion_only=_rigidity(datum))
+        no_central_2torus=a, dual_rank_le_1=b, aut_compact=a,
+        has_largest_compact=largest, inversion_only=rigid, verdict=verdict)
 
 
 # -- explicit witness families over the 2-torus ------------------------------------------------
@@ -488,7 +475,7 @@ def glued_torus_su_datum(k: int, l: int) -> LieDatum:
     a, b = 3 ** k, 3 ** l
     factors = [SimpleType("A", a - 1), SimpleType("A", b - 1)]
     generators = [
-        ((1, 0), (Fraction(1, a), Fraction(0))),
-        ((0, 1), (Fraction(1, b), Fraction(1, b // 3))),
+        ((1, 0), TorusPoint((1, 0), a).coords),
+        ((0, 1), TorusPoint((1, 3), b).coords),
     ]
     return LieDatum(2, factors, generators)

@@ -65,12 +65,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a[0]) != len(v):
-        raise DimensionMismatch("matrix/vector dimensions differ")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a))
 

@@ -8,7 +8,8 @@ min-plus convolutions, minor gcds instead of elimination,
 one-product-at-a-time tuple searches instead of batched numpy closures,
 hand-written breadth-first loops instead of the shared `reachable` closure,
 per-pair and per-element group loops instead of whole-table numpy passes,
-every triple instead of Light's associativity test.
+every triple instead of Light's associativity test, every element of the
+gluing subgroup over Fractions instead of its generators over integers.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from math import gcd
 
 import numpy as np
 
+from bohrsound.characters import Character, irreducible_character
 from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
     SourceMismatch,
 )
+from bohrsound.groups import GroupHom, closure, reachable
+from bohrsound.lie import apply_center_auto
 from bohrsound.zmat import (
     MatrixGroupResult,
     OrbitResult,
@@ -33,7 +37,6 @@ from bohrsound.zmat import (
     mat,
     mat_inv_unimodular,
     mat_mul,
-    mat_vec,
     minkowski_bound,
 )
 
@@ -489,3 +492,118 @@ def achievable_center_autos_bfs(factors):
                 autos.add(cand)
                 frontier.append(cand)
     return sorted(autos)
+
+
+# -- gluing checks element by element over Fraction coordinates --------------------
+
+
+def gluing_graph_oracle(datum) -> dict:
+    """Simple part -> rational torus part for every element of the gluing
+    subgroup, by a hand-written closure over Fraction coordinates."""
+    orders = datum.center_orders
+    gens = [(s, t.coords) for s, t in datum.generators]
+    zero = ((0,) * len(orders), (Fraction(0),) * datum.torus_rank)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        s0, t0 = frontier.pop()
+        for s1, t1 in gens:
+            cand = (tuple((a + b) % m for a, b, m in zip(s0, s1, orders)),
+                    tuple((a + b) % 1 for a, b in zip(t0, t1)))
+            if cand not in seen:
+                seen.add(cand)
+                frontier.append(cand)
+    graph = dict(seen)
+    assert len(graph) == len(seen), "gluing subgroup is not a graph"
+    return graph
+
+
+def _preserved_images(datum, graph):
+    support = set(graph)
+    for auto in achievable_center_autos_bfs(datum.factors):
+        image = {s: apply_center_auto(datum, auto, s) for s in support}
+        if set(image.values()) == support:
+            yield image
+
+
+def liftable_elementwise(datum, alpha0) -> bool:
+    """`lie.liftable` with the intertwining tested at every element of D."""
+    graph = gluing_graph_oracle(datum)
+    for image in _preserved_images(datum, graph):
+        if all(tuple(sum((Fraction(a) * v for a, v in zip(row, graph[s])),
+                         Fraction(0)) % 1 for row in alpha0)
+               == graph[image[s]] for s in graph):
+            return True
+    return False
+
+
+def rigidity_elementwise(datum) -> bool | None:
+    """`lie._rigidity` with support, kernel and joint sign tested at every
+    element of D."""
+    graph = gluing_graph_oracle(datum)
+    kernel = {s for s, t in graph.items() if not any(t)}
+    orders = datum.center_orders
+    for image in _preserved_images(datum, graph):
+        if {image[s] for s in kernel} != kernel:
+            continue
+        if not any(all(image[s] == tuple((eps * v) % m for v, m in zip(s, orders))
+                       for s in graph) for eps in (1, -1)):
+            return False
+    if any(f.series == "D" and f.rank == 4 for f in datum.factors):
+        return None
+    return True
+
+
+# -- helpers only the tests use ------------------------------------------------------
+
+
+def identity_hom(g):
+    return GroupHom(g, g, np.arange(g.order), _validated=True)
+
+
+def all_subgroups(g) -> list[tuple[int, ...]]:
+    """Every subgroup, as sorted element tuples (BFS over generated extensions).
+
+    Each found subgroup keeps the generating chain that produced it; a proper
+    extension at least doubles the order, so chains stay short and closures fast.
+    """
+    trivial = (0,)
+    found = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        base_set = set(base)
+        gens = found[base]
+        for x in range(1, g.order):
+            if x in base_set:
+                continue
+            new_gens = gens + (x,)
+            ext = closure(g, new_gens)
+            if ext not in found:
+                found[ext] = new_gens
+                queue.append(ext)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def normal_subgroups(g) -> list[tuple[int, ...]]:
+    """Every normal subgroup: joins of normal closures of conjugacy classes."""
+    closures = set()
+    for cls in g.conjugacy_classes:
+        closures.add(closure(g, cls))
+    found = reachable(closures, lambda a: [closure(g, set(a) | set(b))
+                                           for b in closures])
+    return sorted(found | {(0,)}, key=lambda t: (len(t), t))
+
+
+def trivial_character(table) -> Character:
+    return irreducible_character(table, table.trivial_index())
+
+
+def regular_character(table) -> Character:
+    return Character(table, tuple(table.degrees))
+
+
+def mat_vec(a, v: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a[0]) != len(v):
+        raise DimensionMismatch("matrix/vector dimensions differ")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)

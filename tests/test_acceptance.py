@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import build_corpus
-from oracles import pseudometric_oracle
+from oracles import all_subgroups, pseudometric_oracle
 from bohrsound.amalgam import (
     bohr_lipschitz_check,
     coproduct_pseudometric,
@@ -39,7 +39,6 @@ from bohrsound.cli import fixture_path
 from bohrsound.groups import (
     GroupHom,
     Subgroup,
-    all_subgroups,
     cyclic,
     heisenberg,
     klein_four,

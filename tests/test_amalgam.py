@@ -26,7 +26,6 @@ from bohrsound.groups import (
     GroupHom,
     TorusPoint,
     cyclic,
-    identity_hom,
     klein_four,
     symmetric,
     trivial_group,
@@ -60,7 +59,11 @@ from bohrsound.amalgam import (
     _operator_norm,
 )
 
-from oracles import coproduct_pseudometric_dict, pseudometric_oracle
+from oracles import (
+    coproduct_pseudometric_dict,
+    identity_hom,
+    pseudometric_oracle,
+)
 
 INVERT3 = [[0, 1, 2], [0, 2, 1]]
 

@@ -21,8 +21,6 @@ from bohrsound.groups import (
     cyclic,
     dihedral,
     heisenberg,
-    identity_hom,
-    normal_subgroups,
     symmetric,
 )
 from bohrsound.characters import (
@@ -35,15 +33,20 @@ from bohrsound.characters import (
     equalizer_witness,
     fin_check,
     irreducible_character,
-    regular_character,
     restricted_values,
     restriction_matrix,
     restriction_multiplicity,
     splitting_prime,
-    trivial_character,
 )
 
-from oracles import check_orthonormal, regular_character_data
+from oracles import (
+    check_orthonormal,
+    identity_hom,
+    normal_subgroups,
+    regular_character,
+    regular_character_data,
+    trivial_character,
+)
 
 
 def a3_in_s3():
@@ -231,6 +234,12 @@ class TestCharacterArithmetic:
         with pytest.raises(SourceMismatch):
             c + trivial_character(character_table(cyclic(2)))
 
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_irreducible_index_out_of_range(self, index):
+        tab = character_table(symmetric(3))
+        with pytest.raises(SourceMismatch):
+            irreducible_character(tab, index)
+
     def test_negative_coeffs_rejected(self):
         tab = character_table(cyclic(2))
         with pytest.raises(DegreeMismatch):
@@ -321,7 +330,8 @@ class TestEqualizer:
             equalizer_witness(identity_hom(symmetric(3)))
 
     def test_witness_valid_over_sample(self, corpus_small):
-        from bohrsound.groups import Subgroup, all_subgroups
+        from bohrsound.groups import Subgroup
+        from oracles import all_subgroups
         for g in corpus_small[::6]:
             if g.order > 24:
                 continue

@@ -15,6 +15,7 @@ from bohrsound.errors import (
     NotASubgroup,
     NotInjective,
     NotNormal,
+    SchemaError,
     SizeLimit,
     SourceMismatch,
 )
@@ -25,7 +26,6 @@ from bohrsound.groups import (
     Subgroup,
     TorusPoint,
     abelian_from_orders,
-    all_subgroups,
     alternating,
     closure,
     compose,
@@ -34,9 +34,7 @@ from bohrsound.groups import (
     direct_product,
     group_from_table,
     heisenberg,
-    identity_hom,
     klein_four,
-    normal_subgroups,
     reachable,
     semidirect,
     symmetric,
@@ -45,10 +43,13 @@ from bohrsound.groups import (
 
 from conftest import multiplication_action
 from oracles import (
+    all_subgroups,
     alternating_table_loop,
     associativity_failures,
     conjugacy_classes_loop,
     group_element_order_loop,
+    identity_hom,
+    normal_subgroups,
     symmetric_table_loop,
 )
 
@@ -346,6 +347,13 @@ class TestSubgroups:
         sub = s3.subgroup(a3)
         assert sub.is_normal()
 
+    @pytest.mark.parametrize("elements", [[0, 9], [0, 6], [-1, 0]])
+    def test_elements_out_of_range(self, elements):
+        with pytest.raises(NotASubgroup):
+            symmetric(3).subgroup(elements)
+        with pytest.raises(NotASubgroup):
+            Subgroup(symmetric(3), tuple(elements))
+
     def test_not_normal_witness(self):
         s3 = symmetric(3)
         two = s3.subgroup(closure(s3, [1]))
@@ -522,12 +530,40 @@ class TestTorusPoint:
 
     def test_scale_and_hash(self):
         p = TorusPoint([Fraction(1, 3)])
-        assert p.scale(3) == TorusPoint.zero(1)
+        assert p + p + p == TorusPoint.zero(1)
         assert len({p, TorusPoint([Fraction(1, 3)])}) == 1
 
     def test_rank_mismatch(self):
         with pytest.raises(SourceMismatch):
             TorusPoint.zero(2) + TorusPoint.zero(3)
+
+    def test_numerators_over_one_denominator(self):
+        p = TorusPoint((9, -4), 12)
+        assert (p.nums, p.den) == ((9, 8), 12)
+        assert p == TorusPoint([Fraction(3, 4), Fraction(2, 3)])
+        assert p.coords == (Fraction(3, 4), Fraction(2, 3))
+        q = TorusPoint((6, 4), 8)  # lowest terms: den is the order
+        assert (q.nums, q.den, q.order) == ((3, 2), 4, 4)
+        assert q.numerators_over(12) == (9, 6)
+
+    def test_matrix_action(self):
+        p = TorusPoint((1, 2), 4)
+        assert p.act(((0, 1), (1, 1))) == TorusPoint((2, 3), 4)
+        assert p.act(((2, 0), (0, 2))) == TorusPoint((1, 0), 2)
+        assert p.act(((-1, 0), (0, -1))) == -p
+
+    def test_parse(self):
+        p = TorusPoint.parse([[1, 2], [2, -6]], "w")
+        assert (p.nums, p.den) == ((3, 4), 6)
+        assert TorusPoint.parse([], "w") == TorusPoint.zero(0)
+
+    @pytest.mark.parametrize("pairs", [
+        [[1, 0]], [[1]], [["a", "b"]], [[1, 2, 3]], [[1.5, 2]], [[True, 2]],
+        [3], "1/2", None,
+    ])
+    def test_parse_rejects_malformed_pairs(self, pairs):
+        with pytest.raises(SchemaError, match="^w: "):
+            TorusPoint.parse(pairs, "w")
 
 
 class TestErrorsHierarchy:

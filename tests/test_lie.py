@@ -1,7 +1,9 @@
 """Tests for quotient-presentation checks on compact connected Lie groups."""
 
+import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -18,7 +20,7 @@ from bohrsound.errors import (
 )
 from bohrsound import lie
 from bohrsound.cli import main
-from bohrsound.groups import FiniteAbelian
+from bohrsound.groups import FiniteAbelian, TorusPoint
 from bohrsound.lie import (
     LieDatum,
     SimpleType,
@@ -38,7 +40,12 @@ from bohrsound.lie import (
 )
 from bohrsound.zmat import MatrixGroupResult, generated_group, mat_mul
 
-from oracles import achievable_center_autos_bfs
+from oracles import (
+    achievable_center_autos_bfs,
+    gluing_graph_oracle,
+    liftable_elementwise,
+    rigidity_elementwise,
+)
 
 A1 = SimpleType("A", 1)
 ROT3 = ((0, 1), (-1, -1))
@@ -97,13 +104,13 @@ class TestSimpleType:
 class TestLieDatum:
     def test_trivial_gluing(self):
         d = su2_datum()
-        assert d.graph_elements == frozenset({((0,), ())})
+        assert d.torus_part_of == {(0,): ()}
         assert d.simple_parts == frozenset({(0,)})
 
     def test_full_gluing_closure(self):
         d = glued_torus_su_datum(3, 2)
         # graph of a map defined on all of Z/27 x Z/9
-        assert len(d.graph_elements) == 27 * 9
+        assert len(d.torus_part_of) == 27 * 9
         assert len(d.simple_parts) == 27 * 9
 
     def test_kernel_parts(self):
@@ -128,7 +135,9 @@ class TestLieDatum:
 
     def test_normalizes_coordinates(self):
         d = LieDatum(1, [A1], [((3,), (Fraction(5, 2),))])
-        assert ((1,), (Fraction(1, 2),)) in d.graph_elements
+        assert d.generators == (((1,), TorusPoint([Fraction(1, 2)])),)
+        assert d.denominator == 2
+        assert d.torus_part_of[(1,)] == (1,)
 
 
 class TestLieCenter:
@@ -171,7 +180,8 @@ class TestTorusImage:
     def test_against_enumeration(self, k, l):
         # independent check: count solutions of n*x = 0 in the actual image
         datum = glued_torus_su_datum(k, l)
-        image = {t for _, t in datum.graph_elements}
+        image = set(datum.torus_part_of.values())
+        den = datum.denominator
         d0 = torus_image_invariants(datum)
         assert len(image) == d0.order
         exponent = 1
@@ -179,7 +189,7 @@ class TestTorusImage:
             exponent = exponent * d // gcd(exponent, d)
         want = order_signature(d0.invariant_factors, exponent)
         for n, count in want.items():
-            got = sum(1 for t in image if all((n * v) % 1 == 0 for v in t))
+            got = sum(1 for t in image if all((n * v) % den == 0 for v in t))
             assert got == count
 
     @pytest.mark.parametrize("u", [
@@ -188,7 +198,7 @@ class TestTorusImage:
     def test_invariant_under_torus_basis_change(self, u):
         base = glued_torus_su_datum(3, 2)
         moved = LieDatum(2, base.factors, [
-            (s, tuple(sum(Fraction(u[r][c]) * t[c] for c in range(2)) % 1
+            (s, tuple(sum(u[r][c] * t.coords[c] for c in range(2)) % 1
                       for r in range(2)))
             for s, t in base.generators])
         assert torus_image_invariants(moved) == torus_image_invariants(base)
@@ -288,6 +298,77 @@ class TestLiftable:
                 assert liftable(datum, mat_mul(a, b))
 
 
+FACTOR_POOL = ("A1", "A2", "A3", "A5", "C3", "D4", "D5", "D6", "E6", "E7")
+
+
+def random_datum(rng: random.Random) -> LieDatum:
+    """A valid gluing by construction: images on independent coordinate
+    generators, random combinations of them, then a random subset."""
+    factors = [simple_type(rng.choice(FACTOR_POOL))
+               for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        factors.append(factors[0])
+    z = rng.choice((0, 1, 2))
+    orders = [m for f in factors for m in f.center_orders]
+    gens = []
+    for i, m in enumerate(orders):
+        u = rng.randrange(1, m)
+        o = m // gcd(u, m)
+        simple = tuple(u if j == i else 0 for j in range(len(orders)))
+        torus = tuple(Fraction(rng.randrange(o) if rng.random() < 0.6 else 0, o)
+                      for _ in range(z))
+        gens.append((simple, torus))
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [rng.randrange(-2, 3) for _ in gens]
+        gens.append((
+            tuple(sum(c * s[j] for c, (s, _) in zip(coeffs, gens)) % m
+                  for j, m in enumerate(orders)),
+            tuple(sum((c * t[j] for c, (_, t) in zip(coeffs, gens)), Fraction(0))
+                  for j in range(z))))
+    keep = [g for g in gens if rng.random() < 0.7]
+    return LieDatum(z, factors, keep)
+
+
+def torus_matrices(datum: LieDatum):
+    z = datum.torus_rank
+    if z == 1:
+        return [((1,),), ((-1,),)]
+    if z == 2:
+        return [((1, 0), (0, 1)), NEG2, ROT3, ((0, -1), (1, 0)),
+                ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
+                ((2, 1), (1, 1)), ((1, datum.denominator), (0, 1))]
+    return []
+
+
+class TestGeneratorChecks:
+    """The generator-only checks against the elementwise Fraction oracles."""
+
+    def test_seeded_sweep_matches_elementwise_oracles(self):
+        rng = random.Random(7)
+        data = [glued_torus_su_datum(3, 2), LieDatum(2, [SimpleType("D", 4)])]
+        data += [random_datum(rng) for _ in range(200)]
+        rigid_seen, lift_seen = set(), set()
+        for datum in data:
+            graph = gluing_graph_oracle(datum)
+            assert {s: tuple(Fraction(v, datum.denominator) for v in t)
+                    for s, t in datum.torus_part_of.items()} == graph
+            rigid = lie._rigidity(datum)
+            assert rigid == rigidity_elementwise(datum)
+            rigid_seen.add(rigid)
+            for alpha0 in torus_matrices(datum):
+                lifts = liftable(datum, alpha0)
+                assert lifts == liftable_elementwise(datum, alpha0)
+                lift_seen.add(lifts)
+        assert rigid_seen == {True, False, None}
+        assert lift_seen == {True, False}
+        assert {d.torus_rank for d in data} == {0, 1, 2}
+        assert any(len(set(d.factors)) < len(d.factors) for d in data)
+        assert any(SimpleType("D", 4) in d.factors and d.generators
+                   for d in data)
+        assert any(1 < len(d.simple_parts) < prod(d.center_orders)
+                   and d.torus_rank == 2 for d in data)
+
+
 class TestCompactnessConditions:
     def test_su2(self):
         report = compactness_conditions(su2_datum())
@@ -317,6 +398,19 @@ class TestCompactnessConditions:
             compactness_conditions(su2_datum())
         assert main(["liecheck", "--datum", "su2.json"]) == 1
         assert "InvariantViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fixture", ["bare-t2.json", "glued-su-4-3.json"])
+    def test_liecheck_decides_once(self, monkeypatch, capsys, fixture, fmt):
+        calls = Counter()
+        for name in ("_rigidity", "largest_compact_verdict"):
+            def counted(datum, name=name, original=getattr(lie, name)):
+                calls[name] += 1
+                return original(datum)
+            monkeypatch.setattr(lie, name, counted)
+        assert main(["liecheck", "--datum", fixture, "--format", fmt]) == 0
+        assert calls == {"_rigidity": 1, "largest_compact_verdict": 1}
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("k,l", [(3, 2), (4, 2), (4, 3)])
     def test_glued_fails_conditions_but_keeps_largest(self, k, l):
@@ -394,7 +488,7 @@ class TestLargestCompactVerdict:
     def test_verdict_stable_under_torus_basis_change(self, u):
         base = glued_torus_su_datum(3, 2)
         moved = LieDatum(2, base.factors, [
-            (s, tuple(sum(Fraction(u[r][c]) * t[c] for c in range(2)) % 1
+            (s, tuple(sum(u[r][c] * t.coords[c] for c in range(2)) % 1
                       for r in range(2)))
             for s, t in base.generators])
         assert largest_compact_verdict(moved).kind == \

@@ -32,9 +32,9 @@ from bohrsound.characters import (
     restriction_multiplicity,
 )
 from bohrsound.errors import PrimeSearchFailure
-from bohrsound.groups import Subgroup, cyclic, normal_subgroups, symmetric
+from bohrsound.groups import Subgroup, cyclic, symmetric
 
-from oracles import charpoly_eval_oracle
+from oracles import charpoly_eval_oracle, normal_subgroups
 
 P31 = 2**31 - 1                 # the largest prime below PRIME_SEARCH_LIMIT
 LARGE_PRIMES = [P31, 892371481, 106696591]

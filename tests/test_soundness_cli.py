@@ -20,7 +20,7 @@ from bohrsound.descriptors import (
     resolve_element,
     target_from_descriptor,
 )
-from bohrsound.errors import InvariantViolation, SchemaError
+from bohrsound.errors import DimensionMismatch, InvariantViolation, SchemaError
 from bohrsound.groups import cyclic, dihedral
 from bohrsound.lie import glued_torus_su_datum
 from bohrsound.soundness import CRITERIA, SoundnessVerdict, soundness_verdict
@@ -150,6 +150,25 @@ class TestAmalgamDescriptors:
         point, matrix = target.image(0, 1)
         assert matrix == ((-1,),)
 
+    @pytest.mark.parametrize("torus,matrix", [
+        ([[1, 2], [0, 1]], [[1]]),  # a rank-2 point was cut to one coordinate
+        ([[1, 2]], [[1, 0], [0, 1]]),
+    ])
+    def test_torus_targets_of_wrong_rank(self, torus, matrix):
+        spec = amalgam_from_descriptor(fixture_json("z2-free-z2.json"))
+        entry = {"torus": torus, "matrix": matrix}
+        d = {"schema": 1, "kind": "torus-semidirect-targets", "rank": 1,
+             "factors": [[entry, entry], [entry, entry]]}
+        with pytest.raises(DimensionMismatch):
+            target_from_descriptor(spec, d)
+
+    def test_torus_target_factors_must_be_arrays(self):
+        spec = amalgam_from_descriptor(fixture_json("z2-free-z2.json"))
+        with pytest.raises(SchemaError):
+            target_from_descriptor(spec, {
+                "schema": 1, "kind": "torus-semidirect-targets", "rank": 1,
+                "factors": [1, 2]})
+
     def test_unknown_target_kind(self):
         spec = amalgam_from_descriptor(fixture_json("z2-free-z2.json"))
         with pytest.raises(SchemaError):
@@ -161,13 +180,14 @@ class TestLieDescriptors:
     def test_glued_fixture_matches_builder(self, k, l):
         datum = lie_datum_from_descriptor(fixture_json(f"glued-su-{k}-{l}.json"))
         built = glued_torus_su_datum(k, l)
-        assert datum.graph_elements == built.graph_elements
+        assert datum.denominator == built.denominator
+        assert datum.torus_part_of == built.torus_part_of
         assert datum.factors == built.factors
 
     def test_missing_delta_means_trivial(self):
         datum = lie_datum_from_descriptor(
             {"schema": 1, "kind": "lie-datum", "z": 0, "factors": ["A1"]})
-        assert len(datum.graph_elements) == 1
+        assert len(datum.torus_part_of) == 1
 
     def test_rejects_mismatched_generator_counts(self):
         with pytest.raises(SchemaError):
@@ -394,6 +414,30 @@ class TestCliExitCodes:
         assert head.startswith(b"{")
         assert err == ""
 
+    @pytest.mark.parametrize("command,pairs", [
+        ("liecheck", [[1, 0]]),
+        ("eval", [[1, 0]]),
+        ("eval", [[1]]),
+        ("eval", [["a", "b"]]),
+    ])
+    def test_malformed_torus_pair_is_schema_error(self, cli, command, pairs):
+        if command == "liecheck":
+            datum = {"schema": 1, "kind": "lie-datum", "z": 1, "factors": ["A1"],
+                     "delta": {"simple_part_generators": [[1]],
+                               "phi_images": [pairs]}}
+            argv = ("liecheck", "--datum", json.dumps(datum))
+        else:
+            entry = {"torus": pairs, "matrix": [[1]]}
+            targets = {"schema": 1, "kind": "torus-semidirect-targets",
+                       "rank": 1, "factors": [[entry, entry], [entry, entry]]}
+            argv = ("amalgam", "eval", "--spec", "z2-free-z2.json",
+                    "--targets", json.dumps(targets), "--word", "0:x")
+        code, out, err = cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: SchemaError:")
+        assert err.count("\n") == 1
+
     def test_ragged_table_is_schema_error(self, cli):
         code, out, err = cli("chartable", "--group",
                              '{"kind":"table","table":[[0,1],[1]]}')
@@ -559,6 +603,36 @@ class TestChartableAndCache:
         entry.write_text('{"schema":"bohrsound/chartable/1","order":999}')
         _, again, _ = cli(*argv)
         assert again == cold
+
+    @pytest.mark.parametrize("edit", [
+        {"values": [[1, 1, 1], [1, 4, 4], [1, 2, 2]]},  # not a character table
+        {"degrees": [1, 1, 2]},
+        {"values": [[1, 1], [1, 2]]},
+        {"values": [[1, 1, 1], [1, "x", 1], [1, 1, 1]]},
+        {"values": None},
+    ])
+    def test_hand_edited_entry_is_recomputed(self, cli, tmp_path, edit):
+        argv = ("chartable", "--group", '{"kind":"cyclic","n":3}',
+                "--format", "json")
+        _, cold, _ = cli(*argv)
+        entry = next((tmp_path / "cache").glob("*.json"))
+        stored = entry.read_text()
+        entry.write_text(json.dumps({**json.loads(stored), **edit}))
+        code, again, _ = cli(*argv)
+        assert code == 0
+        assert again == cold
+        assert entry.read_text() == stored  # overwritten by the recomputation
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [entry.name]
+
+    def test_rows_out_of_order_are_stale(self, cli, tmp_path):
+        argv = ("chartable", "--group", '{"kind":"symmetric","n":3}',
+                "--format", "json")
+        _, cold, _ = cli(*argv)
+        entry = next((tmp_path / "cache").glob("*.json"))
+        data = json.loads(entry.read_text())
+        data["degrees"], data["values"] = data["degrees"][::-1], data["values"][::-1]
+        entry.write_text(json.dumps(data))
+        assert cli(*argv)[1] == cold
 
     def test_library_cache_roundtrip(self, monkeypatch, tmp_path):
         monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path))

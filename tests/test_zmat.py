@@ -32,7 +32,6 @@ from bohrsound.zmat import (
     mat_det,
     mat_inv_unimodular,
     mat_mul,
-    mat_vec,
     minkowski_bound,
     smith_normal_form,
     snf_diagonal,
@@ -46,6 +45,7 @@ from oracles import (
     det_cofactor,
     element_order_loop,
     generated_group_bfs,
+    mat_vec,
     snf_invariants_oracle,
 )
 
