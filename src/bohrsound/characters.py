@@ -1,11 +1,21 @@
 """Character tables over GF(p) and restriction/Clifford analysis.
 
-Tables are computed by the class-algebra eigenvector method (Dixon, Numer.
-Math. 10, 1967): the structure constants of the class sums give r commuting
-matrices over GF(p) whose common eigenvectors are the central characters;
-degrees and values are recovered from orthogonality.  The prime satisfies
-p = 1 mod exponent(G) and p > 2|G|, so character values live in GF(p) and
-every inner product of genuine characters lifts to the true integer.
+The prime satisfies p = 1 mod exponent(G) and p > 2|G|, so character values
+live in GF(p) and every inner product of genuine characters lifts to the
+true integer.
+
+An abelian group's characters are its homomorphisms into the e-th roots of
+unity of GF(p), e = exponent(G) (Serre, Linear Representations of Finite
+Groups, section 3.1).  They are read off the dual group: extended one cyclic
+step at a time along a chain of subgroups, as exponents of one root of unity
+z, in O(|G|^2).  The set of rows does not depend on z: another root z^j, j
+prime to e, maps each row lam to the row lam^j.  Rows are sorted, so the
+table equals the one the class-algebra route gives.
+
+Every other table comes from the class-algebra eigenvector method (Dixon,
+Numer. Math. 10, 1967): the structure constants of the class sums give r
+commuting matrices over GF(p) whose common eigenvectors are the central
+characters; degrees and values are recovered from orthogonality.
 
 Each refinement round splits the pending subspaces by the eigenspaces of one
 random linear combination of the class matrices, usually all of them in the
@@ -560,8 +570,6 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
     seed is the prime, so the rounds taken are reproducible.
     """
     r = len(g.conjugacy_classes)
-    if r == 1:
-        return np.ones((1, 1), dtype=np.int64)
     rng = random.Random(p)
     cls = g.class_of
     reps = np.array(g.class_reps)
@@ -595,7 +603,9 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
     raise PrimeSearchFailure("class matrices did not separate the characters")
 
 
-def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
+def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
+    """The table from the central characters; every group takes this route
+    except the abelian ones, which _compute_table reads off the dual group."""
     n = g.order
     sizes = np.array([len(c) for c in g.conjugacy_classes], dtype=np.int64)
     inv_cls = list(g.inverse_class)
@@ -617,13 +627,66 @@ def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
     if sum(d * d for d in degrees) != n:
         raise PrimeSearchFailure("degree square sum mismatch")
     degrees = np.array(degrees, dtype=np.int64)
-    values = (weighted * degrees % p).T
+    return _sorted_table(g, p, degrees, (weighted * degrees % p).T)
+
+
+def _unity_powers(e: int, p: int) -> np.ndarray:
+    """[1, z, ..., z^(e-1)] mod p for the first z = c^((p-1)/e), c = 2, 3, ...,
+    of order exactly e; p is a prime = 1 mod e, so some c is a generator."""
+    primes = [q for q in range(2, e + 1)
+              if e % q == 0 and all(q % r for r in range(2, q))]
+    z = next(z for z in (pow(c, (p - 1) // e, p) for c in range(2, p))
+             if all(pow(z, e // q, p) != 1 for q in primes))
+    powers = [1]
+    for _ in range(e - 1):
+        powers.append(powers[-1] * z % p)
+    return np.array(powers, dtype=np.int64)
+
+
+def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
+    """The table of an abelian group, whose class k is {k}: its characters are
+    the homomorphisms to the order-e roots of unity, e = exponent(G).
+
+    They are grown along a chain 1 = H_0 < ... < G, kept as exponents of one
+    root z: with x the least element outside H and m the least k >= 1 with
+    x^m in H, a character lam of H with lam(x^m) = z^a extends in m ways,
+    by lam(x) = z^(a/m + t e/m) for t < m, and on the coset H x^k by
+    lam(h x^k) = lam(h) lam(x)^k.  m divides a: an extension of lam to G
+    (there always is one) takes x to some z^c, and a = m c mod e with m | e.
+    """
+    n, e, mul = g.order, g.exponent, g.mul
+    exps = np.zeros((1, n), dtype=np.int64)  # columns outside H are unused
+    elems = np.zeros(1, dtype=np.int64)
+    in_h = np.zeros(n, dtype=bool)
+    in_h[0] = True
+    while elems.size < n:
+        x = int(np.argmin(in_h))
+        cosets = [elems]
+        power = x
+        while not in_h[power]:
+            cosets.append(mul[elems, power])
+            power = int(mul[power, x])
+        m = len(cosets)  # and power = x^m lies in H
+        at_x = (exps[:, power, None] // m + np.arange(m) * (e // m)).ravel()
+        exps = np.repeat(exps, m, axis=0)
+        for k, coset in enumerate(cosets[1:], 1):
+            exps[:, coset] = (exps[:, elems] + k * at_x[:, None]) % e
+        elems = np.concatenate(cosets)
+        in_h[elems] = True
+    return _sorted_table(g, p, np.ones(n, dtype=np.int64), _unity_powers(e, p)[exps])
+
+
+def _sorted_table(g: FiniteGroup, p: int, degrees: np.ndarray,
+                  values: np.ndarray) -> CharacterTable:
+    """The checked table with rows sorted by (degree, values)."""
     order = np.lexsort((*values.T[::-1], degrees))
-    degrees = degrees[order]
-    values = values[order]
-    table = CharacterTable(g, p, degrees, values)
+    table = CharacterTable(g, p, degrees[order], values[order])
     check_table(table)
     return table
+
+
+def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
+    return _dual_group_table(g, p) if g.is_abelian else _dixon_table(g, p)
 
 
 def check_table(table: CharacterTable) -> None:

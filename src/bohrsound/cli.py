@@ -39,7 +39,7 @@ from .descriptors import (
     target_from_descriptor,
 )
 from .errors import BohrsoundError, SchemaError
-from .lie import compactness_conditions, lie_center
+from .lie import compactness_conditions
 from .soundness import (
     serialize_matrix_group,
     serialize_reports,
@@ -304,8 +304,8 @@ def _serialize_target_value(target, value):
 
 def run_liecheck(args) -> int:
     datum = lie_datum_from_descriptor(load_json(args.datum, "datum"))
-    torus_dim, finite_part = lie_center(datum)
     report = compactness_conditions(datum)
+    torus_dim, finite_part = report.center
     payload = {
         "torus_rank": datum.torus_rank,
         "factors": [str(f) for f in datum.factors],

@@ -15,6 +15,10 @@ PRIME_SEARCH_LIMIT = 1 << 31
 
 HEISENBERG_MAX_LEVEL = 4
 
+# builders refuse larger groups before allocating their O(n^2) table;
+# 4096 = 16^3 is the order of heisenberg(HEISENBERG_MAX_LEVEL)
+GROUP_MAX_ORDER = 4096
+
 # Minkowski's bound is astronomically large past small rank; refuse above this
 MINKOWSKI_MAX_RANK = 8
 

@@ -26,7 +26,6 @@ from .errors import (
     NotAnAction,
     NotASubgroup,
     NotInjective,
-    NotNormal,
     SchemaError,
     SizeLimit,
     SourceMismatch,
@@ -198,11 +197,6 @@ class FiniteGroup:
         mask = (self.mul == self.mul.T).all(axis=1)
         return Subgroup(self, tuple(int(v) for v in np.nonzero(mask)[0]))
 
-    def derived_subgroup(self) -> "Subgroup":
-        m, inv = self.mul, self.inv
-        comms = m[m[m, inv[:, None]], inv]  # [a, b] = a b a^-1 b^-1
-        return Subgroup(self, closure(self, np.unique(comms)))
-
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(int(x) for x in elements))))
 
@@ -214,13 +208,6 @@ class FiniteGroup:
         h.update(str(self.order).encode())
         h.update(np.ascontiguousarray(self.mul, dtype=np.int32).tobytes())
         return h.hexdigest()
-
-    @cached_property
-    def iso_signature(self) -> tuple:
-        """Cheap isomorphism invariant: order, class sizes, element-order profile."""
-        sizes = tuple(sorted(len(c) for c in self.conjugacy_classes))
-        orders = tuple(sorted(self.element_orders))
-        return (self.order, sizes, orders, self.is_abelian)
 
     def label_index(self, token: str) -> int:
         """Element lookup by label, falling back to integer indices."""
@@ -281,12 +268,6 @@ class GroupHom:
         if not self.is_injective:
             raise NotInjective(f"kernel of {self} is nontrivial")
 
-    @cached_property
-    def preimage(self) -> dict[int, int]:
-        """Target index -> source index; only meaningful when injective."""
-        self.require_injective()
-        return {int(v): i for i, v in enumerate(self.mapping)}
-
     def __repr__(self) -> str:
         return f"<GroupHom {self.source.name} -> {self.target.name}>"
 
@@ -318,13 +299,6 @@ def reachable(seeds, step) -> set:
     return seen
 
 
-def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
-    """Subgroup generated by gens, as a sorted element tuple."""
-    gens = [int(x) for x in gens]
-    products = g.mul[:, gens].tolist()  # products[x] = [x * s for s in gens]
-    return tuple(sorted(reachable([0, *gens], products.__getitem__)))
-
-
 class Subgroup:
     """A subgroup handle: parent group plus a closed element set."""
 
@@ -353,10 +327,6 @@ class Subgroup:
         """Normal iff a union of conjugacy classes."""
         cls = self.parent.class_of
         return int(np.isin(cls, cls[list(self.elements)]).sum()) == self.order
-
-    def require_normal(self) -> None:
-        if not self.is_normal():
-            raise NotNormal(self.elements)
 
     def materialize(self) -> tuple[FiniteGroup, GroupHom]:
         """Standalone group on the sorted elements plus the inclusion map."""
@@ -397,8 +367,8 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic(n: int, labels=None, name: str | None = None) -> FiniteGroup:
-    if n < 1:
-        raise SizeLimit("cyclic group order must be positive")
+    if not 1 <= n <= config.GROUP_MAX_ORDER:
+        raise SizeLimit(f"cyclic group order must be in 1..{config.GROUP_MAX_ORDER}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     if labels is None:
@@ -482,9 +452,12 @@ def semidirect(normal: FiniteGroup, acting: FiniteGroup, action,
     Element (n, a) has index n*|A| + a, so (0, 0) is the identity.  With
     _validated the action must be the array validate_action returned.
     """
-    act = action if _validated else validate_action(normal, acting, action)
     na, nn = acting.order, normal.order
     total = nn * na
+    if total > config.GROUP_MAX_ORDER:
+        raise SizeLimit(f"semidirect product of order {total} exceeds "
+                        f"{config.GROUP_MAX_ORDER}")
+    act = action if _validated else validate_action(normal, acting, action)
     n1, a1 = np.divmod(np.arange(total), na)
     # (n1, a1) * (n2, a2) = (n1 * act[a1](n2), a1 a2)
     n2, a2 = n1, a1

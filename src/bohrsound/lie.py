@@ -365,6 +365,7 @@ def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
 
 @dataclass(frozen=True)
 class ConditionsReport:
+    center: tuple[int, FiniteAbelian]
     no_central_2torus: bool
     dual_rank_le_1: bool
     aut_compact: bool
@@ -377,13 +378,14 @@ def compactness_conditions(datum: LieDatum) -> ConditionsReport:
     """The equivalent compactness conditions plus the follow-up verdicts.
 
     The first is read off the presentation, the second recomputed through
-    the center; they must agree.  Up to torus rank 2 the largest-compact
+    the center, which the report keeps as (torus dimension, finite part);
+    they must agree.  Up to torus rank 2 the largest-compact
     verdict is decided once and kept in the report; compact automorphisms
     (rank <= 1) always leave a largest compact subgroup.
     """
     a = datum.torus_rank <= 1
-    torus_dim, _ = lie_center(datum)
-    b = torus_dim <= 1
+    center = lie_center(datum)
+    b = center[0] <= 1
     if a != b:
         raise InvariantViolation("presentation and center computations disagree")
     if datum.torus_rank <= 2:
@@ -394,7 +396,7 @@ def compactness_conditions(datum: LieDatum) -> ConditionsReport:
     else:
         verdict, largest, rigid = None, None, _rigidity(datum)
     return ConditionsReport(
-        no_central_2torus=a, dual_rank_le_1=b, aut_compact=a,
+        center=center, no_central_2torus=a, dual_rank_le_1=b, aut_compact=a,
         has_largest_compact=largest, inversion_only=rigid, verdict=verdict)
 
 

@@ -26,9 +26,10 @@ from bohrsound.characters import Character, irreducible_character
 from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
+    NotNormal,
     SourceMismatch,
 )
-from bohrsound.groups import GroupHom, closure, reachable
+from bohrsound.groups import GroupHom, Subgroup, reachable
 from bohrsound.lie import apply_center_auto
 from bohrsound.zmat import (
     MatrixGroupResult,
@@ -559,6 +560,36 @@ def rigidity_elementwise(datum) -> bool | None:
 
 def identity_hom(g):
     return GroupHom(g, g, np.arange(g.order), _validated=True)
+
+
+def closure(g, gens) -> tuple[int, ...]:
+    """Subgroup generated by gens, as a sorted element tuple."""
+    gens = [int(x) for x in gens]
+    products = g.mul[:, gens].tolist()  # products[x] = [x * s for s in gens]
+    return tuple(sorted(reachable([0, *gens], products.__getitem__)))
+
+
+def derived_subgroup(g) -> Subgroup:
+    m, inv = g.mul, g.inv
+    comms = m[m[m, inv[:, None]], inv]  # [a, b] = a b a^-1 b^-1
+    return Subgroup(g, closure(g, np.unique(comms)))
+
+
+def iso_signature(g) -> tuple:
+    """Cheap isomorphism invariant: order, class sizes, element-order profile."""
+    sizes = tuple(sorted(len(c) for c in g.conjugacy_classes))
+    return (g.order, sizes, tuple(sorted(g.element_orders)), g.is_abelian)
+
+
+def preimage(hom) -> dict[int, int]:
+    """Target index -> source index of an injective homomorphism."""
+    hom.require_injective()
+    return {int(v): i for i, v in enumerate(hom.mapping)}
+
+
+def require_normal(sub) -> None:
+    if not sub.is_normal():
+        raise NotNormal(sub.elements)
 
 
 def all_subgroups(g) -> list[tuple[int, ...]]:

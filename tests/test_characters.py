@@ -1,5 +1,7 @@
 """Exact character tables and the restriction/Clifford machinery built on them."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,11 @@ from bohrsound.groups import (
     alternating,
     cyclic,
     dihedral,
+    direct_product,
     heisenberg,
+    klein_four,
     symmetric,
+    trivial_group,
 )
 from bohrsound.characters import (
     Character,
@@ -188,6 +193,64 @@ class TestTableConstruction:
             assert tab.row_index(tab.row(i)) == i
         with pytest.raises(SourceMismatch):
             tab.row_index(np.zeros(tab.n_irreducibles, dtype=np.int64))
+
+
+def _product(*ns):
+    g = cyclic(ns[0])
+    for n in ns[1:]:
+        g = direct_product(g, cyclic(n))
+    return g
+
+
+def _admissible_primes(g):
+    """The canonical prime, the next admissible one, and 4084081 if admissible."""
+    p = splitting_prime(g.exponent, g.order)
+    q = next(q for q in range(p + g.exponent, config.PRIME_SEARCH_LIMIT, g.exponent)
+             if characters._is_prime(q))
+    return [p, q] + [4084081] * (4084080 % g.exponent == 0 and 4084081 > 2 * g.order)
+
+
+class TestAbelianRoute:
+    """Tables read off the dual group against Dixon's class-algebra route."""
+
+    @staticmethod
+    def assert_same(g, p):
+        fast = characters._compute_table(g, p)
+        dixon = characters._dixon_table(g, p)
+        assert fast.degrees == dixon.degrees
+        assert fast.values.tolist() == dixon.values.tolist()
+
+    def test_corpus_abelian_members(self, corpus):
+        abelian = [g for g in corpus if g.is_abelian]
+        assert len(abelian) == 47
+        for g in abelian + [trivial_group(), klein_four()]:
+            self.assert_same(g, splitting_prime(g.exponent, g.order))
+
+    @pytest.mark.parametrize("ns", [(96,), (128,), (2,) * 6, (6, 6), (4, 8, 2)])
+    def test_against_dixon_at_several_primes(self, ns):
+        g = _product(*ns)
+        primes = _admissible_primes(g)
+        assert len(primes) == 2 + (ns in [(2,) * 6, (6, 6), (4, 8, 2)])
+        for p in primes:
+            self.assert_same(g, p)
+
+    def test_z512_against_dixon(self):
+        self.assert_same(cyclic(512), 7681)
+
+    def test_abelian_groups_skip_the_class_algebra(self, monkeypatch):
+        def refuse(g, p):
+            raise AssertionError(f"class algebra run for {g.name}")
+        monkeypatch.setattr(characters, "_central_characters", refuse)
+        for g in (trivial_group(), cyclic(12), _product(6, 6)):
+            character_table(g, prime=_admissible_primes(g)[1])
+        with pytest.raises(AssertionError):
+            character_table(symmetric(3), prime=_admissible_primes(symmetric(3))[1])
+
+    def test_z512_under_one_second(self):
+        start = time.perf_counter()
+        tab = character_table(cyclic(512))
+        assert time.perf_counter() - start < 1.0
+        assert tab.prime == 7681 and tab.n_irreducibles == 512
 
 
 class TestNumericOracle:

@@ -27,7 +27,6 @@ from bohrsound.groups import (
     TorusPoint,
     abelian_from_orders,
     alternating,
-    closure,
     compose,
     cyclic,
     dihedral,
@@ -46,10 +45,15 @@ from oracles import (
     all_subgroups,
     alternating_table_loop,
     associativity_failures,
+    closure,
     conjugacy_classes_loop,
+    derived_subgroup,
     group_element_order_loop,
     identity_hom,
+    iso_signature,
     normal_subgroups,
+    preimage,
+    require_normal,
     symmetric_table_loop,
 )
 
@@ -123,7 +127,7 @@ class TestConstruction:
         shuffled = [[perm[z3.op(inv[i], inv[j])] for j in range(3)] for i in range(3)]
         g = group_from_table(shuffled)
         assert g.op(0, 1) == 1
-        assert g.iso_signature == z3.iso_signature
+        assert iso_signature(g) == iso_signature(z3)
 
     def test_out_of_range_entries(self):
         with pytest.raises(NotASubgroup):
@@ -318,10 +322,10 @@ class TestCenterAndDerived:
     def test_heisenberg_derived_equals_center(self):
         for lvl in (1, 2, 3):
             g = heisenberg(lvl)
-            assert g.derived_subgroup().elements == g.center().elements
+            assert derived_subgroup(g).elements == g.center().elements
 
     def test_derived_s4(self):
-        assert len(symmetric(4).derived_subgroup().elements) == 12
+        assert len(derived_subgroup(symmetric(4)).elements) == 12
 
 
 class TestReachable:
@@ -360,7 +364,7 @@ class TestSubgroups:
         assert two.order == 2
         assert not two.is_normal()
         with pytest.raises(NotNormal):
-            two.require_normal()
+            require_normal(two)
 
     def test_materialize_inclusion(self):
         s4 = symmetric(4)
@@ -411,7 +415,7 @@ class TestHoms:
         emb = GroupHom(z2, z4, [0, 2])
         assert emb.is_injective
         assert emb.image == (0, 2)
-        assert emb.preimage == {0: 0, 2: 1}
+        assert preimage(emb) == {0: 0, 2: 1}
 
     def test_compose_mismatch(self):
         with pytest.raises(SourceMismatch):
@@ -423,7 +427,7 @@ class TestSemidirect:
         z3, z2 = cyclic(3), cyclic(2)
         act = np.stack([np.arange(3), (-np.arange(3)) % 3])
         grp, emb_n, emb_a = semidirect(z3, z2, act)
-        assert grp.iso_signature == symmetric(3).iso_signature
+        assert iso_signature(grp) == iso_signature(symmetric(3))
         assert emb_n.is_injective and emb_a.is_injective
         assert Subgroup(grp, emb_n.image).is_normal()
 
@@ -432,7 +436,7 @@ class TestSemidirect:
         # cycle the three involutions 1 -> 2 -> 3 -> 1
         act = np.array([[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
         grp, _, _ = semidirect(v4, z3, act)
-        assert grp.iso_signature == alternating(4).iso_signature
+        assert iso_signature(grp) == iso_signature(alternating(4))
 
     def test_trivial_action_is_direct_product(self):
         z4, z3 = cyclic(4), cyclic(3)
@@ -461,6 +465,16 @@ class TestSemidirect:
             semidirect(z3, cyclic(4), np.array(
                 [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 1, 2]]))
 
+    def test_order_limit_precedes_the_action_check(self, monkeypatch):
+        monkeypatch.setattr(config, "GROUP_MAX_ORDER", 12)
+        assert cyclic(12).order == 12
+        grp, _, _ = semidirect(cyclic(6), cyclic(2), np.tile(np.arange(6), (2, 1)))
+        assert grp.order == 12
+        with pytest.raises(SizeLimit):
+            cyclic(13)
+        with pytest.raises(SizeLimit):
+            semidirect(cyclic(7), cyclic(2), [[0]])  # not even an action
+
     def test_multiplication_action_fixture(self):
         z5_by_z4, _, _ = semidirect(cyclic(5), cyclic(4),
                                     multiplication_action(5, 2, 4))
@@ -477,6 +491,9 @@ class TestHeisenberg:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             heisenberg(config.HEISENBERG_MAX_LEVEL + 1)
+
+    def test_largest_builder_order_is_the_group_limit(self):
+        assert (1 << config.HEISENBERG_MAX_LEVEL) ** 3 == config.GROUP_MAX_ORDER
 
     def test_class_count_level3(self):
         assert len(heisenberg(3).conjugacy_classes) == 92

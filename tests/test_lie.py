@@ -18,7 +18,7 @@ from bohrsound.errors import (
     UnsupportedRank,
     WrongOrder,
 )
-from bohrsound import lie
+from bohrsound import cli, lie
 from bohrsound.cli import main
 from bohrsound.groups import FiniteAbelian, TorusPoint
 from bohrsound.lie import (
@@ -410,6 +410,23 @@ class TestCompactnessConditions:
             monkeypatch.setattr(lie, name, counted)
         assert main(["liecheck", "--datum", fixture, "--format", fmt]) == 0
         assert calls == {"_rigidity": 1, "largest_compact_verdict": 1}
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fixture", ["su2.json", "bare-t2.json",
+                                         "glued-su-4-3.json"])
+    def test_liecheck_computes_center_once(self, monkeypatch, capsys,
+                                           fixture, fmt):
+        calls = []
+
+        def counted(datum, original=lie.lie_center):
+            calls.append(datum)
+            return original(datum)
+        # and in the CLI module, should it hold a reference of its own
+        for module in (lie, cli):
+            monkeypatch.setattr(module, "lie_center", counted, raising=False)
+        assert main(["liecheck", "--datum", fixture, "--format", fmt]) == 0
+        assert len(calls) == 1
         assert capsys.readouterr().out
 
     @pytest.mark.parametrize("k,l", [(3, 2), (4, 2), (4, 3)])

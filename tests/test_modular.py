@@ -32,7 +32,7 @@ from bohrsound.characters import (
     restriction_multiplicity,
 )
 from bohrsound.errors import PrimeSearchFailure
-from bohrsound.groups import Subgroup, cyclic, symmetric
+from bohrsound.groups import Subgroup, cyclic, dihedral, symmetric
 
 from oracles import charpoly_eval_oracle, normal_subgroups
 
@@ -240,14 +240,19 @@ print(json.dumps({"degrees": list(tab.degrees),
                   "norms": [tab.inner(tab.row(i), tab.row(i)) for i in range(3)]}))
 """
 
+_CYCLIC = '{"kind": "cyclic", "n": n}'
+_DIHEDRAL = ('{"kind": "semidirect", "normal": {"kind": "cyclic", "n": n}, '
+             '"acting": {"kind": "cyclic", "n": 2}, '
+             '"action": [list(range(n)), [-x % n for x in range(n)]]}')
+
 _FAMILY = """
 import json, time
 from bohrsound.soundness import soundness_verdict
 ns = {ns}
 request = {{"schema": 1, "kind": "finite-normal-family",
             "kernel": {{"kind": "cyclic", "n": 2}},
-            "embeddings": [{{"group": {{"kind": "cyclic", "n": n}},
-                             "mapping": [0, n // 2]}} for n in ns]}}
+            "embeddings": [{{"group": {member},
+                             "mapping": [0, {center}]}} for n in ns]}}
 start = time.perf_counter()
 verdict = soundness_verdict(request)
 seconds = time.perf_counter() - start
@@ -267,7 +272,18 @@ class TestLargePrimeTables:
     ])
     def test_cyclic_family_at_large_common_prime(self, ns, prime):
         assert common_prime([cyclic(2)] + [cyclic(n) for n in ns]) == prime
-        out = _run_limited(_FAMILY.format(ns=ns))
+        out = _run_limited(_FAMILY.format(ns=ns, member=_CYCLIC, center="n // 2"))
+        assert out["verdict"] == "Sound"
+        assert out["seconds"] < 5.0
+        assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]
+        assert all(len(per) == len(ns) for per in out["per_member"])
+
+    def test_dihedral_family_at_large_common_prime(self):
+        # non-abelian members, so their tables take the class-algebra route
+        ns = [6, 10, 14, 22, 26, 34, 38]
+        assert common_prime([cyclic(2)] + [dihedral(n) for n in ns]) == 106696591
+        # the rotation by n/2, (n/2, 0), has index (n/2) * 2 = n
+        out = _run_limited(_FAMILY.format(ns=ns, member=_DIHEDRAL, center="n"))
         assert out["verdict"] == "Sound"
         assert out["seconds"] < 5.0
         assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]

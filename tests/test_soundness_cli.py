@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ from bohrsound.groups import cyclic, dihedral
 from bohrsound.lie import glued_torus_su_datum
 from bohrsound.soundness import CRITERIA, SoundnessVerdict, soundness_verdict
 from bohrsound.zmat import minkowski_bound
+
+from oracles import iso_signature
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,7 +74,7 @@ class TestGroupDescriptors:
             "action": [[0, 1, 2, 3, 4], [0, 4, 3, 2, 1]],
         }
         g = group_from_descriptor(d)
-        assert g.iso_signature == dihedral(5).iso_signature
+        assert iso_signature(g) == iso_signature(dihedral(5))
 
     @pytest.mark.parametrize("bad", [
         {"kind": "mystery"},
@@ -397,6 +400,29 @@ class TestCliExitCodes:
             assert out == ""
             assert err.startswith("error: PrimeSearchFailure:")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("group", [
+        {"kind": "cyclic", "n": 100000},
+        {"kind": "semidirect", "normal": {"kind": "cyclic", "n": 4096},
+         "acting": {"kind": "cyclic", "n": 2},
+         "action": [list(range(4096)), [-x % 4096 for x in range(4096)]]},
+    ])
+    def test_oversized_group_is_size_limit(self, tmp_path, group):
+        # a child under a 1 GiB address-space limit, so that an allocation
+        # made before the check fails there instead of taking the host's memory
+        env = dict(os.environ, PYTHONPATH=str(Path(bohrsound.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1",
+                   **{config.CACHE_ENV_VAR: str(tmp_path / "cache")})
+        proc = subprocess.run(
+            [sys.executable, "-m", "bohrsound.cli", "chartable", "--no-cache",
+             "--group", json.dumps(group)],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (1 << 30, 1 << 30)))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: SizeLimit:")
+        assert proc.stderr.count("\n") == 1
 
     def test_closed_stdout_exits_without_traceback(self, tmp_path):
         # 170 kB of JSON: more than a pipe buffer, so writing outlives the reader
