@@ -26,6 +26,7 @@ from .groups import (
     trivial_group,
 )
 from .characters import (
+    Character,
     CharacterTable,
     CliffordReport,
     EqualizerWitness,
@@ -36,6 +37,7 @@ from .characters import (
     coproduct_extension,
     equalizer_witness,
     fin_check,
+    irreducible_character,
     restriction_multiplicity,
     splitting_prime,
 )

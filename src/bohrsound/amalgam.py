@@ -490,27 +490,6 @@ def pseudometric_distance(spec: AmalgamSpec, lengths, w1, w2) -> Fraction:
 # -- comparison against the Bohr side ---------------------------------------------------
 
 
-def _operator_norm(a: np.ndarray, tol: float = 1e-9, cap: int = 10 ** 4) -> float:
-    """Largest singular value by power iteration on a^T a."""
-    b = a.T @ a
-    dim = b.shape[0]
-    v = np.ones(dim) + np.arange(dim) / (7.0 * dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(cap):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ b @ v)
-        if abs(new - lam) < tol * max(1.0, new):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0))
-
-
 @dataclass(frozen=True)
 class BohrLipschitzRecord:
     delta: Fraction
@@ -527,7 +506,8 @@ def bohr_lipschitz_check(spec: AmalgamSpec, reps, w1, w2,
     delta is the pseudometric distance under lengths pulled back from the
     given permutation representations; the same representations evaluate
     both words in a common dimension.  For delta >= 1 the bound carries no
-    content and the record says Vacuous.
+    content and the record says Vacuous.  Otherwise opnorm is the largest
+    singular value of the difference, and holds allows it tol over the bound.
     """
     reps = [np.asarray(r) for r in reps]
     dims = {r.shape[1] for r in reps}
@@ -548,7 +528,7 @@ def bohr_lipschitz_check(spec: AmalgamSpec, reps, w1, w2,
         return acc
 
     diff = evaluate(w1) - evaluate(w2)
-    opnorm = _operator_norm(diff, tol=tol)
+    opnorm = float(np.linalg.norm(diff, 2))
     bound = float(delta / (1 - delta))
     return BohrLipschitzRecord(delta=delta, vacuous=False, opnorm=opnorm,
                                bound=bound, holds=opnorm <= bound + tol)

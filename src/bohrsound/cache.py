@@ -1,5 +1,8 @@
 """Disk cache for character tables, keyed by group digest and prime.
 
+This is the only table cache: characters.character_table keeps nothing in
+the process, so a caller that needs a table twice keeps it.
+
 Strictly an optimization: a cache hit reconstructs the exact same table a
 fresh computation would produce, so downstream output is byte-identical
 whether the cache is cold, warm, or disabled.  A load re-runs the check
@@ -14,7 +17,7 @@ import os
 import re
 
 from . import config
-from .characters import CharacterTable, character_table, check_table, splitting_prime
+from .characters import CharacterTable, character_table, check_table, table_prime
 from .errors import PrimeSearchFailure
 from .groups import FiniteGroup
 
@@ -32,12 +35,6 @@ def _entry_names(base: str) -> list[str]:
         return []
     return [name for name in sorted(os.listdir(base))
             if _ENTRY_NAME.fullmatch(name)]
-
-
-def _canonical_prime(group: FiniteGroup, prime: int | None) -> int:
-    if prime is not None:
-        return prime
-    return splitting_prime(group.exponent, group.order)
 
 
 def store_table(table: CharacterTable) -> str:
@@ -79,8 +76,9 @@ def load_table(group: FiniteGroup, prime: int) -> CharacterTable | None:
 
 def cached_character_table(group: FiniteGroup,
                            prime: int | None = None) -> CharacterTable:
-    """character_table with a read-through disk cache."""
-    p = _canonical_prime(group, prime)
+    """character_table with a read-through disk cache; table_prime checks the
+    prime before any read, so no entry at a refused prime is served."""
+    p = table_prime(group, prime)
     table = load_table(group, p)
     if table is None:
         table = character_table(group, prime=p)

@@ -34,6 +34,10 @@ config.PRIME_SEARCH_LIMIT = 2**31.
 Value vectors at different primes are not comparable, so any operation that
 crosses between a group and a subgroup computes both tables at one shared
 prime (the ambient group's, or a family-wide common prime).
+
+There is no in-process memo: character_table computes on every call, and a
+caller that needs a table twice keeps it.  The cache module's disk cache is
+the only table cache; it takes its prime from table_prime too.
 """
 
 from __future__ import annotations
@@ -527,8 +531,10 @@ class CharacterTable:
         except KeyError:
             raise SourceMismatch("vector is not an irreducible character") from None
 
-    def inner(self, u, v) -> int:
-        """Integer <u, v-bar> for class-function value vectors over GF(p).
+    def inner(self, u, v):
+        """<u, v> = sum_k |C_k| u(k) v(k^-1) / |G| over GF(p), as an integer
+        for two class-function value vectors, or as the matrix of every row
+        of u against every row of v for two row matrices.
 
         Exact whenever the true inner product lies in [0, p), which holds for
         all restriction and multiplicity computations used here.
@@ -536,8 +542,9 @@ class CharacterTable:
         p = self.prime
         u = np.asarray(u, dtype=np.int64) % p
         v = np.asarray(v, dtype=np.int64) % p
-        tot = int(_matmul_mod(u * self._sizes % p, v[self._inv_cls], p))
-        return tot * self._order_inv % p
+        tot = _matmul_mod(u * self._sizes % p, v[..., self._inv_cls].T, p)
+        out = tot * self._order_inv % p
+        return int(out) if np.ndim(out) == 0 else out
 
     def trivial_index(self) -> int:
         return self.row_index([1] * self.n_classes)
@@ -692,39 +699,36 @@ def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
 def check_table(table: CharacterTable) -> None:
     """Raise PrimeSearchFailure unless the table is square with the degrees
     in its identity column, rows in canonical order, and orthonormal rows."""
-    vals, p, r = table.values, table.prime, table.n_classes
+    vals, r = table.values, table.n_classes
     if vals.shape != (r, r) or len(table.degrees) != r:
         raise PrimeSearchFailure("table shape does not match the class count")
     degrees = np.array(table.degrees, dtype=np.int64)
     if not np.array_equal(vals[:, 0], degrees) or \
             not np.array_equal(np.lexsort((*vals.T[::-1], degrees)), np.arange(r)):
         raise PrimeSearchFailure("degree column or row order check failed")
-    gram = _matmul_mod(vals * table._sizes % p, vals[:, table._inv_cls].T, p)
-    if not np.array_equal(gram, np.eye(r, dtype=np.int64) * (table.group.order % p)):
+    if not np.array_equal(table.inner(vals, vals), np.eye(r, dtype=np.int64)):
         raise PrimeSearchFailure("orthogonality check failed")
 
 
-_TABLE_MEMO: dict[tuple[str, int], CharacterTable] = {}
-
-
-def character_table(g: FiniteGroup, prime: int | None = None) -> CharacterTable:
-    """Character table at the given prime (default: the group's canonical one).
-
-    A given p must be a prime = 1 mod exponent(G) in (2|G|, PRIME_SEARCH_LIMIT).
+def table_prime(g: FiniteGroup, prime: int | None = None) -> int:
+    """The prime a table of g is computed at: the given one, or by default the
+    group's canonical one.  SizeLimit above CHARTABLE_MAX_ORDER; a given p
+    must be a prime = 1 mod exponent(G) in (2|G|, PRIME_SEARCH_LIMIT).
     """
     if g.order > config.CHARTABLE_MAX_ORDER:
         raise SizeLimit(f"character tables limited to order {config.CHARTABLE_MAX_ORDER}")
     if prime is None:
-        prime = splitting_prime(g.exponent, g.order)
-    elif (not 2 * g.order < prime < config.PRIME_SEARCH_LIMIT
-          or (prime - 1) % g.exponent or not _is_prime(prime)):
+        return splitting_prime(g.exponent, g.order)
+    if (not 2 * g.order < prime < config.PRIME_SEARCH_LIMIT
+            or (prime - 1) % g.exponent or not _is_prime(prime)):
         raise PrimeSearchFailure(f"prime {prime} inadmissible for {g.name}")
-    key = (g.table_digest, prime)
-    memo = _TABLE_MEMO.get(key)
-    if memo is None or memo.group is not g:
-        memo = _compute_table(g, prime)
-        _TABLE_MEMO[key] = memo
-    return memo
+    return prime
+
+
+def character_table(g: FiniteGroup, prime: int | None = None) -> CharacterTable:
+    """Character table at table_prime(g, prime), computed on every call: nothing
+    is kept in the process, so a caller that needs a table twice keeps it."""
+    return _compute_table(g, table_prime(g, prime))
 
 
 # -- characters as multiplicity vectors -----------------------------------------
@@ -748,7 +752,8 @@ class Character:
         return sum(c * d for c, d in zip(self.coeffs, self.table.degrees))
 
     def __add__(self, other: "Character") -> "Character":
-        if other.table is not self.table:
+        if (other.table.group is not self.table.group
+                or other.table.prime != self.table.prime):
             raise SourceMismatch("characters over different tables")
         return Character(self.table, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -795,15 +800,9 @@ def restriction_multiplicity(tg: CharacterTable, pi: int, th: CharacterTable,
 
 def restriction_matrix(tg: CharacterTable, th: CharacterTable,
                        emb: GroupHom) -> np.ndarray:
-    """Multiplicity matrix M[pi, rho] = <pi|_H, rho>, exact integers.
-
-    One modular product: the ambient rows on the fused columns, weighted by
-    the subgroup's class sizes, times its conjugated rows, times |H|^-1.
-    """
-    p = th.prime
-    fused = tg.values[:, _fused_columns(tg, th, emb)] * th._sizes % p
-    m = _matmul_mod(fused, th.values[:, th._inv_cls].T, p)
-    return m * th._order_inv % p
+    """Multiplicity matrix M[pi, rho] = <pi|_H, rho>, exact integers: the
+    ambient rows on the fused columns against the subgroup's rows."""
+    return th.inner(tg.values[:, _fused_columns(tg, th, emb)], th.values)
 
 
 # -- equalizer dichotomy ------------------------------------------------------------

@@ -26,7 +26,7 @@ from .amalgam import (
     regular_pullback_length,
     word_equal,
 )
-from .characters import character_table, equalizer_witness, fin_check
+from .characters import character_table, equalizer_witness
 from .descriptors import (
     amalgam_from_descriptor,
     check_schema,
@@ -41,8 +41,9 @@ from .descriptors import (
 from .errors import BohrsoundError, SchemaError
 from .lie import compactness_conditions
 from .soundness import (
+    build_normal_family,
+    clifford_certificate,
     serialize_matrix_group,
-    serialize_reports,
     soundness_verdict,
 )
 from .zmat import char_orbit, fixed_subgroup_structure, generated_group
@@ -147,18 +148,10 @@ def run_clifford(args) -> int:
     if not isinstance(spec, dict):
         raise SchemaError("spec: expected a JSON object")
     check_schema(spec, "spec")
-    kernel = group_from_descriptor(require_field(spec, "kernel", dict, "spec"),
-                                   "spec.kernel")
-    embs = [hom_from_descriptor(kernel, e, f"spec.embeddings[{i}]")
-            for i, e in enumerate(require_field(spec, "embeddings", list, "spec"))]
-    reports = fin_check(embs, source=kernel)
-    serialized = serialize_reports(reports)
-    payload = {"kernel_order": kernel.order,
-               "member_orders": [e.target.order for e in embs],
-               "reports": serialized}
-    lines = [f"kernel order: {kernel.order}",
-             f"members: {[e.target.order for e in embs]}"]
-    for r in serialized:
+    payload = clifford_certificate(*build_normal_family(spec, "spec"))
+    lines = [f"kernel order: {payload['kernel_order']}",
+             f"members: {payload['member_orders']}"]
+    for r in payload["reports"]:
         lines.append(
             f"rho {r['rho']} (degree {r['degree']}): class {r['class_members']}"
             f" multiplicities {r['per_member']} sup {r['sup_multiplicity']}")

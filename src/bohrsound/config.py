@@ -15,7 +15,8 @@ PRIME_SEARCH_LIMIT = 1 << 31
 
 HEISENBERG_MAX_LEVEL = 4
 
-# builders refuse larger groups before allocating their O(n^2) table;
+# builders refuse larger groups before allocating their O(n^2) table, and
+# LieDatum a larger gluing subgroup D before enumerating it;
 # 4096 = 16^3 is the order of heisenberg(HEISENBERG_MAX_LEVEL)
 GROUP_MAX_ORDER = 4096
 

@@ -272,13 +272,6 @@ class GroupHom:
         return f"<GroupHom {self.source.name} -> {self.target.name}>"
 
 
-def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    if inner.target is not outer.source:
-        raise SourceMismatch("homomorphisms do not compose")
-    return GroupHom(inner.source, outer.target,
-                    outer.mapping[inner.mapping], _validated=True)
-
-
 # -- subgroups ----------------------------------------------------------------
 
 
@@ -407,6 +400,9 @@ def alternating(n: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     na, nb = a.order, b.order
+    if na * nb > config.GROUP_MAX_ORDER:
+        raise SizeLimit(f"direct product of order {na * nb} exceeds "
+                        f"{config.GROUP_MAX_ORDER}")
     ia, ib = np.divmod(np.arange(na * nb), nb)
     table = a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]
     labels = [f"({a.labels[x]},{b.labels[y]})" for x in range(na) for y in range(nb)]

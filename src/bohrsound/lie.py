@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
+from . import config
 from .errors import (
     DimensionMismatch,
     DoesNotCommute,
@@ -26,6 +27,7 @@ from .errors import (
     NotMember,
     NotUnimodular,
     SchemaError,
+    SizeLimit,
     UnsupportedRank,
     WrongOrder,
 )
@@ -107,6 +109,17 @@ def simple_type(token: str) -> SimpleType:
 # -- the datum ----------------------------------------------------------------------------
 
 
+def _quotient_orders(moduli, vectors) -> list[int]:
+    """Invariant factors of (Z/m_1 x ... x Z/m_k) / <vectors>: the Smith
+    normal form of the moduli's diagonal stacked on the vectors."""
+    if not moduli:
+        return []
+    k = len(moduli)
+    rows = [[m if i == j else 0 for j in range(k)] for i, m in enumerate(moduli)]
+    _, s, _ = smith_normal_form(rows + [list(v) for v in vectors])
+    return [s[i][i] for i in range(k)]
+
+
 class LieDatum:
     """(T^torus_rank x prod factors) / D with D the graph of a gluing map.
 
@@ -115,7 +128,9 @@ class LieDatum:
     torus coordinate is a function of the simple coordinate.  D is
     enumerated once, as integer vectors modulo (center orders, N, ..., N)
     with N the common denominator of the torus images, and `torus_part_of`
-    maps each simple part to its torus numerators over N.
+    maps each simple part to its torus numerators over N.  Its order, the
+    product of the moduli over the order of their quotient by D, is checked
+    against config.GROUP_MAX_ORDER first.
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -143,6 +158,10 @@ class LieDatum:
         n = self.denominator = lcm(*(t.den for _, t in gens))
         moduli = self.center_orders + (n,) * torus_rank
         vectors = [s + t.numerators_over(n) for s, t in gens]
+        order = prod(moduli) // prod(_quotient_orders(moduli, vectors))
+        if order > config.GROUP_MAX_ORDER:
+            raise SizeLimit(f"gluing subgroup of order {order} exceeds "
+                            f"{config.GROUP_MAX_ORDER}")
 
         def step(v):
             return [tuple((a + b) % m for a, b, m in zip(v, g, moduli))
@@ -167,16 +186,9 @@ def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
     modulo the simple support of the gluing subgroup, computed by Smith
     normal form on the stacked relation matrix.
     """
-    c = len(datum.center_orders)
-    if c == 0:
-        return datum.torus_rank, FiniteAbelian(())
-    rows = [[datum.center_orders[j] if i == j else 0 for j in range(c)]
-            for i in range(c)]
-    for s, _ in datum.generators:
-        rows.append(list(s))
-    _, s, _ = smith_normal_form(rows)
-    invariants = [int(s[i][i]) for i in range(c) if s[i][i] > 1]
-    return datum.torus_rank, abelian_from_orders(invariants)
+    orders = _quotient_orders(datum.center_orders,
+                              [s for s, _ in datum.generators])
+    return datum.torus_rank, abelian_from_orders(orders)
 
 
 def torus_image_invariants(datum: LieDatum) -> FiniteAbelian:
@@ -453,31 +465,3 @@ def centralizer_in_finite_group(m, ambient: MatrixGroupResult) -> frozenset:
             if mat_mul(a, b) not in out:
                 raise InvariantViolation("centralizer is not closed under products")
     return out
-
-
-# -- ready-made data ----------------------------------------------------------------------------
-
-
-def su2_datum() -> LieDatum:
-    return LieDatum(0, [SimpleType("A", 1)])
-
-
-def bare_torus_datum(rank: int = 2) -> LieDatum:
-    return LieDatum(rank, [])
-
-
-def glued_torus_su_datum(k: int, l: int) -> LieDatum:
-    """T^2 times SU(3^k) times SU(3^l), glued along the full centers.
-
-    The first center generator maps to (1/3^k, 0), the second to
-    (1/3^l, 1/3^(l-1)); the image is then Z/3^k x Z/3^(l-1).
-    """
-    if not k > l >= 2:
-        raise SchemaError("need k > l >= 2")
-    a, b = 3 ** k, 3 ** l
-    factors = [SimpleType("A", a - 1), SimpleType("A", b - 1)]
-    generators = [
-        ((1, 0), TorusPoint((1, 0), a).coords),
-        ((0, 1), TorusPoint((1, 3), b).coords),
-    ]
-    return LieDatum(2, factors, generators)

@@ -96,7 +96,8 @@ def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
     return SoundnessVerdict(UNSOUND, "torus-joint-action-infinite", certificate)
 
 
-def _build_normal_family(d: dict, where: str):
+def build_normal_family(d: dict, where: str):
+    """The kernel group and the embeddings a normal-family descriptor names."""
     kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
                                    f"{where}.kernel")
     embs = []
@@ -117,40 +118,41 @@ def serialize_reports(reports) -> list[dict]:
     } for r in reports]
 
 
-def _finite_normal_verdict(d: dict, where: str) -> SoundnessVerdict:
-    kernel, embs = _build_normal_family(d, where)
-    reports = fin_check(embs, source=kernel)
-    certificate = {
+def clifford_certificate(kernel, embs) -> dict:
+    """Kernel order, member orders and the serialized fin_check reports: the
+    certificate of a finite normal family, and what `clifford` prints."""
+    return {
         "kernel_order": kernel.order,
         "member_orders": [e.target.order for e in embs],
-        "reports": serialize_reports(reports),
+        "reports": serialize_reports(fin_check(embs, source=kernel)),
     }
-    return SoundnessVerdict(SOUND, "compact-automorphism-group", certificate)
+
+
+def _finite_normal_verdict(d: dict, where: str) -> SoundnessVerdict:
+    return SoundnessVerdict(SOUND, "compact-automorphism-group",
+                            clifford_certificate(*build_normal_family(d, where)))
 
 
 def _prefix_verdict(d: dict, where: str) -> SoundnessVerdict:
-    kernel, embs = _build_normal_family(d, where)
+    kernel, embs = build_normal_family(d, where)
     if not embs:
         raise SchemaError(f"{where}: a prefix declaration needs members")
-    reports = fin_check(embs, source=kernel)
+    certificate = clifford_certificate(kernel, embs)
     n = len(embs)
     sequences = {}
     growing = []
-    for r in reports:
-        seq = [int(r.per_member[i]) for i in range(n)]
-        sequences[str(r.rho)] = seq
+    for r in certificate["reports"]:
+        seq = [r["per_member"][str(i)] for i in range(n)]
+        sequences[str(r["rho"])] = seq
         if n >= 2 and all(a < b for a, b in zip(seq, seq[1:])):
-            growing.append(r.rho)
-    certificate = {
-        "kernel_order": kernel.order,
-        "member_orders": [e.target.order for e in embs],
-        "reports": serialize_reports(reports),
+            growing.append(r["rho"])
+    certificate.update({
         "multiplicity_sequences": sequences,
         "growing_classes": growing,
         "growth_flag": bool(growing),
         "note": "verdict covers only the materialized prefix of a family "
                 "declared infinite",
-    }
+    })
     return SoundnessVerdict(UNKNOWN, None, certificate)
 
 

@@ -95,21 +95,12 @@ def mat_det(a: IntMatrix) -> int:
 
 
 def mat_inv_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1, via the adjugate."""
+    """Inverse of a matrix with determinant +-1: V U, since U a V = I."""
     d = mat_det(a)
     if d not in (1, -1):
         raise NotUnimodular(d)
-    n = len(a)
-    if n == 1:
-        return ((d,),)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(tuple(a[r][c] for c in range(n) if c != j)
-                          for r in range(n) if r != i)
-            cof[i][j] = (-1) ** (i + j) * mat_det(minor)
-    adj = tuple(zip(*[tuple(row) for row in cof]))
-    return tuple(tuple(d * v for v in row) for row in adj)
+    u, _, v = smith_normal_form(a)
+    return mat_mul(v, u)
 
 
 # -- Smith normal form ----------------------------------------------------------

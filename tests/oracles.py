@@ -27,10 +27,11 @@ from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
     NotNormal,
+    SchemaError,
     SourceMismatch,
 )
-from bohrsound.groups import GroupHom, Subgroup, reachable
-from bohrsound.lie import apply_center_auto
+from bohrsound.groups import GroupHom, Subgroup, TorusPoint, reachable
+from bohrsound.lie import LieDatum, SimpleType, apply_center_auto
 from bohrsound.zmat import (
     MatrixGroupResult,
     OrbitResult,
@@ -562,6 +563,13 @@ def identity_hom(g):
     return GroupHom(g, g, np.arange(g.order), _validated=True)
 
 
+def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
+    if inner.target is not outer.source:
+        raise SourceMismatch("homomorphisms do not compose")
+    return GroupHom(inner.source, outer.target,
+                    outer.mapping[inner.mapping], _validated=True)
+
+
 def closure(g, gens) -> tuple[int, ...]:
     """Subgroup generated by gens, as a sorted element tuple."""
     gens = [int(x) for x in gens]
@@ -638,3 +646,28 @@ def mat_vec(a, v: tuple[int, ...]) -> tuple[int, ...]:
     if len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector dimensions differ")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def su2_datum() -> LieDatum:
+    return LieDatum(0, [SimpleType("A", 1)])
+
+
+def bare_torus_datum(rank: int = 2) -> LieDatum:
+    return LieDatum(rank, [])
+
+
+def glued_torus_su_datum(k: int, l: int) -> LieDatum:
+    """T^2 times SU(3^k) times SU(3^l), glued along the full centers.
+
+    The first center generator maps to (1/3^k, 0), the second to
+    (1/3^l, 1/3^(l-1)); the image is then Z/3^k x Z/3^(l-1).
+    """
+    if not k > l >= 2:
+        raise SchemaError("need k > l >= 2")
+    a, b = 3 ** k, 3 ** l
+    factors = [SimpleType("A", a - 1), SimpleType("A", b - 1)]
+    generators = [
+        ((1, 0), TorusPoint((1, 0), a).coords),
+        ((0, 1), TorusPoint((1, 3), b).coords),
+    ]
+    return LieDatum(2, factors, generators)

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import build_corpus
-from oracles import all_subgroups, pseudometric_oracle
+from oracles import (
+    all_subgroups,
+    bare_torus_datum,
+    glued_torus_su_datum,
+    pseudometric_oracle,
+    su2_datum,
+)
 from bohrsound.amalgam import (
     bohr_lipschitz_check,
     coproduct_pseudometric,
@@ -45,11 +51,8 @@ from bohrsound.groups import (
     symmetric,
 )
 from bohrsound.lie import (
-    bare_torus_datum,
     compactness_conditions,
-    glued_torus_su_datum,
     largest_compact_verdict,
-    su2_datum,
     torus2_automorphism_family_witness,
 )
 from bohrsound.soundness import soundness_verdict

@@ -56,7 +56,6 @@ from bohrsound.amalgam import (
     split_family_verdict,
     word_equal,
     word_inverse,
-    _operator_norm,
 )
 
 from oracles import (
@@ -517,24 +516,6 @@ class TestVectorizedDP:
         assert got == pseudometric_oracle(
             [z3, s3], [lf.values for lf in lengths], x)
         assert elapsed < 1.0
-
-
-class TestOperatorNorm:
-    def test_diagonal(self):
-        assert abs(_operator_norm(np.diag([3.0, 1.0])) - 3.0) < 1e-8
-
-    def test_nilpotent(self):
-        assert abs(_operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) - 2.0) < 1e-8
-
-    def test_zero(self):
-        assert _operator_norm(np.zeros((3, 3))) == 0.0
-
-    def test_against_svd(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.standard_normal((6, 6))
-            want = np.linalg.svd(a, compute_uv=False)[0]
-            assert abs(_operator_norm(a) - want) < 1e-6
 
 
 class TestBohrLipschitz:

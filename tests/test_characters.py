@@ -1,6 +1,8 @@
 """Exact character tables and the restriction/Clifford machinery built on them."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +103,27 @@ class TestPrimes:
 
 
 class TestTableConstruction:
+    def test_nothing_is_kept_after_a_lookup(self):
+        g = symmetric(3)
+        table = character_table(g)
+        ref = weakref.ref(g)
+        del g, table
+        gc.collect()
+        assert ref() is None
+
+    def test_inner_of_row_matrices(self):
+        tab = character_table(symmetric(4))
+        vals, p = tab.values, tab.prime
+        # products of two irreducibles against every irreducible
+        products = vals[:, None, :] * vals[None, :, :] % p
+        products = products.reshape(-1, tab.n_classes)
+        got = tab.inner(products, vals)
+        assert got.shape == (len(products), tab.n_irreducibles)
+        for i, u in enumerate(products):
+            for j, v in enumerate(vals):
+                assert got[i, j] == tab.inner(u, v)
+        assert np.array_equal(tab.inner(vals, vals), np.eye(tab.n_irreducibles))
+
     def test_z2(self):
         tab = character_table(cyclic(2))
         assert tab.degrees == (1, 1)
@@ -296,6 +319,19 @@ class TestCharacterArithmetic:
         assert c.degree == 2
         with pytest.raises(SourceMismatch):
             c + trivial_character(character_table(cyclic(2)))
+
+    def test_addition_across_lookups(self):
+        g = symmetric(3)
+        first, second = character_table(g), character_table(g)
+        total = irreducible_character(first, 1) + irreducible_character(second, 2)
+        assert total.coeffs == (0, 1, 1)
+
+    def test_addition_needs_one_group_and_one_prime(self):
+        tab = character_table(cyclic(4))
+        for other in (character_table(cyclic(4)),  # an equal group, not the same
+                      character_table(tab.group, prime=17)):
+            with pytest.raises(SourceMismatch):
+                trivial_character(tab) + trivial_character(other)
 
     @pytest.mark.parametrize("index", [-1, 3, 5])
     def test_irreducible_index_out_of_range(self, index):

@@ -27,7 +27,6 @@ from bohrsound.groups import (
     TorusPoint,
     abelian_from_orders,
     alternating,
-    compose,
     cyclic,
     dihedral,
     direct_product,
@@ -46,6 +45,7 @@ from oracles import (
     alternating_table_loop,
     associativity_failures,
     closure,
+    compose,
     conjugacy_classes_loop,
     derived_subgroup,
     group_element_order_loop,
@@ -464,6 +464,14 @@ class TestSemidirect:
             # each row fine, but not multiplicative in the acting group
             semidirect(z3, cyclic(4), np.array(
                 [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 1, 2]]))
+
+    def test_direct_product_order_limit(self, monkeypatch):
+        with pytest.raises(SizeLimit):
+            direct_product(cyclic(64), cyclic(65))
+        monkeypatch.setattr(config, "GROUP_MAX_ORDER", 12)
+        assert direct_product(cyclic(3), cyclic(4)).order == 12
+        with pytest.raises(SizeLimit):
+            direct_product(cyclic(3), cyclic(5))
 
     def test_order_limit_precedes_the_action_check(self, monkeypatch):
         monkeypatch.setattr(config, "GROUP_MAX_ORDER", 12)

@@ -15,10 +15,11 @@ from bohrsound.errors import (
     NotMember,
     NotUnimodular,
     SchemaError,
+    SizeLimit,
     UnsupportedRank,
     WrongOrder,
 )
-from bohrsound import cli, lie
+from bohrsound import cli, config, lie
 from bohrsound.cli import main
 from bohrsound.groups import FiniteAbelian, TorusPoint
 from bohrsound.lie import (
@@ -26,15 +27,12 @@ from bohrsound.lie import (
     SimpleType,
     achievable_center_autos,
     apply_center_auto,
-    bare_torus_datum,
     centralizer_in_finite_group,
     compactness_conditions,
-    glued_torus_su_datum,
     largest_compact_verdict,
     lie_center,
     liftable,
     simple_type,
-    su2_datum,
     torus2_automorphism_family_witness,
     torus_image_invariants,
 )
@@ -42,9 +40,12 @@ from bohrsound.zmat import MatrixGroupResult, generated_group, mat_mul
 
 from oracles import (
     achievable_center_autos_bfs,
+    bare_torus_datum,
+    glued_torus_su_datum,
     gluing_graph_oracle,
     liftable_elementwise,
     rigidity_elementwise,
+    su2_datum,
 )
 
 A1 = SimpleType("A", 1)
@@ -132,6 +133,28 @@ class TestLieDatum:
     def test_rejects_negative_rank(self):
         with pytest.raises(InvalidDelta):
             LieDatum(-1, [A1])
+
+    def test_gluing_order_limit(self):
+        # D = Z/n, the whole center of SU(n): admitted up to GROUP_MAX_ORDER
+        n = config.GROUP_MAX_ORDER
+        assert len(LieDatum(0, [SimpleType("A", n - 1)], [((1,), ())])
+                   .torus_part_of) == n
+        with pytest.raises(SizeLimit):
+            LieDatum(0, [SimpleType("A", n)], [((1,), ())])
+
+    def test_gluing_order_counts_the_torus_part(self):
+        # not a graph, but refused by size before D is enumerated
+        with pytest.raises(SizeLimit):
+            LieDatum(1, [], [((), (Fraction(1, 10 ** 5),))])
+
+    def test_oversized_gluing_in_liecheck(self, capsys):
+        datum = ('{"schema": 1, "kind": "lie-datum", "z": 0, "factors": ["A99999"],'
+                 ' "delta": {"simple_part_generators": [[1]], "phi_images": [[]]}}')
+        assert main(["liecheck", "--datum", datum]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SizeLimit:")
+        assert captured.err.count("\n") == 1
 
     def test_normalizes_coordinates(self):
         d = LieDatum(1, [A1], [((3,), (Fraction(5, 2),))])

@@ -23,11 +23,10 @@ from bohrsound.descriptors import (
 )
 from bohrsound.errors import DimensionMismatch, InvariantViolation, SchemaError
 from bohrsound.groups import cyclic, dihedral
-from bohrsound.lie import glued_torus_su_datum
 from bohrsound.soundness import CRITERIA, SoundnessVerdict, soundness_verdict
 from bohrsound.zmat import minkowski_bound
 
-from oracles import iso_signature
+from oracles import glued_torus_su_datum, iso_signature
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -400,6 +399,21 @@ class TestCliExitCodes:
             assert out == ""
             assert err.startswith("error: PrimeSearchFailure:")
             assert err.count("\n") == 1
+
+    def test_planted_entry_at_inadmissible_prime(self, cli, tmp_path):
+        # the prime is refused before the cache is read, as with --no-cache
+        argv = ("chartable", "--group", '{"kind":"cyclic","n":2}')
+        assert cli(*argv, "--prime", "5")[0] == 0
+        entry = next((tmp_path / "cache").glob("*-p5.json"))
+        data = json.loads(entry.read_text())
+        # orthogonal mod 9: row products 2, 0, 2 against 2 = |G| on the diagonal
+        data.update(prime=9, values=[[1, 1], [1, 8]])
+        entry.with_name(entry.name.replace("-p5.", "-p9.")).write_text(json.dumps(data))
+        for cached in ((), ("--no-cache",)):
+            code, out, err = cli(*argv, "--prime", "9", *cached)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: PrimeSearchFailure:")
 
     @pytest.mark.parametrize("group", [
         {"kind": "cyclic", "n": 100000},
