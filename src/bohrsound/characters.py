@@ -814,6 +814,7 @@ class EqualizerWitness:
 
     kind 'split': one irreducible restricts with self-intersection >= 2;
     kind 'collision': two distinct irreducibles restrict to equal characters.
+    `values` holds the ambient table's rows at `indices`, mod `prime`.
     """
 
     kind: str
@@ -821,6 +822,7 @@ class EqualizerWitness:
     self_intersection: int | None
     prime: int
     degrees: tuple[int, ...]
+    values: tuple[tuple[int, ...], ...]
 
 
 def equalizer_witness(emb: GroupHom) -> EqualizerWitness:
@@ -832,18 +834,21 @@ def equalizer_witness(emb: GroupHom) -> EqualizerWitness:
     th = character_table(emb.source, prime=tg.prime)
     m = restriction_matrix(tg, th, emb)
     self_ints = (m * m).sum(axis=1)
+
+    def witness(kind: str, indices: tuple[int, ...], self_intersection):
+        return EqualizerWitness(
+            kind=kind, indices=indices, self_intersection=self_intersection,
+            prime=tg.prime, degrees=tuple(tg.degrees[i] for i in indices),
+            values=tuple(tuple(tg.values[i].tolist()) for i in indices))
+
     for pi in range(tg.n_irreducibles):
         if self_ints[pi] >= 2:
-            return EqualizerWitness(kind="split", indices=(pi,),
-                                    self_intersection=int(self_ints[pi]),
-                                    prime=tg.prime, degrees=(tg.degrees[pi],))
+            return witness("split", (pi,), int(self_ints[pi]))
     # every restriction is irreducible; two rows of m must coincide
     for i in range(tg.n_irreducibles):
         for j in range(i + 1, tg.n_irreducibles):
             if np.array_equal(m[i], m[j]):
-                return EqualizerWitness(kind="collision", indices=(i, j),
-                                        self_intersection=None, prime=tg.prime,
-                                        degrees=(tg.degrees[i], tg.degrees[j]))
+                return witness("collision", (i, j), None)
     raise InvariantViolation("proper subgroup without split or collision witness")
 
 

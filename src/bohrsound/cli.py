@@ -5,16 +5,28 @@ string (anything starting with '{' or '['); bare file names also resolve
 against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation, 2 when only an unknown-prefix verdict
 is possible, 1 for input errors and for a reader that closed stdout early.
+
+`main` parses with one argument parser per process: `build_parser` builds
+it on the first call and returns the same parser after that.  argparse
+makes a fresh namespace on every parse, so no call sees another's values.
+
+JSON output is pinned by the golden certificates to the bytes of
+`json.dumps(payload, indent=2, sort_keys=True)`.  With an indent the stdlib
+runs its pure-Python encoder, so `pinned_json` writes that layout itself:
+it walks dicts (sorted `str` keys) and lists, writes a list of plain ints
+with one join, and hands every other scalar to the compact C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import cache, config
 from .amalgam import (
@@ -77,10 +89,31 @@ def load_json(value: str, where: str = "input") -> dict | list:
         raise SchemaError(f"{where}: invalid JSON ({exc})") from None
 
 
+def pinned_json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for `str`-keyed values."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            f"{encode_basestring_ascii(key)}: {pinned_json(value[key], inner)}"
+            for key in sorted(value)) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = (pinned_json(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def emit(payload: dict, fmt: str, lines) -> None:
     """Print either the canonical JSON payload or the prepared text lines."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(pinned_json(payload))
     else:
         for line in lines:
             print(line)
@@ -104,7 +137,7 @@ def run_soundness(args) -> int:
         lines = [f"verdict: {verdict.verdict}",
                  f"criterion: {verdict.criterion or '(none)'}",
                  "certificate:",
-                 json.dumps(verdict.certificate, indent=2, sort_keys=True)]
+                 pinned_json(verdict.certificate)]
     emit(verdict.to_json(), args.format, lines)
     return verdict.exit_code
 
@@ -123,8 +156,7 @@ def run_equalizer(args) -> int:
         "mapping": require_field(spec, "mapping", list, "spec"),
     }, "spec")
     witness = equalizer_witness(emb)
-    table = character_table(emb.target, prime=witness.prime)
-    rows = [[int(v) for v in table.row(i)] for i in witness.indices]
+    rows = [list(row) for row in witness.values]
     payload = {
         "kind": witness.kind,
         "indices": list(witness.indices),
@@ -369,7 +401,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="bohrsound",
         description="Decidable embedding criteria for amalgams of compact "

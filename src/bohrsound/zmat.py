@@ -212,29 +212,25 @@ class MatrixGroupResult:
         return f"infinite ({self.witness_count} distinct elements enumerated)"
 
 
-def _checked_gens(gens) -> tuple[list[IntMatrix], int]:
+def _steps_with_inverses(gens) -> tuple[list[IntMatrix], int]:
+    """Each generator followed by its inverse, and their size k.
+
+    Raises unless the generators are k x k with determinant +-1; the
+    determinant is computed once per generator, by `mat_inv_unimodular`.
+    """
     gens = [mat(g) for g in gens]
     if not gens:
         raise DimensionMismatch("at least one generator required")
     k = len(gens[0])
+    step = []
     for g in gens:
         if len(g) != k or len(g[0]) != k:
             raise DimensionMismatch("generators must be square of equal size")
-        d = mat_det(g)
-        if d not in (1, -1):
-            raise NotUnimodular(d)
-    return gens, k
+        step += [g, mat_inv_unimodular(g)]
+    return step, k
 
 
 _INT64_LIMIT = 1 << 63
-
-
-def _steps_with_inverses(gens: list[IntMatrix]) -> list[IntMatrix]:
-    step = []
-    for g in gens:
-        step.append(g)
-        step.append(mat_inv_unimodular(g))
-    return step
 
 
 def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
@@ -287,10 +283,10 @@ def _closure_keys(elements: np.ndarray) -> list:
 
 def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
     """BFS closure of the generated subgroup, stopping past Minkowski's bound."""
-    gens, k = _checked_gens(gens)
+    step, k = _steps_with_inverses(gens)
     if bound is None:
         bound = minkowski_bound(k)
-    found = _closure([identity(k)], _steps_with_inverses(gens), bound)
+    found = _closure([identity(k)], step, bound)
     if found is None:
         return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
     return MatrixGroupResult(
@@ -346,12 +342,12 @@ class OrbitResult:
 
 def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult:
     """Orbit of a character-lattice vector under the generated group."""
-    gens, k = _checked_gens(gens)
+    step, k = _steps_with_inverses(gens)
     v = tuple(int(x) for x in vector)
     if len(v) != k:
         raise DimensionMismatch("vector rank does not match the generators")
     # g.v is the row vector v^T g^T, so the orbit is a closure of rows
-    step = [transpose(g) for g in _steps_with_inverses(gens)]
+    step = [transpose(g) for g in step]
     found = _closure([(v,)], step, cap)
     if found is None:
         return OrbitResult(finite=False, cap=cap)

@@ -1,0 +1,132 @@
+"""The CLI's JSON encoder against the stdlib layout the goldens pin."""
+
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from bohrsound import cli, config
+from bohrsound.soundness import soundness_verdict
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+TRICKY = '"\\/\x00\x08\x1f\x7f\n\té \ud800\U0001f600'
+TEXT = st.text(st.characters(codec=None, exclude_categories=())
+               | st.sampled_from(TRICKY), max_size=8)
+INTS = st.integers() | st.integers(min_value=2 ** 63, max_value=2 ** 200) \
+    | st.integers(min_value=-2 ** 200, max_value=-2 ** 63)
+SCALARS = (st.none() | st.booleans() | INTS | TEXT
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+# lists of plain ints take the join path; a bool among them must not
+LEAVES = SCALARS | st.lists(INTS, max_size=6) \
+    | st.lists(INTS | st.booleans(), max_size=6)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(VALUES)
+def test_matches_the_stdlib_layout(value):
+    assert cli.pinned_json(value) == stdlib_json(value)
+
+
+def test_hyperoctahedral_certificate_is_byte_identical():
+    # B_5 (order 3840): the largest certificate cli-mix traffic prints, 1.99 MB
+    k = 5
+
+    def perm(p):
+        return [[int(p[j] == i) for j in range(k)] for i in range(k)]
+
+    sign = [[-1 if i == j == 0 else int(i == j) for j in range(k)]
+            for i in range(k)]
+    request = {"schema": 1, "kind": "torus-family", "rank": k,
+               "factor_generators": [
+                   [perm([(i + 1) % k for i in range(k)]),
+                    perm([1, 0, 2, 3, 4])],
+                   [sign]]}
+    payload = soundness_verdict(request).to_json()
+    assert payload["certificate"]["joint"]["order"] == 3840
+    assert cli.pinned_json(payload) == stdlib_json(payload)
+
+
+def str_keyed(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and str_keyed(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(str_keyed, value))
+    return True
+
+
+CLI_CASES = [
+    ("soundness", "--request", "torus-collapse.json"),
+    ("soundness", "--request", "heisenberg-prefix.json"),
+    ("soundness", "--request", "split-inversion.json"),
+    ("soundness", "--request", "split-growing-orbit.json"),
+    ("soundness", "--request", json.dumps(
+        {"schema": 1, "kind": "finite-normal-family",
+         "kernel": {"kind": "cyclic", "n": 2},
+         "embeddings": [{"group": {"kind": "heisenberg", "level": 1},
+                         "mapping": ["(0,0,0)", "(0,0,1)"]}]})),
+    ("soundness", "--request", json.dumps(
+        {"schema": 1, "kind": "mixed-family",
+         "members": [json.loads(cli.fixture_path("split-inversion.json")
+                                .read_text()),
+                     {"kind": "torus-family", "rank": 2,
+                      "factor_generators": [[[[0, -1], [1, 0]]]]}]})),
+    ("soundness", "--request", json.dumps(
+        {"schema": 1, "kind": "torus-family", "rank": 2,
+         "factor_generators": [[[[0, -1], [1, 0]]], [[[-1, 0], [0, 1]]]]})),
+    ("equalizer", "--spec", "a3-in-s3.json"),
+    ("equalizer", "--spec", "z2-in-z4.json"),
+    ("clifford", "--spec", "heisenberg-prefix.json"),
+    ("chartable", "--group", '{"kind":"symmetric","n":4}'),
+    ("zmat", "finiteness", "--gens", "[[[0,-1],[1,1]]]"),
+    ("zmat", "finiteness", "--gens", "[[[1,1],[0,1]]]"),
+    ("zmat", "orbit", "--vector", "[1,0]", "--gens", "[[[0,-1],[1,1]]]"),
+    ("zmat", "orbit", "--vector", "[0,1]", "--gens", "[[[1,1],[0,1]]]",
+     "--cap", "10"),
+    ("zmat", "fixed", "--matrix", "[[-1,0],[0,-1]]"),
+    ("amalgam", "nf", "--spec", "sl2z.json", "--word", "0:a 0:a 1:b 1:b 1:b"),
+    ("amalgam", "nf", "--spec", "sl2z.json", "--word", "1:b 1:b 1:b 1:b"),
+    ("amalgam", "eq", "--spec", "sl2z.json", "--word", "0:a 0:a",
+     "--word2", "1:b 1:b 1:b"),
+    ("amalgam", "dist", "--spec", "z2-free-z2.json", "--word", "0:x 1:y 0:x"),
+    ("amalgam", "eval", "--spec", "sl2z.json", "--word", "0:a 1:b",
+     "--targets", "sl2z-matrices.json"),
+    ("liecheck", "--datum", "su2.json"),
+    ("liecheck", "--datum", "glued-su-4-2.json"),
+    ("cache", "warm", "--group", '{"kind":"cyclic","n":3}'),
+    ("cache", "inspect"),
+    ("cache", "clear"),
+]
+
+
+@pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)
+def test_cli_payloads_have_str_keys(argv, monkeypatch, tmp_path, capsys):
+    # pinned_json matches the stdlib only on str keys; json.dumps would turn
+    # an int key into a string, so every payload the CLI emits must have none
+    monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    emitted = []
+    emit = cli.emit
+
+    def recording_emit(payload, fmt, lines):
+        emitted.append(payload)
+        emit(payload, fmt, lines)
+
+    monkeypatch.setattr(cli, "emit", recording_emit)
+    assert cli.main([*argv, "--format", "json"]) in (0, 2)
+    (payload,) = emitted
+    assert str_keyed(payload)
+    assert capsys.readouterr().out == stdlib_json(payload) + "\n"

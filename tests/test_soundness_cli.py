@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bohrsound
-from bohrsound import cache, config
+from bohrsound import cache, characters, config
 from bohrsound.cli import fixture_path, main
 from bohrsound.descriptors import (
     amalgam_from_descriptor,
@@ -581,6 +581,58 @@ class TestCliCommands:
         assert code == 0
         data = json.loads(out)
         assert data["member_orders"] == [8, 64, 512]
+
+    def test_equalizer_computes_the_ambient_table_once(self, cli, monkeypatch):
+        orders = []
+        table = characters.character_table
+
+        def counting_table(group, prime=None):
+            orders.append(group.order)
+            return table(group, prime=prime)
+
+        monkeypatch.setattr(characters, "character_table", counting_table)
+        monkeypatch.setattr(bohrsound.cli, "character_table", counting_table)
+        code, out, _ = cli("equalizer", "--spec", "a3-in-s3.json",
+                           "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "a3-in-s3.witness.json").read_text()
+        assert orders.count(6) == 1  # S3; A3 is the subgroup
+
+
+def fresh_cli(argv, cache_dir) -> tuple[int, str]:
+    """Exit code and stdout of one call in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bohrsound.__file__).parents[1]),
+               **{config.CACHE_ENV_VAR: str(cache_dir)})
+    proc = subprocess.run([sys.executable, "-m", "bohrsound.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout
+
+
+class TestSharedParser:
+    """Calls in one process share a parser; none may see another's values."""
+
+    @pytest.mark.parametrize("calls", [
+        [("cache", "warm", "--group", '{"kind":"cyclic","n":3}'),
+         ("cache", "warm", "--group", '{"kind":"cyclic","n":5}')],
+        [("chartable", "--group", '{"kind":"cyclic","n":2}', "--prime", "7"),
+         ("chartable", "--group", '{"kind":"cyclic","n":2}')],
+        [("amalgam", "dist", "--spec", "z2-free-z2.json",
+          "--word", "0:x 1:y 0:x", "--word2", "0:x"),
+         ("amalgam", "dist", "--spec", "z2-free-z2.json",
+          "--word", "0:x 1:y 0:x")],
+        [("chartable", "--prime", "7"),
+         ("chartable", "--group", '{"kind":"cyclic","n":2}')],
+    ], ids=["append", "prime", "word2", "error"])
+    def test_each_call_matches_a_fresh_interpreter(self, calls, capsys,
+                                                   monkeypatch, tmp_path):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv(config.CACHE_ENV_VAR, str(cache_dir))
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse refuses the call
+                code = exc.code
+            assert (code, capsys.readouterr().out) == fresh_cli(argv, cache_dir)
 
 
 class TestChartableAndCache:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bohrsound
+from bohrsound import zmat
 from bohrsound.errors import (
     DimensionMismatch,
     FactorNotFinite,
@@ -282,8 +283,21 @@ class TestGeneratedGroup:
                 assert minkowski_bound(3) % res.order == 0
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            generated_group([((2, 0), (0, 1))])
+        with pytest.raises(NotUnimodular) as exc:
+            generated_group([ALPHA, ((2, 0), (0, 1))])
+        assert exc.value.det == 2
+
+    def test_one_determinant_per_generator(self, monkeypatch):
+        calls = []
+        det = zmat.mat_det
+
+        def counting_det(a):
+            calls.append(a)
+            return det(a)
+
+        monkeypatch.setattr(zmat, "mat_det", counting_det)
+        generated_group([ALPHA, BETA])
+        assert calls == [ALPHA, BETA]
 
     def test_element_order(self):
         assert element_order(NEG) == 2
