@@ -1,20 +1,28 @@
 """Disk cache for character tables, keyed by group digest and prime.
 
 This is the only table cache: characters.character_table keeps nothing in
-the process, so a caller that needs a table twice keeps it.
+the process, so a caller that needs a table twice keeps it.  The CLI reads
+it through cached_character_table for every command that needs a table
+(`soundness`, `clifford`, `equalizer` and `chartable`), unless given
+`--no-cache`; library calls never touch the disk.
 
 Strictly an optimization: a cache hit reconstructs the exact same table a
 fresh computation would produce, so downstream output is byte-identical
 whether the cache is cold, warm, or disabled.  A load re-runs the check
 that ends a fresh computation; an entry failing it is stale and recomputed.
+A directory that cannot be written costs speed, not the answer: the table
+is returned all the same, and each failed write prints one `warning:` line
+on stderr.
 The directory comes from the environment at call time (see config.cache_dir).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import sys
 
 from . import config
 from .characters import CharacterTable, character_table, check_table, table_prime
@@ -45,9 +53,14 @@ def store_table(table: CharacterTable) -> str:
     payload = json.dumps(table.serialize(), sort_keys=True,
                          separators=(",", ":"))
     tmp = f"{path}.{os.getpid()}.tmp"  # a reader never sees half an entry
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 
@@ -82,7 +95,11 @@ def cached_character_table(group: FiniteGroup,
     table = load_table(group, p)
     if table is None:
         table = character_table(group, prime=p)
-        store_table(table)
+        try:
+            store_table(table)
+        except OSError as exc:
+            print(f"warning: table cache not written: {type(exc).__name__}: "
+                  f"{exc}", file=sys.stderr)
     return table
 
 

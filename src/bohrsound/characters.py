@@ -10,7 +10,8 @@ Groups, section 3.1).  They are read off the dual group: extended one cyclic
 step at a time along a chain of subgroups, as exponents of one root of unity
 z, in O(|G|^2).  The set of rows does not depend on z: another root z^j, j
 prime to e, maps each row lam to the row lam^j.  Rows are sorted, so the
-table equals the one the class-algebra route gives.
+table equals the one the class-algebra route gives.  check_table checks such
+a table by definition, in O(|G|^2 log|G|), rather than by the Gram product.
 
 Every other table comes from the class-algebra eigenvector method (Dixon,
 Numer. Math. 10, 1967): the structure constants of the class sums give r
@@ -37,7 +38,10 @@ prime (the ambient group's, or a family-wide common prime).
 
 There is no in-process memo: character_table computes on every call, and a
 caller that needs a table twice keeps it.  The cache module's disk cache is
-the only table cache; it takes its prime from table_prime too.
+the only table cache; it takes its prime from table_prime too.  The
+functions that need tables (fin_check, equalizer_witness) take a `table`
+provider with character_table's signature, so the CLI can pass the cached
+one; by default they look up character_table when called.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .errors import (
     SizeLimit,
     SourceMismatch,
 )
-from .groups import FiniteGroup, GroupHom, reachable
+from .groups import FiniteGroup, GroupHom, greedy_generators, reachable
 
 
 # -- primes -----------------------------------------------------------------
@@ -698,16 +702,36 @@ def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
 
 def check_table(table: CharacterTable) -> None:
     """Raise PrimeSearchFailure unless the table is square with the degrees
-    in its identity column, rows in canonical order, and orthonormal rows."""
-    vals, r = table.values, table.n_classes
+    in its identity column, rows strictly increasing (so pairwise distinct),
+    and rows that are the irreducible characters.
+
+    For an abelian group that is checked by definition: every degree is 1
+    and each row is a homomorphism into GF(p)^x, chi(g s) = chi(g) chi(s) for
+    all g and each s of a greedy generating set, one gather per generator.
+    |G| distinct homomorphisms are the whole dual group (Serre, section
+    3.1).  Any other table must have orthonormal rows, a Gram product of
+    O(r^3) for r classes.
+    """
+    vals, r, g = table.values, table.n_classes, table.group
     if vals.shape != (r, r) or len(table.degrees) != r:
         raise PrimeSearchFailure("table shape does not match the class count")
-    degrees = np.array(table.degrees, dtype=np.int64)
-    if not np.array_equal(vals[:, 0], degrees) or \
-            not np.array_equal(np.lexsort((*vals.T[::-1], degrees)), np.arange(r)):
+    # each row must exceed the one before at the first column where they
+    # differ (column 0 when equal); column 0 holds the degrees, so this is
+    # the (degree, values) order
+    first = (vals[1:] != vals[:-1]).argmax(axis=1)
+    rows = np.arange(r - 1)
+    if not (np.array_equal(vals[:, 0], table.degrees)
+            and (vals[1:][rows, first] > vals[:-1][rows, first]).all()):
         raise PrimeSearchFailure("degree column or row order check failed")
-    if not np.array_equal(table.inner(vals, vals), np.eye(r, dtype=np.int64)):
-        raise PrimeSearchFailure("orthogonality check failed")
+    if not g.is_abelian:
+        if not np.array_equal(table.inner(vals, vals), np.eye(r, dtype=np.int64)):
+            raise PrimeSearchFailure("orthogonality check failed")
+        return
+    if (vals[:, 0] != 1).any():
+        raise PrimeSearchFailure("abelian table with a degree other than 1")
+    for s in greedy_generators(g.mul):  # class k of an abelian group is {k}
+        if (vals[:, g.mul[:, s]] != vals * vals[:, s, None] % table.prime).any():
+            raise PrimeSearchFailure("a row is not a homomorphism")
 
 
 def table_prime(g: FiniteGroup, prime: int | None = None) -> int:
@@ -825,13 +849,16 @@ class EqualizerWitness:
     values: tuple[tuple[int, ...], ...]
 
 
-def equalizer_witness(emb: GroupHom) -> EqualizerWitness:
+def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
+    """The split or collision witness of a proper subgroup.  `table(group,
+    prime=None)` provides the character tables, character_table by default."""
+    table = table or character_table
     emb.require_injective()
     g = emb.target
     if len(emb.image) == g.order:
         raise NotProper("subgroup equals the ambient group")
-    tg = character_table(g)
-    th = character_table(emb.source, prime=tg.prime)
+    tg = table(g)
+    th = table(emb.source, prime=tg.prime)
     m = restriction_matrix(tg, th, emb)
     self_ints = (m * m).sum(axis=1)
 
@@ -916,19 +943,22 @@ class CliffordReport:
     sup_multiplicity: int | None
 
 
-def fin_check(embs: list[GroupHom],
-              source: FiniteGroup | None = None) -> list[CliffordReport]:
+def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
+              table=None) -> list[CliffordReport]:
     """Clifford class and multiplicity data for every irreducible of the source.
 
     All embeddings must share one source and have normal image; tables are
     computed at a family-wide prime so orbits fuse consistently.  An empty
     family needs the source passed explicitly and yields singleton classes
-    with empty multiplicity maps.
+    with empty multiplicity maps.  `table(group, prime=None)` provides the
+    tables: character_table by default, or any provider that returns the
+    same table, such as cache.cached_character_table.
     """
+    table = table or character_table
     if not embs:
         if source is None:
             raise SourceMismatch("empty family needs an explicit source group")
-        th = character_table(source)
+        th = table(source)
         return [CliffordReport(rho=r, rho_degree=th.degrees[r],
                                class_members=(r,), class_size=1,
                                per_member={}, sup_multiplicity=None)
@@ -941,11 +971,11 @@ def fin_check(embs: list[GroupHom],
             raise SourceMismatch("family members must share the amalgamated group")
         e.require_injective()
     p = common_prime([h] + [e.target for e in embs])
-    th = character_table(h, prime=p)
+    th = table(h, prime=p)
     actions = []
     restrictions = []
     for e in embs:
-        tg = character_table(e.target, prime=p)
+        tg = table(e.target, prime=p)
         restrictions.append(restriction_matrix(tg, th, e))
         actions.extend(_conjugation_row_permutations(tg, th, e))
     reports = []

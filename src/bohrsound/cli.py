@@ -6,6 +6,12 @@ against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation, 2 when only an unknown-prefix verdict
 is possible, 1 for input errors and for a reader that closed stdout early.
 
+Every command that needs character tables (`soundness`, `clifford`,
+`equalizer`, `chartable`) gets them from the disk cache,
+cache.cached_character_table, and under `--no-cache` from
+characters.character_table, which reads and writes nothing.  Output is the
+same either way.
+
 `main` parses with one argument parser per process: `build_parser` builds
 it on the first call and returns the same parser after that.  argparse
 makes a fresh namespace on every parse, so no call sees another's values.
@@ -127,11 +133,17 @@ def frac_str(q: Fraction) -> str:
 # -- subcommand handlers -----------------------------------------------------------
 
 
+def _table_provider(args):
+    """The disk cache's table provider, or under --no-cache the plain one."""
+    return character_table if args.no_cache else cache.cached_character_table
+
+
 def run_soundness(args) -> int:
     request = load_json(args.request, "request")
     if not isinstance(request, dict):
         raise SchemaError("request: expected a JSON object")
-    verdict = soundness_verdict(request, seed=args.seed, samples=args.samples)
+    verdict = soundness_verdict(request, seed=args.seed, samples=args.samples,
+                                table=_table_provider(args))
     lines = []
     if args.format == "text":  # the certificate is large; render it once
         lines = [f"verdict: {verdict.verdict}",
@@ -155,7 +167,7 @@ def run_equalizer(args) -> int:
         "group": require_field(spec, "ambient", dict, "spec"),
         "mapping": require_field(spec, "mapping", list, "spec"),
     }, "spec")
-    witness = equalizer_witness(emb)
+    witness = equalizer_witness(emb, table=_table_provider(args))
     rows = [list(row) for row in witness.values]
     payload = {
         "kind": witness.kind,
@@ -180,7 +192,8 @@ def run_clifford(args) -> int:
     if not isinstance(spec, dict):
         raise SchemaError("spec: expected a JSON object")
     check_schema(spec, "spec")
-    payload = clifford_certificate(*build_normal_family(spec, "spec"))
+    payload = clifford_certificate(*build_normal_family(spec, "spec"),
+                                   _table_provider(args))
     lines = [f"kernel order: {payload['kernel_order']}",
              f"members: {payload['member_orders']}"]
     for r in payload["reports"]:
@@ -196,10 +209,7 @@ def run_chartable(args) -> int:
     if not isinstance(descriptor, dict):
         raise SchemaError("group: expected a JSON object")
     group = group_from_descriptor(descriptor)
-    if args.no_cache:
-        table = character_table(group, prime=args.prime)
-    else:
-        table = cache.cached_character_table(group, prime=args.prime)
+    table = _table_provider(args)(group, prime=args.prime)
     payload = table.serialize()
     lines = [f"group: {group.name} (order {group.order})",
              f"prime: {table.prime}",
@@ -401,6 +411,12 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _add_no_cache(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-cache", action="store_true",
+                   help="compute every character table; read and write no "
+                        "cache entry (the output is the same)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call; do not mutate it."""
@@ -414,23 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
+    _add_no_cache(p)
     _add_format(p)
     p.set_defaults(handler=run_soundness)
 
     p = sub.add_parser("equalizer", help="split/collision witness for H <= G")
     p.add_argument("--spec", required=True)
+    _add_no_cache(p)
     _add_format(p)
     p.set_defaults(handler=run_equalizer)
 
     p = sub.add_parser("clifford", help="restriction classes for a family")
     p.add_argument("--spec", required=True)
+    _add_no_cache(p)
     _add_format(p)
     p.set_defaults(handler=run_clifford)
 
     p = sub.add_parser("chartable", help="character table of one group")
     p.add_argument("--group", required=True)
     p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--no-cache", action="store_true")
+    _add_no_cache(p)
     _add_format(p)
     p.set_defaults(handler=run_chartable)
 

@@ -77,20 +77,32 @@ def _check_axioms(mul: np.ndarray) -> np.ndarray:
     if right.any():
         y, a = np.argwhere(right)[0]
         raise NonAssociative((int(y), int(a), int(inv[a])))
-    reached = idx == 0
-    while not reached.all():
-        a = int(np.argmin(reached))
+    for a in greedy_generators(mul):
         bad = mul[mul[:, a]] != mul[:, mul[a]]  # (x a) y != x (a y)
         if bad.any():
             x, y = np.argwhere(bad)[0]
             raise NonAssociative((int(x), a, int(y)))
-        reached[a] = True
-        while True:  # products of middles are middles: square until closed
-            elems = np.flatnonzero(reached)
-            reached[mul[np.ix_(elems, elems)]] = True
-            if np.count_nonzero(reached) == elems.size:
-                break
     return inv.astype(np.int32)
+
+
+def greedy_generators(mul: np.ndarray):
+    """Yield generators of the table's closure of {0}: each is the least
+    element outside the closure of 0 and those yielded before it.  In a
+    Latin square with identity each one at least doubles that closure, so
+    there are at most log2(n) + 1 of them."""
+    reached = np.zeros(mul.shape[0], dtype=bool)
+    reached[0] = True
+    elems = np.zeros(1, dtype=np.intp)
+    while elems.size < reached.size:
+        a = int(np.argmin(reached))
+        yield a
+        reached[a] = True
+        while True:  # square until closed
+            grown = np.flatnonzero(reached)
+            if grown.size == elems.size:
+                break
+            elems = grown
+            reached[mul[elems[:, None], elems]] = True
 
 
 class FiniteGroup:

@@ -118,26 +118,28 @@ def serialize_reports(reports) -> list[dict]:
     } for r in reports]
 
 
-def clifford_certificate(kernel, embs) -> dict:
+def clifford_certificate(kernel, embs, table=None) -> dict:
     """Kernel order, member orders and the serialized fin_check reports: the
     certificate of a finite normal family, and what `clifford` prints."""
     return {
         "kernel_order": kernel.order,
         "member_orders": [e.target.order for e in embs],
-        "reports": serialize_reports(fin_check(embs, source=kernel)),
+        "reports": serialize_reports(fin_check(embs, source=kernel,
+                                               table=table)),
     }
 
 
-def _finite_normal_verdict(d: dict, where: str) -> SoundnessVerdict:
+def _finite_normal_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     return SoundnessVerdict(SOUND, "compact-automorphism-group",
-                            clifford_certificate(*build_normal_family(d, where)))
+                            clifford_certificate(*build_normal_family(d, where),
+                                                 table))
 
 
-def _prefix_verdict(d: dict, where: str) -> SoundnessVerdict:
+def _prefix_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     kernel, embs = build_normal_family(d, where)
     if not embs:
         raise SchemaError(f"{where}: a prefix declaration needs members")
-    certificate = clifford_certificate(kernel, embs)
+    certificate = clifford_certificate(kernel, embs, table)
     n = len(embs)
     sequences = {}
     growing = []
@@ -181,28 +183,28 @@ def _split_verdict(d: dict, where: str, seed: int,
     return SoundnessVerdict(SOUND, "split-family", certificate)
 
 
-def _family_verdict(d: dict, where: str, seed: int,
-                    samples: int) -> SoundnessVerdict:
+def _family_verdict(d: dict, where: str, seed: int, samples: int,
+                    table) -> SoundnessVerdict:
     kind = require_field(d, "kind", str, where)
     if kind == "torus-family":
         return _torus_verdict(d, where)
     if kind == "finite-normal-family":
-        return _finite_normal_verdict(d, where)
+        return _finite_normal_verdict(d, where, table)
     if kind == "normal-family-prefix":
-        return _prefix_verdict(d, where)
+        return _prefix_verdict(d, where, table)
     if kind == "split-family":
         return _split_verdict(d, where, seed, samples)
     if kind == "mixed-family":
-        return _mixed_verdict(d, where, seed, samples)
+        return _mixed_verdict(d, where, seed, samples, table)
     raise SchemaError(f"{where}: unknown family kind {kind!r}")
 
 
-def _mixed_verdict(d: dict, where: str, seed: int,
-                   samples: int) -> SoundnessVerdict:
+def _mixed_verdict(d: dict, where: str, seed: int, samples: int,
+                   table) -> SoundnessVerdict:
     raw = require_field(d, "members", list, where)
     if not raw:
         raise SchemaError(f"{where}: a mixed family needs members")
-    inner = [_family_verdict(m, f"{where}.members[{i}]", seed, samples)
+    inner = [_family_verdict(m, f"{where}.members[{i}]", seed, samples, table)
              for i, m in enumerate(raw)]
     for i, v in enumerate(inner):
         # a subfamily of a sound family is sound, so one bad member settles it
@@ -232,8 +234,13 @@ def _mixed_verdict(d: dict, where: str, seed: int,
     })
 
 
-def soundness_verdict(request: dict, seed: int = 0,
-                      samples: int = 200) -> SoundnessVerdict:
-    """Decide a family request parsed from JSON."""
+def soundness_verdict(request: dict, seed: int = 0, samples: int = 200,
+                      table=None) -> SoundnessVerdict:
+    """Decide a family request parsed from JSON.
+
+    `table(group, prime=None)` provides the character tables of normal
+    families; None means characters.character_table, looked up when
+    fin_check runs.  The CLI passes cache.cached_character_table.
+    """
     check_schema(request, "request")
-    return _family_verdict(request, "request", seed, samples)
+    return _family_verdict(request, "request", seed, samples, table)

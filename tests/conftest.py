@@ -1,10 +1,12 @@
-"""Shared fixtures: the finite-group corpus the property tests sweep over."""
+"""Shared fixtures: a private table cache for every test, and the
+finite-group corpus the property tests sweep over."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from bohrsound import config
 from bohrsound.groups import (
     FiniteGroup,
     alternating,
@@ -14,6 +16,13 @@ from bohrsound.groups import (
     semidirect,
     symmetric,
 )
+
+
+@pytest.fixture(autouse=True)
+def private_cache_dir(monkeypatch, tmp_path):
+    """Point the table cache at the test's own directory, so no test reads or
+    writes the user's cache, ~/.cache/bohrsound by default."""
+    monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
 
 
 def multiplication_action(n: int, c: int, acting_order: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bohrsound import characters, config
+from bohrsound import cache, characters, config
 from bohrsound.cli import main
 from bohrsound.errors import (
     DegreeMismatch,
@@ -274,6 +274,69 @@ class TestAbelianRoute:
         tab = character_table(cyclic(512))
         assert time.perf_counter() - start < 1.0
         assert tab.prime == 7681 and tab.n_irreducibles == 512
+
+
+def _mutated(table, edit):
+    """A CharacterTable of the same group and prime after edit(degrees, values)."""
+    degrees, values = list(table.degrees), table.values.tolist()
+    edit(degrees, values)
+    return characters.CharacterTable(table.group, table.prime, degrees, values)
+
+
+def _change_last_value(degrees, values):
+    values[-1][-1] += 1
+
+
+def _repeat_a_row(degrees, values):
+    values[2] = list(values[1])
+
+
+def _wrong_degree(degrees, values):
+    degrees[-1] = 2
+
+
+def _degree_two_row(degrees, values):
+    degrees[-1] = values[-1][0] = 2
+
+
+class TestAbelianCheck:
+    """check_table on abelian tables: degrees 1, strictly increasing rows,
+    and each row a homomorphism on a greedy generating set."""
+
+    def test_accepts_corpus_and_large_cyclic(self, corpus):
+        tables = [character_table(g) for g in corpus if g.is_abelian]
+        tables += [character_table(_product(2, 6, 4)),
+                   character_table(cyclic(512), prime=7681),
+                   character_table(cyclic(1024), prime=12289)]
+        for tab in tables:
+            characters.check_table(_mutated(tab, lambda d, v: None))
+
+    def test_runs_no_gram_product(self, monkeypatch):
+        def refuse(self, u, v):
+            raise AssertionError("Gram product on an abelian table")
+        tab = character_table(_product(4, 6))
+        monkeypatch.setattr(characters.CharacterTable, "inner", refuse)
+        characters.check_table(tab)
+        with pytest.raises(AssertionError):
+            characters.check_table(character_table(symmetric(3)))
+
+    @pytest.mark.parametrize("edit,reason", [
+        (_change_last_value, "not a homomorphism"),
+        (_repeat_a_row, "row order"),
+        (_wrong_degree, "degree column"),
+        (_degree_two_row, "degree other than 1"),
+    ])
+    @pytest.mark.parametrize("g", [cyclic(12), _product(2, 6, 4), cyclic(128)],
+                             ids=["Z12", "Z2xZ6xZ4", "Z128"])
+    def test_mutations_fail(self, g, edit, reason):
+        tab = character_table(g)
+        bad = _mutated(tab, edit)
+        with pytest.raises(PrimeSearchFailure, match=reason):
+            characters.check_table(bad)
+        cache.store_table(bad)  # a planted entry is refused on load
+        assert cache.load_table(g, tab.prime) is None
+        cache.store_table(tab)
+        assert cache.load_table(g, tab.prime).values.tolist() == tab.values.tolist()
 
 
 class TestNumericOracle:

@@ -590,13 +590,159 @@ class TestCliCommands:
             orders.append(group.order)
             return table(group, prime=prime)
 
-        monkeypatch.setattr(characters, "character_table", counting_table)
-        monkeypatch.setattr(bohrsound.cli, "character_table", counting_table)
-        code, out, _ = cli("equalizer", "--spec", "a3-in-s3.json",
-                           "--format", "json")
+        for module in (characters, bohrsound.cli, cache):
+            monkeypatch.setattr(module, "character_table", counting_table)
+        for cached in (("--no-cache",), ()):  # then a cold cache
+            orders.clear()
+            code, out, _ = cli("equalizer", "--spec", "a3-in-s3.json",
+                               "--format", "json", *cached)
+            assert code == 0
+            assert out == (GOLDEN / "a3-in-s3.witness.json").read_text()
+            assert orders.count(6) == 1  # S3; A3 is the subgroup
+
+
+VERDICT_CALLS = [
+    (("soundness", "--request", "heisenberg-prefix.json"),
+     "heisenberg-prefix.verdict.json", 2),
+    (("clifford", "--spec", "heisenberg-prefix.json"), None, 0),
+    (("equalizer", "--spec", "a3-in-s3.json"), "a3-in-s3.witness.json", 0),
+    (("equalizer", "--spec", "z2-in-z4.json"), "z2-in-z4.witness.json", 0),
+]
+
+
+class TestVerdictCache:
+    """soundness, clifford and equalizer read and write the table cache."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv,golden,code", VERDICT_CALLS, ids=[
+        "soundness-heisenberg", "clifford-heisenberg", "equalizer-a3-in-s3",
+        "equalizer-z2-in-z4"])
+    def test_no_cache_cold_and_warm_agree(self, cli, tmp_path, argv, golden,
+                                          code, fmt):
+        base = tmp_path / "cache"
+        bare = cli(*argv, "--format", fmt, "--no-cache")
+        assert not base.exists()
+        cold = cli(*argv, "--format", fmt)
+        entries = {p.name: p.read_bytes() for p in base.iterdir()}
+        assert entries  # the cached run stored its tables
+        warm = cli(*argv, "--format", fmt)
+        again = cli(*argv, "--format", fmt, "--no-cache")
+        assert bare == cold == warm == again
+        assert bare[0] == code and bare[2] == ""
+        if golden and fmt == "json":
+            assert bare[1] == (GOLDEN / golden).read_text()
+        assert {p.name: p.read_bytes() for p in base.iterdir()} == entries
+
+    def test_warm_verdict_computes_no_table(self, cli, monkeypatch):
+        argv = ("soundness", "--request", "heisenberg-prefix.json")
+        cold = cli(*argv)
+
+        def refuse(group, prime=None):
+            raise AssertionError(f"table of {group.name} computed")
+
+        for module in (characters, bohrsound.cli, cache):
+            monkeypatch.setattr(module, "character_table", refuse)
+        assert cli(*argv) == cold
+
+    def test_planted_stale_entry_is_recomputed(self, cli, tmp_path):
+        h8 = group_from_descriptor({"kind": "heisenberg", "level": 3})
+        good = characters.character_table(h8, prime=1153).serialize()
+        bad = json.loads(json.dumps(good))
+        bad["values"][5][3] = (bad["values"][5][3] + 1) % 1153
+        base = tmp_path / "cache"
+        base.mkdir()
+        entry = base / f"{h8.table_digest}-p1153.json"
+        entry.write_text(json.dumps(bad))
+        assert cache.load_table(h8, 1153) is None
+        code, out, err = cli("soundness", "--request", "heisenberg-prefix.json",
+                             "--format", "json")
+        assert code == 2 and err == ""
+        assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
+        assert json.loads(entry.read_text()) == good
+
+
+class TestTableProvider:
+    """The `table` argument of the library's verdict functions."""
+
+    @staticmethod
+    def counting(seen):
+        table = characters.character_table
+
+        def provider(group, prime=None):
+            seen.append(group.order)
+            return table(group, prime=prime)
+
+        return provider
+
+    def test_default_is_looked_up_when_called(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(characters, "character_table", self.counting(seen))
+        soundness_verdict(fixture_json("heisenberg-prefix.json"))
+        spec = fixture_json("a3-in-s3.json")
+        emb = hom_from_descriptor(group_from_descriptor(spec["subgroup"]), {
+            "group": spec["ambient"], "mapping": spec["mapping"]})
+        characters.equalizer_witness(emb)
+        assert seen == [2, 8, 64, 512, 6, 3]  # Z2, H2, H4, H8, S3, A3
+
+    def test_given_provider_serves_every_table(self):
+        seen = []
+        request = fixture_json("heisenberg-prefix.json")
+        got = soundness_verdict(request, table=self.counting(seen))
+        assert sorted(seen) == [2, 8, 64, 512]
+        assert got.to_json() == soundness_verdict(request).to_json()
+
+    def test_library_calls_touch_no_cache(self, tmp_path):
+        soundness_verdict(fixture_json("heisenberg-prefix.json"))
+        soundness_verdict(fixture_json("split-inversion.json"))
+        assert not (tmp_path / "cache").exists()
+
+
+class TestUnusableCacheDir:
+    """A cache that cannot be written costs speed, never the answer."""
+
+    @pytest.fixture()
+    def under_a_file(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv(config.CACHE_ENV_VAR, str(blocker / "cache"))
+        return blocker
+
+    def test_chartable(self, cli, under_a_file):
+        argv = ("chartable", "--group", '{"kind":"cyclic","n":4}')
+        code, out, err = cli(*argv)
+        assert (code, out) == cli(*argv, "--no-cache")[:2]
         assert code == 0
-        assert out == (GOLDEN / "a3-in-s3.witness.json").read_text()
-        assert orders.count(6) == 1  # S3; A3 is the subgroup
+        assert err.startswith("warning: table cache not written: "
+                              "NotADirectoryError:")
+        assert err.count("\n") == 1
+        assert under_a_file.read_text() == "not a directory"
+
+    def test_soundness(self, cli, under_a_file):
+        argv = ("soundness", "--request", "heisenberg-prefix.json",
+                "--format", "json")
+        code, out, err = cli(*argv)
+        assert (code, out) == cli(*argv, "--no-cache")[:2]
+        assert code == 2
+        assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
+        lines = err.splitlines()
+        assert len(lines) == 4  # one per table: Z2, H2, H4 and H8
+        assert all(line.startswith("warning: table cache not written: "
+                                   "NotADirectoryError:") for line in lines)
+
+    def test_failed_replace_leaves_no_temporary_file(self, cli, tmp_path):
+        # a directory where the entry belongs: the temporary file is written,
+        # then os.replace fails
+        g = group_from_descriptor({"kind": "cyclic", "n": 4})
+        base = tmp_path / "cache"
+        (base / f"{g.table_digest}-p{characters.table_prime(g)}.json").mkdir(
+            parents=True)
+        argv = ("chartable", "--group", '{"kind":"cyclic","n":4}')
+        code, out, err = cli(*argv)
+        assert (code, out) == cli(*argv, "--no-cache")[:2]
+        assert err.startswith("warning: table cache not written: "
+                              "IsADirectoryError:")
+        assert err.count("\n") == 1
+        assert not list(base.glob("*.tmp"))
 
 
 def fresh_cli(argv, cache_dir) -> tuple[int, str]:
