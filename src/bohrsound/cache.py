@@ -12,7 +12,8 @@ whether the cache is cold, warm, or disabled.  A load re-runs the check
 that ends a fresh computation; an entry failing it is stale and recomputed.
 A directory that cannot be written costs speed, not the answer: the table
 is returned all the same, and each failed write prints one `warning:` line
-on stderr.
+on stderr.  Only `cache warm`, whose purpose is the write, fails on it, with
+one `error: CacheNotWritten` line.
 The directory comes from the environment at call time (see config.cache_dir).
 """
 
@@ -26,7 +27,7 @@ import sys
 
 from . import config
 from .characters import CharacterTable, character_table, check_table, table_prime
-from .errors import PrimeSearchFailure
+from .errors import CacheNotWritten, PrimeSearchFailure
 from .groups import FiniteGroup
 
 
@@ -46,21 +47,23 @@ def _entry_names(base: str) -> list[str]:
 
 
 def store_table(table: CharacterTable) -> str:
-    """Write one table to the cache; returns the file path."""
+    """Write one table to the cache; returns the file path.  CacheNotWritten,
+    with no temporary file left, when the directory cannot be written."""
     base = config.cache_dir()
-    os.makedirs(base, exist_ok=True)
     path = _entry_path(base, table.group.table_digest, table.prime)
     payload = json.dumps(table.serialize(), sort_keys=True,
                          separators=(",", ":"))
     tmp = f"{path}.{os.getpid()}.tmp"  # a reader never sees half an entry
     try:
+        os.makedirs(base, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise
+        raise CacheNotWritten(f"table cache not written: {type(exc).__name__}: "
+                              f"{exc}") from exc
     return path
 
 
@@ -97,14 +100,14 @@ def cached_character_table(group: FiniteGroup,
         table = character_table(group, prime=p)
         try:
             store_table(table)
-        except OSError as exc:
-            print(f"warning: table cache not written: {type(exc).__name__}: "
-                  f"{exc}", file=sys.stderr)
+        except CacheNotWritten as exc:
+            print(f"warning: {exc}", file=sys.stderr)
     return table
 
 
 def warm(groups) -> list[str]:
-    """Compute and store tables for every group; returns written paths."""
+    """Compute and store tables for every group; returns written paths.
+    CacheNotWritten at the first table that cannot be written."""
     return [store_table(character_table(g)) for g in groups]
 
 

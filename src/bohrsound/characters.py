@@ -20,13 +20,17 @@ characters; degrees and values are recovered from orthogonality.
 
 Each refinement round splits the pending subspaces by the eigenspaces of one
 random linear combination of the class matrices, usually all of them in the
-first round.  Eigenvalues are the roots of the characteristic polynomial f,
-taken as gcd(f, x^p - x) and split by Cantor-Zassenhaus (Math. Comp. 36,
-1981); every eigenspace of a matrix comes from one block Krylov basis.  No
-cost or allocation grows with p.  The random choices (round coefficients,
-Krylov blocks, splitting shifts) come from a generator seeded with the
-prime, so each computation is reproducible; the table does not depend on
-them, since rows are canonical and sorted by (degree, values).
+first round.  Eigenvalues are the roots of the characteristic polynomial f.
+Below p = _SWEEP_PRIMES = 2**14 they are found as Dixon found them, by
+evaluating f at every point of GF(p), in one numpy sweep; at and above it
+as gcd(f, x^p - x), split by Cantor-Zassenhaus (Math. Comp. 36, 1981).  The
+two routes cross between p = 1.6 * 10**4 and 5 * 10**4 (see _SWEEP_PRIMES),
+so the sweep's cost and its arrays are bounded by a constant, and no other
+cost or allocation grows with p.  Every eigenspace of a matrix comes from
+one block Krylov basis.  The random choices (round coefficients, Krylov
+blocks, splitting shifts) come from a generator seeded with the prime, so
+each computation is reproducible; the table does not depend on them, since
+rows are canonical and sorted by (degree, values).
 
 Residues are int64 in [0, p).  Every sum of products of residues goes
 through _mod_product, so all arithmetic is exact for every prime below
@@ -383,15 +387,48 @@ def _small_roots(g: list[int], p: int) -> list[int]:
     return sorted({(root - b) * half % p, (-root - b) * half % p})
 
 
+# _roots_mod evaluates f at every point of GF(p) below this prime and splits
+# it above.  Timed on random split polynomials with distinct roots (best of
+# 7), a sweep costs about 5 ns * p * deg and the splitting 0.1 to
+# 0.25 ms * deg; at p = 16381 that is 0.68 against 0.63 ms at degree 8 and
+# 7.5 against 20 ms at degree 92, and the two cross between p = 1.6 * 10**4
+# and 5 * 10**4.  Below 2**14 the sweep is never the slower, and its arrays
+# stay within 128 KiB.
+_SWEEP_PRIMES = 1 << 14
+
+
 def _roots_mod(f, p: int, rng: random.Random) -> list[int]:
     """Distinct roots of the nonzero f (coefficients low degree first) in GF(p), ascending.
 
-    Above degree two their product is gcd(f, x^p - x); Cantor-Zassenhaus
-    splits it with gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down
-    to factors of degree two, which the quadratic formula finishes.  The
-    cost is polynomial in deg f and log p; nothing is sized by p.
+    Below _SWEEP_PRIMES by _roots_by_sweep, otherwise by _roots_by_splitting;
+    both return the same list.
     """
     f = _poly_monic(_poly_trim([int(c) % p for c in f]), p)
+    if p < _SWEEP_PRIMES:
+        return _roots_by_sweep(f, p)
+    return _roots_by_splitting(f, p, rng)
+
+
+def _roots_by_sweep(f: list[int], p: int) -> list[int]:
+    """Distinct roots of the monic f in GF(p), ascending: one Horner evaluation
+    at every point.  Each step stays below p**2 + p < 2**63 in int64."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.ones(p, dtype=np.int64)
+    for c in reversed(f[:-1]):
+        acc *= x
+        acc += c
+        acc %= p
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def _roots_by_splitting(f: list[int], p: int, rng: random.Random) -> list[int]:
+    """Distinct roots of the monic f in GF(p), ascending, in time polynomial
+    in deg f and log p; nothing is sized by p.
+
+    Above degree two their product is gcd(f, x^p - x); Cantor-Zassenhaus
+    splits it with gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down
+    to factors of degree two, which the quadratic formula finishes.
+    """
     if len(f) > 3:
         xp = _poly_powmod(0, p, f, p) + [0, 0]
         xp[1] -= 1
@@ -689,8 +726,14 @@ def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
 
 def _sorted_table(g: FiniteGroup, p: int, degrees: np.ndarray,
                   values: np.ndarray) -> CharacterTable:
-    """The checked table with rows sorted by (degree, values)."""
-    order = np.lexsort((*values.T[::-1], degrees))
+    """The checked table with rows sorted by (degree, values).
+
+    Column 0 holds the degrees, so that is the order of the rows themselves.
+    They are sorted by one key: values lie in [0, p), so comparing a row's
+    big-endian int64 bytes compares the row.
+    """
+    key = np.ascontiguousarray(values, dtype=">i8").view(f"V{8 * values.shape[1]}")
+    order = key.ravel().argsort(kind="stable")
     table = CharacterTable(g, p, degrees[order], values[order])
     check_table(table)
     return table
@@ -734,13 +777,18 @@ def check_table(table: CharacterTable) -> None:
             raise PrimeSearchFailure("a row is not a homomorphism")
 
 
+def check_table_order(order: int) -> None:
+    """SizeLimit when a group of this order is past CHARTABLE_MAX_ORDER."""
+    if order > config.CHARTABLE_MAX_ORDER:
+        raise SizeLimit(f"character tables limited to order {config.CHARTABLE_MAX_ORDER}")
+
+
 def table_prime(g: FiniteGroup, prime: int | None = None) -> int:
     """The prime a table of g is computed at: the given one, or by default the
     group's canonical one.  SizeLimit above CHARTABLE_MAX_ORDER; a given p
     must be a prime = 1 mod exponent(G) in (2|G|, PRIME_SEARCH_LIMIT).
     """
-    if g.order > config.CHARTABLE_MAX_ORDER:
-        raise SizeLimit(f"character tables limited to order {config.CHARTABLE_MAX_ORDER}")
+    check_table_order(g.order)
     if prime is None:
         return splitting_prime(g.exponent, g.order)
     if (not 2 * g.order < prime < config.PRIME_SEARCH_LIMIT

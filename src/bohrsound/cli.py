@@ -44,10 +44,11 @@ from .amalgam import (
     regular_pullback_length,
     word_equal,
 )
-from .characters import character_table, equalizer_witness
+from .characters import character_table, check_table_order, equalizer_witness
 from .descriptors import (
     amalgam_from_descriptor,
     check_schema,
+    descriptor_order,
     group_from_descriptor,
     hom_from_descriptor,
     int_rows,
@@ -204,11 +205,20 @@ def run_clifford(args) -> int:
     return 0
 
 
+def _table_group(descriptor, where: str = "group"):
+    """The group a table is asked for, refused by the order its descriptor
+    gives, where it gives one, before the group is built."""
+    order = descriptor_order(descriptor)
+    if order is not None:
+        check_table_order(order)
+    return group_from_descriptor(descriptor, where)
+
+
 def run_chartable(args) -> int:
     descriptor = load_json(args.group, "group")
     if not isinstance(descriptor, dict):
         raise SchemaError("group: expected a JSON object")
-    group = group_from_descriptor(descriptor)
+    group = _table_group(descriptor)
     table = _table_provider(args)(group, prime=args.prime)
     payload = table.serialize()
     lines = [f"group: {group.name} (order {group.order})",
@@ -382,7 +392,7 @@ def run_liecheck(args) -> int:
 
 def run_cache(args) -> int:
     if args.cache_command == "warm":
-        groups = [group_from_descriptor(load_json(g, f"group[{i}]"))
+        groups = [_table_group(load_json(g, f"group[{i}]"))
                   for i, g in enumerate(args.group)]
         paths = cache.warm(groups)
         emit({"written": paths}, args.format,

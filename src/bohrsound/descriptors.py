@@ -7,6 +7,7 @@ labels; mathematical validation stays in the constructors it calls.
 
 from __future__ import annotations
 
+from . import config
 from .errors import SchemaError
 from .amalgam import (
     AmalgamSpec,
@@ -102,6 +103,21 @@ def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
         return grp
     raise SchemaError(f"{where}: unknown group kind {kind!r}; "
                       f"expected one of {GROUP_KINDS}")
+
+
+def descriptor_order(d) -> int | None:
+    """The order of the group a cyclic or heisenberg descriptor names, read
+    off its parameters without building the group; None for every other
+    descriptor, and for a level the heisenberg builder refuses anyway."""
+    if not isinstance(d, dict):
+        return None
+    n, level = d.get("n"), d.get("level")
+    if d.get("kind") == "cyclic" and isinstance(n, int):
+        return n
+    if (d.get("kind") == "heisenberg" and isinstance(level, int)
+            and 1 <= level <= config.HEISENBERG_MAX_LEVEL):
+        return 8 ** level
+    return None
 
 
 def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:

@@ -23,6 +23,10 @@ class InvariantViolation(BohrsoundError):
     """An internal consistency check failed: a bug, not a bad input."""
 
 
+class CacheNotWritten(BohrsoundError):
+    """A table cache entry could not be written."""
+
+
 # group-core
 
 class NoIdentity(BohrsoundError):

@@ -124,6 +124,19 @@ class TestTableConstruction:
                 assert got[i, j] == tab.inner(u, v)
         assert np.array_equal(tab.inner(vals, vals), np.eye(tab.n_irreducibles))
 
+    @pytest.mark.parametrize("g", [
+        symmetric(4), heisenberg(2), dihedral(24), cyclic(96),
+        direct_product(direct_product(cyclic(2), cyclic(6)), cyclic(4)),
+        cyclic(1024),
+    ], ids=["S4", "H4", "D24", "Z96", "Z2xZ6xZ4", "Z1024"])
+    def test_shuffled_rows_sort_back(self, g):
+        tab = character_table(g)
+        perm = np.random.default_rng(g.order).permutation(tab.n_irreducibles)
+        degrees = np.array(tab.degrees)[perm]
+        again = characters._sorted_table(g, tab.prime, degrees, tab.values[perm])
+        assert again.degrees == tab.degrees
+        assert again.values.tolist() == tab.values.tolist()
+
     def test_z2(self):
         tab = character_table(cyclic(2))
         assert tab.degrees == (1, 1)

@@ -3,6 +3,8 @@
 Every reference here takes another route: Python integers for products,
 cofactor expansion for characteristic polynomials, evaluation at every
 point of GF(p) for roots (small p only), and known integer character values.
+The two root routes, the sweep over GF(p) and Cantor-Zassenhaus, are also
+checked against each other.
 """
 
 import json
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import bohrsound
+from bohrsound import characters
 from bohrsound.characters import (
     CharacterTable,
     _charpoly_mod,
@@ -25,6 +28,9 @@ from bohrsound.characters import (
     _convolve_mod,
     _eigenspaces,
     _matmul_mod,
+    _poly_monic,
+    _roots_by_splitting,
+    _roots_by_sweep,
     _roots_mod,
     character_table,
     common_prime,
@@ -32,7 +38,14 @@ from bohrsound.characters import (
     restriction_multiplicity,
 )
 from bohrsound.errors import PrimeSearchFailure
-from bohrsound.groups import Subgroup, cyclic, dihedral, symmetric
+from bohrsound.groups import (
+    Subgroup,
+    cyclic,
+    dihedral,
+    direct_product,
+    heisenberg,
+    symmetric,
+)
 
 from oracles import charpoly_eval_oracle, normal_subgroups
 
@@ -133,6 +146,8 @@ class TestRoots:
                 f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
                 want = [x for x in range(p) if _eval(f, x, p) == 0]
                 assert _roots_mod(f, p, random.Random(1)) == want
+                assert _roots_by_splitting(_poly_monic(f, p), p,
+                                           random.Random(1)) == want
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)
     def test_known_roots_with_repeats(self, p):
@@ -152,6 +167,67 @@ class TestRoots:
         assert _roots_mod([2, 0, 1], p, random.Random(0)) == []  # x^2 + 2
         assert _roots_mod([5], p, random.Random(0)) == []
         assert _roots_mod([4, 4, 1], p, random.Random(0)) == [11]  # (x + 2)^2
+
+
+def _times(f, g, p):
+    return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % p
+            for k in range(len(f) + len(g) - 1)]
+
+
+# the canonical primes of S5, Z8xS4, D128 and H8; primes on either side of
+# the sweep bound 2**14; and primes past it, where the sweep still runs in a
+# test's time
+ROUTE_PRIMES = [241, 409, 641, 1153, 12289, 16381, 16411, 40961, 65537]
+
+
+class TestRootRoutes:
+    """The sweep over GF(p) and Cantor-Zassenhaus against each other."""
+
+    @pytest.mark.parametrize("p", ROUTE_PRIMES)
+    def test_routes_agree(self, p):
+        rng = random.Random(p)
+        # x^2 - c for a non-residue c: a factor with no root
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        rootless = [-c % p, 0, 1]
+        for distinct in (1, 2, 3, 5, 8, 13, 21, 34):
+            roots = rng.sample(range(p), distinct)
+            repeated = roots + rng.choices(roots, k=rng.randrange(distinct + 1))
+            split = _from_roots(repeated, p)
+            arbitrary = [rng.randrange(p) for _ in range(distinct)] + [1]
+            for f, want in [(split, sorted(roots)),
+                            (_times(split, rootless, p), sorted(roots)),
+                            (_times(split, _times(rootless, rootless, p), p),
+                             sorted(roots)),
+                            (arbitrary, None)]:
+                swept = _roots_by_sweep(f, p)
+                assert swept == _roots_by_splitting(f, p, random.Random(distinct))
+                assert want is None or swept == want
+        for f in (rootless, _times(rootless, rootless, p), [1]):
+            assert _roots_by_sweep(f, p) == _roots_by_splitting(
+                f, p, random.Random(0)) == []
+
+    @pytest.mark.parametrize("p, route", [(16381, "sweep"), (16411, "splitting")])
+    def test_roots_mod_takes_one_route_by_the_prime(self, monkeypatch, p, route):
+        assert (p < characters._SWEEP_PRIMES) == (route == "sweep")
+        taken = []
+        monkeypatch.setattr(characters, "_roots_by_sweep",
+                            lambda f, p: taken.append("sweep") or [])
+        monkeypatch.setattr(characters, "_roots_by_splitting",
+                            lambda f, p, rng: taken.append("splitting") or [])
+        _roots_mod([3, 2, 4], p, random.Random(0))
+        assert taken == [route]
+
+    def test_tables_agree_across_routes(self, corpus, monkeypatch):
+        groups = [g for g in corpus if not g.is_abelian]
+        groups += [heisenberg(3), dihedral(128), symmetric(5),
+                   direct_product(cyclic(8), symmetric(4))]
+        swept = [character_table(g) for g in groups]
+        assert max(tab.prime for tab in swept) < characters._SWEEP_PRIMES
+        monkeypatch.setattr(characters, "_SWEEP_PRIMES", 0)
+        for g, tab in zip(groups, swept):
+            split = character_table(g)
+            assert split.degrees == tab.degrees
+            assert split.values.tolist() == tab.values.tolist()
 
 
 class TestEigenspaces:

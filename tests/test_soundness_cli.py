@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bohrsound
-from bohrsound import cache, characters, config
+from bohrsound import cache, characters, config, descriptors, groups
 from bohrsound.cli import fixture_path, main
 from bohrsound.descriptors import (
     amalgam_from_descriptor,
@@ -438,6 +438,29 @@ class TestCliExitCodes:
         assert proc.stderr.startswith("error: SizeLimit:")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("builder, group", [
+        ("heisenberg", '{"kind":"heisenberg","level":4}'),
+        ("cyclic", '{"kind":"cyclic","n":4096}'),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("chartable", "--group"),
+        ("cache", "warm", "--group", '{"kind":"symmetric","n":3}', "--group"),
+    ], ids=["chartable", "warm"])
+    def test_table_order_refused_before_building(self, cli, monkeypatch,
+                                                 tmp_path, builder, group,
+                                                 command):
+        # the descriptor gives the order, 4096 > CHARTABLE_MAX_ORDER
+        built = []
+        real = getattr(groups, builder)
+        monkeypatch.setattr(descriptors, builder,
+                            lambda n, **kw: built.append(n) or real(n, **kw))
+        code, out, err = cli(*command, group)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SizeLimit:")
+        assert err.count("\n") == 1
+        assert built == []
+        assert not (tmp_path / "cache").exists()
+
     def test_closed_stdout_exits_without_traceback(self, tmp_path):
         # 170 kB of JSON: more than a pipe buffer, so writing outlives the reader
         env = dict(os.environ, PYTHONPATH=str(Path(bohrsound.__file__).parents[1]),
@@ -740,6 +763,34 @@ class TestUnusableCacheDir:
         code, out, err = cli(*argv)
         assert (code, out) == cli(*argv, "--no-cache")[:2]
         assert err.startswith("warning: table cache not written: "
+                              "IsADirectoryError:")
+        assert err.count("\n") == 1
+        assert not list(base.glob("*.tmp"))
+
+
+class TestCacheWarmUnwritable:
+    """`cache warm` exists to write, so an unwritable cache is an error."""
+
+    def test_directory_under_a_file(self, cli, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv(config.CACHE_ENV_VAR, str(blocker / "cache"))
+        code, out, err = cli("cache", "warm", "--group", '{"kind":"cyclic","n":4}')
+        assert (code, out) == (1, "")
+        assert err.startswith("error: CacheNotWritten: table cache not written: "
+                              "NotADirectoryError:")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_failed_replace_leaves_no_temporary_file(self, cli, tmp_path):
+        g = group_from_descriptor({"kind": "cyclic", "n": 4})
+        base = tmp_path / "cache"
+        (base / f"{g.table_digest}-p{characters.table_prime(g)}.json").mkdir(
+            parents=True)
+        code, out, err = cli("cache", "warm", "--group", '{"kind":"cyclic","n":4}')
+        assert (code, out) == (1, "")
+        assert err.startswith("error: CacheNotWritten: table cache not written: "
                               "IsADirectoryError:")
         assert err.count("\n") == 1
         assert not list(base.glob("*.tmp"))
