@@ -23,17 +23,19 @@ random linear combination of the class matrices, usually all of them in the
 first round.  Eigenvalues are the roots of the characteristic polynomial f.
 Below p = _SWEEP_PRIMES = 2**14 they are found as Dixon found them, by
 evaluating f at every point of GF(p), in one numpy sweep; at and above it
-as gcd(f, x^p - x), split by Cantor-Zassenhaus (Math. Comp. 36, 1981).  The
-two routes cross between p = 1.6 * 10**4 and 5 * 10**4 (see _SWEEP_PRIMES),
-so the sweep's cost and its arrays are bounded by a constant, and no other
-cost or allocation grows with p.  Every eigenspace of a matrix comes from
+as gcd(f, x^p - x), split by Cantor-Zassenhaus (Math. Comp. 36, 1981) down
+to linear factors, with every power mod f taken on big integers packed one
+coefficient per slot (Kronecker substitution).  The two routes cross
+between p = 1.6 * 10**4 and 6.6 * 10**4 (see _SWEEP_PRIMES), so the sweep's
+cost and its arrays are bounded by a constant, and no other cost or
+allocation grows with p.  Every eigenspace of a matrix comes from
 one block Krylov basis.  The random choices (round coefficients, Krylov
 blocks, splitting shifts) come from a generator seeded with the prime, so
 each computation is reproducible; the table does not depend on them, since
 rows are canonical and sorted by (degree, values).
 
-Residues are int64 in [0, p).  Every sum of products of residues goes
-through _mod_product, so all arithmetic is exact for every prime below
+Residues are int64 in [0, p).  Every sum of products of residue arrays goes
+through _matmul_mod, so all arithmetic is exact for every prime below
 config.PRIME_SEARCH_LIMIT = 2**31.
 
 Value vectors at different primes are not comparable, so any operation that
@@ -67,7 +69,7 @@ from .errors import (
     SizeLimit,
     SourceMismatch,
 )
-from .groups import FiniteGroup, GroupHom, greedy_generators, reachable
+from .groups import FiniteGroup, GroupHom, factorize, greedy_generators, reachable
 
 
 # -- primes -----------------------------------------------------------------
@@ -122,42 +124,32 @@ def common_prime(groups) -> int:
 # products may not.
 
 
-def _mod_product(op, a: np.ndarray, b: np.ndarray, terms: int, p: int) -> np.ndarray:
-    """op(a, b) mod p, exact, for a bilinear op whose outputs sum `terms` products.
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays (entries in [0, p)), exact for every p < 2**31.
 
-    Entries of a and b lie in [0, p).  Products by a vector (or a single
-    column), and small ones, run in int64 when that cannot overflow: there
-    BLAS gains nothing over numpy's own loops.  Otherwise a is cut
-    into limbs narrow enough that every sum stays below 2**53, where float64
-    (and BLAS) is exact; for small p one limb suffices and this is a single
-    float64 product.
+    Products by a vector (or a single column), and small ones, run in int64
+    when that cannot overflow: there BLAS gains nothing over numpy's own
+    loops.  Otherwise a is cut into limbs narrow enough that every sum stays
+    below 2**53, where float64 (and BLAS) is exact; for small p one limb
+    suffices and this is a single float64 product.
     """
     bits = (p - 1).bit_length()
+    terms = a.shape[-1]
     if terms << (2 * bits) < 1 << 63 and (b.size == b.shape[0]
                                          or a.size * b.shape[-1] <= 1 << 15):
-        return op(a, b) % p
+        return a @ b % p
     width = 53 - terms.bit_length() - bits
     if width < 1:
         raise ArithmeticError("too many terms for an exact modular product")
     fb = b.astype(np.float64)
     if width >= bits:
-        return (op(a.astype(np.float64), fb) % p).astype(np.int64)
+        return (a.astype(np.float64) @ fb % p).astype(np.int64)
     out = 0
     mask = (1 << width) - 1
     for shift in range(0, bits, width):
-        part = op(((a >> shift) & mask).astype(np.float64), fb) % p
+        part = ((a >> shift) & mask).astype(np.float64) @ fb % p
         out = (out + part.astype(np.int64) * pow(2, shift, p)) % p
     return out
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays, exact for every p < 2**31."""
-    return _mod_product(np.matmul, a, b, a.shape[-1], p)
-
-
-def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of the product of two residue polynomials, mod p."""
-    return _mod_product(np.convolve, a, b, min(len(a), len(b)), p)
 
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -298,7 +290,13 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _poly_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + shift)**e mod the monic f, of degree k >= 2."""
+    """(x + shift)**e mod the monic f, of degree k >= 2.
+
+    Polynomials are packed one coefficient per slot into a big integer
+    (Kronecker substitution): a square is one product, and folding its high
+    half adds multiples of the packed rows of red; slots stay below 2k p**2,
+    so they never carry into each other.
+    """
     k = len(f) - 1
     # red[i] = x**(k + i) mod f: the high half of a product folds onto these
     red = []
@@ -307,93 +305,39 @@ def _poly_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
         red.append(row)
         top = row[-1]
         row = [(lo - top * c) % p for lo, c in zip([0] + row[:-1], f)]
-    if k < 16:
-        # below about 16 coefficients Python integers beat numpy's call
-        # overhead.  Polynomials are packed one coefficient per slot into a
-        # big integer (Kronecker substitution): the square is one product,
-        # and folding the high half adds multiples of the packed rows of
-        # red; slots stay below 2k p**2, so they never carry into each other.
-        width = 2 * (p - 1).bit_length() + (2 * k).bit_length()
-        mask = (1 << width) - 1
-        low = (1 << width * k) - 1
+    width = 2 * (p - 1).bit_length() + (2 * k).bit_length()
+    mask = (1 << width) - 1
+    low = (1 << width * k) - 1
 
-        def pack(coeffs):
-            packed = 0
-            for x in reversed(coeffs):
-                packed = packed << width | x
-            return packed
+    def pack(coeffs):
+        packed = 0
+        for x in reversed(coeffs):
+            packed = packed << width | x
+        return packed
 
-        red_packed = [pack(r) for r in red]
-
-        def square(u):
-            sq = pack(u) ** 2
-            acc = sq & low
-            for i, r in enumerate(red_packed):
-                acc += (sq >> width * (k + i) & mask) % p * r
-            return [(acc >> width * j & mask) % p for j in range(k)]
-    else:
-        red_rows = np.array(red, dtype=np.int64)
-
-        def square(u):
-            u = np.array(u, dtype=np.int64)
-            c = _convolve_mod(u, u, p)
-            if len(c) > k:
-                c = (c[:k] + _matmul_mod(c[k:], red_rows[:len(c) - k], p)) % p
-            return c.tolist()
+    red_packed = [pack(r) for r in red]
     out = [shift % p, 1]
     for bit in bin(e)[3:]:
-        out = square(out)
+        sq = pack(out) ** 2
+        acc = sq & low
+        for i, r in enumerate(red_packed):
+            acc += (sq >> width * (k + i) & mask) % p * r
+        out = [(acc >> width * j & mask) % p for j in range(k)]
         if bit == "1":
             # times (x + shift): shift up, fold the x**k coefficient onto red[0]
-            out += [0] * (k - len(out))
             top = out[-1]
             out = [(lo + shift * c + top * r) % p
                    for lo, c, r in zip([0] + out[:-1], out, red[0])]
     return _poly_trim(out)
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod the odd prime p (Tonelli-Shanks)."""
-    if a == 0:
-        return 0
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _small_roots(g: list[int], p: int) -> list[int]:
-    """Distinct roots in GF(p) of a monic g of degree at most two."""
-    if len(g) < 3:
-        return [-g[0] % p] if len(g) == 2 else []
-    c, b = g[0], g[1]
-    disc = (b * b - 4 * c) % p
-    if disc and pow(disc, (p - 1) // 2, p) != 1:
-        return []
-    root = _sqrt_mod(disc, p)
-    half = (p + 1) // 2
-    return sorted({(root - b) * half % p, (-root - b) * half % p})
-
-
 # _roots_mod evaluates f at every point of GF(p) below this prime and splits
 # it above.  Timed on random split polynomials with distinct roots (best of
-# 7), a sweep costs about 5 ns * p * deg and the splitting 0.1 to
-# 0.25 ms * deg; at p = 16381 that is 0.68 against 0.63 ms at degree 8 and
-# 7.5 against 20 ms at degree 92, and the two cross between p = 1.6 * 10**4
-# and 5 * 10**4.  Below 2**14 the sweep is never the slower, and its arrays
-# stay within 128 KiB.
+# 7), a sweep costs about 5 ns * p * deg and the splitting 0.06 to
+# 0.3 ms * deg; at p = 16381 that is 0.7 against 0.7 to 1.2 ms at degree 8
+# and 7.5 against 20 to 28 ms at degree 92, and the two cross between
+# p = 1.6 * 10**4 and 6.6 * 10**4 (65537, at degree 92).  Below 2**14 the
+# sweep is never the slower, and its arrays stay within 128 KiB.
 _SWEEP_PRIMES = 1 << 14
 
 
@@ -425,11 +369,10 @@ def _roots_by_splitting(f: list[int], p: int, rng: random.Random) -> list[int]:
     """Distinct roots of the monic f in GF(p), ascending, in time polynomial
     in deg f and log p; nothing is sized by p.
 
-    Above degree two their product is gcd(f, x^p - x); Cantor-Zassenhaus
-    splits it with gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down
-    to factors of degree two, which the quadratic formula finishes.
+    Their product is gcd(f, x^p - x); Cantor-Zassenhaus splits it with
+    gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down to linear factors.
     """
-    if len(f) > 3:
+    if len(f) > 2:
         xp = _poly_powmod(0, p, f, p) + [0, 0]
         xp[1] -= 1
         f = _poly_gcd(f, _poly_trim([c % p for c in xp]), p)
@@ -437,8 +380,8 @@ def _roots_by_splitting(f: list[int], p: int, rng: random.Random) -> list[int]:
     roots = []
     while pending:
         g = pending.pop()
-        if len(g) <= 3:
-            roots += _small_roots(g, p)
+        if len(g) < 3:  # linear, or 1 when f has no root
+            roots += [-g[0] % p] if len(g) == 2 else []
             continue
         while True:
             w = _poly_powmod(rng.randrange(p), (p - 1) // 2, g, p) or [0]
@@ -681,8 +624,7 @@ def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
 def _unity_powers(e: int, p: int) -> np.ndarray:
     """[1, z, ..., z^(e-1)] mod p for the first z = c^((p-1)/e), c = 2, 3, ...,
     of order exactly e; p is a prime = 1 mod e, so some c is a generator."""
-    primes = [q for q in range(2, e + 1)
-              if e % q == 0 and all(q % r for r in range(2, q))]
+    primes = factorize(e)
     z = next(z for z in (pow(c, (p - 1) // e, p) for c in range(2, p))
              if all(pow(z, e // q, p) != 1 for q in primes))
     powers = [1]

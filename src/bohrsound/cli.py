@@ -44,17 +44,16 @@ from .amalgam import (
     regular_pullback_length,
     word_equal,
 )
-from .characters import character_table, check_table_order, equalizer_witness
+from .characters import character_table, equalizer_witness
 from .descriptors import (
     amalgam_from_descriptor,
     check_schema,
-    descriptor_order,
-    group_from_descriptor,
     hom_from_descriptor,
     int_rows,
     lie_datum_from_descriptor,
     parse_word,
     require_field,
+    table_group_from_descriptor,
     target_from_descriptor,
 )
 from .errors import BohrsoundError, SchemaError
@@ -162,8 +161,8 @@ def run_equalizer(args) -> int:
     check_schema(spec, "spec")
     if require_field(spec, "kind", str, "spec") != "subgroup-embedding":
         raise SchemaError("spec: expected kind 'subgroup-embedding'")
-    subgroup = group_from_descriptor(require_field(spec, "subgroup", dict, "spec"),
-                                     "spec.subgroup")
+    subgroup = table_group_from_descriptor(
+        require_field(spec, "subgroup", dict, "spec"), "spec.subgroup")
     emb = hom_from_descriptor(subgroup, {
         "group": require_field(spec, "ambient", dict, "spec"),
         "mapping": require_field(spec, "mapping", list, "spec"),
@@ -205,20 +204,11 @@ def run_clifford(args) -> int:
     return 0
 
 
-def _table_group(descriptor, where: str = "group"):
-    """The group a table is asked for, refused by the order its descriptor
-    gives, where it gives one, before the group is built."""
-    order = descriptor_order(descriptor)
-    if order is not None:
-        check_table_order(order)
-    return group_from_descriptor(descriptor, where)
-
-
 def run_chartable(args) -> int:
     descriptor = load_json(args.group, "group")
     if not isinstance(descriptor, dict):
         raise SchemaError("group: expected a JSON object")
-    group = _table_group(descriptor)
+    group = table_group_from_descriptor(descriptor)
     table = _table_provider(args)(group, prime=args.prime)
     payload = table.serialize()
     lines = [f"group: {group.name} (order {group.order})",
@@ -392,7 +382,7 @@ def run_liecheck(args) -> int:
 
 def run_cache(args) -> int:
     if args.cache_command == "warm":
-        groups = [_table_group(load_json(g, f"group[{i}]"))
+        groups = [table_group_from_descriptor(load_json(g, f"group[{i}]"))
                   for i, g in enumerate(args.group)]
         paths = cache.warm(groups)
         emit({"written": paths}, args.format,

@@ -14,6 +14,7 @@ CHARTABLE_MAX_ORDER = 1024
 PRIME_SEARCH_LIMIT = 1 << 31
 
 HEISENBERG_MAX_LEVEL = 4
+SYMMETRIC_MAX_N = 6
 
 # builders refuse larger groups before allocating their O(n^2) table, and
 # LieDatum a larger gluing subgroup D before enumerating it;

@@ -7,7 +7,10 @@ labels; mathematical validation stays in the constructors it calls.
 
 from __future__ import annotations
 
+from math import factorial
+
 from . import config
+from .characters import check_table_order
 from .errors import SchemaError
 from .amalgam import (
     AmalgamSpec,
@@ -106,18 +109,38 @@ def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
 
 
 def descriptor_order(d) -> int | None:
-    """The order of the group a cyclic or heisenberg descriptor names, read
-    off its parameters without building the group; None for every other
-    descriptor, and for a level the heisenberg builder refuses anyway."""
+    """The order of the group a descriptor names, read off its parameters
+    without building the group: n for cyclic, n! for symmetric, 8^level for
+    heisenberg, the row count for table, and the product of the parts'
+    orders for semidirect.  None where a parameter is malformed or out of
+    the builder's range, which the builder refuses anyway."""
     if not isinstance(d, dict):
         return None
-    n, level = d.get("n"), d.get("level")
-    if d.get("kind") == "cyclic" and isinstance(n, int):
+    kind, n, level = d.get("kind"), d.get("n"), d.get("level")
+    if kind == "cyclic" and isinstance(n, int) and n >= 1:
         return n
-    if (d.get("kind") == "heisenberg" and isinstance(level, int)
+    if kind == "symmetric" and isinstance(n, int) and 1 <= n <= config.SYMMETRIC_MAX_N:
+        return factorial(n)
+    if (kind == "heisenberg" and isinstance(level, int)
             and 1 <= level <= config.HEISENBERG_MAX_LEVEL):
         return 8 ** level
+    if kind == "table" and isinstance(d.get("table"), list):
+        return len(d["table"])
+    if kind == "semidirect":
+        parts = [descriptor_order(d.get(key)) for key in ("normal", "acting")]
+        if None not in parts:
+            return parts[0] * parts[1]
     return None
+
+
+def table_group_from_descriptor(d, where: str = "group") -> FiniteGroup:
+    """group_from_descriptor for a group whose character table is wanted:
+    SizeLimit past CHARTABLE_MAX_ORDER, by the order the descriptor gives
+    where it gives one, before the group is built."""
+    order = descriptor_order(d)
+    if order is not None:
+        check_table_order(order)
+    return group_from_descriptor(d, where)
 
 
 def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:
@@ -133,9 +156,11 @@ def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:
 
 def hom_from_descriptor(source: FiniteGroup, d: dict,
                         where: str = "embedding") -> GroupHom:
-    """{"group": <descriptor>, "mapping": [element tokens]} -> GroupHom."""
-    target = group_from_descriptor(require_field(d, "group", dict, where),
-                                   f"{where}.group")
+    """{"group": <descriptor>, "mapping": [element tokens]} -> GroupHom.  Every
+    caller computes the target's table, so it is built by
+    table_group_from_descriptor."""
+    target = table_group_from_descriptor(require_field(d, "group", dict, where),
+                                         f"{where}.group")
     mapping = require_field(d, "mapping", list, where)
     resolved = [resolve_element(target, tok, f"{where}.mapping[{i}]")
                 for i, tok in enumerate(mapping)]

@@ -385,8 +385,8 @@ def _permutation_group(n: int, even: bool) -> FiniteGroup:
     """S_n, or A_n if even, on the permutations of range(n) in lexicographic
     order.  p q is the composition k -> p[q[k]]; every product is ranked at
     once by its base-n code, through a lookup array indexed by the codes."""
-    if not 1 <= n <= 6:
-        raise SizeLimit("symmetric(n) supports 1 <= n <= 6")
+    if not 1 <= n <= config.SYMMETRIC_MAX_N:
+        raise SizeLimit(f"symmetric(n) supports 1 <= n <= {config.SYMMETRIC_MAX_N}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     if even:
         i, j = np.triu_indices(n, 1)
@@ -522,6 +522,20 @@ def heisenberg(level: int) -> FiniteGroup:
 # -- abelian invariants and torus points ---------------------------------------
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for the positive integer n, by trial division."""
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteAbelian:
     """Finite abelian group by invariant factors d_1 | d_2 | ... (each > 1)."""
@@ -551,29 +565,11 @@ class FiniteAbelian:
 
     def p_partition(self, p: int) -> tuple[int, ...]:
         """Exponent partition of the p-primary part, largest first."""
-        parts = []
-        for d in self.invariant_factors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                parts.append(e)
-        return tuple(sorted(parts, reverse=True))
+        return tuple(sorted((e for d in self.invariant_factors
+                             if (e := factorize(d).get(p))), reverse=True))
 
     def primes(self) -> tuple[int, ...]:
-        out = set()
-        for d in self.invariant_factors:
-            x, f = d, 2
-            while f * f <= x:
-                if x % f == 0:
-                    out.add(f)
-                    while x % f == 0:
-                        x //= f
-                f += 1
-            if x > 1:
-                out.add(x)
-        return tuple(sorted(out))
+        return tuple(sorted({q for d in self.invariant_factors for q in factorize(d)}))
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -586,17 +582,8 @@ def abelian_from_orders(orders) -> FiniteAbelian:
     orders = [int(d) for d in orders if int(d) > 1]
     primary: dict[int, list[int]] = {}
     for d in orders:
-        x, f = d, 2
-        while f * f <= x:
-            e = 0
-            while x % f == 0:
-                x //= f
-                e += 1
-            if e:
-                primary.setdefault(f, []).append(e)
-            f += 1
-        if x > 1:
-            primary.setdefault(x, []).append(1)
+        for q, e in factorize(d).items():
+            primary.setdefault(q, []).append(e)
     if not primary:
         return FiniteAbelian(())
     depth = max(len(v) for v in primary.values())

@@ -20,6 +20,7 @@ from .descriptors import (
     int_rows,
     optional_field,
     require_field,
+    table_group_from_descriptor,
 )
 from .errors import InvariantViolation, SchemaError
 from .zmat import MatrixGroupResult, torus_soundness
@@ -97,9 +98,10 @@ def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
 
 
 def build_normal_family(d: dict, where: str):
-    """The kernel group and the embeddings a normal-family descriptor names."""
-    kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
-                                   f"{where}.kernel")
+    """The kernel group and the embeddings a normal-family descriptor names;
+    every group is refused past CHARTABLE_MAX_ORDER before it is built."""
+    kernel = table_group_from_descriptor(require_field(d, "kernel", dict, where),
+                                         f"{where}.kernel")
     embs = []
     for i, entry in enumerate(require_field(d, "embeddings", list, where)):
         embs.append(hom_from_descriptor(kernel, entry,

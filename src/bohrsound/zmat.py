@@ -42,7 +42,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, FactorNotFinite, NotUnimodular, SizeLimit
-from .groups import FiniteAbelian, abelian_from_orders
+from .groups import FiniteAbelian, abelian_from_orders, factorize
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -170,23 +170,12 @@ def snf_diagonal(a: IntMatrix) -> tuple[int, ...]:
 # -- Minkowski bound and finiteness ----------------------------------------------
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = [True] * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = False
-    return out
-
-
 def minkowski_bound(k: int) -> int:
     """M(k): every finite subgroup of GL(k, Z) has order dividing M(k)."""
     if not 1 <= k <= config.MINKOWSKI_MAX_RANK:
         raise SizeLimit(f"rank must be in 1..{config.MINKOWSKI_MAX_RANK}")
     out = 1
-    for p in _primes_upto(k + 1):
+    for p in [q for q in range(2, k + 2) if factorize(q) == {q: 1}]:  # primes
         e = 0
         pk = 1  # p^i
         while k // (pk * (p - 1)):

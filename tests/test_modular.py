@@ -25,10 +25,11 @@ from bohrsound.characters import (
     _charpoly_mod,
     _charpoly_numpy,
     _charpoly_small,
-    _convolve_mod,
     _eigenspaces,
     _matmul_mod,
+    _poly_divmod,
     _poly_monic,
+    _poly_powmod,
     _roots_by_splitting,
     _roots_by_sweep,
     _roots_mod,
@@ -85,15 +86,6 @@ class TestMatmulMod:
         got = _matmul_mod(a, b, p)
         for i, j in [(0, 0), (5, 77), (127, 127), (64, 3)]:
             assert got[i, j] == sum(int(a[i, t]) * int(b[t, j]) for t in range(128)) % p
-
-    def test_convolution(self):
-        rng = np.random.default_rng(7)
-        for p in (P31, 13):
-            a = rng.integers(0, p, 40)
-            b = rng.integers(0, p, 25)
-            want = [sum(int(a[i]) * int(b[t - i]) for i in range(40) if 0 <= t - i < 25) % p
-                    for t in range(64)]
-            assert _convolve_mod(a, b, p).tolist() == want
 
 
 class TestCharpoly:
@@ -172,6 +164,56 @@ class TestRoots:
 def _times(f, g, p):
     return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % p
             for k in range(len(f) + len(g) - 1)]
+
+
+def _powmod_oracle(shift, e, f, p):
+    """(x + shift)**e mod f, right to left, each product reduced by _poly_divmod."""
+    out, base = [1], [shift % p, 1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_times(out, base, p), f, p)[1]
+        base = _poly_divmod(_times(base, base, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+class _Bounded(random.Random):
+    """A generator that fails the test, instead of hanging it, once the
+    splitting has drawn more shifts than a terminating run ever needs."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        assert self.draws < 200, "the splitting does not terminate"
+        return super().randrange(*args)
+
+
+class TestPolyPowmod:
+    """The packed powers that drive the splitting, against plain reduction."""
+
+    @pytest.mark.parametrize("p", [16411, 4084081, P31])
+    @pytest.mark.parametrize("k", [2, 15, 16, 17, 40, 92])
+    def test_against_repeated_reduction(self, p, k):
+        rng = random.Random(k * p)
+        f = [rng.randrange(p) for _ in range(k)] + [1]
+        for e in (p, (p - 1) // 2):
+            for shift in (0, rng.randrange(p)):
+                assert _poly_powmod(shift, e, f, p) == _powmod_oracle(shift, e, f, p)
+
+    def test_quadratics_at_largest_prime(self):
+        # the splitting ends on linear factors, so a quadratic must split or vanish
+        p = P31
+        rng = random.Random(14)
+        r, s = rng.sample(range(p), 2)
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        for f, want in [([-c % p, 0, 1], []),
+                        ([-r * r % p, 0, 1], sorted([r, p - r])),
+                        ([0, 0, 1], [0]),
+                        (_from_roots([r, r], p), [r]),
+                        (_from_roots([r, s], p), sorted([r, s]))]:
+            for seed in range(4):
+                assert _roots_by_splitting(f, p, _Bounded(seed)) == want
 
 
 # the canonical primes of S5, Z8xS4, D128 and H8; primes on either side of

@@ -65,6 +65,25 @@ class TestGroupDescriptors:
             {"kind": "table", "table": [[0, 1], [1, 0]], "labels": ["e", "t"]})
         assert g.order == 2 and g.labels == ("e", "t")
 
+    @pytest.mark.parametrize("d, order", [
+        ({"kind": "cyclic", "n": 12}, 12),
+        ({"kind": "symmetric", "n": 6}, 720),
+        ({"kind": "heisenberg", "level": 2}, 64),
+        ({"kind": "table", "table": [[0, 1], [1, 0]]}, 2),
+        ({"kind": "semidirect", "normal": {"kind": "symmetric", "n": 5},
+          "acting": {"kind": "cyclic", "n": 3}, "action": [list(range(120))] * 3},
+         360),
+        ({"kind": "symmetric", "n": 10**9}, None),
+        ({"kind": "heisenberg", "level": 9}, None),
+        ({"kind": "cyclic", "n": 0}, None),
+        ({"kind": "semidirect", "normal": {"kind": "cyclic", "n": 5}}, None),
+        ([], None),
+    ])
+    def test_descriptor_order(self, d, order):
+        assert descriptors.descriptor_order(d) == order
+        if order is not None:
+            assert group_from_descriptor(d).order == order
+
     def test_semidirect_matches_dihedral(self):
         d = {
             "kind": "semidirect",
@@ -441,6 +460,13 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("builder, group", [
         ("heisenberg", '{"kind":"heisenberg","level":4}'),
         ("cyclic", '{"kind":"cyclic","n":4096}'),
+        pytest.param("cyclic", json.dumps({  # Z2048 x| Z2, inversion: 4096
+            "kind": "semidirect", "normal": {"kind": "cyclic", "n": 2048},
+            "acting": {"kind": "cyclic", "n": 2},
+            "action": [list(range(2048)), [-x % 2048 for x in range(2048)]]}),
+            id="semidirect"),
+        pytest.param("group_from_table",  # the row count is the order
+                     json.dumps({"kind": "table", "table": [[0]] * 1025}), id="table"),
     ])
     @pytest.mark.parametrize("command", [
         ("chartable", "--group"),
@@ -449,12 +475,38 @@ class TestCliExitCodes:
     def test_table_order_refused_before_building(self, cli, monkeypatch,
                                                  tmp_path, builder, group,
                                                  command):
-        # the descriptor gives the order, 4096 > CHARTABLE_MAX_ORDER
+        # the descriptor gives an order past CHARTABLE_MAX_ORDER = 1024
         built = []
         real = getattr(groups, builder)
         monkeypatch.setattr(descriptors, builder,
                             lambda n, **kw: built.append(n) or real(n, **kw))
         code, out, err = cli(*command, group)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SizeLimit:")
+        assert err.count("\n") == 1
+        assert built == []
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["equalizer", "clifford", "soundness"])
+    @pytest.mark.parametrize("where", ["ambient", "kernel"])
+    def test_member_order_refused_before_building(self, cli, monkeypatch,
+                                                  tmp_path, command, where):
+        # a heisenberg level-4 ambient group, member or subgroup: 4096 elements
+        built = []
+        monkeypatch.setattr(descriptors, "heisenberg",
+                            lambda n: built.append(n) or groups.heisenberg(n))
+        big, small = {"kind": "heisenberg", "level": 4}, {"kind": "cyclic", "n": 2}
+        if where == "kernel":
+            big, small = small, big
+        mapping = ["(0,0,0)", "(0,0,1)"]
+        if command == "equalizer":
+            spec = {"kind": "subgroup-embedding", "subgroup": small,
+                    "ambient": big, "mapping": mapping}
+        else:
+            spec = {"kind": "finite-normal-family", "kernel": small,
+                    "embeddings": [{"group": big, "mapping": mapping}]}
+        option = "--request" if command == "soundness" else "--spec"
+        code, out, err = cli(command, option, json.dumps({"schema": 1, **spec}))
         assert (code, out) == (1, "")
         assert err.startswith("error: SizeLimit:")
         assert err.count("\n") == 1
