@@ -245,6 +245,8 @@ class MatrixTarget:
         self.modulus = modulus
         self.maps = [[self._reduce(mat(m)) for m in factor_maps]
                      for factor_maps in maps]
+        if any(len(m) != dim or len(m[0]) != dim for f in self.maps for m in f):
+            raise DimensionMismatch(f"target matrices must be {dim} x {dim}")
 
     def _reduce(self, m):
         if self.modulus is None:
@@ -298,7 +300,7 @@ def eval_hom(spec: AmalgamSpec, word, target):
     """
     letters = spec.check_word(word)
     for i, fac in enumerate(spec.factors):
-        if len(target.maps[i]) != fac.order:
+        if len(target.maps) <= i or len(target.maps[i]) != fac.order:
             raise SourceMismatch(f"target map {i} does not cover factor {i}")
     for hx in range(spec.h.order):
         base = target.image(0, int(spec.injections[0](hx)))

@@ -6,15 +6,15 @@ against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation, 2 when only an unknown-prefix verdict
 is possible, 1 for input errors and for a reader that closed stdout early.
 
-Every command that needs character tables (`soundness`, `clifford`,
-`equalizer`, `chartable`) gets them from the disk cache,
-cache.cached_character_table, and under `--no-cache` from
-characters.character_table, which reads and writes nothing.  Output is the
-same either way.
-
-`main` parses with one argument parser per process: `build_parser` builds
-it on the first call and returns the same parser after that.  argparse
-makes a fresh namespace on every parse, so no call sees another's values.
+The surface is one table, COMMANDS: a row per command path, with its help
+text, its handler and its arguments; a row with no handler is a group of
+subcommands.  `build_parser` walks it in one loop, adds `--format` to every
+leaf and `--no-cache` to the leaves that read character tables (`soundness`,
+`clifford`, `equalizer`, `chartable`).  Those get their tables from the disk
+cache, cache.cached_character_table, and under `--no-cache` from
+characters.character_table, which reads and writes nothing; output is the
+same either way.  The parser is built on `main`'s first call and reused:
+argparse makes a fresh namespace on every parse.
 
 JSON output is pinned by the golden certificates to the bytes of
 `json.dumps(payload, indent=2, sort_keys=True)`.  With an indent the stdlib
@@ -30,9 +30,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 from . import cache, config
 from .amalgam import (
@@ -56,7 +56,7 @@ from .descriptors import (
     table_group_from_descriptor,
     target_from_descriptor,
 )
-from .errors import BohrsoundError, SchemaError
+from .errors import BohrsoundError, SchemaError, SizeLimit
 from .lie import compactness_conditions
 from .soundness import (
     build_normal_family,
@@ -75,24 +75,28 @@ def fixture_path(name: str):
 
 def load_json(value: str, where: str = "input") -> dict | list:
     """File path, bundled fixture name, or inline JSON text."""
-    text = None
-    stripped = value.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        text = stripped
-    else:
+    text = value.strip()
+    if not text.startswith(("{", "[")):
         try:
-            with open(value, encoding="utf-8") as fh:
+            with open(value, "rb") as fh:  # bytes: not UTF-8 is invalid JSON
                 text = fh.read()
         except OSError:
-            bundled = fixture_path(value)
-            if bundled.is_file():
-                text = bundled.read_text(encoding="utf-8")
-            else:
-                raise SchemaError(f"{where}: no such file or fixture: {value}")
+            try:  # a name too long for a path is an OSError here too
+                text = fixture_path(value).read_bytes()
+            except OSError:
+                raise SchemaError(f"{where}: no such file or fixture: {value}") from None
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting past the stack
         raise SchemaError(f"{where}: invalid JSON ({exc})") from None
+
+
+def load_object(value: str, where: str) -> dict:
+    """load_json for an argument that must hold a JSON object."""
+    data = load_json(value, where)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    return data
 
 
 def pinned_json(value, pad: str = "\n") -> str:
@@ -125,12 +129,7 @@ def emit(payload: dict, fmt: str, lines) -> None:
             print(line)
 
 
-def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
-        else str(q.numerator)
-
-
-# -- subcommand handlers -----------------------------------------------------------
+# -- subcommand handlers: one per leaf command -------------------------------------
 
 
 def _table_provider(args):
@@ -139,10 +138,8 @@ def _table_provider(args):
 
 
 def run_soundness(args) -> int:
-    request = load_json(args.request, "request")
-    if not isinstance(request, dict):
-        raise SchemaError("request: expected a JSON object")
-    verdict = soundness_verdict(request, seed=args.seed, samples=args.samples,
+    verdict = soundness_verdict(load_object(args.request, "request"),
+                                seed=args.seed, samples=args.samples,
                                 table=_table_provider(args))
     lines = []
     if args.format == "text":  # the certificate is large; render it once
@@ -155,9 +152,7 @@ def run_soundness(args) -> int:
 
 
 def run_equalizer(args) -> int:
-    spec = load_json(args.spec, "spec")
-    if not isinstance(spec, dict):
-        raise SchemaError("spec: expected a JSON object")
+    spec = load_object(args.spec, "spec")
     check_schema(spec, "spec")
     if require_field(spec, "kind", str, "spec") != "subgroup-embedding":
         raise SchemaError("spec: expected kind 'subgroup-embedding'")
@@ -188,9 +183,7 @@ def run_equalizer(args) -> int:
 
 
 def run_clifford(args) -> int:
-    spec = load_json(args.spec, "spec")
-    if not isinstance(spec, dict):
-        raise SchemaError("spec: expected a JSON object")
+    spec = load_object(args.spec, "spec")
     check_schema(spec, "spec")
     payload = clifford_certificate(*build_normal_family(spec, "spec"),
                                    _table_provider(args))
@@ -205,121 +198,105 @@ def run_clifford(args) -> int:
 
 
 def run_chartable(args) -> int:
-    descriptor = load_json(args.group, "group")
-    if not isinstance(descriptor, dict):
-        raise SchemaError("group: expected a JSON object")
-    group = table_group_from_descriptor(descriptor)
+    group = table_group_from_descriptor(load_object(args.group, "group"))
     table = _table_provider(args)(group, prime=args.prime)
-    payload = table.serialize()
     lines = [f"group: {group.name} (order {group.order})",
              f"prime: {table.prime}",
              f"classes: {table.n_classes}",
              f"degrees: {list(table.degrees)}"]
-    emit(payload, args.format, lines)
+    emit(table.serialize(), args.format, lines)
     return 0
 
 
-def run_zmat(args) -> int:
-    if args.zmat_command == "finiteness":
-        gens = [int_rows(g, f"gens[{i}]")
-                for i, g in enumerate(_gen_list(args.gens))]
-        result = generated_group(gens)
-        payload = serialize_matrix_group(result)
-        lines = [str(result)]
-        emit(payload, args.format, lines)
-        return 0
-    if args.zmat_command == "orbit":
-        gens = [int_rows(g, f"gens[{i}]")
-                for i, g in enumerate(_gen_list(args.gens))]
-        vector = load_json(args.vector, "vector")
-        if not isinstance(vector, list) or \
-                not all(isinstance(x, int) for x in vector):
-            raise SchemaError("vector: expected an array of integers")
-        orbit = char_orbit(tuple(vector), gens, cap=args.cap)
-        payload = {"finite": orbit.finite}
-        if orbit.finite:
-            payload["size"] = orbit.size
-            lines = [f"finite orbit of size {orbit.size}"]
-        else:
-            payload["cap"] = orbit.cap
-            lines = [f"orbit exceeds cap {orbit.cap}"]
-        emit(payload, args.format, lines)
-        return 0
-    if args.zmat_command == "fixed":
-        matrix = int_rows(load_json(args.matrix, "matrix"), "matrix")
-        fs = fixed_subgroup_structure(matrix)
-        payload = {
-            "circle_rank": fs.circle_rank,
-            "torsion": list(fs.torsion.invariant_factors),
-            "finite_order": fs.finite_order,
-            "structure": str(fs),
-        }
-        emit(payload, args.format, [f"fixed points: {fs}"])
-        return 0
-    raise SchemaError(f"unknown zmat subcommand {args.zmat_command!r}")
-
-
-def _gen_list(value: str) -> list:
+def _gens(value: str) -> list:
     gens = load_json(value, "gens")
     if not isinstance(gens, list) or not gens:
         raise SchemaError("gens: expected a nonempty array of matrices")
-    return gens
+    return [int_rows(g, f"gens[{i}]") for i, g in enumerate(gens)]
 
 
-def _length_functions(spec, flavor: str):
-    if flavor == "discrete":
-        return [discrete_length(f) for f in spec.factors]
-    if flavor == "regular":
-        return [regular_pullback_length(f) for f in spec.factors]
-    raise SchemaError(f"unknown length flavor {flavor!r}")
+def run_zmat_finiteness(args) -> int:
+    result = generated_group(_gens(args.gens))
+    emit(serialize_matrix_group(result), args.format, [str(result)])
+    return 0
 
 
-def run_amalgam(args) -> int:
+def run_zmat_orbit(args) -> int:
+    gens = _gens(args.gens)
+    vector = load_json(args.vector, "vector")
+    if not isinstance(vector, list) or \
+            not all(isinstance(x, int) for x in vector):
+        raise SchemaError("vector: expected an array of integers")
+    orbit = char_orbit(tuple(vector), gens, cap=args.cap)
+    if orbit.finite:
+        emit({"finite": True, "size": orbit.size}, args.format,
+             [f"finite orbit of size {orbit.size}"])
+    else:
+        emit({"finite": False, "cap": orbit.cap}, args.format,
+             [f"orbit exceeds cap {orbit.cap}"])
+    return 0
+
+
+def run_zmat_fixed(args) -> int:
+    fs = fixed_subgroup_structure(int_rows(load_json(args.matrix, "matrix"),
+                                           "matrix"))
+    payload = {
+        "circle_rank": fs.circle_rank,
+        "torsion": list(fs.torsion.invariant_factors),
+        "finite_order": fs.finite_order,
+        "structure": str(fs),
+    }
+    emit(payload, args.format, [f"fixed points: {fs}"])
+    return 0
+
+
+def run_amalgam_nf(args) -> int:
     spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
-    if args.amalgam_command == "nf":
-        word = parse_word(spec, args.word)
-        nf = normal_form(spec, word)
-        if nf.is_identity:
-            payload = {"identity": True, "letters": []}
-            lines = ["identity"]
-        else:
-            letters = [(i, spec.factors[i].labels[x])
-                       for i, x in nf.as_word(spec)]
-            payload = {"identity": False,
-                       "letters": [[i, label] for i, label in letters]}
-            lines = [" ".join(f"{i}:{label}" for i, label in letters)]
-        emit(payload, args.format, lines)
+    nf = normal_form(spec, parse_word(spec, args.word))
+    if nf.is_identity:
+        emit({"identity": True, "letters": []}, args.format, ["identity"])
         return 0
-    if args.amalgam_command == "eq":
-        w1 = parse_word(spec, args.word)
-        w2 = parse_word(spec, args.word2)
-        equal = word_equal(spec, w1, w2)
-        emit({"equal": equal}, args.format,
-             ["equal" if equal else "distinct"])
-        return 0
-    if args.amalgam_command == "dist":
-        if spec.h.order != 1:
-            raise SchemaError("dist requires a trivial amalgamated subgroup")
-        lengths = _length_functions(spec, args.lengths)
-        w1 = parse_word(spec, args.word)
-        if args.word2 is None:
-            value = coproduct_pseudometric(spec, lengths, w1)
-        else:
-            value = pseudometric_distance(spec, lengths, w1,
-                                          parse_word(spec, args.word2))
-        payload = {"distance": {"num": value.numerator,
-                                "den": value.denominator}}
-        emit(payload, args.format, [frac_str(value)])
-        return 0
-    if args.amalgam_command == "eval":
-        target = target_from_descriptor(spec, load_json(args.targets,
-                                                        "targets"))
-        word = parse_word(spec, args.word)
-        value = eval_hom(spec, word, target)
-        payload, lines = _serialize_target_value(target, value)
-        emit(payload, args.format, lines)
-        return 0
-    raise SchemaError(f"unknown amalgam subcommand {args.amalgam_command!r}")
+    letters = [(i, spec.factors[i].labels[x]) for i, x in nf.as_word(spec)]
+    emit({"identity": False, "letters": [[i, label] for i, label in letters]},
+         args.format, [" ".join(f"{i}:{label}" for i, label in letters)])
+    return 0
+
+
+def run_amalgam_eq(args) -> int:
+    spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
+    equal = word_equal(spec, parse_word(spec, args.word),
+                       parse_word(spec, args.word2))
+    emit({"equal": equal}, args.format, ["equal" if equal else "distinct"])
+    return 0
+
+
+LENGTH_FLAVORS = {"discrete": discrete_length,
+                  "regular": regular_pullback_length}
+
+
+def run_amalgam_dist(args) -> int:
+    spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
+    if spec.h.order != 1:
+        raise SchemaError("dist requires a trivial amalgamated subgroup")
+    lengths = [LENGTH_FLAVORS[args.lengths](f) for f in spec.factors]
+    w1 = parse_word(spec, args.word)
+    if args.word2 is None:
+        value = coproduct_pseudometric(spec, lengths, w1)
+    else:
+        value = pseudometric_distance(spec, lengths, w1,
+                                      parse_word(spec, args.word2))
+    emit({"distance": {"num": value.numerator, "den": value.denominator}},
+         args.format, [str(value)])
+    return 0
+
+
+def run_amalgam_eval(args) -> int:
+    spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
+    target = target_from_descriptor(spec, load_json(args.targets, "targets"))
+    value = eval_hom(spec, parse_word(spec, args.word), target)
+    payload, lines = _serialize_target_value(target, value)
+    emit(payload, args.format, lines)
+    return 0
 
 
 def _serialize_target_value(target, value):
@@ -333,7 +310,7 @@ def _serialize_target_value(target, value):
     coords = [[c.numerator, c.denominator] for c in point.coords]
     rows = [list(r) for r in matrix]
     return ({"torus": coords, "matrix": rows},
-            [f"torus: {[frac_str(c) for c in point.coords]}",
+            [f"torus: {[str(c) for c in point.coords]}",
              f"matrix: {rows}"])
 
 
@@ -380,152 +357,118 @@ def run_liecheck(args) -> int:
     return 0
 
 
-def run_cache(args) -> int:
-    if args.cache_command == "warm":
-        groups = [table_group_from_descriptor(load_json(g, f"group[{i}]"))
-                  for i, g in enumerate(args.group)]
-        paths = cache.warm(groups)
-        emit({"written": paths}, args.format,
-             [f"wrote {p}" for p in paths])
-        return 0
-    if args.cache_command == "clear":
-        removed = cache.clear()
-        emit({"removed": removed}, args.format,
-             [f"removed {removed} entries"])
-        return 0
-    if args.cache_command == "inspect":
-        rows = cache.inspect()
-        lines = [f"cache dir: {config.cache_dir()} ({len(rows)} entries)"]
-        lines += [f"{r['group_digest'][:16]}  order {r['order']}"
-                  f"  prime {r['prime']}  classes {r['classes']}"
-                  for r in rows]
-        emit({"dir": config.cache_dir(), "entries": rows}, args.format, lines)
-        return 0
-    raise SchemaError(f"unknown cache subcommand {args.cache_command!r}")
+def run_cache_warm(args) -> int:
+    groups = [table_group_from_descriptor(load_json(g, f"group[{i}]"))
+              for i, g in enumerate(args.group)]
+    paths = cache.warm(groups)
+    emit({"written": paths}, args.format, [f"wrote {p}" for p in paths])
+    return 0
 
 
-# -- argument parsing ---------------------------------------------------------------
+def run_cache_clear(args) -> int:
+    removed = cache.clear()
+    emit({"removed": removed}, args.format, [f"removed {removed} entries"])
+    return 0
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def run_cache_inspect(args) -> int:
+    rows = cache.inspect()
+    lines = [f"cache dir: {config.cache_dir()} ({len(rows)} entries)"]
+    lines += [f"{r['group_digest'][:16]}  order {r['order']}"
+              f"  prime {r['prime']}  classes {r['classes']}"
+              for r in rows]
+    emit({"dir": config.cache_dir(), "entries": rows}, args.format, lines)
+    return 0
 
 
-def _add_no_cache(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-cache", action="store_true",
-                   help="compute every character table; read and write no "
-                        "cache entry (the output is the same)")
+# -- the command table ---------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """A group of subcommands when `handler` is None, else a leaf command with
+    its arguments (flag -> add_argument keywords); `no_cache` if it reads tables."""
+    path: tuple[str, ...]
+    help: str | None
+    handler: Callable[[argparse.Namespace], int] | None = None
+    arguments: dict | None = None
+    no_cache: bool = False
+
+
+REQUIRED = {"required": True}
+
+COMMANDS = (
+    Command(("soundness",), "decide a family request", run_soundness,
+            {"--request": REQUIRED, "--seed": {"type": int, "default": 0},
+             "--samples": {"type": int, "default": 200}}, no_cache=True),
+    Command(("equalizer",), "split/collision witness for H <= G",
+            run_equalizer, {"--spec": REQUIRED}, no_cache=True),
+    Command(("clifford",), "restriction classes for a family", run_clifford,
+            {"--spec": REQUIRED}, no_cache=True),
+    Command(("chartable",), "character table of one group", run_chartable,
+            {"--group": REQUIRED, "--prime": {"type": int, "default": None}},
+            no_cache=True),
+    Command(("zmat",), "integer matrix group computations"),
+    Command(("zmat", "finiteness"), None, run_zmat_finiteness,
+            {"--gens": REQUIRED}),
+    Command(("zmat", "orbit"), None, run_zmat_orbit,
+            {"--vector": REQUIRED, "--gens": REQUIRED,
+             "--cap": {"type": int, "default": config.DEFAULT_ORBIT_CAP}}),
+    Command(("zmat", "fixed"), None, run_zmat_fixed, {"--matrix": REQUIRED}),
+    Command(("amalgam",), "normal forms, equality, distance, evaluation"),
+    Command(("amalgam", "nf"), None, run_amalgam_nf,
+            {"--spec": REQUIRED, "--word": REQUIRED}),
+    Command(("amalgam", "eq"), None, run_amalgam_eq,
+            {"--spec": REQUIRED, "--word": REQUIRED, "--word2": REQUIRED}),
+    Command(("amalgam", "dist"), None, run_amalgam_dist,
+            {"--spec": REQUIRED, "--word": REQUIRED, "--word2": {"default": None},
+             "--lengths": {"choices": LENGTH_FLAVORS, "default": "discrete"}}),
+    Command(("amalgam", "eval"), None, run_amalgam_eval,
+            {"--spec": REQUIRED, "--word": REQUIRED, "--targets": REQUIRED}),
+    Command(("liecheck",), "compactness conditions for a quotient presentation",
+            run_liecheck, {"--datum": REQUIRED}),
+    Command(("cache",), "character table cache management"),
+    Command(("cache", "warm"), None, run_cache_warm,
+            {"--group": {"action": "append", "required": True}}),
+    Command(("cache", "clear"), None, run_cache_clear, {}),
+    Command(("cache", "inspect"), None, run_cache_inspect, {}),
+)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call; do not mutate it."""
+    """The process's one parser, built from COMMANDS on the first call; do not
+    mutate it."""
     parser = argparse.ArgumentParser(
         prog="bohrsound",
         description="Decidable embedding criteria for amalgams of compact "
                     "groups")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("soundness", help="decide a family request")
-    p.add_argument("--request", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    _add_no_cache(p)
-    _add_format(p)
-    p.set_defaults(handler=run_soundness)
-
-    p = sub.add_parser("equalizer", help="split/collision witness for H <= G")
-    p.add_argument("--spec", required=True)
-    _add_no_cache(p)
-    _add_format(p)
-    p.set_defaults(handler=run_equalizer)
-
-    p = sub.add_parser("clifford", help="restriction classes for a family")
-    p.add_argument("--spec", required=True)
-    _add_no_cache(p)
-    _add_format(p)
-    p.set_defaults(handler=run_clifford)
-
-    p = sub.add_parser("chartable", help="character table of one group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--prime", type=int, default=None)
-    _add_no_cache(p)
-    _add_format(p)
-    p.set_defaults(handler=run_chartable)
-
-    p = sub.add_parser("zmat", help="integer matrix group computations")
-    zsub = p.add_subparsers(dest="zmat_command", required=True)
-    q = zsub.add_parser("finiteness")
-    q.add_argument("--gens", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_zmat)
-    q = zsub.add_parser("orbit")
-    q.add_argument("--vector", required=True)
-    q.add_argument("--gens", required=True)
-    q.add_argument("--cap", type=int, default=config.DEFAULT_ORBIT_CAP)
-    _add_format(q)
-    q.set_defaults(handler=run_zmat)
-    q = zsub.add_parser("fixed")
-    q.add_argument("--matrix", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_zmat)
-
-    p = sub.add_parser("amalgam", help="normal forms, equality, distance, "
-                                       "evaluation")
-    asub = p.add_subparsers(dest="amalgam_command", required=True)
-    q = asub.add_parser("nf")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--word", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_amalgam)
-    q = asub.add_parser("eq")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--word", required=True)
-    q.add_argument("--word2", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_amalgam)
-    q = asub.add_parser("dist")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--word", required=True)
-    q.add_argument("--word2", default=None)
-    q.add_argument("--lengths", choices=("discrete", "regular"),
-                   default="discrete")
-    _add_format(q)
-    q.set_defaults(handler=run_amalgam)
-    q = asub.add_parser("eval")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--word", required=True)
-    q.add_argument("--targets", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_amalgam)
-
-    p = sub.add_parser("liecheck", help="compactness conditions for a "
-                                        "quotient presentation")
-    p.add_argument("--datum", required=True)
-    _add_format(p)
-    p.set_defaults(handler=run_liecheck)
-
-    p = sub.add_parser("cache", help="character table cache management")
-    csub = p.add_subparsers(dest="cache_command", required=True)
-    q = csub.add_parser("warm")
-    q.add_argument("--group", action="append", required=True)
-    _add_format(q)
-    q.set_defaults(handler=run_cache)
-    q = csub.add_parser("clear")
-    _add_format(q)
-    q.set_defaults(handler=run_cache)
-    q = csub.add_parser("inspect")
-    _add_format(q)
-    q.set_defaults(handler=run_cache)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        # a help text also lists the command in its group's --help
+        p = groups[cmd.path[:-1]].add_parser(
+            cmd.path[-1], **({"help": cmd.help} if cmd.help else {}))
+        if cmd.handler is None:  # dest names the subcommand argparse misses
+            groups[cmd.path] = p.add_subparsers(
+                dest=f"{cmd.path[-1]}_command", required=True)
+            continue
+        for flag, keywords in cmd.arguments.items():
+            p.add_argument(flag, **keywords)
+        if cmd.no_cache:
+            p.add_argument("--no-cache", action="store_true",
+                           help="compute every character table; read and "
+                                "write no cache entry (the output is the same)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(handler=cmd.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        except RecursionError:  # semidirect and mixed-family descriptors nest
+            raise SizeLimit("descriptor nested too deeply") from None
     except BohrsoundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -215,6 +215,8 @@ def target_from_descriptor(spec: AmalgamSpec, d: dict,
     if kind == "matrix-targets":
         dim = require_field(d, "dimension", int, where)
         modulus = optional_field(d, "modulus", int, where)
+        if modulus is not None and modulus < 1:
+            raise SchemaError(f"{where}: modulus must be positive")
         maps = []
         for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
             if not isinstance(factor_maps, list):

@@ -33,7 +33,10 @@ from .errors import (
 
 
 def _as_table(table) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int32)
+    try:
+        arr = np.asarray(table, dtype=np.int32)
+    except OverflowError:  # an entry past int32 is out of range at any order
+        raise NotASubgroup("table entries out of range") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotASubgroup("multiplication table must be square")
     return arr
@@ -429,7 +432,10 @@ def validate_action(normal: FiniteGroup, acting: FiniteGroup, action) -> np.ndar
     """
     if callable(action):
         action = [action(a) for a in range(acting.order)]
-    act = np.asarray(action, dtype=np.int32)
+    try:
+        act = np.asarray(action, dtype=np.int32)
+    except OverflowError:  # an entry past int32 is no element index
+        raise NotAnAction(None, "entries out of range") from None
     if act.shape != (acting.order, normal.order):
         raise NotAnAction(act.shape, "wrong shape")
     idx = np.arange(normal.order)
@@ -578,24 +584,16 @@ class FiniteAbelian:
 
 
 def abelian_from_orders(orders) -> FiniteAbelian:
-    """Invariant factors of a direct sum of cyclic groups of the given orders."""
-    orders = [int(d) for d in orders if int(d) > 1]
-    primary: dict[int, list[int]] = {}
-    for d in orders:
-        for q, e in factorize(d).items():
-            primary.setdefault(q, []).append(e)
-    if not primary:
-        return FiniteAbelian(())
-    depth = max(len(v) for v in primary.values())
-    factors = []
-    for i in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            exps = sorted(exps, reverse=True)
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return FiniteAbelian(tuple(sorted(factors)))
+    """Invariant factors of a direct sum of cyclic groups of the given orders.
+
+    Z/a + Z/b = Z/gcd + Z/lcm, so pairing each order with every later one
+    leaves it dividing them all: a divisibility chain, and nothing factored.
+    """
+    ds = [int(d) for d in orders if int(d) > 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = gcd(ds[i], ds[j]), lcm(ds[i], ds[j])
+    return FiniteAbelian(tuple(d for d in ds if d > 1))
 
 
 class TorusPoint:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from . import config
 from .errors import (
@@ -99,11 +99,11 @@ class SimpleType:
         return f"{self.series}{self.rank}"
 
 
-def simple_type(token: str) -> SimpleType:
-    token = token.strip()
-    if len(token) < 2 or not token[0].isalpha() or not token[1:].isdigit():
+def simple_type(token) -> SimpleType:
+    text = token.strip() if isinstance(token, str) else ""
+    if len(text) < 2 or not text[0].isalpha() or not text[1:].isdecimal():
         raise SchemaError(f"cannot parse simple type {token!r}")
-    return SimpleType(token[0].upper(), int(token[1:]))
+    return SimpleType(text[0].upper(), int(text[1:]))
 
 
 # -- the datum ----------------------------------------------------------------------------
@@ -136,6 +136,8 @@ class LieDatum:
     def __init__(self, torus_rank: int, factors, generators=()):
         if torus_rank < 0:
             raise InvalidDelta("torus rank must be nonnegative")
+        if torus_rank > config.MINKOWSKI_MAX_RANK:  # as for GL(k, Z) in zmat
+            raise SizeLimit(f"torus rank must be at most {config.MINKOWSKI_MAX_RANK}")
         self.torus_rank = torus_rank
         self.factors = tuple(factors)
         self.block_widths = tuple(len(f.center_orders) for f in self.factors)
@@ -224,6 +226,11 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
     """
     factors = tuple(factors)
     n = len(factors)
+    # one element per equal-factor permutation and sign choice: count first
+    size = prod(factorial(factors.count(f)) for f in set(factors)) \
+        << sum(f.inversion_achievable for f in factors)
+    if size > config.GROUP_MAX_ORDER:
+        raise SizeLimit(f"{size} center automorphisms exceed {config.GROUP_MAX_ORDER}")
     ident = (tuple(range(n)), (1,) * n)
     gens = []
     for i, f in enumerate(factors):

@@ -172,6 +172,8 @@ def _split_verdict(d: dict, where: str, seed: int,
         action = int_rows(require_field(entry, "action", list, sub), sub)
         members.append((grp, action))
     samples = optional_field(d, "samples", int, where, samples)
+    if samples < 1:  # a check of no samples would certify nothing
+        raise SchemaError(f"{where}: samples must be at least 1, got {samples}")
     seed = optional_field(d, "seed", int, where, seed)
     result = split_family_verdict(kernel, members, sample_count=samples,
                                   seed=seed)

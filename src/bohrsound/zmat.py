@@ -331,6 +331,8 @@ class OrbitResult:
 
 def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult:
     """Orbit of a character-lattice vector under the generated group."""
+    if cap < 1:  # every orbit holds its vector, so it would exceed the cap
+        raise SizeLimit(f"orbit cap must be at least 1, got {cap}")
     step, k = _steps_with_inverses(gens)
     v = tuple(int(x) for x in vector)
     if len(v) != k:
@@ -434,6 +436,7 @@ class TorusSoundness:
 
 def torus_soundness(k: int, factor_gens) -> TorusSoundness:
     """A family of finite actions on T^k is sound iff the joint action is finite."""
+    minkowski_bound(k)  # SizeLimit outside 1..MINKOWSKI_MAX_RANK, before identity(k)
     factor_orders = []
     all_gens = []
     for i, gens in enumerate(factor_gens):

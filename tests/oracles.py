@@ -30,7 +30,7 @@ from bohrsound.errors import (
     SchemaError,
     SourceMismatch,
 )
-from bohrsound.groups import GroupHom, Subgroup, TorusPoint, reachable
+from bohrsound.groups import GroupHom, Subgroup, TorusPoint, factorize, reachable
 from bohrsound.lie import LieDatum, SimpleType, apply_center_auto
 from bohrsound.zmat import (
     MatrixGroupResult,
@@ -159,6 +159,24 @@ def check_orthonormal(group, chars, tol: float = 1e-6) -> bool:
             if abs(ip - (1.0 if i == j else 0.0)) > tol:
                 return False
     return True
+
+
+# -- abelian groups by primary decomposition -----------------------------------------
+
+
+def invariant_factors_by_primes(orders) -> tuple[int, ...]:
+    """Invariant factors of a direct sum of cyclic groups, through the
+    primary parts: the i-th largest power of every prime multiplies into the
+    i-th largest factor."""
+    primary: dict[int, list[int]] = {}
+    for d in orders:
+        for q, e in factorize(d).items() if d > 1 else ():
+            primary.setdefault(q, []).append(e)
+    depth = max(map(len, primary.values()), default=0)
+    factors = [math.prod(q ** sorted(es, reverse=True)[i]
+                         for q, es in primary.items() if i < len(es))
+               for i in range(depth)]
+    return tuple(sorted(factors))
 
 
 # -- abelian embedding by backtracking generator-image search ----------------------

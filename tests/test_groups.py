@@ -1,5 +1,6 @@
 """Group core: construction, validation, subgroups, actions, abelian structure."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from oracles import (
     derived_subgroup,
     group_element_order_loop,
     identity_hom,
+    invariant_factors_by_primes,
     iso_signature,
     normal_subgroups,
     preimage,
@@ -526,6 +528,19 @@ class TestFiniteAbelian:
         assert abelian_from_orders([4, 6]).invariant_factors == (2, 12)
         assert abelian_from_orders([2, 2, 3]).invariant_factors == (2, 6)
         assert abelian_from_orders([1, 1]).invariant_factors == ()
+
+    def test_from_orders_matches_primary_decomposition(self):
+        rng = random.Random(5)
+        pool = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 25, 27, 36, 49, 60, 72, 1000)
+        for _ in range(2000):
+            orders = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+            assert abelian_from_orders(orders).invariant_factors == \
+                invariant_factors_by_primes(orders)
+
+    def test_from_orders_factors_nothing(self):
+        # trial division would take 10^12 steps on this product of two primes
+        n = 1000000000039 * 1000000000061
+        assert abelian_from_orders([n, 6, n]).invariant_factors == (n, 6 * n)
 
     def test_p_partition(self):
         d = abelian_from_orders([8, 4, 2, 9, 3])

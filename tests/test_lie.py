@@ -134,6 +134,13 @@ class TestLieDatum:
         with pytest.raises(InvalidDelta):
             LieDatum(-1, [A1])
 
+    def test_torus_rank_limit(self):
+        # a rank past this once sized a tuple, and an SNF, by the rank
+        assert LieDatum(config.MINKOWSKI_MAX_RANK, [A1]).torus_rank == 8
+        for rank in (config.MINKOWSKI_MAX_RANK + 1, 2 ** 70):
+            with pytest.raises(SizeLimit):
+                LieDatum(rank, [A1])
+
     def test_gluing_order_limit(self):
         # D = Z/n, the whole center of SU(n): admitted up to GROUP_MAX_ORDER
         n = config.GROUP_MAX_ORDER
@@ -245,6 +252,12 @@ class TestAchievableAutos:
     def test_identical_factors_also_swap(self):
         autos = achievable_center_autos([SimpleType("A", 2)] * 2)
         assert len(autos) == 8
+
+    def test_closure_is_counted_before_it_is_enumerated(self):
+        # 4! permutations times 2^4 signs; 7! = 5040 is past GROUP_MAX_ORDER
+        assert len(achievable_center_autos([SimpleType("A", 2)] * 4)) == 384
+        with pytest.raises(SizeLimit):
+            achievable_center_autos([SimpleType("A", 1)] * 7)
 
     def test_d4_contributes_nothing(self):
         assert len(achievable_center_autos([SimpleType("D", 4)])) == 1

@@ -407,6 +407,16 @@ class TestBatchedClosure:
         assert fixed == char_orbit_bfs((1, 1), [SWAP], 1)
         assert fixed.finite and fixed.size == 1
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        # an orbit holds its own vector, so no orbit fits a cap below 1; the
+        # fixed zero vector once came back finite of size 1 past cap 0
+        for v in ((1, 0), (0, 0)):
+            with pytest.raises(SizeLimit):
+                char_orbit(v, [ALPHA], cap=cap)
+        with pytest.raises(SizeLimit):
+            coproduct_orbit_obstruction([(2, [ALPHA], (1, 0))], cap=cap)
+
 
 class TestElementOrder:
     def test_unipotent_rank_8_is_fast(self):
@@ -584,6 +594,12 @@ class TestTorusSoundness:
     def test_wrong_rank(self):
         with pytest.raises(DimensionMismatch):
             torus_soundness(3, [[ALPHA]])
+
+    @pytest.mark.parametrize("rank", [0, 9, 10 ** 6])
+    def test_rank_out_of_range_without_generators(self, rank):
+        # with no generator to check, the identity of rank 10^6 was built
+        with pytest.raises(SizeLimit):
+            torus_soundness(rank, [])
 
     def test_monotone_under_subfamilies(self):
         family = [[NEG], [SWAP], [((0, -1), (-1, 0))]]
