@@ -19,20 +19,28 @@ commuting matrices over GF(p) whose common eigenvectors are the central
 characters; degrees and values are recovered from orthogonality.
 
 Each refinement round splits the pending subspaces by the eigenspaces of one
-random linear combination of the class matrices, usually all of them in the
-first round.  Eigenvalues are the roots of the characteristic polynomial f.
-Below p = _SWEEP_PRIMES = 2**14 they are found as Dixon found them, by
-evaluating f at every point of GF(p), in one numpy sweep; at and above it
-as gcd(f, x^p - x), split by Cantor-Zassenhaus (Math. Comp. 36, 1981) down
-to linear factors, with every power mod f taken on big integers packed one
-coefficient per slot (Kronecker substitution).  The two routes cross
-between p = 1.6 * 10**4 and 6.6 * 10**4 (see _SWEEP_PRIMES), so the sweep's
-cost and its arrays are bounded by a constant, and no other cost or
-allocation grows with p.  Every eigenspace of a matrix comes from
-one block Krylov basis.  The random choices (round coefficients, Krylov
-blocks, splitting shifts) come from a generator seeded with the prime, so
-each computation is reproducible; the table does not depend on them, since
-rows are canonical and sorted by (degree, values).
+random linear combination A of the class matrices, usually all of them in
+the first round.  It reads everything off one table of powers of the d x d
+matrix A, by baby and giant steps (Paterson-Stockmeyer, SIAM J. Comput. 2,
+1973): A^0 .. A^s, s = isqrt(d) + 1, or fewer past 523 classes so that the
+babies stay within 48 MiB.  That is about 2 sqrt(d) products, not O(d)
+sequential numpy steps.  The power sums tr(A^k), k <= d, give the
+characteristic polynomial f by Newton's identities, exact since d <= r <=
+|G| < p/2 makes every k <= d invertible mod p.
+
+Eigenvalues are the roots of f.  Below p = _SWEEP_PRIMES = 2**14 they are
+found as Dixon found them, by evaluating f at every point of GF(p), in one
+numpy sweep; at and above it as gcd(f, x^p - x), split by Cantor-Zassenhaus
+(Math. Comp. 36, 1981) down to linear factors, with every power mod f taken
+on big integers packed one coefficient per slot (Kronecker substitution).
+The two routes cross between p = 1.6 * 10**4 and 6.6 * 10**4 (see
+_SWEEP_PRIMES), so the sweep's cost and its arrays are bounded by a
+constant, and no other cost or allocation grows with p.  Every eigenspace of
+a matrix comes from one block Krylov basis, giant steps over the babies
+times a block V.  The random choices (round coefficients, Krylov blocks,
+splitting shifts) come from a generator seeded with the prime, so each
+computation is reproducible; the table does not depend on them, since rows
+are canonical and sorted by (degree, values).
 
 Residues are int64 in [0, p).  Every sum of products of residue arrays goes
 through _matmul_mod, so all arithmetic is exact for every prime below
@@ -52,6 +60,7 @@ one; by default they look up character_table when called.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,28 +136,33 @@ def common_prime(groups) -> int:
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue arrays (entries in [0, p)), exact for every p < 2**31.
 
-    Products by a vector (or a single column), and small ones, run in int64
-    when that cannot overflow: there BLAS gains nothing over numpy's own
-    loops.  Otherwise a is cut into limbs narrow enough that every sum stays
-    below 2**53, where float64 (and BLAS) is exact; for small p one limb
-    suffices and this is a single float64 product.
+    Products by a vector (or a single column), and small ones, run in int64,
+    where BLAS gains nothing, with b in limbs that keep every sum below 2**63;
+    the others in float64, a in limbs that keep every sum below 2**53 (BLAS
+    is exact there), reduced after their exact conversion to int64.
     """
     bits = (p - 1).bit_length()
     terms = a.shape[-1]
-    if terms << (2 * bits) < 1 << 63 and (b.size == b.shape[0]
-                                         or a.size * b.shape[-1] <= 1 << 15):
-        return a @ b % p
-    width = 53 - terms.bit_length() - bits
+    if b.size == b.shape[0] or a.size * b.shape[-1] <= 1 << 15:
+        width = 63 - terms.bit_length() - bits
+        if width >= bits:
+            return a @ b % p
+
+        def limb(shift, mask):
+            return a @ (b >> shift & mask) % p
+    else:
+        width = 53 - terms.bit_length() - bits
+        fb = b.astype(np.float64)
+        if width >= bits:
+            return (a.astype(np.float64) @ fb).astype(np.int64) % p
+
+        def limb(shift, mask):
+            return ((a >> shift & mask).astype(np.float64) @ fb).astype(np.int64) % p
     if width < 1:
         raise ArithmeticError("too many terms for an exact modular product")
-    fb = b.astype(np.float64)
-    if width >= bits:
-        return (a.astype(np.float64) @ fb % p).astype(np.int64)
     out = 0
-    mask = (1 << width) - 1
     for shift in range(0, bits, width):
-        part = ((a >> shift) & mask).astype(np.float64) @ fb % p
-        out = (out + part.astype(np.int64) * pow(2, shift, p)) % p
+        out = (out + limb(shift, (1 << width) - 1) * pow(2, shift, p)) % p
     return out
 
 
@@ -175,81 +189,48 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _charpoly_mod(a: np.ndarray, p: int) -> list[int]:
-    """Monic characteristic polynomial of a over GF(p), low degree first.
-
-    Both routes reduce a to upper Hessenberg form H by similarity and expand
-    det(xI - H) along the leading blocks.  Below 16 rows Python integers
-    beat numpy's per-call overhead.
-    """
-    if a.shape[0] < 16:
-        return _charpoly_small(a.tolist(), p)
-    return _charpoly_numpy(a, p)
+# At most this many int64 words (48 MiB) of baby powers: from d = 524 on they
+# are fewer than isqrt(d) + 1; at 640 classes 15 rather than 26, 55 rather than
+# 48 products (Z128 x D4: 1.85 s, 149 MB peak RSS; Hessenberg: 1.96 s, 96 MB).
+_POWER_TABLE_WORDS = 3 << 21
 
 
-def _charpoly_numpy(a: np.ndarray, p: int) -> list[int]:
-    """_charpoly_mod with one column elimination and one polynomial update per step."""
-    h = a.astype(np.int64) % p
-    d = h.shape[0]
-    for j in range(d - 2):
-        i = j + 1 + int(h[j + 1:, j].argmax())
-        if not h[i, j]:
-            continue
-        if i != j + 1:
-            h[[j + 1, i]] = h[[i, j + 1]]
-            h[:, [j + 1, i]] = h[:, [i, j + 1]]
-        f = h[j + 2:, j] * pow(int(h[j + 1, j]), p - 2, p) % p
-        # rows j+2.. lose f times row j+1 (zero left of column j), then
-        # column j+1 gains the matching combination of columns j+2..
-        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(f, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + _matmul_mod(h[:, j + 2:], f, p)) % p
-    # det(xI - H) of the leading k x k blocks, expanding along the last
-    # column: p_k = x p_{k-1} - sum_m h[k-1-m, k-1] * runs[m] * p_{k-1-m},
-    # where runs[m] is the subdiagonal product h[k-1, k-2] ... h[k-m, k-m-1]
-    polys = np.zeros((d + 1, d + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    runs = np.ones(1, dtype=np.int64)
+def _power_table(a: np.ndarray, p: int) -> np.ndarray:
+    """a^0 .. a^s over GF(p), stacked: the baby powers a^i, i < s, and the
+    giant step a^s, with s = isqrt(d) + 1 (s**2 > d) within _POWER_TABLE_WORDS."""
+    d = a.shape[0]
+    s = max(2, min(isqrt(d) + 1, _POWER_TABLE_WORDS // (d * d)))
+    powers = np.empty((s + 1, d, d), dtype=np.int64)
+    powers[0] = np.eye(d, dtype=np.int64)
+    powers[1] = a
+    for i in range(2, s + 1):
+        powers[i] = _matmul_mod(powers[i - 1], a, p)
+    return powers
+
+
+def _charpoly_mod(powers: np.ndarray, p: int) -> list[int]:
+    """Monic characteristic polynomial of a = powers[1] (its _power_table),
+    low degree first.  tr(a^(js) a^i) for all babies a^i is one product per
+    giant power a^(js); Newton's identities, k c_k = -(tr(a^k) + c_1
+    tr(a^(k-1)) + ... + c_(k-1) tr(a)), give the coefficient c_k of x^(d-k)
+    and need every k <= d invertible: d < p."""
+    d = powers.shape[1]
+    if d >= p:
+        raise InvariantViolation(f"charpoly by power sums needs {d} rows < p = {p}")
+    s = len(powers) - 1
+    babies = powers[:s].reshape(s, d * d)
+    giant = powers[0]
+    sums = []  # sums[k] = tr(a^k); tr(G B) is G^T, raveled, dotted with B
+    while True:
+        sums += _matmul_mod(babies, giant.T.ravel(), p).tolist()
+        if len(sums) > d:
+            break
+        giant = powers[s] if len(sums) == s else _matmul_mod(giant, powers[s], p)
+    coeffs = [1]
     for k in range(1, d + 1):
-        if k > 1:
-            runs = np.concatenate(([1], h[k - 1, k - 2] * runs % p))
-        coeff = h[k - 1::-1, k - 1] * runs % p
-        polys[k, 1:k + 1] = polys[k - 1, :k]
-        polys[k, :k] = (polys[k, :k]
-                        - _matmul_mod(coeff, polys[k - 1::-1, :k], p)) % p
-    return polys[d].tolist()
-
-
-def _charpoly_small(h: list[list[int]], p: int) -> list[int]:
-    """_charpoly_mod on a list of rows (changed in place), one entry at a time."""
-    d = len(h)
-    for j in range(d - 2):
-        i = next((i for i in range(j + 1, d) if h[i][j]), None)
-        if i is None:
-            continue
-        if i != j + 1:
-            h[j + 1], h[i] = h[i], h[j + 1]
-            for row in h:
-                row[j + 1], row[i] = row[i], row[j + 1]
-        inv = pow(h[j + 1][j], p - 2, p)
-        for i in range(j + 2, d):
-            f = h[i][j] * inv % p
-            if f:
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] = (row[j + 1] + f * row[i]) % p
-    polys = [[1]]
-    runs = [1]
-    for k in range(1, d + 1):
-        if k > 1:
-            runs = [1] + [h[k - 1][k - 2] * r % p for r in runs]
-        cur = [0] + polys[k - 1]
-        for m, run in enumerate(runs):
-            c = h[k - 1 - m][k - 1] * run % p
-            if c:
-                for i, x in enumerate(polys[k - 1 - m]):
-                    cur[i] -= c * x
-        polys.append([x % p for x in cur])
-    return polys[d]
+        acc = sum(map(operator.mul, coeffs, sums[k:0:-1]))
+        coeffs.append(-acc * pow(k, p - 2, p) % p)
+    return coeffs[::-1]
 
 
 # -- polynomials over GF(p): lists of ints, low degree first, no trailing zeros --
@@ -408,7 +389,8 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
     s(a) = 0 when a is diagonalizable, so (s / (x - lam_j))(a) maps onto the
     lam_j-eigenspace.  All m images of a block V are read off one block
     Krylov basis [V, aV, ..., a^(m-1) V] times the coefficients of
-    s / (x - lam_j).  V has (largest multiplicity) columns; the first is
+    s / (x - lam_j); it and the characteristic polynomial come from one
+    _power_table of a.  V has (largest multiplicity) columns; the first is
     `start` (default e_0): every central character has a nonzero e_0
     component, and passing on the coordinates of its image keeps that true
     in the subspaces of later rounds.  The other columns are random, and so
@@ -416,12 +398,16 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
     columns in all); PrimeSearchFailure unless a diagonalizes over GF(p).
     """
     d = a.shape[0]
-    f = _charpoly_mod(a, p)
+    powers = _power_table(a, p)
+    f = _charpoly_mod(powers, p)
     roots = _roots_mod(f, p, rng)
     m = len(roots)
-    s = [1]
+    s = np.zeros(m + 1, dtype=np.int64)  # prod (x - lam_j), low degree first
+    s[0] = 1
     for lam in roots:
-        s = [(lo - lam * hi) % p for lo, hi in zip([0] + s, s + [0])]
+        s[1:] = (s[:-1] - lam * s[1:]) % p
+        s[0] = -lam * s[0] % p
+    s = s.tolist()
     mult = [1] * m
     rest = _poly_divmod(f, s, p)[0]
     for j, lam in enumerate(roots):
@@ -452,8 +438,15 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
                                     for _ in range(d)]
         if not attempt:
             krylov[0, :, 0] = start
-        for t in range(1, m):
-            krylov[t] = _matmul_mod(a, krylov[t - 1], p)
+        # a^(t + i) V = a^t (a^i V) for the baby powers a^i, i < step, and
+        # t = 0, step, 2 step, ...: one product by the giant step a^step each
+        step = len(powers) - 1
+        block = np.stack([_matmul_mod(baby, krylov[0], p) for baby in powers[:min(step, m)]])
+        krylov[:step] = block
+        for t in range(step, m, step):
+            wide = _matmul_mod(powers[step], block.transpose(1, 0, 2).reshape(d, step * k), p)
+            block = wide.reshape(d, step, k).transpose(1, 0, 2)
+            krylov[t:t + step] = block[:m - t]
         images = _matmul_mod(numer.T, krylov.reshape(m, d * k), p).reshape(m, d, k)
         nonzero = images.any(axis=1).tolist()
         spaces = []

@@ -512,15 +512,17 @@ def heisenberg(level: int) -> FiniteGroup:
     if not 1 <= level <= config.HEISENBERG_MAX_LEVEL:
         raise SizeLimit(f"heisenberg level must be in 1..{config.HEISENBERG_MAX_LEVEL}")
     q = 1 << level
-    total = q ** 3
-    idx = np.arange(total)
-    ab, c1 = np.divmod(idx, q)
-    a1, b1 = np.divmod(ab, q)
-    a2, b2, c2 = a1, b1, c1
-    a = (a1[:, None] + a2[None, :]) % q
-    b = (b1[:, None] + b2[None, :]) % q
-    c = (c1[:, None] + c2[None, :] + a1[:, None] * b2[None, :]) % q
-    table = (a * q + b) * q + c
+    m = q - 1
+    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1 b2) mod q, in
+    # int32 bit fields (mod q is & m).  With h = a q + b the table is
+    # [h1, c1, h2, c2], and its a and b fields depend on h1 and h2 alone.
+    h = np.arange(q * q, dtype=np.int32)
+    a, b = h >> level, h & m
+    fields = ((a[:, None] + a & m) << level | (b[:, None] + b & m)) << level
+    c = h[:q]
+    table = (a[:, None, None, None] * b[:, None] + c[:, None, None] + c) & m
+    table |= fields[:, None, :, None]
+    table = table.reshape(q ** 3, q ** 3)
     labels = [f"({x},{y},{z})" for x in range(q) for y in range(q) for z in range(q)]
     return FiniteGroup(table, labels=labels, name=f"H{q}", _validated=True)
 

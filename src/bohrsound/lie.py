@@ -110,14 +110,18 @@ def simple_type(token) -> SimpleType:
 
 
 def _quotient_orders(moduli, vectors) -> list[int]:
-    """Invariant factors of (Z/m_1 x ... x Z/m_k) / <vectors>: the Smith
-    normal form of the moduli's diagonal stacked on the vectors."""
-    if not moduli:
-        return []
-    k = len(moduli)
-    rows = [[m if i == j else 0 for j in range(k)] for i, m in enumerate(moduli)]
-    _, s, _ = smith_normal_form(rows + [list(v) for v in vectors])
-    return [s[i][i] for i in range(k)]
+    """Orders of cyclic groups whose direct sum is (Z/m_1 x ... x Z/m_k) /
+    <vectors>.  A coordinate no vector touches passes its modulus through;
+    the rest is the Smith normal form of their moduli's diagonal stacked on
+    the vectors' entries there, so no vectors means no Smith normal form."""
+    touched = [any(v[j] for v in vectors) for j in range(len(moduli))]
+    support = [j for j, t in enumerate(touched) if t]
+    free = [m for m, t in zip(moduli, touched) if not t]
+    if not support:
+        return free
+    rows = [[moduli[i] if i == j else 0 for j in support] for i in support]
+    _, s, _ = smith_normal_form(rows + [[v[j] for j in support] for v in vectors])
+    return free + [s[i][i] for i in range(len(support))]
 
 
 class LieDatum:

@@ -404,10 +404,27 @@ def snf_invariants_oracle(a) -> tuple[int, ...]:
 
 
 def charpoly_eval_oracle(a, p: int, x: int) -> int:
-    """det(xI - A) mod p by exact cofactor expansion."""
+    """det(xI - A) mod p at one point: by exact cofactor expansion up to 6
+    rows, by Gaussian elimination over GF(p) on Python integers above."""
     n = len(a)
     m = [[(x if i == j else 0) - int(a[i][j]) for j in range(n)] for i in range(n)]
-    return det_cofactor(m) % p
+    if n <= 6:
+        return det_cofactor(m) % p
+    det = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c] % p), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            if f:
+                m[r] = [(u - f * v) % p for u, v in zip(m[r], m[c])]
+    return det % p
 
 
 # -- integer matrix groups by tuple breadth-first search ----------------------------

@@ -1,6 +1,8 @@
 """Tests for quotient-presentation checks on compact connected Lie groups."""
 
+import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -43,6 +45,8 @@ from oracles import (
     bare_torus_datum,
     glued_torus_su_datum,
     gluing_graph_oracle,
+    _span_size,
+    invariant_factors_by_primes,
     liftable_elementwise,
     rigidity_elementwise,
     su2_datum,
@@ -192,6 +196,39 @@ class TestLieCenter:
     def test_unglued_product(self):
         d = LieDatum(0, [SimpleType("A", 2), SimpleType("E", 7)])
         assert lie_center(d) == (0, FiniteAbelian((6,)))
+
+    def test_quotient_orders_against_spans(self):
+        # |Q[d]| = |M| / |dM + S| for Q = M / S, and the invariant factors e
+        # of Q give |Q[d]| = prod gcd(d, e); d up to the largest modulus
+        # meets every prime power dividing the exponent, which fixes Q
+        rng = random.Random(41)
+        for _ in range(150):
+            moduli = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+            vectors = [tuple(rng.randrange(m) if rng.random() < 0.5 else 0
+                             for m in moduli) for _ in range(rng.randint(0, 3))]
+            orders = lie._quotient_orders(moduli, vectors)
+            assert prod(orders) * _span_size(vectors, moduli) == prod(moduli)
+            factors = invariant_factors_by_primes(orders)
+            for d in range(1, max(moduli) + 1):
+                scaled = [tuple(d if i == j else 0 for j in range(len(moduli)))
+                          for i in range(len(moduli))]
+                torsion = prod(moduli) // _span_size(vectors + scaled, moduli)
+                assert prod(gcd(d, e) for e in factors) == torsion
+
+    def test_many_unglued_factors_skip_smith_form(self, capsys):
+        # no generators: every coordinate passes its modulus through, and no
+        # Smith normal form runs on the 600 x 600 diagonal
+        names = [f"B{n}" for n in range(2, 602)]
+        datum = {"schema": 1, "kind": "lie-datum", "z": 0, "factors": names}
+        start = time.perf_counter()
+        assert main(["liecheck", "--datum", json.dumps(datum)]) == 0
+        assert time.perf_counter() - start < 1
+        lines = ["factors: " + " x ".join(names) + " with central torus T^0",
+                 "center: T^0" + " x Z/2" * 600,
+                 "no central 2-torus: True", "dual rank <= 1: True",
+                 "compact automorphism group: True",
+                 "largest compact subgroup: True", "sign-rigid gluing: True"]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 class TestTorusImage:

@@ -1,8 +1,9 @@
 """Exact modular primitives of the table engine, and tables at large primes.
 
 Every reference here takes another route: Python integers for products,
-cofactor expansion for characteristic polynomials, evaluation at every
-point of GF(p) for roots (small p only), and known integer character values.
+cofactor expansion (elimination over GF(p) past 6 rows) for characteristic
+polynomials, evaluation at every point of GF(p) for roots (small p only),
+and known integer character values.
 The two root routes, the sweep over GF(p) and Cantor-Zassenhaus, are also
 checked against each other.
 """
@@ -23,13 +24,12 @@ from bohrsound import characters
 from bohrsound.characters import (
     CharacterTable,
     _charpoly_mod,
-    _charpoly_numpy,
-    _charpoly_small,
     _eigenspaces,
     _matmul_mod,
     _poly_divmod,
     _poly_monic,
     _poly_powmod,
+    _power_table,
     _roots_by_splitting,
     _roots_by_sweep,
     _roots_mod,
@@ -38,7 +38,7 @@ from bohrsound.characters import (
     restriction_matrix,
     restriction_multiplicity,
 )
-from bohrsound.errors import PrimeSearchFailure
+from bohrsound.errors import InvariantViolation, PrimeSearchFailure
 from bohrsound.groups import (
     Subgroup,
     cyclic,
@@ -89,31 +89,56 @@ class TestMatmulMod:
 
 
 class TestCharpoly:
+    """_charpoly_mod, power sums through Newton's identities, against the
+    oracle's determinant at a point (cofactors or elimination)."""
+
     def _random(self, rng, n, p):
-        # every third matrix sparse, so pivot searches hit zero columns
+        # every third matrix sparse, so traces and powers meet zero blocks
         sparse = rng.random() < 0.35
         return [[0 if sparse and rng.random() < 0.5 else rng.randrange(p)
                  for _ in range(n)] for _ in range(n)]
 
+    def _check(self, rng, a, p):
+        f = _charpoly_mod(_power_table(np.array(a, dtype=np.int64), p), p)
+        assert len(f) == len(a) + 1 and f[-1] == 1
+        for x in (0, 1, rng.randrange(p), rng.randrange(p)):
+            assert _eval(f, x, p) == charpoly_eval_oracle(a, p, x)
+
     @pytest.mark.parametrize("p", [5, 13, 97, 2147483629, P31])
     def test_both_routes_match_cofactor_oracle(self, p):
+        # the two routes of _matmul_mod's int64 products: one limb at the
+        # small primes, several near 2**31; the oracle expands cofactors
         rng = random.Random(p)
-        for n in range(1, 7):
+        for n in range(1, min(7, p)):
             for _ in range(4):
-                a = self._random(rng, n, p)
-                for f in (_charpoly_numpy(np.array(a, dtype=np.int64), p),
-                          _charpoly_small([row[:] for row in a], p)):
-                    assert len(f) == n + 1 and f[-1] == 1
-                    for x in (0, 1, rng.randrange(p)):
-                        assert _eval(f, x, p) == charpoly_eval_oracle(a, p, x)
+                self._check(rng, self._random(rng, n, p), p)
 
     def test_routes_agree_on_larger_matrices(self):
+        # 5 to 7 baby powers and as many giant steps; int64 and float64 routes
         rng = random.Random(11)
         for p in (1153, P31):
             for n in (16, 23, 40):
-                a = self._random(rng, n, p)
-                assert (_charpoly_mod(np.array(a, dtype=np.int64), p)
-                        == _charpoly_small([row[:] for row in a], p))
+                self._check(rng, self._random(rng, n, p), p)
+
+    @pytest.mark.parametrize("p", [13, 97, 1153, 16381, P31])
+    def test_matches_oracle_up_to_40_rows(self, p):
+        rng = random.Random(p + 1)
+        for n in [n for n in (1, 2, 3, 4, 7, 8, 9, 12, 15, 16, 17, 24, 25, 40) if n < p]:
+            for _ in range(2):
+                self._check(rng, self._random(rng, n, p), p)
+        # a zero matrix, a nilpotent one and a permutation
+        for a in ([[0] * 9 for _ in range(9)],
+                  [[int(j == i + 1) for j in range(10)] for i in range(10)],
+                  [[int(j == (i + 1) % 11) for j in range(11)] for i in range(11)]):
+            if len(a) < p:
+                self._check(rng, a, p)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_refuses_rows_at_least_p(self, n):
+        # Newton's identities divide by every k <= n, so n < p is required
+        with pytest.raises(InvariantViolation):
+            _charpoly_mod(_power_table(np.eye(n, dtype=np.int64), 5), 5)
 
     def test_similarity_invariant_at_large_prime(self):
         # charpoly(diag(d) conjugated by a unimodular matrix) = prod (x - d_i)
@@ -126,7 +151,7 @@ class TestCharpoly:
             c = rng.randrange(P31)
             a[i] = (a[i] + c * a[j] % P31) % P31          # E a
             a[:, j] = (a[:, j] - c * a[:, i] % P31) % P31  # (E a) E^-1
-        assert _charpoly_mod(a, P31) == _from_roots(diag, P31)
+        assert _charpoly_mod(_power_table(a, P31), P31) == _from_roots(diag, P31)
 
 
 class TestRoots:
