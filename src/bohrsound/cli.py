@@ -19,14 +19,16 @@ argparse makes a fresh namespace on every parse.
 JSON output is pinned by the golden certificates to the bytes of
 `json.dumps(payload, indent=2, sort_keys=True)`.  With an indent the stdlib
 runs its pure-Python encoder, so `pinned_json` writes that layout itself:
-it walks dicts (sorted `str` keys) and lists, writes a list of plain ints
-with one join, and hands every other scalar to the compact C encoder.
+it walks dicts (sorted `str` keys) and lists, writes a rectangular block of
+plain ints (a group's elements) by one `str.format` of a template for its
+shape and indent, and hands every other scalar to the compact C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -111,13 +113,32 @@ def pinned_json(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        shape, leaves = _int_block(value)
+        if shape:
+            return _block_template(shape, pad).format(*leaves)
         inner = pad + "  "
-        if set(map(type, value)) == {int}:
-            items = map(str, value)
-        else:
-            items = (pinned_json(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            pinned_json(item, inner) for item in value) + pad + "]"
     return json.dumps(value)
+
+
+def _int_block(value) -> tuple[tuple[int, ...], list]:
+    """Shape and row-major leaves of a rectangular nest of lists and tuples
+    whose leaves are all of type `int`; shape () for anything else."""
+    shape, level = [], [value]
+    # stops at a ragged level, or at the empty level below empty lists
+    while (kinds := set(map(type, level))) <= {list, tuple} \
+            and len(lengths := set(map(len, level))) == 1:
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    return (tuple(shape) if kinds == {int} else ()), level
+
+
+def _block_template(shape: tuple[int, ...], pad: str) -> str:
+    """The pinned layout of an int block of this shape, one "{}" per leaf."""
+    inner = pad + "  "
+    item = _block_template(shape[1:], inner) if len(shape) > 1 else "{}"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
 
 
 def emit(payload: dict, fmt: str, lines) -> None:

@@ -209,12 +209,8 @@ def torus_image_invariants(datum: LieDatum) -> FiniteAbelian:
     n = datum.denominator
     _, s, _ = smith_normal_form(
         [t.numerators_over(n) for _, t in datum.generators])
-    orders = []
-    for i in range(min(len(datum.generators), z)):
-        d = n // gcd(int(s[i][i]), n)
-        if d > 1:
-            orders.append(d)
-    return abelian_from_orders(orders)
+    return abelian_from_orders(n // gcd(s[i][i], n)
+                               for i in range(min(len(datum.generators), z)))
 
 
 # -- achievable automorphisms of the product of centers -------------------------------------
@@ -230,8 +226,11 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
     """
     factors = tuple(factors)
     n = len(factors)
+    equal = {}  # each distinct factor -> its indices, in one pass
+    for i, f in enumerate(factors):
+        equal.setdefault(f, []).append(i)
     # one element per equal-factor permutation and sign choice: count first
-    size = prod(factorial(factors.count(f)) for f in set(factors)) \
+    size = prod(factorial(len(idx)) for idx in equal.values()) \
         << sum(f.inversion_achievable for f in factors)
     if size > config.GROUP_MAX_ORDER:
         raise SizeLimit(f"{size} center automorphisms exceed {config.GROUP_MAX_ORDER}")
@@ -241,8 +240,8 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
         if f.inversion_achievable:
             signs = tuple(-1 if j == i else 1 for j in range(n))
             gens.append((ident[0], signs))
-    for i, j in itertools.combinations(range(n), 2):
-        if factors[i] == factors[j]:
+    for idx in equal.values():
+        for i, j in itertools.combinations(idx, 2):
             perm = list(range(n))
             perm[i], perm[j] = j, i
             gens.append((tuple(perm), (1,) * n))

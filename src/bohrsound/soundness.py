@@ -69,8 +69,7 @@ def serialize_matrix_group(res: MatrixGroupResult) -> dict:
     if res.finite:
         out["order"] = res.order
         if res.order is not None and res.order <= config.SERIALIZE_ELEMENTS_MAX:
-            out["elements"] = sorted(
-                [list(map(list, m)) for m in res.elements])
+            out["elements"] = res.matrices.tolist()
     else:
         out["witness_count"] = res.witness_count
     return out
@@ -102,11 +101,9 @@ def build_normal_family(d: dict, where: str):
     every group is refused past CHARTABLE_MAX_ORDER before it is built."""
     kernel = table_group_from_descriptor(require_field(d, "kernel", dict, where),
                                          f"{where}.kernel")
-    embs = []
-    for i, entry in enumerate(require_field(d, "embeddings", list, where)):
-        embs.append(hom_from_descriptor(kernel, entry,
-                                        f"{where}.embeddings[{i}]"))
-    return kernel, embs
+    entries = require_field(d, "embeddings", list, where)
+    return kernel, [hom_from_descriptor(kernel, e, f"{where}.embeddings[{i}]")
+                    for i, e in enumerate(entries)]
 
 
 def serialize_reports(reports) -> list[dict]:

@@ -1,7 +1,9 @@
 """Exact integer matrix groups, Smith normal form and torus actions.
 
-Matrices are tuples of tuples of Python ints at the interface, and results
-(group elements, orbit vectors) come back in that form.  Finiteness of
+Matrices are tuples of tuples of Python ints at the interface.  A finite
+group's elements are stored once, as one (order, k, k) array sorted as
+`sorted()` sorts their nested lists (`np.lexsort` over flattened rows), with
+`elements` a frozenset-of-tuples view built on first access.  Finiteness of
 generated subgroups of GL(k, Z) is decided by enumeration against
 Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
 seeing M(k) + 1 distinct elements certifies infinitude.
@@ -37,6 +39,7 @@ Holt and Rees, Linear Algebra Appl. 192, 1993).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,15 +188,25 @@ def minkowski_bound(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGroupResult:
     """Outcome of enumerating a generated subgroup of GL(k, Z)."""
 
     finite: bool
     rank: int
     order: int | None = None
-    elements: frozenset[IntMatrix] | None = None
+    matrices: np.ndarray | None = None
     witness_count: int | None = None
+
+    @cached_property
+    def elements(self) -> frozenset[IntMatrix] | None:
+        return None if self.matrices is None else frozenset(
+            tuple(map(tuple, m)) for m in self.matrices.tolist())
+
+    def __eq__(self, other) -> bool:
+        fields = ("finite", "rank", "order", "witness_count", "elements")
+        return isinstance(other, MatrixGroupResult) and all(
+            getattr(self, f) == getattr(other, f) for f in fields)
 
     def __str__(self) -> str:
         if self.finite:
@@ -223,12 +236,12 @@ _INT64_LIMIT = 1 << 63
 
 
 def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
-             bound: int) -> list | None:
+             bound: int) -> np.ndarray | None:
     """Distinct products seed * w over words w in `step`, breadth first.
 
     Seeds are r x k and step matrices k x k, all of Python ints.  Returns
-    every element found, as nested lists of Python ints, or None as soon as
-    more than `bound` distinct elements have been seen.
+    every element found, as one (n, r, k) array, or None as soon as more
+    than `bound` distinct elements have been seen.
     """
     r, k = len(seeds[0]), len(step[0])
     colsum = max(sum(abs(g[i][j]) for i in range(k))
@@ -258,7 +271,7 @@ def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
                 fresh.append(i)
         frontier = products[fresh]
         levels.append(frontier)
-    return np.concatenate(levels).tolist()
+    return np.concatenate(levels)
 
 
 def _closure_keys(elements: np.ndarray) -> list:
@@ -278,9 +291,9 @@ def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
     found = _closure([identity(k)], step, bound)
     if found is None:
         return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
-    return MatrixGroupResult(
-        finite=True, rank=k, order=len(found),
-        elements=frozenset(tuple(map(tuple, m)) for m in found))
+    flat = found.reshape(len(found), -1)
+    return MatrixGroupResult(finite=True, rank=k, order=len(found),
+                             matrices=found[np.lexsort(flat.T[::-1])])
 
 
 def element_order(m: IntMatrix, bound: int | None = None) -> int | None:
@@ -343,7 +356,7 @@ def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult
     if found is None:
         return OrbitResult(finite=False, cap=cap)
     return OrbitResult(finite=True, size=len(found),
-                       elements=frozenset(tuple(row) for (row,) in found))
+                       elements=frozenset(map(tuple, found[:, 0].tolist())))
 
 
 # -- fixed subgroups on the torus -------------------------------------------------
@@ -380,20 +393,17 @@ def fixed_subgroup_structure(m: IntMatrix) -> FixedStructure:
     if any(len(r) != k for r in m):
         raise DimensionMismatch("automorphism matrix must be square")
     diff = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(k)) for i in range(k))
-    diag = snf_diagonal(diff)
-    zeros = sum(1 for d in diag if d == 0) + (k - len(diag))
-    torsion = abelian_from_orders(d for d in diag if d > 1)
-    return FixedStructure(circle_rank=zeros, torsion=torsion)
+    diag = snf_diagonal(diff)  # k entries, each 0 (a circle) or a torsion order
+    return FixedStructure(circle_rank=diag.count(0),
+                          torsion=abelian_from_orders(diag))
 
 
 # -- abelian embedding decision ----------------------------------------------------
 
 
 def _conjugate(partition: tuple[int, ...]) -> tuple[int, ...]:
-    if not partition:
-        return ()
-    m = partition[0]
-    return tuple(sum(1 for x in partition if x >= t) for t in range(1, m + 1))
+    return tuple(sum(1 for x in partition if x >= t)
+                 for t in range(1, max(partition, default=0) + 1))
 
 
 def _p_part_embeds(d_parts: tuple[int, ...], rank: int, a_parts: tuple[int, ...]) -> bool:
@@ -405,18 +415,14 @@ def _p_part_embeds(d_parts: tuple[int, ...], rank: int, a_parts: tuple[int, ...]
     rest = tuple(sorted(d_parts, reverse=True)[rank:])
     cr = _conjugate(rest)
     ca = _conjugate(a_parts)
-    if len(cr) > len(ca):
-        return False
-    return all(x <= y for x, y in zip(cr, ca))
+    return len(cr) <= len(ca) and all(x <= y for x, y in zip(cr, ca))
 
 
 def abelian_embeds(d: FiniteAbelian, circle_rank: int, torsion: FiniteAbelian) -> bool:
     """Decide whether d embeds into T^circle_rank x torsion."""
     primes = set(d.primes()) | set(torsion.primes())
-    for p in sorted(primes):
-        if not _p_part_embeds(d.p_partition(p), circle_rank, torsion.p_partition(p)):
-            return False
-    return True
+    return all(_p_part_embeds(d.p_partition(p), circle_rank, torsion.p_partition(p))
+               for p in sorted(primes))
 
 
 def embeds_into_fixed(d: FiniteAbelian, fixed: FixedStructure) -> bool:
@@ -441,16 +447,15 @@ def torus_soundness(k: int, factor_gens) -> TorusSoundness:
     all_gens = []
     for i, gens in enumerate(factor_gens):
         gens = [mat(g) for g in gens]
-        for g in gens:
-            if len(g) != k or len(g[0]) != k:
-                raise DimensionMismatch(f"factor {i} generators are not {k}x{k}")
+        if any(len(g) != k or len(g[0]) != k for g in gens):
+            raise DimensionMismatch(f"factor {i} generators are not {k}x{k}")
         res = generated_group(gens)
         if not res.finite:
             raise FactorNotFinite(i)
         factor_orders.append(res.order)
         all_gens.extend(gens)
     joint = generated_group(all_gens) if all_gens else MatrixGroupResult(
-        finite=True, rank=k, order=1, elements=frozenset([identity(k)]))
+        finite=True, rank=k, order=1, matrices=np.array([identity(k)]))
     return TorusSoundness(sound=joint.finite, rank=k,
                           factor_orders=tuple(factor_orders), joint=joint)
 
@@ -485,7 +490,6 @@ def coproduct_orbit_obstruction(members, cap: int = config.DEFAULT_ORBIT_CAP) ->
         orb = char_orbit(chi, gens, cap=cap)
         out.append(OrbitMember(rank=rank, orbit=orb))
         sizes.append(orb.size if orb.finite else None)
-    growing = (len(sizes) >= 2
-               and all(s is not None for s in sizes)
-               and all(a < b for a, b in zip(sizes, sizes[1:])))
+    growing = len(sizes) >= 2 and None not in sizes \
+        and all(a < b for a, b in zip(sizes, sizes[1:]))
     return OrbitObstruction(members=tuple(out), sizes=tuple(sizes), growing=growing)

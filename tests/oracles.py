@@ -460,7 +460,7 @@ def generated_group_bfs(gens, bound=None) -> MatrixGroupResult:
                     nxt.append(y)
         frontier = nxt
     return MatrixGroupResult(finite=True, rank=k, order=len(seen),
-                             elements=frozenset(seen))
+                             matrices=np.array(sorted(seen), dtype=object))
 
 
 def char_orbit_bfs(vector, gens, cap) -> OrbitResult:

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from bohrsound.errors import (
@@ -229,6 +230,29 @@ class TestLieCenter:
                  "compact automorphism group: True",
                  "largest compact subgroup: True", "sign-rigid gluing: True"]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_equal_factors_grouped_in_one_pass(self, monkeypatch):
+        # 600 factors, most of them distinct: grouping equal ones by hash
+        # costs O(n) comparisons; comparing every pair would cost n^2 / 2
+        factors = [simple_type(f"B{n}") for n in range(2, 597)] \
+            + [simple_type("A1")] * 3 + [simple_type("D4")] * 2
+        calls = 0
+        eq = SimpleType.__eq__
+
+        def counting_eq(a, b):
+            nonlocal calls
+            calls += 1
+            return eq(a, b)
+
+        monkeypatch.setattr(SimpleType, "__eq__", counting_eq)
+        autos = achievable_center_autos(factors)
+        assert calls <= len(factors)
+        monkeypatch.undo()
+        # 3! x 2! permutations of the equal factors, times the sign choices
+        assert len(autos) == 12 << sum(f.inversion_achievable for f in factors)
+        small = factors[-7:]
+        assert achievable_center_autos(small) == \
+            achievable_center_autos_bfs(small)
 
 
 class TestTorusImage:
@@ -667,7 +691,7 @@ class TestCentralizer:
         # a real group's centralizer is closed; build a set that is not one
         ident = ((1, 0), (0, 1))
         fake = MatrixGroupResult(finite=True, rank=2, order=2,
-                                 elements=frozenset({ident, ROT3}))
+                                 matrices=np.array([ident, ROT3]))
         with pytest.raises(InvariantViolation):
             centralizer_in_finite_group(ROT3, fake)
 

@@ -24,8 +24,35 @@ INTS = st.integers() | st.integers(min_value=2 ** 63, max_value=2 ** 200) \
 SCALARS = (st.none() | st.booleans() | INTS | TEXT
            | st.floats(allow_nan=True, allow_infinity=True)
            | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
-# lists of plain ints take the join path; a bool among them must not
-LEAVES = SCALARS | st.lists(INTS, max_size=6) \
+
+
+@st.composite
+def int_blocks(draw):
+    """(block, defect): a rectangular nest of ints, depth 1-3, of lists and
+    tuples mixed, or one with a bool leaf, a ragged row or an empty inner
+    list in its last row; defect names which, or is None."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    defect = draw(st.sampled_from([None, None, "bool", "ragged", "empty"]))
+    # a depth-1 block has no inner rows, and a lone row cannot be ragged
+    if defect in ("ragged", "empty") and len(shape) == 1 \
+            or defect == "ragged" and math.prod(shape[:-1]) == 1:
+        defect = None
+
+    def build(dims, last):
+        if not dims:
+            return draw(st.booleans() if last and defect == "bool" else INTS)
+        row = [build(dims[1:], last and i == dims[0] - 1)
+               for i in range(dims[0])]
+        if last and len(dims) == 1 and len(shape) > 1:
+            row = {"ragged": row[:-1], "empty": []}.get(defect, row)
+        return tuple(row) if draw(st.booleans()) else row
+
+    return build(shape, True), defect
+
+
+# rectangular int blocks take the template route; a bool among the leaves,
+# a ragged row or an empty inner list must not
+LEAVES = SCALARS | int_blocks().map(lambda block: block[0]) \
     | st.lists(INTS | st.booleans(), max_size=6)
 VALUES = st.recursive(
     LEAVES,
@@ -38,6 +65,15 @@ VALUES = st.recursive(
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(VALUES)
 def test_matches_the_stdlib_layout(value):
+    assert cli.pinned_json(value) == stdlib_json(value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(int_blocks())
+def test_int_blocks_match_the_stdlib_layout(block):
+    value, defect = block
+    shape, _ = cli._int_block(value)
+    assert bool(shape) == (defect is None)
     assert cli.pinned_json(value) == stdlib_json(value)
 
 

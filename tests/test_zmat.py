@@ -19,7 +19,9 @@ from bohrsound.errors import (
     NotUnimodular,
     SizeLimit,
 )
+from bohrsound.cli import main
 from bohrsound.groups import FiniteAbelian, abelian_from_orders
+from bohrsound.soundness import serialize_matrix_group
 from bohrsound.zmat import (
     abelian_embeds,
     char_orbit,
@@ -416,6 +418,60 @@ class TestBatchedClosure:
                 char_orbit(v, [ALPHA], cap=cap)
         with pytest.raises(SizeLimit):
             coproduct_orbit_obstruction([(2, [ALPHA], (1, 0))], cap=cap)
+
+
+class TestSortedElements:
+    """A finite group's elements print in the order sorted() gives their
+    nested lists, and the frozenset view holds the same matrices."""
+
+    @staticmethod
+    def assert_sorted_like_oracle(gens):
+        res = generated_group(gens)
+        assert res.finite
+        oracle = generated_group_bfs(gens).elements
+        assert serialize_matrix_group(res)["elements"] == sorted(
+            list(map(list, m)) for m in oracle)
+        assert res.elements == oracle
+
+    def test_seeded_sweep_up_to_rank_4(self):
+        rng = random.Random(1616)
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            # subsets of B_k, or of <BETA> x <-I> (orders 6 and 12)
+            minus = tuple(tuple(-v for v in row) for row in identity(k))
+            pool = [identity(k), minus]
+            if k >= 2 and rng.random() < 0.3:
+                pool = [padded_block(k, BETA), minus]
+            elif k >= 2:
+                pool += hyperoctahedral_gens(k) + [padded_block(k, ALPHA)]
+            # conjugating by a unimodular u keeps the group finite and
+            # puts negative and larger entries into the sort keys
+            u = random_unimodular(rng, k, steps=rng.randint(0, 6))
+            u_inv = mat_inv_unimodular(u)
+            picked = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            gens = [mat_mul(mat_mul(u, g), u_inv) for g in picked]
+            self.assert_sorted_like_oracle(gens)
+
+    def test_object_dtype_group(self):
+        t = ((1, 2 ** 64), (0, 1))
+        t_inv = mat_inv_unimodular(t)
+        gens = [mat_mul(mat_mul(t, g), t_inv) for g in (ALPHA, NEG)]
+        assert generated_group(gens).matrices.dtype == object
+        self.assert_sorted_like_oracle(gens)
+
+    def test_empty_family_prints_the_identity(self, capsys):
+        request = {"schema": 1, "kind": "torus-family", "rank": 2,
+                   "factor_generators": []}
+        assert main(["soundness", "--request", json.dumps(request),
+                     "--format", "json"]) == 0
+        joint = {"elements": [[[1, 0], [0, 1]]], "finite": True,
+                 "order": 1, "rank": 2}
+        expected = {"certificate": {"factor_orders": [], "joint": joint,
+                                    "rank": 2},
+                    "criterion": "torus-joint-action-finite",
+                    "verdict": "Sound"}
+        assert capsys.readouterr().out == json.dumps(
+            expected, indent=2, sort_keys=True) + "\n"
 
 
 class TestElementOrder:
