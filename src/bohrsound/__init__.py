@@ -75,7 +75,6 @@ from .amalgam import (
     sl2z_amalgam,
     sl2z_matrix_target,
     split_decomposition_check,
-    split_family_verdict,
     word_equal,
 )
 from .lie import (

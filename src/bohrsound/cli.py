@@ -160,7 +160,6 @@ def _table_provider(args):
 
 def run_soundness(args) -> int:
     verdict = soundness_verdict(load_object(args.request, "request"),
-                                seed=args.seed, samples=args.samples,
                                 table=_table_provider(args))
     lines = []
     if args.format == "text":  # the certificate is large; render it once
@@ -419,8 +418,7 @@ REQUIRED = {"required": True}
 
 COMMANDS = (
     Command(("soundness",), "decide a family request", run_soundness,
-            {"--request": REQUIRED, "--seed": {"type": int, "default": 0},
-             "--samples": {"type": int, "default": 200}}, no_cache=True),
+            {"--request": REQUIRED}, no_cache=True),
     Command(("equalizer",), "split/collision witness for H <= G",
             run_equalizer, {"--spec": REQUIRED}, no_cache=True),
     Command(("clifford",), "restriction classes for a family", run_clifford,

@@ -428,7 +428,11 @@ def validate_action(normal: FiniteGroup, acting: FiniteGroup, action) -> np.ndar
     """Check that action is a homomorphism acting -> Aut(normal).
 
     Accepts a list of index permutations (one per acting element) or a callable
-    a -> permutation.  Returns the (|A|, |N|) array of automorphisms.
+    a -> permutation.  Returns the (|A|, |N|) array of automorphisms.  Only
+    the greedy generators g of A are checked to act by automorphisms with
+    act[g] o act[a] = act[g a] for every a; by induction on word length every
+    act[a] is then a product of automorphisms and the action multiplicative,
+    at O(log|A| (|A||N| + |N|^2)) cost.
     """
     if callable(action):
         action = [action(a) for a in range(acting.order)]
@@ -438,23 +442,26 @@ def validate_action(normal: FiniteGroup, acting: FiniteGroup, action) -> np.ndar
         raise NotAnAction(None, "entries out of range") from None
     if act.shape != (acting.order, normal.order):
         raise NotAnAction(act.shape, "wrong shape")
+    outside = (act < 0) | (act >= normal.order)  # before any gather: -1 wraps
+    if outside.any():
+        a, x = np.argwhere(outside)[0]
+        raise NotAnAction((int(a), int(x)), "entries out of range")
     idx = np.arange(normal.order)
     if not np.array_equal(act[0], idx):
         raise NotAnAction(0, "identity must act trivially")
-    for a in range(acting.order):
-        row = act[a]
+    for g in greedy_generators(acting.mul):
+        row = act[g]
         if not np.array_equal(np.sort(row), idx):
-            raise NotAnAction(a, "not a permutation")
+            raise NotAnAction(g, "not a permutation")
         lhs = row[normal.mul]
         rhs = normal.mul[np.ix_(row, row)]
         if not np.array_equal(lhs, rhs):
             x, y = np.argwhere(lhs != rhs)[0]
-            raise NotAnAction((a, int(x), int(y)), "not an automorphism")
-    comp = act[:, act]  # comp[a, b, x] = act[a][act[b][x]]
-    expected = act[acting.mul]
-    if not np.array_equal(comp, expected):
-        a, b = np.argwhere((comp != expected).any(axis=2))[0]
-        raise NotAnAction((int(a), int(b)), "not multiplicative in the acting group")
+            raise NotAnAction((g, int(x), int(y)), "not an automorphism")
+        bad = (row[act] != act[acting.mul[g]]).any(axis=1)
+        if bad.any():  # act[g] o act[a] != act[g a]
+            raise NotAnAction((g, int(np.argmax(bad))),
+                              "not multiplicative in the acting group")
     return act
 
 

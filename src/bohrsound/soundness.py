@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .amalgam import split_family_verdict
+from .amalgam import split_decomposition_check
 from .characters import fin_check
 from .descriptors import (
     check_schema,
     group_from_descriptor,
     hom_from_descriptor,
     int_rows,
-    optional_field,
     require_field,
     table_group_from_descriptor,
 )
@@ -157,8 +156,7 @@ def _prefix_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     return SoundnessVerdict(UNKNOWN, None, certificate)
 
 
-def _split_verdict(d: dict, where: str, seed: int,
-                   samples: int) -> SoundnessVerdict:
+def _split_verdict(d: dict, where: str) -> SoundnessVerdict:
     kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
                                    f"{where}.kernel")
     members = []
@@ -168,24 +166,15 @@ def _split_verdict(d: dict, where: str, seed: int,
                                     f"{sub}.normal")
         action = int_rows(require_field(entry, "action", list, sub), sub)
         members.append((grp, action))
-    samples = optional_field(d, "samples", int, where, samples)
-    if samples < 1:  # a check of no samples would certify nothing
-        raise SchemaError(f"{where}: samples must be at least 1, got {samples}")
-    seed = optional_field(d, "seed", int, where, seed)
-    result = split_family_verdict(kernel, members, sample_count=samples,
-                                  seed=seed)
-    certificate = {
+    split_decomposition_check(kernel, members)
+    return SoundnessVerdict(SOUND, "split-family", {
         "kernel_order": kernel.order,
         "member_orders": [grp.order for grp, _ in members],
-        "kind": result.kind,
-        "decomposition_passed": result.decomposition_passed,
-        "samples": result.samples,
-    }
-    return SoundnessVerdict(SOUND, "split-family", certificate)
+        "kind": "split",
+    })
 
 
-def _family_verdict(d: dict, where: str, seed: int, samples: int,
-                    table) -> SoundnessVerdict:
+def _family_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     kind = require_field(d, "kind", str, where)
     if kind == "torus-family":
         return _torus_verdict(d, where)
@@ -194,18 +183,17 @@ def _family_verdict(d: dict, where: str, seed: int, samples: int,
     if kind == "normal-family-prefix":
         return _prefix_verdict(d, where, table)
     if kind == "split-family":
-        return _split_verdict(d, where, seed, samples)
+        return _split_verdict(d, where)
     if kind == "mixed-family":
-        return _mixed_verdict(d, where, seed, samples, table)
+        return _mixed_verdict(d, where, table)
     raise SchemaError(f"{where}: unknown family kind {kind!r}")
 
 
-def _mixed_verdict(d: dict, where: str, seed: int, samples: int,
-                   table) -> SoundnessVerdict:
+def _mixed_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     raw = require_field(d, "members", list, where)
     if not raw:
         raise SchemaError(f"{where}: a mixed family needs members")
-    inner = [_family_verdict(m, f"{where}.members[{i}]", seed, samples, table)
+    inner = [_family_verdict(m, f"{where}.members[{i}]", table)
              for i, m in enumerate(raw)]
     for i, v in enumerate(inner):
         # a subfamily of a sound family is sound, so one bad member settles it
@@ -235,8 +223,7 @@ def _mixed_verdict(d: dict, where: str, seed: int, samples: int,
     })
 
 
-def soundness_verdict(request: dict, seed: int = 0, samples: int = 200,
-                      table=None) -> SoundnessVerdict:
+def soundness_verdict(request: dict, table=None) -> SoundnessVerdict:
     """Decide a family request parsed from JSON.
 
     `table(group, prime=None)` provides the character tables of normal
@@ -244,4 +231,4 @@ def soundness_verdict(request: dict, seed: int = 0, samples: int = 200,
     fin_check runs.  The CLI passes cache.cached_character_table.
     """
     check_schema(request, "request")
-    return _family_verdict(request, "request", seed, samples, table)
+    return _family_verdict(request, "request", table)

@@ -9,7 +9,8 @@ one-product-at-a-time tuple searches instead of batched numpy closures,
 hand-written breadth-first loops instead of the shared `reachable` closure,
 per-pair and per-element group loops instead of whole-table numpy passes,
 every triple instead of Light's associativity test, every element of the
-gluing subgroup over Fractions instead of its generators over integers.
+gluing subgroup over Fractions instead of its generators over integers,
+two word machines related by von Dyck's theorem instead of one action check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ from bohrsound.errors import (
     SchemaError,
     SourceMismatch,
 )
-from bohrsound.groups import GroupHom, Subgroup, TorusPoint, factorize, reachable
+from bohrsound.amalgam import AmalgamSpec, free_product, normal_form, word_equal
+from bohrsound.groups import (
+    GroupHom,
+    Subgroup,
+    TorusPoint,
+    factorize,
+    greedy_generators,
+    reachable,
+    semidirect,
+    validate_action,
+)
 from bohrsound.lie import LieDatum, SimpleType, apply_center_auto
 from bohrsound.zmat import (
     MatrixGroupResult,
@@ -364,6 +375,124 @@ def coproduct_pseudometric_dict(spec: AmalgamSpec, lengths, word) -> Fraction:
             empty[a][b] = best_e
             single[a][b] = best_s
     return Fraction(int(empty[0][n]), denom)
+
+
+# -- split families by von Dyck's theorem ---------------------------------------------
+
+
+def automorphisms_loop(group) -> list[tuple[int, ...]]:
+    """Every automorphism of `group`: each permutation fixing 0, kept when it
+    preserves every product."""
+    n = group.order
+    mul = group.mul.tolist()
+    out = []
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0,) + rest
+        if all(perm[mul[x][y]] == mul[perm[x]][perm[y]]
+               for x in range(n) for y in range(n)):
+            out.append(perm)
+    return out
+
+
+def is_action_loop(acting, act, auts) -> bool:
+    """The definition of a homomorphism acting -> Aut(N), on every element
+    and every pair: each act[a] in `auts` (the automorphisms of N, from
+    automorphisms_loop) and act[a] o act[b] = act[ab]."""
+    act = [tuple(row) for row in act]
+    mul = acting.mul.tolist()
+    return all(row in auts for row in act) and all(
+        tuple(act[a][y] for y in act[b]) == act[mul[a][b]]
+        for a in range(acting.order) for b in range(acting.order))
+
+
+def actions_loop(normal, acting) -> list[tuple[tuple[int, ...], ...]]:
+    """Every homomorphism acting -> Aut(normal), by trying every tuple of
+    automorphisms whose identity row is the identity."""
+    auts = automorphisms_loop(normal)
+    aut_set = set(auts)
+    ident = tuple(range(normal.order))
+    tuples = ((ident,) + rest
+              for rest in itertools.product(auts, repeat=acting.order - 1))
+    return [act for act in tuples if is_action_loop(acting, act, aut_set)]
+
+
+def split_machines_agree(h, members) -> bool:
+    """Whether the two word machines of a split family present one group.
+
+    Machine A amalgamates the products N_i x| H over H.  Machine B is the
+    coproduct *N_i extended by H acting letterwise; an element is a pair
+    (coproduct normal form, element of H).  phi: A -> B sends the letter
+    (n, a) of factor i to (n in N_i, a); psi: B -> A sends n in N_i into
+    factor i and a in H into factor 0.  By von Dyck's theorem phi is a
+    homomorphism once the Cayley relations s g = (sg) of every N_i x| H, s
+    over a greedy generating set, hold in B, and psi is one once those of
+    each N_i and of H and the action relations a n a^-1 = act_a(n) hold in
+    A; both send the amalgamated H to H by construction.  Composites that
+    fix every generator are then identities, so phi and psi are inverse
+    isomorphisms: the check is exact, not sampled.
+    """
+    members = list(members)
+    if not members:
+        return True
+    acts = [validate_action(fac, h, action) for fac, action in members]
+    built = [semidirect(fac, h, act, _validated=True)
+             for (fac, _), act in zip(members, acts)]
+    spec_a = AmalgamSpec(h, [grp for grp, _, _ in built],
+                         [emb_h for _, _, emb_h in built])
+    spec_b = free_product([fac for fac, _ in members])
+    emb_n = [emb for _, emb, _ in built]
+    emb_h0 = built[0][2]
+
+    def b_mul(e1, e2):
+        (w1, h1), (w2, h2) = e1, e2
+        moved = tuple((i, int(acts[i][h1][x])) for i, x in w2)
+        return normal_form(spec_b, w1 + moved).tail, h.op(h1, h2)
+
+    def phi(word):
+        out = ((), 0)
+        for i, g in word:
+            x, a = divmod(g, h.order)
+            out = b_mul(out, (normal_form(spec_b, ((i, x),)).tail, a))
+        return out
+
+    def psi(element):
+        letters, a = element
+        return tuple((i, int(emb_n[i](x))) for i, x in letters) + (
+            (0, int(emb_h0(a))),)
+
+    def a_equal(w1, w2):
+        return word_equal(spec_a, w1, w2)
+
+    for i, ((fac, _), (grp, _, _)) in enumerate(zip(members, built)):
+        if phi(((i, 0),)) != ((), 0):
+            return False
+        for s in greedy_generators(grp.mul):
+            if any(phi(((i, s), (i, g))) != phi(((i, grp.op(s, g)),))
+                   for g in range(grp.order)):
+                return False
+            if not a_equal(psi(phi(((i, s),))), ((i, s),)):
+                return False
+        for s in greedy_generators(fac.mul):
+            if any(not a_equal(((i, emb_n[i](s)), (i, emb_n[i](x))),
+                               ((i, emb_n[i](fac.op(s, x))),))
+                   for x in range(fac.order)):
+                return False
+            if phi(psi((((i, s),), 0))) != (((i, s),), 0):
+                return False
+        for a in range(h.order):
+            left, right = (0, emb_h0(a)), (0, emb_h0(h.inverse(a)))
+            if any(not a_equal((left, (i, emb_n[i](x)), right),
+                               ((i, emb_n[i](acts[i][a][x])),))
+                   for x in range(fac.order)):
+                return False
+    for s in greedy_generators(h.mul):
+        if any(not a_equal(((0, emb_h0(s)), (0, emb_h0(a))),
+                           ((0, emb_h0(h.op(s, a))),))
+               for a in range(h.order)):
+            return False
+        if phi(psi(((), s))) != ((), s):
+            return False
+    return True
 
 
 # -- exact linear algebra oracles ----------------------------------------------------

@@ -13,7 +13,6 @@ from bohrsound.errors import (
     DimensionMismatch,
     DisagreeOnAmalgam,
     InvalidLetter,
-    InvariantViolation,
     NonzeroAtIdentity,
     NotAnAction,
     NotClassFunction,
@@ -53,15 +52,18 @@ from bohrsound.amalgam import (
     sl2z_amalgam,
     sl2z_matrix_target,
     split_decomposition_check,
-    split_family_verdict,
     word_equal,
     word_inverse,
 )
 
+from bohrsound.soundness import soundness_verdict
+
 from oracles import (
+    actions_loop,
     coproduct_pseudometric_dict,
     identity_hom,
     pseudometric_oracle,
+    split_machines_agree,
 )
 
 INVERT3 = [[0, 1, 2], [0, 2, 1]]
@@ -560,49 +562,42 @@ class TestBohrLipschitz:
             bohr_lipschitz_check(self.spec, reps, [], [])
 
 
+def split_family(h, members):
+    """The exact check passes, and the two-machine oracle agrees."""
+    split_decomposition_check(h, members)
+    assert split_machines_agree(h, members)
+
+
+# N in {Z2..Z7, V4, S3}, H in {1, Z2, Z3, Z4}: every action found by brute force
+SWEEP_NORMALS = [cyclic(n) for n in range(2, 8)] + [klein_four(), symmetric(3)]
+SWEEP_ACTING = [trivial_group()] + [cyclic(n) for n in range(2, 5)]
+
+
 class TestSplitFamilies:
     def test_single_member_sound(self):
-        v = split_family_verdict(cyclic(2), [(cyclic(3), INVERT3)])
-        assert v.sound and v.kind == "split"
-        assert v.decomposition_passed
+        split_family(cyclic(2), [(cyclic(3), INVERT3)])
 
     def test_inverting_pair(self):
-        z2 = cyclic(2)
-        members = [(cyclic(3), INVERT3), (cyclic(3), INVERT3)]
-        assert split_decomposition_check(z2, members, sample_count=200)
-        v = split_family_verdict(z2, members)
-        assert v.sound and v.decomposition_passed
+        split_family(cyclic(2), [(cyclic(3), INVERT3), (cyclic(3), INVERT3)])
 
     def test_growing_orbit_family_still_sound(self):
-        z2 = cyclic(2)
-        members = [
+        split_family(cyclic(2), [
             (cyclic(2), [[0, 1], [0, 1]]),
             (cyclic(3), INVERT3),
             (cyclic(5), [[0, 1, 2, 3, 4], [0, 4, 3, 2, 1]]),
-        ]
-        v = split_family_verdict(z2, members, sample_count=120)
-        assert v.sound and v.decomposition_passed
+        ])
 
     def test_trivial_acting_group(self):
-        one = trivial_group()
-        members = [(cyclic(3), [[0, 1, 2]]), (cyclic(2), [[0, 1]])]
-        assert split_decomposition_check(one, members, sample_count=100)
+        split_family(trivial_group(), [(cyclic(3), [[0, 1, 2]]),
+                                       (cyclic(2), [[0, 1]])])
 
     def test_empty_family(self):
-        v = split_family_verdict(cyclic(2), [])
-        assert v.sound and v.decomposition_passed
+        split_family(cyclic(2), [])
 
     def test_bad_action(self):
         with pytest.raises(NotAnAction):
-            split_family_verdict(cyclic(2), [(cyclic(3), [[0, 1, 2], [1, 2, 0]])])
-
-    @pytest.mark.invariant
-    def test_failed_corroboration_raises_invariant_violation(
-            self, monkeypatch):
-        monkeypatch.setattr("bohrsound.amalgam.split_decomposition_check",
-                            lambda *args, **kwargs: False)
-        with pytest.raises(InvariantViolation):
-            split_family_verdict(cyclic(2), [(cyclic(3), INVERT3)])
+            split_decomposition_check(
+                cyclic(2), [(cyclic(3), [[0, 1, 2], [1, 2, 0]])])
 
     def test_each_action_validated_once(self, monkeypatch):
         calls = []
@@ -613,13 +608,31 @@ class TestSplitFamilies:
 
         monkeypatch.setattr("bohrsound.amalgam.validate_action", counting)
         monkeypatch.setattr("bohrsound.groups.validate_action", counting)
-        members = [(cyclic(3), INVERT3), (cyclic(2), [[0, 1], [0, 1]])]
-        v = split_family_verdict(cyclic(2), members, sample_count=20)
-        assert v.decomposition_passed
+        request = {"schema": 1, "kind": "split-family",
+                   "kernel": {"kind": "cyclic", "n": 2},
+                   "members": [
+                       {"normal": {"kind": "cyclic", "n": 3}, "action": INVERT3},
+                       {"normal": {"kind": "cyclic", "n": 2},
+                        "action": [[0, 1], [0, 1]]}]}
+        assert soundness_verdict(request).verdict == "Sound"
         assert sorted(calls) == [2, 3]
 
     def test_nonabelian_factor(self):
         s3 = symmetric(3)
-        trivial_act = [list(range(6)), list(range(6))]
-        assert split_decomposition_check(cyclic(2), [(s3, trivial_act)],
-                                         sample_count=100)
+        split_family(cyclic(2), [(s3, [list(range(6)), list(range(6))])])
+
+    def test_machines_agree_on_every_small_action(self):
+        for h in SWEEP_ACTING:
+            for normal in SWEEP_NORMALS:
+                for act in actions_loop(normal, h):
+                    split_family(h, [(normal, act)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_machines_agree_on_seeded_families(self, seed):
+        rng = random.Random(seed)
+        h = SWEEP_ACTING[seed % len(SWEEP_ACTING)]
+        members = []
+        for _ in range(rng.randint(2, 3)):
+            normal = rng.choice(SWEEP_NORMALS)
+            members.append((normal, rng.choice(actions_loop(normal, h))))
+        split_family(h, members)

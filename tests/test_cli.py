@@ -65,24 +65,25 @@ def split_request(**fields) -> str:
     return json.dumps({**request, **fields})
 
 
-@pytest.mark.parametrize("samples", [-5, 0])
-def test_samples_below_one_are_refused(samples, capsys):
-    # no samples would make the split certificate's corroboration vacuous
-    assert_one_error(run(capsys, "soundness", "--request", "split-inversion.json",
-                         "--samples", str(samples)), "SchemaError")
-    assert_one_error(run(capsys, "soundness", "--request",
-                         split_request(samples=samples)), "SchemaError")
+@pytest.mark.parametrize("fields", [{"samples": 0}, {"samples": 1, "seed": 3},
+                                    {"seed": -1}])
+def test_split_request_ignores_sampling_fields(fields, capsys):
+    # like every unknown descriptor field, the old check's sample count and
+    # seed are ignored: the certificate is the same without them
+    argv = ("soundness", "--format", "json", "--request")
+    want = run(capsys, *argv, "split-inversion.json")
+    assert want[0] == 0
+    assert run(capsys, *argv, split_request(**fields)) == want
+
+
+def test_bad_action_in_mixed_family_is_one_error(capsys):
+    bad = json.loads(split_request(members=[{
+        "normal": {"kind": "cyclic", "n": 3},
+        "action": [[0, 1, 2], [1, 2, 0]]}]))
     mixed = json.dumps({"schema": 1, "kind": "mixed-family",
-                        "members": [json.loads(split_request(samples=samples))]})
-    assert_one_error(run(capsys, "soundness", "--request", mixed), "SchemaError")
-
-
-def test_one_sample_is_enough(capsys):
-    for argv in (("--request", "split-inversion.json", "--samples", "1"),
-                 ("--request", split_request(samples=1), "--samples", "0")):
-        code, out, _ = run(capsys, "soundness", *argv, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["certificate"]["samples"] == 1
+                        "members": [json.loads(split_request()), bad]})
+    assert_one_error(run(capsys, "soundness", "--request", mixed),
+                     "NotAnAction")
 
 
 @pytest.mark.parametrize("vector", ["[1,0]", "[0,0]"])
@@ -298,6 +299,19 @@ def test_fuzzed_arguments_keep_the_error_contract(tmp_path):
                 in run_in_child(fuzz_cases(FUZZ_SEED), tmp_path)
                 if (breach := contract_breach(code, exited, out, err))]
     assert breaches == []
+
+
+def test_large_split_family_fits_in_1_gib(tmp_path):
+    # Z16 under the trivial action of |H| = 4096: 65,536 action entries, where
+    # composing every pair of rows would take 1 GiB
+    request = json.dumps({"schema": 1, "kind": "split-family",
+                          "kernel": {"kind": "cyclic", "n": 4096},
+                          "members": [{"normal": {"kind": "cyclic", "n": 16},
+                                       "action": [list(range(16))] * 4096}]})
+    [(_, code, exited, out, err)] = run_in_child(
+        [["soundness", "--request", request]], tmp_path)
+    assert (code, exited, err) == (0, False, "")
+    assert out.startswith("verdict: Sound\n")
 
 
 def lie_datum(**fields) -> str:

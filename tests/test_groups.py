@@ -1,5 +1,6 @@
 """Group core: construction, validation, subgroups, actions, abelian structure."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from bohrsound.groups import (
     semidirect,
     symmetric,
     trivial_group,
+    validate_action,
 )
 
 from conftest import multiplication_action
@@ -45,6 +47,7 @@ from oracles import (
     all_subgroups,
     alternating_table_loop,
     associativity_failures,
+    automorphisms_loop,
     closure,
     compose,
     conjugacy_classes_loop,
@@ -52,6 +55,7 @@ from oracles import (
     group_element_order_loop,
     identity_hom,
     invariant_factors_by_primes,
+    is_action_loop,
     iso_signature,
     normal_subgroups,
     preimage,
@@ -424,6 +428,14 @@ class TestHoms:
             compose(identity_hom(cyclic(2)), identity_hom(cyclic(3)))
 
 
+# N in {Z2..Z7, V4, S3} under H in {1, Z2, Z3, Z4, V4}, and Z2..Z5 under S3
+ACTION_SWEEP = [(n, h) for h in (trivial_group(), cyclic(2), cyclic(3),
+                                 cyclic(4), klein_four())
+                for n in [cyclic(k) for k in range(2, 8)] + [klein_four(),
+                                                            symmetric(3)]]
+ACTION_SWEEP += [(cyclic(k), symmetric(3)) for k in range(2, 6)]
+
+
 class TestSemidirect:
     def test_inversion_gives_s3(self):
         z3, z2 = cyclic(3), cyclic(2)
@@ -466,6 +478,40 @@ class TestSemidirect:
             # each row fine, but not multiplicative in the acting group
             semidirect(z3, cyclic(4), np.array(
                 [[0, 1, 2], [0, 2, 1], [0, 1, 2], [0, 1, 2]]))
+        for bad in ([[0, 1, 2], [0, -1, -2]],  # -1, -2 would wrap
+                    [[0, 1, 2], [0, 2, 1], [0, 1, 3], [0, 2, 1]]):
+            # refused before any gather, in a generator's row or another's
+            with pytest.raises(NotAnAction, match="out of range"):
+                semidirect(z3, cyclic(len(bad)), bad)
+
+    def test_validate_action_matches_definition(self):
+        # every tuple of automorphisms, and each action with one row swapped
+        # for a random permutation: the check on generators alone must agree
+        # with the definition on every pair, and name a failing pair
+        rng = random.Random(5)
+        for normal, acting in ACTION_SWEEP:
+            auts = automorphisms_loop(normal)
+            aut_set, ident = set(auts), tuple(range(normal.order))
+            candidates = [(ident,) + rest for rest in itertools.product(
+                auts, repeat=acting.order - 1)]
+            for act in [c for c in candidates if acting.order > 1
+                        and is_action_loop(acting, c, aut_set)]:
+                swapped = list(act)
+                swapped[rng.randrange(1, acting.order)] = tuple(
+                    rng.sample(ident, len(ident)))
+                candidates.append(tuple(swapped))
+            for act in candidates:
+                expected = is_action_loop(acting, act, aut_set)
+                try:
+                    validate_action(normal, acting, act)
+                    accepted = True
+                except NotAnAction as exc:
+                    accepted = False
+                    if "multiplicative" in str(exc):
+                        g, a = exc.witness
+                        assert tuple(act[g][y] for y in act[a]) != \
+                            act[acting.op(g, a)]
+                assert accepted == expected, (normal, acting, act)
 
     def test_direct_product_order_limit(self, monkeypatch):
         with pytest.raises(SizeLimit):

@@ -1,6 +1,7 @@
 """Guards on the shape of the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import bohrsound
@@ -30,3 +31,17 @@ def test_every_top_level_name_is_used_or_exported():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in named and name not in bohrsound.__all__)
     assert unused == []
+
+
+def test_traced_layers_name_existing_functions():
+    # perfbench/tracing.py wraps each LAYERS function by name, so a rename
+    # in src/ would crash every traced benchmark run; read it, install nothing
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}"
+               for module, names in tracing.LAYERS.values() for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"bohrsound.{module}"), name, None))]
+    assert missing == []
