@@ -70,6 +70,7 @@ from .amalgam import (
     intersection_check,
     length_function_validate,
     normal_form,
+    padded_regular_representation,
     pseudometric_distance,
     regular_pullback_length,
     sl2z_amalgam,

@@ -17,8 +17,9 @@ HEISENBERG_MAX_LEVEL = 4
 SYMMETRIC_MAX_N = 6
 
 # builders refuse larger groups before allocating their O(n^2) table, and
-# LieDatum a larger gluing subgroup D before enumerating it;
-# 4096 = 16^3 is the order of heisenberg(HEISENBERG_MAX_LEVEL)
+# LieDatum a larger gluing subgroup D while enumerating it, as soon as the
+# next coset would pass the limit; 4096 = 16^3 is the order of
+# heisenberg(HEISENBERG_MAX_LEVEL)
 GROUP_MAX_ORDER = 4096
 
 # Minkowski's bound is astronomically large past small rank; refuse above this

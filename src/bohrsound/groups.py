@@ -377,8 +377,9 @@ def trivial_group() -> FiniteGroup:
 def cyclic(n: int, labels=None, name: str | None = None) -> FiniteGroup:
     if not 1 <= n <= config.GROUP_MAX_ORDER:
         raise SizeLimit(f"cyclic group order must be in 1..{config.GROUP_MAX_ORDER}")
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)
+    table = np.add.outer(idx, idx)  # built in place: no n^2 int64 temporary
+    np.subtract(table, n, out=table, where=table >= n)
     if labels is None:
         labels = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     return FiniteGroup(table, labels=labels, name=name or f"Z{n}", _validated=True)

@@ -5,11 +5,12 @@ types, and a finite gluing subgroup D given as the graph of a map from a
 subgroup of the product of simple centers into the torus.  Everything here
 is exact: centers come from the classification table, torus parts are
 integer numerators over N, the common denominator of the generators' torus
-images, and verdicts reduce to integer matrix computations.  The center
-automorphisms and the gluing map are homomorphisms, and D's generators
-generate its support, so support preservation, the joint sign and the
-intertwining with a torus automorphism are checked on the generators
-alone; only kernel preservation is checked element by element.
+images, and D is enumerated once into integer rows, on which the center
+and the glued torus subgroup are counted as q-torsion at prime powers q.
+The center automorphisms and the gluing map are homomorphisms, and D's
+generators generate its support, so support preservation, the joint sign
+and the intertwining with a torus automorphism are checked on the
+generators alone; only kernel preservation is checked element by element.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial, gcd, lcm, prod
+
+import numpy as np
 
 from . import config
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     UnsupportedRank,
     WrongOrder,
 )
-from .groups import FiniteAbelian, TorusPoint, abelian_from_orders, reachable
+from .groups import FiniteAbelian, TorusPoint, abelian_from_orders, factorize
 from .zmat import (
     MatrixGroupResult,
     element_order,
@@ -41,7 +44,6 @@ from .zmat import (
     mat_det,
     mat_inv_unimodular,
     mat_mul,
-    smith_normal_form,
 )
 
 
@@ -109,32 +111,16 @@ def simple_type(token) -> SimpleType:
 # -- the datum ----------------------------------------------------------------------------
 
 
-def _quotient_orders(moduli, vectors) -> list[int]:
-    """Orders of cyclic groups whose direct sum is (Z/m_1 x ... x Z/m_k) /
-    <vectors>.  A coordinate no vector touches passes its modulus through;
-    the rest is the Smith normal form of their moduli's diagonal stacked on
-    the vectors' entries there, so no vectors means no Smith normal form."""
-    touched = [any(v[j] for v in vectors) for j in range(len(moduli))]
-    support = [j for j, t in enumerate(touched) if t]
-    free = [m for m, t in zip(moduli, touched) if not t]
-    if not support:
-        return free
-    rows = [[moduli[i] if i == j else 0 for j in support] for i in support]
-    _, s, _ = smith_normal_form(rows + [[v[j] for j in support] for v in vectors])
-    return free + [s[i][i] for i in range(len(support))]
-
-
 class LieDatum:
     """(T^torus_rank x prod factors) / D with D the graph of a gluing map.
 
     Generators give pairs (simple center part, rational torus image); the
-    generated subgroup must project injectively to the simple part, so the
-    torus coordinate is a function of the simple coordinate.  D is
-    enumerated once, as integer vectors modulo (center orders, N, ..., N)
-    with N the common denominator of the torus images, and `torus_part_of`
-    maps each simple part to its torus numerators over N.  Its order, the
-    product of the moduli over the order of their quotient by D, is checked
-    against config.GROUP_MAX_ORDER first.
+    generated subgroup must project injectively to the simple part.  D is
+    enumerated once into `elements`: one row per element, the simple
+    coordinates modulo the center orders, then the torus numerators modulo
+    N, the common denominator of the torus images (int64 below 2^62).  Each
+    generator adds one coset of its multiples at a time, and |D| past
+    config.GROUP_MAX_ORDER is refused then, N past it up front (N <= |D|).
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -146,7 +132,7 @@ class LieDatum:
         self.factors = tuple(factors)
         self.block_widths = tuple(len(f.center_orders) for f in self.factors)
         self.block_offsets = tuple(
-            sum(self.block_widths[:i]) for i in range(len(self.factors)))
+            itertools.accumulate(self.block_widths, initial=0))[:-1]
         self.center_orders = tuple(
             m for f in self.factors for m in f.center_orders)
         c = len(self.center_orders)
@@ -162,55 +148,79 @@ class LieDatum:
             gens.append((simple, TorusPoint(torus)))
         self.generators = tuple(gens)
         n = self.denominator = lcm(*(t.den for _, t in gens))
+        limit = config.GROUP_MAX_ORDER
+        if n > limit:
+            raise SizeLimit(f"gluing subgroup of order at least {n} exceeds {limit}")
         moduli = self.center_orders + (n,) * torus_rank
-        vectors = [s + t.numerators_over(n) for s, t in gens]
-        order = prod(moduli) // prod(_quotient_orders(moduli, vectors))
-        if order > config.GROUP_MAX_ORDER:
-            raise SizeLimit(f"gluing subgroup of order {order} exceeds "
-                            f"{config.GROUP_MAX_ORDER}")
-
-        def step(v):
-            return [tuple((a + b) % m for a, b, m in zip(v, g, moduli))
-                    for g in vectors]
-
-        torus_part_of: dict = {}
-        for v in reachable([(0,) * len(moduli)], step):
-            s, t = v[:c], v[c:]
-            if torus_part_of.setdefault(s, t) != t:
-                raise InvalidDelta(
-                    f"gluing subgroup is not a graph at simple part {s}")
-        self.torus_part_of = torus_part_of
-        self.simple_parts = frozenset(torus_part_of)
+        dtype = np.int64 if max(moduli, default=1) < 1 << 62 else object
+        moduli = np.array(moduli, dtype)
+        elements = np.zeros((1, len(moduli)), dtype)
+        for s, t in gens:
+            g = step = np.array(s + t.numerators_over(n), dtype)
+            cosets = [elements]
+            while not (elements == step).all(axis=1).any():
+                if (len(cosets) + 1) * len(elements) > limit:
+                    raise SizeLimit(f"gluing subgroup exceeds {limit} elements")
+                cosets.append((elements + step) % moduli)
+                step = (step + g) % moduli
+            elements = np.concatenate(cosets)
+        self.elements = elements
+        self.torus_part_of = dict(zip(map(tuple, elements[:, :c].tolist()),
+                                      map(tuple, elements[:, c:].tolist())))
+        if len(self.torus_part_of) < len(elements):
+            raise InvalidDelta(
+                f"gluing subgroup is not a graph at simple part {(0,) * c}")
+        self.simple_parts = frozenset(self.torus_part_of)
         self.kernel_parts = frozenset(
-            s for s, t in torus_part_of.items() if not any(t))
+            s for s, t in self.torus_part_of.items() if not any(t))
+
+
+def _primary_orders(torsion, primes) -> list[int]:
+    """Cyclic orders of the l-primary parts of a finite abelian A, l in
+    primes, from torsion(q) = |A[q]|: log_l |A[l^j]| / |A[l^(j-1)]| cyclic
+    factors have order at least l^j."""
+    out = []
+    for l in primes:
+        at_least, prev = [], 1
+        while (count := torsion(l ** (len(at_least) + 1))) != prev:
+            ratio, prev = count // prev, count
+            at_least.append(next(i for i in itertools.count() if l ** i >= ratio))
+        out += [l ** sum(r > k for r in at_least)
+                for k in range(max(at_least, default=0))]
+    return out
 
 
 def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
-    """Center of the quotient group: torus rank plus component group.
+    """Center of the quotient group: torus rank plus component group C/S.
 
-    The component group of the center is the product of simple centers
-    modulo the simple support of the gluing subgroup, computed by Smith
-    normal form on the stacked relation matrix.
+    C is the product of simple centers and S = D's simple parts, so S only
+    meets the primes dividing |S| = |D|.  There |(C/S)[q]| is |C[q]| times
+    #{s in S : s in qC} / |S|, with s in qC when each s_i is a multiple of
+    gcd(q, m_i); the rest of each center order m_i passes through.
     """
-    orders = _quotient_orders(datum.center_orders,
-                              [s for s, _ in datum.generators])
-    return datum.torus_rank, abelian_from_orders(orders)
+    orders, size = datum.center_orders, len(datum.elements)
+    simple = datum.elements[:, :len(orders)]
+
+    def torsion(q):
+        g = [gcd(q, m) for m in orders]
+        in_qc = (simple % np.array(g, simple.dtype) == 0).all(axis=1)
+        return prod(g) * int(np.count_nonzero(in_qc)) // size
+
+    rest = [m // gcd(m, size ** m.bit_length()) for m in orders]
+    return datum.torus_rank, abelian_from_orders(
+        rest + _primary_orders(torsion, factorize(size)))
 
 
 def torus_image_invariants(datum: LieDatum) -> FiniteAbelian:
-    """Structure of the gluing subgroup's image inside the torus.
+    """The glued torus subgroup Delta_0, D modulo its kernel parts K, of
+    exponent dividing N: |Delta_0[q]| = #{d in D : q t(d) = 0 over N} / |K|."""
+    torus, n = datum.elements[:, len(datum.center_orders):], datum.denominator
 
-    Over N the image is the generators' row lattice modulo N Z^z, so each
-    invariant factor d of that lattice gives a cyclic factor N / gcd(d, N).
-    """
-    z = datum.torus_rank
-    if z == 0 or not datum.generators:
-        return FiniteAbelian(())
-    n = datum.denominator
-    _, s, _ = smith_normal_form(
-        [t.numerators_over(n) for _, t in datum.generators])
-    return abelian_from_orders(n // gcd(s[i][i], n)
-                               for i in range(min(len(datum.generators), z)))
+    def torsion(q):
+        zero = (torus * q % n == 0).all(axis=1)
+        return int(np.count_nonzero(zero)) // len(datum.kernel_parts)
+
+    return abelian_from_orders(_primary_orders(torsion, factorize(n)))
 
 
 # -- achievable automorphisms of the product of centers -------------------------------------
@@ -221,8 +231,9 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
 
     Each entry is (factor permutation, per-factor sign): permutations of
     identical factors and center inversion on factors that support it.
-    Triality on D4 is deliberately left out, so the list can only
-    under-approximate; callers treat it accordingly.
+    The diagram swap of D_n, n even, exchanging the two half-spin elements
+    of its center Z/2 x Z/2, and D4's triality are left out, so the list
+    can only under-approximate; `_rigidity` answers None on such factors.
     """
     factors = tuple(factors)
     n = len(factors)
@@ -234,43 +245,24 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
         << sum(f.inversion_achievable for f in factors)
     if size > config.GROUP_MAX_ORDER:
         raise SizeLimit(f"{size} center automorphisms exceed {config.GROUP_MAX_ORDER}")
-    ident = (tuple(range(n)), (1,) * n)
-    gens = []
-    for i, f in enumerate(factors):
-        if f.inversion_achievable:
-            signs = tuple(-1 if j == i else 1 for j in range(n))
-            gens.append((ident[0], signs))
-    for idx in equal.values():
-        for i, j in itertools.combinations(idx, 2):
-            perm = list(range(n))
-            perm[i], perm[j] = j, i
-            gens.append((tuple(perm), (1,) * n))
-
-    def step(a):
-        # apply each generator b after a
-        sigma_a, signs_a = a
-        return [(tuple(sigma_b[sigma_a[i]] for i in range(n)),
-                 tuple(signs_a[i] * signs_b[sigma_a[i]] for i in range(n)))
-                for sigma_b, signs_b in gens]
-
-    return sorted(reachable([ident], step))
+    perms = []
+    for images in itertools.product(*map(itertools.permutations, equal.values())):
+        sigma = list(range(n))
+        for idx, image in zip(equal.values(), images):
+            for i, j in zip(idx, image):
+                sigma[i] = j
+        perms.append(tuple(sigma))
+    signs = [(1, -1) if f.inversion_achievable else (1,) for f in factors]
+    return sorted(itertools.product(perms, itertools.product(*signs)))
 
 
 def apply_center_auto(datum: LieDatum, auto, simple: tuple[int, ...]) -> tuple[int, ...]:
-    sigma, signs = auto
-    offsets = datum.block_offsets
-    orders = datum.center_orders
-    out = [0] * len(orders)
-    for src, width, dst_block, sign in zip(offsets, datum.block_widths,
-                                           sigma, signs):
-        dst = offsets[dst_block]
-        for k in range(width):
-            out[dst + k] = (sign * simple[src + k]) % orders[dst + k]
+    # permuted blocks belong to equal factors, so they share their orders
+    offsets, orders, out = datum.block_offsets, datum.center_orders, list(simple)
+    for src, width, dst, sign in zip(offsets, datum.block_widths, *auto):
+        out[offsets[dst]:offsets[dst] + width] = [
+            sign * v % m for v, m in zip(simple[src:src + width], orders[src:])]
     return tuple(out)
-
-
-def _scaled(datum: LieDatum, simple: tuple[int, ...], factor: int) -> tuple[int, ...]:
-    return tuple((factor * v) % m for v, m in zip(simple, datum.center_orders))
 
 
 def _preserved_autos(datum: LieDatum):
@@ -309,20 +301,19 @@ def _rigidity(datum: LieDatum) -> bool | None:
     Quantifies over automorphisms preserving both the gluing support and
     its kernel (the only ones that can intertwine with an injective torus
     automorphism).  The joint sign is tested on the generators, the kernel
-    on its elements.  None means undecided: the achievable list is an
-    under-approximation whenever a D4 factor is present.
+    on its elements.  A listed automorphism that is no joint sign settles
+    False; otherwise a D_n factor with n even leaves it undecided (None).
     """
-    kernel = datum.kernel_parts
+    kernel, orders = datum.kernel_parts, datum.center_orders
     for auto, images in _preserved_autos(datum):
         if {apply_center_auto(datum, auto, s) for s in kernel} != kernel:
             continue
-        if not any(all(image == _scaled(datum, s, eps)
+        if not any(all(image == tuple(eps * v % m for v, m in zip(s, orders))
                        for image, (s, _) in zip(images, datum.generators))
                    for eps in (1, -1)):
             return False
-    if any(f.series == "D" and f.rank == 4 for f in datum.factors):
-        return None
-    return True
+    even_d = any(f.series == "D" and f.rank % 2 == 0 for f in datum.factors)
+    return None if even_d else True
 
 
 # -- torsion classes of GL(2, Z) and the largest-compact verdict -----------------------------

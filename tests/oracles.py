@@ -10,7 +10,8 @@ hand-written breadth-first loops instead of the shared `reachable` closure,
 per-pair and per-element group loops instead of whole-table numpy passes,
 every triple instead of Light's associativity test, every element of the
 gluing subgroup over Fractions instead of its generators over integers,
-two word machines related by von Dyck's theorem instead of one action check.
+two word machines related by von Dyck's theorem instead of one action check,
+Smith normal forms instead of torsion counts on the gluing subgroup's rows.
 """
 
 from __future__ import annotations
@@ -27,15 +28,21 @@ from bohrsound.characters import Character, irreducible_character
 from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
+    NonzeroAtIdentity,
+    NotClassFunction,
     NotNormal,
+    NotSubadditive,
+    NotSymmetric,
     SchemaError,
     SourceMismatch,
 )
 from bohrsound.amalgam import AmalgamSpec, free_product, normal_form, word_equal
 from bohrsound.groups import (
+    FiniteAbelian,
     GroupHom,
     Subgroup,
     TorusPoint,
+    abelian_from_orders,
     factorize,
     greedy_generators,
     reachable,
@@ -51,6 +58,7 @@ from bohrsound.zmat import (
     mat_inv_unimodular,
     mat_mul,
     minkowski_bound,
+    smith_normal_form,
 )
 
 
@@ -110,6 +118,26 @@ def associativity_failures(mul) -> np.ndarray:
     bad = [np.argwhere(mul[mul[a], :] != mul[a][mul]) for a in range(len(mul))]
     return np.array([(a, int(b), int(c)) for a, rows in enumerate(bad)
                      for b, c in rows], dtype=np.int64).reshape(-1, 3)
+
+
+def length_function_validate_loop(lf):
+    """The four length-function axioms pair by pair over Fractions, raising
+    at the first failing element, then at the first failing (x, y)."""
+    g, vals = lf.group, lf.values
+    if len(vals) != g.order:
+        raise DimensionMismatch("one value per group element required")
+    if vals[0] != 0:
+        raise NonzeroAtIdentity(f"identity has length {vals[0]}")
+    for x in range(g.order):
+        if vals[g.inverse(x)] != vals[x]:
+            raise NotSymmetric(x)
+    for x in range(g.order):
+        for y in range(g.order):
+            if vals[g.conjugate(y, x)] != vals[x]:
+                raise NotClassFunction((x, y))
+            if vals[g.op(x, y)] > vals[x] + vals[y]:
+                raise NotSubadditive((x, y))
+    return lf
 
 
 # -- character tables via the regular representation -----------------------------
@@ -532,6 +560,34 @@ def snf_invariants_oracle(a) -> tuple[int, ...]:
     return tuple(out)
 
 
+def quotient_orders_snf(moduli, vectors) -> list[int]:
+    """Orders of cyclic groups whose direct sum is (Z/m_1 x ... x Z/m_k) /
+    <vectors>.  A coordinate no vector touches passes its modulus through;
+    the rest is the Smith normal form of their moduli's diagonal stacked on
+    the vectors' entries there."""
+    touched = [any(v[j] for v in vectors) for j in range(len(moduli))]
+    support = [j for j, t in enumerate(touched) if t]
+    free = [m for m, t in zip(moduli, touched) if not t]
+    if not support:
+        return free
+    rows = [[moduli[i] if i == j else 0 for j in support] for i in support]
+    _, s, _ = smith_normal_form(rows + [[v[j] for j in support] for v in vectors])
+    return free + [s[i][i] for i in range(len(support))]
+
+
+def torus_image_invariants_snf(datum) -> FiniteAbelian:
+    """The glued torus subgroup from the generators' row lattice over N:
+    each invariant factor d of it gives a cyclic factor N / gcd(d, N)."""
+    z = datum.torus_rank
+    if z == 0 or not datum.generators:
+        return FiniteAbelian(())
+    n = datum.denominator
+    _, s, _ = smith_normal_form(
+        [t.numerators_over(n) for _, t in datum.generators])
+    return abelian_from_orders(n // gcd(s[i][i], n)
+                               for i in range(min(len(datum.generators), z)))
+
+
 def charpoly_eval_oracle(a, p: int, x: int) -> int:
     """det(xI - A) mod p at one point: by exact cofactor expansion up to 6
     rows, by Gaussian elimination over GF(p) on Python integers above."""
@@ -715,7 +771,7 @@ def rigidity_elementwise(datum) -> bool | None:
         if not any(all(image[s] == tuple((eps * v) % m for v, m in zip(s, orders))
                        for s in graph) for eps in (1, -1)):
             return False
-    if any(f.series == "D" and f.rank == 4 for f in datum.factors):
+    if any(f.series == "D" and f.rank % 2 == 0 for f in datum.factors):
         return None
     return True
 

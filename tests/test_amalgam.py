@@ -24,7 +24,10 @@ from bohrsound.errors import (
 from bohrsound.groups import (
     GroupHom,
     TorusPoint,
+    alternating,
     cyclic,
+    dihedral,
+    heisenberg,
     klein_four,
     symmetric,
     trivial_group,
@@ -62,6 +65,7 @@ from oracles import (
     actions_loop,
     coproduct_pseudometric_dict,
     identity_hom,
+    length_function_validate_loop,
     pseudometric_oracle,
     split_machines_agree,
 )
@@ -326,6 +330,45 @@ class TestLengthFunctions:
         values = (Fraction(0), Fraction(1), Fraction(3), Fraction(1))
         with pytest.raises(NotSubadditive):
             length_function_validate(LengthFunction(cyclic(4), values))
+
+    @pytest.mark.parametrize("make", [
+        lambda: cyclic(12), lambda: symmetric(4), lambda: dihedral(15),
+        lambda: heisenberg(2), lambda: alternating(5)],
+        ids=["Z12", "S4", "D15", "H2", "A5"])
+    def test_regular_length_matches_matrix_route(self, make):
+        # read off element orders, as the cycle lengths of the matrices
+        g = make()
+        assert regular_pullback_length(g) == matrix_pullback_length(
+            g, padded_regular_representation(g, g.order))
+
+    def test_validation_matches_pairwise_loop(self):
+        # valid lengths with one or two values moved, some scaled past int64:
+        # the same verdict and the same first witness as the loop over pairs
+        rng = random.Random(5)
+        groups = [cyclic(6), symmetric(3), dihedral(4), klein_four(),
+                  heisenberg(1), alternating(4)]
+        seen = set()
+        for _ in range(400):
+            g = rng.choice(groups)
+            make = rng.choice((discrete_length, regular_pullback_length))
+            values = list(make(g).values)
+            for _ in range(rng.randint(0, 2)):
+                values[rng.randrange(1, g.order)] = \
+                    Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            scale = rng.choice((1, 2 ** 70))
+            lf = LengthFunction(g, tuple(v * scale for v in values))
+            outcomes = []
+            for check in (length_function_validate,
+                          length_function_validate_loop):
+                try:
+                    outcomes.append(check(lf))
+                except (NotSymmetric, NotClassFunction, NotSubadditive) as exc:
+                    outcomes.append((type(exc), exc.witness))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0][0] if isinstance(outcomes[0], tuple)
+                     else LengthFunction)
+        assert seen == {LengthFunction, NotSymmetric, NotClassFunction,
+                        NotSubadditive}
 
     def test_padding_requires_room(self):
         with pytest.raises(DimensionMismatch):

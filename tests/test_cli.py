@@ -148,7 +148,14 @@ VALID = {
                    "factors": [[{"torus": [[0, 1]], "matrix": [[1]]},
                                 {"torus": [[1, 2]], "matrix": [[1]]}]]}],
     "--datum": ["su2.json", "bare-t2.json", "glued-su-3-2.json",
-                "glued-su-4-2.json", "glued-su-4-3.json"],
+                "glued-su-4-2.json", "glued-su-4-3.json",
+                # 60 distinct factors, two generators across all of them
+                {"schema": 1, "kind": "lie-datum", "z": 2,
+                 "factors": [f"B{n}" for n in range(2, 61)] + ["A2"],
+                 "delta": {"simple_part_generators": [[1] * 59 + [0],
+                                                      [0] * 59 + [1]],
+                           "phi_images": [[[1, 2], [0, 1]],
+                                          [[0, 1], [1, 3]]]}}],
 }
 VALID["--word2"] = VALID["--word"]
 
@@ -312,6 +319,18 @@ def test_large_split_family_fits_in_1_gib(tmp_path):
         [["soundness", "--request", request]], tmp_path)
     assert (code, exited, err) == (0, False, "")
     assert out.startswith("verdict: Sound\n")
+
+
+def test_regular_lengths_of_order_1024_fit_in_1_gib(tmp_path):
+    # the regular representation of Z1024 as matrices would take 8 GiB
+    spec = json.dumps({"schema": 1, "kind": "amalgam",
+                       "amalgam": {"kind": "cyclic", "n": 1},
+                       "factors": [{"group": {"kind": "cyclic", "n": n},
+                                    "injection": ["e"]} for n in (1024, 2)]})
+    [(_, code, exited, out, err)] = run_in_child(
+        [["amalgam", "dist", "--spec", spec, "--word", "0:g 1:g 0:g3",
+          "--lengths", "regular"]], tmp_path)
+    assert (code, exited, out, err) == (0, False, "4\n", "")
 
 
 def lie_datum(**fields) -> str:

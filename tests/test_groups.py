@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,21 @@ class TestConstruction:
     def test_non_associative(self):
         with pytest.raises(NonAssociative):
             group_from_table(NONASSOC_LOOP)
+
+    def test_cyclic_table_has_no_int64_temporary(self):
+        # the 64 MiB int32 table of Z4096 is built in place; two n^2 int64
+        # temporaries once took its peak to 256 MiB
+        tracemalloc.start()
+        try:
+            g = cyclic(config.GROUP_MAX_ORDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 << 20
+        assert g.mul.dtype == np.int32
+        for n in (1, 2, 7, 12):
+            idx = np.arange(n)
+            assert np.array_equal(cyclic(n).mul, (idx[:, None] + idx) % n)
 
     def test_identity_relocation(self):
         z3 = cyclic(3)

@@ -24,7 +24,7 @@ from bohrsound.errors import (
 )
 from bohrsound import cli, config, lie
 from bohrsound.cli import main
-from bohrsound.groups import FiniteAbelian, TorusPoint
+from bohrsound.groups import FiniteAbelian, TorusPoint, abelian_from_orders
 from bohrsound.lie import (
     LieDatum,
     SimpleType,
@@ -47,10 +47,11 @@ from oracles import (
     glued_torus_su_datum,
     gluing_graph_oracle,
     _span_size,
-    invariant_factors_by_primes,
     liftable_elementwise,
+    quotient_orders_snf,
     rigidity_elementwise,
     su2_datum,
+    torus_image_invariants_snf,
 )
 
 A1 = SimpleType("A", 1)
@@ -199,22 +200,77 @@ class TestLieCenter:
         assert lie_center(d) == (0, FiniteAbelian((6,)))
 
     def test_quotient_orders_against_spans(self):
+        # C/S against the Smith normal form route and against spans:
         # |Q[d]| = |M| / |dM + S| for Q = M / S, and the invariant factors e
         # of Q give |Q[d]| = prod gcd(d, e); d up to the largest modulus
-        # meets every prime power dividing the exponent, which fixes Q
+        # meets every prime power dividing the exponent, which fixes Q.
+        # Delta_0 against the same route and against its distinct torus parts
         rng = random.Random(41)
-        for _ in range(150):
-            moduli = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        data = [random_datum(rng) for _ in range(100)]
+        for _ in range(100):
+            # any moduli 2..6, as centers of A_1 .. A_5, glued to no torus
+            moduli = [rng.randint(2, 6) for _ in range(rng.randint(1, 4))]
             vectors = [tuple(rng.randrange(m) if rng.random() < 0.5 else 0
                              for m in moduli) for _ in range(rng.randint(0, 3))]
-            orders = lie._quotient_orders(moduli, vectors)
-            assert prod(orders) * _span_size(vectors, moduli) == prod(moduli)
-            factors = invariant_factors_by_primes(orders)
-            for d in range(1, max(moduli) + 1):
+            data.append(LieDatum(0, [SimpleType("A", m - 1) for m in moduli],
+                                 [(v, ()) for v in vectors]))
+        for datum in data:
+            moduli = datum.center_orders
+            vectors = [s for s, _ in datum.generators]
+            rank, center = lie_center(datum)
+            assert rank == datum.torus_rank
+            assert center == abelian_from_orders(
+                quotient_orders_snf(moduli, vectors))
+            assert center.order * _span_size(vectors, moduli) == prod(moduli)
+            for d in range(1, max(moduli, default=1) + 1):
                 scaled = [tuple(d if i == j else 0 for j in range(len(moduli)))
                           for i in range(len(moduli))]
                 torsion = prod(moduli) // _span_size(vectors + scaled, moduli)
-                assert prod(gcd(d, e) for e in factors) == torsion
+                assert prod(gcd(d, e) for e in center.invariant_factors) \
+                    == torsion
+            delta0 = torus_image_invariants(datum)
+            assert delta0 == torus_image_invariants_snf(datum)
+            image = set(datum.torus_part_of.values())
+            assert delta0.order == len(image)
+            for q in range(1, datum.denominator + 1):
+                assert prod(gcd(q, e) for e in delta0.invariant_factors) == \
+                    sum(all(q * v % datum.denominator == 0 for v in t)
+                        for t in image)
+        assert {d.torus_rank for d in data} == {0, 1, 2}
+        assert any(not lie_center(d)[1].is_trivial and d.generators
+                   for d in data)
+        assert any(len(torus_image_invariants(d).invariant_factors) == 2
+                   for d in data)
+
+    def test_many_factors_counted_on_the_rows(self, capsys):
+        # one generator across 400 distinct B_k: |D| = 2, and C/S is counted
+        # at the prime 2 on D's two rows; a Smith normal form of the 400 x 400
+        # relations takes seconds
+        names = [f"B{n}" for n in range(2, 402)]
+        datum = {"schema": 1, "kind": "lie-datum", "z": 0, "factors": names,
+                 "delta": {"simple_part_generators": [[1] * 400],
+                           "phi_images": [[]]}}
+        start = time.perf_counter()
+        assert main(["liecheck", "--datum", json.dumps(datum)]) == 0
+        assert time.perf_counter() - start < 0.5
+        lines = ["factors: " + " x ".join(names) + " with central torus T^0",
+                 "center: T^0" + " x Z/2" * 399,
+                 "no central 2-torus: True", "dual rank <= 1: True",
+                 "compact automorphism group: True",
+                 "largest compact subgroup: True", "sign-rigid gluing: True"]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_center_order_past_int64(self):
+        # m = 2^70 + 2 with its element of order 2 glued away: D's rows hold
+        # Python ints, and C/S = Z/(2^69 + 1) keeps its odd part unfactored
+        m = 2 ** 70 + 2
+        d = LieDatum(1, [SimpleType("A", m - 1)],
+                     [((m // 2,), (Fraction(1, 2),))])
+        assert d.torus_part_of == {(0,): (0,), (m // 2,): (1,)}
+        assert lie_center(d) == (1, FiniteAbelian((m // 2,)))
+        assert lie_center(d)[1] == abelian_from_orders(
+            quotient_orders_snf(d.center_orders, [(m // 2,)]))
+        assert torus_image_invariants(d) == FiniteAbelian((2,))
 
     def test_many_unglued_factors_skip_smith_form(self, capsys):
         # no generators: every coordinate passes its modulus through, and no
@@ -549,6 +605,25 @@ class TestCompactnessConditions:
         report = compactness_conditions(d)
         assert report.inversion_only is None
         assert report.has_largest_compact is None
+
+    @pytest.mark.parametrize("factor", ["D4", "D6", "D8"])
+    def test_d_even_gluing_is_not_sign_rigid(self, factor, capsys):
+        # the diagram swap of D_n, n even, exchanges the half-spin elements
+        # (1, 0) and (0, 1): it preserves this support and kernel but is no
+        # joint sign, and the achievable list lacks it; at D6 this datum was
+        # once called sign-rigid with a false NoLargest
+        datum = {"schema": 1, "kind": "lie-datum", "z": 2, "factors": [factor],
+                 "delta": {"simple_part_generators": [[1, 0], [0, 1]],
+                           "phi_images": [[[1, 2], [0, 1]], [[0, 1], [1, 2]]]}}
+        d = LieDatum(2, [simple_type(factor)],
+                     [((1, 0), (Fraction(1, 2), 0)), ((0, 1), (0, Fraction(1, 2)))])
+        assert lie._rigidity(d) is None
+        assert rigidity_elementwise(d) is None
+        assert main(["liecheck", "--datum", json.dumps(datum)]) == 0
+        out = capsys.readouterr().out
+        assert "largest compact subgroup: None\nsign-rigid gluing: None\n" \
+            "verdict: Unknown (achievable automorphism list is an " \
+            "under-approximation)\n" in out
 
     def test_high_rank_left_open(self):
         report = compactness_conditions(bare_torus_datum(3))

@@ -45,3 +45,14 @@ def test_traced_layers_name_existing_functions():
                if not callable(getattr(importlib.import_module(
                    f"bohrsound.{module}"), name, None))]
     assert missing == []
+
+
+def test_lie_runs_no_smith_normal_form():
+    # the Lie invariants are counted on the gluing subgroup's rows; the
+    # pure-Python Smith normal form is cubic in the factors it touches
+    tree = ast.parse((SRC / "lie.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert not names & {"smith_normal_form", "snf_diagonal"}
