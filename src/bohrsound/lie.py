@@ -206,7 +206,7 @@ def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
         in_qc = (simple % np.array(g, simple.dtype) == 0).all(axis=1)
         return prod(g) * int(np.count_nonzero(in_qc)) // size
 
-    rest = [m // gcd(m, size ** m.bit_length()) for m in orders]
+    rest = [m // gcd(m, size ** m.bit_length()) for m in orders]  # |D|'s primes out
     return datum.torus_rank, abelian_from_orders(
         rest + _primary_orders(torsion, factorize(size)))
 

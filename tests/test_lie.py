@@ -24,6 +24,7 @@ from bohrsound.errors import (
 )
 from bohrsound import cli, config, lie
 from bohrsound.cli import main
+from bohrsound.descriptors import lie_datum_from_descriptor
 from bohrsound.groups import FiniteAbelian, TorusPoint, abelian_from_orders
 from bohrsound.lie import (
     LieDatum,
@@ -615,8 +616,7 @@ class TestCompactnessConditions:
         datum = {"schema": 1, "kind": "lie-datum", "z": 2, "factors": [factor],
                  "delta": {"simple_part_generators": [[1, 0], [0, 1]],
                            "phi_images": [[[1, 2], [0, 1]], [[0, 1], [1, 2]]]}}
-        d = LieDatum(2, [simple_type(factor)],
-                     [((1, 0), (Fraction(1, 2), 0)), ((0, 1), (0, Fraction(1, 2)))])
+        d = lie_datum_from_descriptor(datum)
         assert lie._rigidity(d) is None
         assert rigidity_elementwise(d) is None
         assert main(["liecheck", "--datum", json.dumps(datum)]) == 0
