@@ -359,8 +359,9 @@ def length_function_validate(lf: LengthFunction) -> LengthFunction:
 
 
 def discrete_length(group: FiniteGroup) -> LengthFunction:
+    # valid by construction, so not validated: 0 at the identity, 1 elsewhere
     values = (Fraction(0),) + (Fraction(1),) * (group.order - 1)
-    return length_function_validate(LengthFunction(group, values))
+    return LengthFunction(group, values)
 
 
 def padded_regular_representation(group: FiniteGroup, dim: int) -> np.ndarray:
@@ -415,10 +416,11 @@ def matrix_pullback_length(group: FiniteGroup, rep: np.ndarray) -> LengthFunctio
 def regular_pullback_length(group: FiniteGroup) -> LengthFunction:
     """`matrix_pullback_length` of the regular representation, built from
     element orders alone: left multiplication by g is |G| / o(g) cycles of
-    length o(g)."""
+    length o(g).  Valid by construction, so not validated: a value depends
+    on the element order alone, 0 at the identity and in [sqrt(3), 2]
+    elsewhere, so any two nonzero values sum past every value."""
     bound = {o: _cycle_length_bound(o) for o in set(group.element_orders)}
-    return length_function_validate(LengthFunction(
-        group, tuple(bound[o] for o in group.element_orders)))
+    return LengthFunction(group, tuple(bound[o] for o in group.element_orders))
 
 
 # -- the coproduct pseudometric --------------------------------------------------------

@@ -5,12 +5,12 @@ types, and a finite gluing subgroup D given as the graph of a map from a
 subgroup of the product of simple centers into the torus.  Everything here
 is exact: centers come from the classification table, torus parts are
 integer numerators over N, the common denominator of the generators' torus
-images, and D is enumerated once into integer rows, on which the center
-and the glued torus subgroup are counted as q-torsion at prime powers q.
-The center automorphisms and the gluing map are homomorphisms, and D's
-generators generate its support, so support preservation, the joint sign
-and the intertwining with a torus automorphism are checked on the
-generators alone; only kernel preservation is checked element by element.
+images, and D is held once, as integer rows, on which the center and the
+glued torus subgroup are counted as q-torsion at prime powers q.  The center
+automorphisms and the gluing map are homomorphisms, and D's generators
+generate its support, so support preservation, the joint sign and the
+intertwining with a torus automorphism are checked on the generators alone;
+only kernel preservation is checked on all the kernel's rows, by one gather.
 """
 
 from __future__ import annotations
@@ -116,11 +116,13 @@ class LieDatum:
 
     Generators give pairs (simple center part, rational torus image); the
     generated subgroup must project injectively to the simple part.  D is
-    enumerated once into `elements`: one row per element, the simple
-    coordinates modulo the center orders, then the torus numerators modulo
-    N, the common denominator of the torus images (int64 below 2^62).  Each
-    generator adds one coset of its multiples at a time, and |D| past
-    config.GROUP_MAX_ORDER is refused then, N past it up front (N <= |D|).
+    held once, as `elements`: one row per element, the simple coordinates
+    modulo the center orders, then the torus numerators modulo N, the common
+    denominator of the torus images (int64 below 2^62); `row_of` finds the
+    row of a simple part by its `_keys`.  Each generator adds one coset of
+    its multiples at a time, refused once |D| would pass G =
+    config.GROUP_MAX_ORDER or its |D| (c + z) cells G^2, the largest table
+    the builders accept; N past G is refused up front (N <= |D|).
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -159,20 +161,25 @@ class LieDatum:
             g = step = np.array(s + t.numerators_over(n), dtype)
             cosets = [elements]
             while not (elements == step).all(axis=1).any():
-                if (len(cosets) + 1) * len(elements) > limit:
-                    raise SizeLimit(f"gluing subgroup exceeds {limit} elements")
+                size = (len(cosets) + 1) * len(elements)
+                if size > limit or size * len(moduli) > limit * limit:
+                    raise SizeLimit(f"gluing subgroup exceeds {limit} elements "
+                                    f"or {limit}^2 cells")
                 cosets.append((elements + step) % moduli)
                 step = (step + g) % moduli
             elements = np.concatenate(cosets)
         self.elements = elements
-        self.torus_part_of = dict(zip(map(tuple, elements[:, :c].tolist()),
-                                      map(tuple, elements[:, c:].tolist())))
-        if len(self.torus_part_of) < len(elements):
+        self.row_of = dict(zip(_keys(elements[:, :c]), range(len(elements))))
+        if len(self.row_of) < len(elements):
             raise InvalidDelta(
                 f"gluing subgroup is not a graph at simple part {(0,) * c}")
-        self.simple_parts = frozenset(self.torus_part_of)
-        self.kernel_parts = frozenset(
-            s for s, t in self.torus_part_of.items() if not any(t))
+
+
+def _keys(simple: np.ndarray) -> list:
+    """One dict key per simple row: its bytes, or its text for Python ints."""
+    if simple.dtype == object:
+        return list(map(str, simple.tolist()))
+    return [row.tobytes() for row in simple]
 
 
 def _primary_orders(torsion, primes) -> list[int]:
@@ -212,15 +219,15 @@ def lie_center(datum: LieDatum) -> tuple[int, FiniteAbelian]:
 
 
 def torus_image_invariants(datum: LieDatum) -> FiniteAbelian:
-    """The glued torus subgroup Delta_0, D modulo its kernel parts K, of
-    exponent dividing N: |Delta_0[q]| = #{d in D : q t(d) = 0 over N} / |K|."""
+    """The glued torus subgroup Delta_0, D modulo its kernel K (zero torus
+    part), of exponent dividing N: |Delta_0[q]| = |{d : q t(d) = 0}| / |K|."""
     torus, n = datum.elements[:, len(datum.center_orders):], datum.denominator
 
-    def torsion(q):
-        zero = (torus * q % n == 0).all(axis=1)
-        return int(np.count_nonzero(zero)) // len(datum.kernel_parts)
+    def count(q):
+        return int(np.count_nonzero((torus * q % n == 0).all(axis=1)))
 
-    return abelian_from_orders(_primary_orders(torsion, factorize(n)))
+    return abelian_from_orders(
+        _primary_orders(lambda q: count(q) // count(1), factorize(n)))
 
 
 # -- achievable automorphisms of the product of centers -------------------------------------
@@ -256,23 +263,25 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
     return sorted(itertools.product(perms, itertools.product(*signs)))
 
 
-def apply_center_auto(datum: LieDatum, auto, simple: tuple[int, ...]) -> tuple[int, ...]:
-    # permuted blocks belong to equal factors, so they share their orders
-    offsets, orders, out = datum.block_offsets, datum.center_orders, list(simple)
-    for src, width, dst, sign in zip(offsets, datum.block_widths, *auto):
-        out[offsets[dst]:offsets[dst] + width] = [
-            sign * v % m for v, m in zip(simple[src:src + width], orders[src:])]
-    return tuple(out)
-
-
 def _preserved_autos(datum: LieDatum):
-    """(auto, generator images) for each achievable auto mapping the support
-    onto itself; a generator check suffices for an automorphism."""
-    support = datum.simple_parts
-    for auto in achievable_center_autos(datum.factors):
-        images = [apply_center_auto(datum, auto, s) for s, _ in datum.generators]
-        if all(image in support for image in images):
-            yield auto, images
+    """(cols, signs, at, eps) per achievable auto mapping the support onto
+    itself (the generators decide): it maps simple rows by one gather,
+    rows[:, cols] * signs % orders, D's rows `at` hold the generators'
+    images, and eps is the joint sign it acts as on them, or None."""
+    dtype, c = datum.elements.dtype, len(datum.center_orders)
+    orders = np.array(datum.center_orders, dtype)
+    offsets = np.array(datum.block_offsets, np.intp)
+    gens = np.array([s for s, _ in datum.generators], dtype)
+    gens = gens.reshape(len(gens), c)
+    for sigma, sign in achievable_center_autos(datum.factors):
+        src = np.argsort(sigma)
+        cols = np.repeat(offsets[src] - offsets, datum.block_widths) + np.arange(c)
+        signs = np.repeat(np.array(sign, dtype)[src], datum.block_widths)
+        images = gens[:, cols] * signs % orders
+        at = [datum.row_of.get(k) for k in _keys(images)]
+        if None not in at:
+            yield cols, signs, at, next(
+                (eps for eps in (1, -1) if (images == gens * eps % orders).all()), None)
 
 
 def liftable(datum: LieDatum, alpha0) -> bool:
@@ -288,11 +297,10 @@ def liftable(datum: LieDatum, alpha0) -> bool:
         raise DimensionMismatch(f"matrix must be {z}x{z}")
     if mat_det(alpha0) not in (1, -1):
         raise NotUnimodular(mat_det(alpha0))
-    n = datum.denominator
-    moved = [t.act(alpha0).numerators_over(n) for _, t in datum.generators]
-    return any(
-        all(datum.torus_part_of[image] == m for image, m in zip(images, moved))
-        for _, images in _preserved_autos(datum))
+    n, c = datum.denominator, len(datum.center_orders)
+    moved = [list(t.act(alpha0).numerators_over(n)) for _, t in datum.generators]
+    return any(datum.elements[at, c:].tolist() == moved
+               for _, _, at, _ in _preserved_autos(datum))
 
 
 def _rigidity(datum: LieDatum) -> bool | None:
@@ -300,18 +308,21 @@ def _rigidity(datum: LieDatum) -> bool | None:
 
     Quantifies over automorphisms preserving both the gluing support and
     its kernel (the only ones that can intertwine with an injective torus
-    automorphism).  The joint sign is tested on the generators, the kernel
-    on its elements.  A listed automorphism that is no joint sign settles
-    False; otherwise a D_n factor with n even leaves it undecided (None).
+    automorphism).  The joint sign is tested on the generators, and one
+    maps the kernel onto itself; any other auto preserves the kernel when
+    the gather of its rows lands on kernel rows, as many distinct ones.  A
+    listed automorphism that is no joint sign settles False; otherwise a
+    D_n factor with n even leaves it undecided (None).
     """
-    kernel, orders = datum.kernel_parts, datum.center_orders
-    for auto, images in _preserved_autos(datum):
-        if {apply_center_auto(datum, auto, s) for s in kernel} != kernel:
-            continue
-        if not any(all(image == tuple(eps * v % m for v, m in zip(s, orders))
-                       for image, (s, _) in zip(images, datum.generators))
-                   for eps in (1, -1)):
-            return False
+    c, rows = len(datum.center_orders), datum.elements
+    orders = np.array(datum.center_orders, rows.dtype)
+    kernel = np.flatnonzero((rows[:, c:] == 0).all(axis=1))[:, None]
+    for cols, signs, _, eps in _preserved_autos(datum):
+        if eps is None:
+            image = rows[kernel, cols] * signs % orders
+            image = [datum.row_of.get(k) for k in _keys(image)]
+            if None not in image and (rows[image, c:] == 0).all():
+                return False
     even_d = any(f.series == "D" and f.rank % 2 == 0 for f in datum.factors)
     return None if even_d else True
 
@@ -453,16 +464,14 @@ def torus2_automorphism_family_witness(alpha, b1, b2,
 
 
 def centralizer_in_finite_group(m, ambient: MatrixGroupResult) -> frozenset:
-    """Elements of a finite matrix group commuting with a given member."""
+    """Elements of a finite matrix group commuting with a given member, by one
+    batched product (members' entries fit the dtype; int64 wraps mod 2^64)."""
     m = mat(m)
     if not ambient.finite:
         raise NotMember("ambient group is not finite")
     if m not in ambient.elements:
         raise NotMember(f"{m} is outside the ambient group")
-    out = frozenset(g for g in ambient.elements
-                    if mat_mul(g, m) == mat_mul(m, g))
-    for a in out:
-        for b in out:
-            if mat_mul(a, b) not in out:
-                raise InvariantViolation("centralizer is not closed under products")
-    return out
+    mats = ambient.matrices
+    x = np.array(m, mats.dtype)
+    commute = (mats @ x == x @ mats).all(axis=(1, 2))
+    return frozenset(tuple(map(tuple, g)) for g in mats[commute].tolist())

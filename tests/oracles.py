@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -49,7 +50,7 @@ from bohrsound.groups import (
     semidirect,
     validate_action,
 )
-from bohrsound.lie import LieDatum, SimpleType, apply_center_auto
+from bohrsound.lie import LieDatum, SimpleType
 from bohrsound.zmat import (
     MatrixGroupResult,
     OrbitResult,
@@ -719,6 +720,23 @@ def achievable_center_autos_bfs(factors):
 # -- gluing checks element by element over Fraction coordinates --------------------
 
 
+def apply_center_auto(datum, auto, simple: tuple[int, ...]) -> tuple[int, ...]:
+    """One (factor permutation, per-factor sign) auto on one simple part,
+    block by block; `lie` maps whole blocks of rows by one gather instead."""
+    # permuted blocks belong to equal factors, so they share their orders
+    offsets, orders, out = datum.block_offsets, datum.center_orders, list(simple)
+    for src, width, dst, sign in zip(offsets, datum.block_widths, *auto):
+        out[offsets[dst]:offsets[dst] + width] = [
+            sign * v % m for v, m in zip(simple[src:src + width], orders[src:])]
+    return tuple(out)
+
+
+def graph_of_rows(datum) -> dict:
+    """Simple part -> torus numerators over N, read off D's rows."""
+    c = len(datum.center_orders)
+    return {tuple(row[:c]): tuple(row[c:]) for row in datum.elements.tolist()}
+
+
 def gluing_graph_oracle(datum) -> dict:
     """Simple part -> rational torus part for every element of the gluing
     subgroup, by a hand-written closure over Fraction coordinates."""
@@ -891,3 +909,15 @@ def glued_torus_su_datum(k: int, l: int) -> LieDatum:
         ((0, 1), TorusPoint((1, 3), b).coords),
     ]
     return LieDatum(2, factors, generators)
+
+
+def distinct_b_descriptor(n: int, z: int) -> dict:
+    """A lie-datum over the n distinct factors B2 .. B(n+1), with 12
+    generators of simple bits drawn by random.Random(1), each glued to the
+    zero torus point: all of D is the kernel, and |D| = 4096 for n >= 200."""
+    rng = random.Random(1)
+    names = [f"B{k}" for k in range(2, n + 2)]
+    gens = [[rng.randrange(2) for _ in names] for _ in range(12)]
+    return {"schema": 1, "kind": "lie-datum", "z": z, "factors": names,
+            "delta": {"simple_part_generators": gens,
+                      "phi_images": [[[0, 1]] * z for _ in gens]}}

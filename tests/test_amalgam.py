@@ -295,6 +295,13 @@ class TestLengthFunctions:
         assert lf.values[0] == 0
         assert all(v == 1 for v in lf.values[1:])
 
+    def test_constructed_lengths_pass_the_validator(self, corpus):
+        # both constructors skip the validator, being valid by construction
+        for g in corpus:
+            for make in (discrete_length, regular_pullback_length):
+                lf = make(g)
+                assert length_function_validate(lf) is lf
+
     def test_regular_pullback_values(self):
         lf = regular_pullback_length(symmetric(3))
         sqrt3_up = Fraction(1816187, 1048576)

@@ -9,12 +9,15 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bohrsound
 from bohrsound import cli, config, errors
+
+from oracles import distinct_b_descriptor
 
 GOLDEN_HELP = Path(__file__).parent / "golden" / "help.txt"
 
@@ -155,7 +158,9 @@ VALID = {
                  "delta": {"simple_part_generators": [[1] * 59 + [0],
                                                       [0] * 59 + [1]],
                            "phi_images": [[[1, 2], [0, 1]],
-                                          [[0, 1], [1, 3]]]}}],
+                                          [[0, 1], [1, 3]]]}},
+                # 200 distinct factors, |D| = 4096 and all of it the kernel
+                distinct_b_descriptor(200, 2)],
 }
 VALID["--word2"] = VALID["--word"]
 
@@ -331,6 +336,18 @@ def test_regular_lengths_of_order_1024_fit_in_1_gib(tmp_path):
         [["amalgam", "dist", "--spec", spec, "--word", "0:g 1:g 0:g3",
           "--lengths", "regular"]], tmp_path)
     assert (code, exited, out, err) == (0, False, "4\n", "")
+
+
+def test_gluing_past_the_cell_limit_fits_in_1_gib(tmp_path):
+    # |D| = 4096 across 4200 factors is 17.2M cells, past GROUP_MAX_ORDER^2:
+    # refused while D grows, before its last coset is allocated
+    datum = json.dumps(distinct_b_descriptor(4200, 0))
+    start = time.perf_counter()
+    [(_, code, exited, out, err)] = run_in_child(
+        [["liecheck", "--datum", datum]], tmp_path)
+    assert time.perf_counter() - start < 5
+    assert (code, exited, out) == (1, False, "")
+    assert err.startswith("error: SizeLimit: ")
 
 
 def lie_datum(**fields) -> str:

@@ -1,5 +1,6 @@
 """Tests for quotient-presentation checks on compact connected Lie groups."""
 
+import hashlib
 import json
 import random
 import time
@@ -30,7 +31,6 @@ from bohrsound.lie import (
     LieDatum,
     SimpleType,
     achievable_center_autos,
-    apply_center_auto,
     centralizer_in_finite_group,
     compactness_conditions,
     largest_compact_verdict,
@@ -40,13 +40,16 @@ from bohrsound.lie import (
     torus2_automorphism_family_witness,
     torus_image_invariants,
 )
-from bohrsound.zmat import MatrixGroupResult, generated_group, mat_mul
+from bohrsound.zmat import generated_group, mat_mul
 
 from oracles import (
     achievable_center_autos_bfs,
+    apply_center_auto,
     bare_torus_datum,
+    distinct_b_descriptor,
     glued_torus_su_datum,
     gluing_graph_oracle,
+    graph_of_rows,
     _span_size,
     liftable_elementwise,
     quotient_orders_snf,
@@ -112,18 +115,19 @@ class TestSimpleType:
 class TestLieDatum:
     def test_trivial_gluing(self):
         d = su2_datum()
-        assert d.torus_part_of == {(0,): ()}
-        assert d.simple_parts == frozenset({(0,)})
+        assert graph_of_rows(d) == {(0,): ()}
+        assert d.elements.tolist() == [[0]]
 
     def test_full_gluing_closure(self):
         d = glued_torus_su_datum(3, 2)
         # graph of a map defined on all of Z/27 x Z/9
-        assert len(d.torus_part_of) == 27 * 9
-        assert len(d.simple_parts) == 27 * 9
+        assert len(d.elements) == 27 * 9
+        assert len(graph_of_rows(d)) == 27 * 9
 
     def test_kernel_parts(self):
         d = glued_torus_su_datum(3, 2)
-        assert d.kernel_parts == frozenset({(0, 0), (18, 3), (9, 6)})
+        kernel = d.elements[(d.elements[:, 2:] == 0).all(axis=1), :2]
+        assert sorted(kernel.tolist()) == [[0, 0], [9, 6], [18, 3]]
 
     def test_rejects_wrong_simple_length(self):
         with pytest.raises(InvalidDelta):
@@ -152,9 +156,23 @@ class TestLieDatum:
         # D = Z/n, the whole center of SU(n): admitted up to GROUP_MAX_ORDER
         n = config.GROUP_MAX_ORDER
         assert len(LieDatum(0, [SimpleType("A", n - 1)], [((1,), ())])
-                   .torus_part_of) == n
+                   .elements) == n
         with pytest.raises(SizeLimit):
             LieDatum(0, [SimpleType("A", n)], [((1,), ())])
+
+    def test_gluing_cell_limit(self, monkeypatch):
+        # |D| (c + z) cells past GROUP_MAX_ORDER^2 are refused while D grows:
+        # at a limit of 16, D = (Z/2)^4 fills 16 x 16 cells, and not 16 x 17
+        monkeypatch.setattr(config, "GROUP_MAX_ORDER", 16)
+        for width in (16, 17):
+            factors = [SimpleType("B", k) for k in range(2, 2 + width)]
+            gens = [(tuple(int(i == j) for j in range(width)), ())
+                    for i in range(4)]
+            if width == 16:
+                assert len(LieDatum(0, factors, gens).elements) == 16
+            else:
+                with pytest.raises(SizeLimit):
+                    LieDatum(0, factors, gens)
 
     def test_gluing_order_counts_the_torus_part(self):
         # not a graph, but refused by size before D is enumerated
@@ -174,7 +192,7 @@ class TestLieDatum:
         d = LieDatum(1, [A1], [((3,), (Fraction(5, 2),))])
         assert d.generators == (((1,), TorusPoint([Fraction(1, 2)])),)
         assert d.denominator == 2
-        assert d.torus_part_of[(1,)] == (1,)
+        assert graph_of_rows(d)[(1,)] == (1,)
 
 
 class TestLieCenter:
@@ -231,7 +249,7 @@ class TestLieCenter:
                     == torsion
             delta0 = torus_image_invariants(datum)
             assert delta0 == torus_image_invariants_snf(datum)
-            image = set(datum.torus_part_of.values())
+            image = set(graph_of_rows(datum).values())
             assert delta0.order == len(image)
             for q in range(1, datum.denominator + 1):
                 assert prod(gcd(q, e) for e in delta0.invariant_factors) == \
@@ -261,13 +279,43 @@ class TestLieCenter:
                  "largest compact subgroup: True", "sign-rigid gluing: True"]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
+    def test_kernel_of_4096_rows_across_1000_factors(self, capsys):
+        # |D| = 4096 across 1000 distinct B_k, all of D in the kernel: the one
+        # achievable auto, the identity, is a joint sign, which maps the
+        # kernel onto itself; mapping the kernel one tuple at a time took
+        # 16 s.  The stdout is the tuple route's
+        descriptor = distinct_b_descriptor(1000, 0)
+        assert len(lie_datum_from_descriptor(descriptor).elements) == 4096
+        start = time.perf_counter()
+        assert main(["liecheck", "--datum", json.dumps(descriptor)]) == 0
+        assert time.perf_counter() - start < 2
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+            "ca828ff66547951d45175416a86dc6abf053394f102b43aea6f87cd30769f740"
+
+    def test_kernel_gathered_across_1000_factors(self):
+        # 998 distinct B_k, A2 and A5, all of D (2^7 x 3 x 6 = 2304 rows) in
+        # the kernel: inverting A2 alone is no joint sign, and the gather of
+        # the kernel's 2304 rows lands on kernel rows, which settles False
+        rng = random.Random(1)
+        factors = [SimpleType("B", k) for k in range(2, 1000)] + \
+            [SimpleType("A", 2), SimpleType("A", 5)]
+        gens = [(tuple(rng.randrange(2) for _ in range(998)) + (0, 0), ())
+                for _ in range(7)]
+        gens += [((0,) * 998 + (1, 0), ()), ((0,) * 998 + (0, 1), ())]
+        datum = LieDatum(0, factors, gens)
+        assert len(datum.elements) == 2304
+        start = time.perf_counter()
+        assert lie._rigidity(datum) is False
+        assert time.perf_counter() - start < 1
+
     def test_center_order_past_int64(self):
         # m = 2^70 + 2 with its element of order 2 glued away: D's rows hold
         # Python ints, and C/S = Z/(2^69 + 1) keeps its odd part unfactored
         m = 2 ** 70 + 2
         d = LieDatum(1, [SimpleType("A", m - 1)],
                      [((m // 2,), (Fraction(1, 2),))])
-        assert d.torus_part_of == {(0,): (0,), (m // 2,): (1,)}
+        assert d.elements.dtype == object
+        assert graph_of_rows(d) == {(0,): (0,), (m // 2,): (1,)}
         assert lie_center(d) == (1, FiniteAbelian((m // 2,)))
         assert lie_center(d)[1] == abelian_from_orders(
             quotient_orders_snf(d.center_orders, [(m // 2,)]))
@@ -328,7 +376,7 @@ class TestTorusImage:
     def test_against_enumeration(self, k, l):
         # independent check: count solutions of n*x = 0 in the actual image
         datum = glued_torus_su_datum(k, l)
-        image = set(datum.torus_part_of.values())
+        image = set(graph_of_rows(datum).values())
         den = datum.denominator
         d0 = torus_image_invariants(datum)
         assert len(image) == d0.order
@@ -396,6 +444,21 @@ class TestAchievableAutos:
         # swap the two A2 factors and invert the first of them
         auto = ((0, 3, 2, 1), (1, -1, 1, 1))
         assert apply_center_auto(datum, auto, (1, 0, 1, 2)) == (1, 0, 2, 2)
+
+    def test_gather_matches_tuple_route(self):
+        # each auto as one gather over every point of the product of centers,
+        # blocks of widths 2, 1, 0 and 1, against one tuple at a time
+        datum = LieDatum(0, [SimpleType("D", 4), SimpleType("A", 2),
+                             SimpleType("E", 8), SimpleType("A", 2)])
+        points = [(a, b, c, d) for a in range(2) for b in range(2)
+                  for c in range(3) for d in range(3)]
+        autos = achievable_center_autos(datum.factors)
+        assert len(autos) == 8
+        # D is trivial, so every auto maps the support onto itself
+        for auto, (cols, signs, _, _) in zip(autos, lie._preserved_autos(datum)):
+            image = np.array(points)[:, cols] * signs % datum.center_orders
+            assert image.tolist() == [list(apply_center_auto(datum, auto, p))
+                                      for p in points]
 
     @pytest.mark.parametrize("tokens", [
         ["A2"] * 3, ["A2", "D5", "A2"], ["D4"] * 2, ["E6", "E7"]])
@@ -505,7 +568,7 @@ class TestGeneratorChecks:
         for datum in data:
             graph = gluing_graph_oracle(datum)
             assert {s: tuple(Fraction(v, datum.denominator) for v in t)
-                    for s, t in datum.torus_part_of.items()} == graph
+                    for s, t in graph_of_rows(datum).items()} == graph
             rigid = lie._rigidity(datum)
             assert rigid == rigidity_elementwise(datum)
             rigid_seen.add(rigid)
@@ -519,7 +582,7 @@ class TestGeneratorChecks:
         assert any(len(set(d.factors)) < len(d.factors) for d in data)
         assert any(SimpleType("D", 4) in d.factors and d.generators
                    for d in data)
-        assert any(1 < len(d.simple_parts) < prod(d.center_orders)
+        assert any(1 < len(d.elements) < prod(d.center_orders)
                    and d.torus_rank == 2 for d in data)
 
 
@@ -761,14 +824,38 @@ class TestCentralizer:
         with pytest.raises(NotMember):
             centralizer_in_finite_group(((1, 1), (0, 1)), ambient)
 
-    @pytest.mark.invariant
-    def test_unclosed_ambient_raises(self):
-        # a real group's centralizer is closed; build a set that is not one
-        ident = ((1, 0), (0, 1))
-        fake = MatrixGroupResult(finite=True, rank=2, order=2,
-                                 matrices=np.array([ident, ROT3]))
-        with pytest.raises(InvariantViolation):
-            centralizer_in_finite_group(ROT3, fake)
+    def test_b4_against_the_product_loop(self):
+        # B_4, order 384, tested in one batched product: the same sets as
+        # one mat_mul pair per element
+        perm = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        sign = ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        ambient = generated_group([perm, swap, sign])
+        assert ambient.order == 384
+        for m in (mat_mul(perm, perm), swap, sign, mat_mul(swap, sign)):
+            assert centralizer_in_finite_group(m, ambient) == frozenset(
+                g for g in ambient.elements if mat_mul(g, m) == mat_mul(m, g))
+        ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert centralizer_in_finite_group(ident, ambient) == ambient.elements
+
+    @pytest.mark.parametrize("a,dtype", [(200, np.int64), (300, object)])
+    def test_large_entries(self, a, dtype):
+        # the group of test_proper_centralizer_in_nonabelian_group conjugated
+        # by u: entries past 2^30, held as int64 or, once products of the
+        # closure could wrap, as Python ints, and multiplied in one batch
+        u = ((1, a), (a, a * a + 1))
+        u_inv = ((a * a + 1, -a), (-a, 1))
+        swap, refl = ((0, 1), (1, 0)), ((1, 0), (0, -1))
+
+        def conj(g):
+            return mat_mul(u, mat_mul(g, u_inv))
+        ambient = generated_group([conj(swap), conj(refl)])
+        assert ambient.matrices.dtype == dtype
+        assert abs(ambient.matrices).max() > 2 ** 30
+        want = centralizer_in_finite_group(refl, generated_group([swap, refl]))
+        assert len(want) == 4
+        assert centralizer_in_finite_group(conj(refl), ambient) == \
+            frozenset(map(conj, want))
 
     def test_infinite_ambient_rejected(self):
         infinite = generated_group([((1, 1), (0, 1))])
