@@ -33,7 +33,6 @@ from .characters import (
     character_table,
     clifford_class,
     clifford_multiplicity,
-    common_prime,
     coproduct_extension,
     equalizer_witness,
     fin_check,

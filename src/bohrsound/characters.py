@@ -46,9 +46,9 @@ Residues are int64 in [0, p).  Every sum of products of residue arrays goes
 through _matmul_mod, so all arithmetic is exact for every prime below
 config.PRIME_SEARCH_LIMIT = 2**31.
 
-Value vectors at different primes are not comparable, so any operation that
-crosses between a group and a subgroup computes both tables at one shared
-prime (the ambient group's, or a family-wide common prime).
+Value vectors at different primes are not comparable, so a restriction is
+taken with both tables at the ambient group's prime; fin_check matches the
+subgroup's rows there to its own table by prime-free labels (_row_of_label).
 
 There is no in-process memo: character_table computes on every call, and a
 caller that needs a table twice keeps it.  The cache module's disk cache is
@@ -64,7 +64,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -115,16 +115,6 @@ def splitting_prime(exponent: int, min_order: int) -> int:
             return p
         p += exponent
     raise PrimeSearchFailure(f"no admissible prime below {config.PRIME_SEARCH_LIMIT}")
-
-
-def common_prime(groups) -> int:
-    """One prime valid for every group in the family."""
-    e = 1
-    m = 1
-    for g in groups:
-        e = e * g.exponent // gcd(e, g.exponent)
-        m = max(m, g.order)
-    return splitting_prime(e, m)
 
 
 # -- modular arithmetic ---------------------------------------------------------
@@ -777,16 +767,12 @@ def irreducible_character(table: CharacterTable, index: int) -> Character:
 # -- restriction ------------------------------------------------------------------
 
 
-def _check_aligned(tg: CharacterTable, th: CharacterTable, emb: GroupHom) -> None:
+def _fused_columns(tg: CharacterTable, th: CharacterTable, emb: GroupHom) -> list[int]:
+    """For each class of the subgroup, the ambient class its image lies in."""
     if emb.source is not th.group or emb.target is not tg.group:
         raise SourceMismatch("embedding endpoints do not match the tables")
     if tg.prime != th.prime:
         raise SourceMismatch("tables must share a prime for restriction work")
-
-
-def _fused_columns(tg: CharacterTable, th: CharacterTable, emb: GroupHom) -> list[int]:
-    """For each class of the subgroup, the ambient class its image lies in."""
-    _check_aligned(tg, th, emb)
     g = tg.group
     return [int(g.class_of[emb(rep)]) for rep in th.group.class_reps]
 
@@ -865,30 +851,10 @@ def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
 # -- Clifford classes ----------------------------------------------------------------
 
 
-def _conjugation_row_permutations(tg: CharacterTable, th: CharacterTable,
-                                  emb: GroupHom) -> list[tuple[int, ...]]:
-    """Row permutations of Irr(H) induced by conjugation with ambient elements."""
-    _check_aligned(tg, th, emb)
-    emb.require_injective()
-    g = tg.group
-    h = th.group
-    pre = np.full(g.order, -1)
-    pre[emb.mapping] = np.arange(h.order)
-    xs = np.arange(g.order)[:, None]
-    # conj[x, k] = x z_k x^-1 for the image z_k of the k-th subgroup class rep
-    conj = pre[g.mul[g.mul[xs, emb.mapping[list(h.class_reps)]], g.inv[xs]]]
-    if (conj < 0).any():
-        x, k = np.argwhere(conj < 0)[0]
-        raise NotNormal((int(x), h.class_reps[k]))
-    return sorted({tuple(th.row_index(row) for row in th.values[:, cols])
-                   for cols in np.unique(h.class_of[conj], axis=0)})
-
-
 def clifford_class(rho: int, embs: list[GroupHom]) -> tuple[int, ...]:
-    """Orbit of the rho-th irreducible of the common source under conjugation
-    by every ambient group of the family.  Images must be normal."""
-    if not embs:
-        raise SourceMismatch("need at least one embedding to locate the source")
+    """Orbit of the rho-th irreducible of the common source, a row of its own
+    table (character_table of the source), under conjugation by every
+    ambient group of the family.  Images must be normal."""
     reports = fin_check(embs)
     if not 0 <= rho < len(reports):
         raise SourceMismatch(f"rho = {rho} is not one of {len(reports)} irreducibles")
@@ -926,45 +892,78 @@ class CliffordReport:
     sup_multiplicity: int | None
 
 
+def _row_of_label(table: CharacterTable) -> dict[tuple[int, ...], int]:
+    """Each row's index by a label naming the same complex character at every
+    prime: at class representatives g, taken by decreasing element order
+    until every class holds a power of one (labelling every class made Z128
+    in Z256 15 times slower), the eigenvalue multiplicities of chi at g,
+    m_k = (1/o) sum_j chi(g^j) z^(-jk e/o), k < o = o(g), e = exponent(G),
+    z from _unity_powers(e, p).  A ring map Z[exp(2 pi i/e)] -> GF(p) takes
+    exp(2 pi i/e) to z and the complex table to this one, and m_k is an
+    integer below p.  The chi(g^j) determine chi, so labels are distinct."""
+    g, p, e = table.group, table.prime, table.group.exponent
+    z = _unity_powers(e, p)
+    covered = np.zeros(table.n_classes, dtype=bool)
+    blocks = []
+    for rep in sorted(g.class_reps, key=g.element_order, reverse=True):
+        if covered[g.class_of[rep]]:
+            continue
+        powers = [0, rep]
+        while len(powers) < g.element_order(rep):
+            powers.append(int(g.mul[powers[-1], rep]))
+        o, cols = len(powers), g.class_of[powers]
+        covered[cols] = True
+        fourier = z[-np.outer(range(o), range(o)) * (e // o) % e]
+        blocks.append(_matmul_mod(table.values[:, cols], fourier, p) * pow(o, p - 2, p) % p)
+    labels = np.concatenate(blocks, axis=1).tolist()
+    return {tuple(label): i for i, label in enumerate(labels)}
+
+
 def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
               table=None) -> list[CliffordReport]:
     """Clifford class and multiplicity data for every irreducible of the source.
 
-    All embeddings must share one source and have normal image; tables are
-    computed at a family-wide prime so orbits fuse consistently.  An empty
-    family needs the source passed explicitly and yields singleton classes
-    with empty multiplicity maps.  `table(group, prime=None)` provides the
-    tables: character_table by default, or any provider that returns the
-    same table, such as cache.cached_character_table.
+    All embeddings must share one source H and have normal image.  Reports
+    index the rows of H's table at its own prime, as `chartable` prints it;
+    each member's restriction is taken at the member's prime and matched to
+    those rows by _row_of_label.  By Clifford's theorem the constituents of
+    any pi|_H are one orbit of G on Irr(H), so classes are read off the
+    restrictions.  An empty family needs the source passed explicitly and
+    yields singleton classes with empty multiplicity maps.  `table(group,
+    prime=None)` provides the tables: character_table by default, or any
+    provider that returns the same table, such as cache.cached_character_table.
     """
     table = table or character_table
-    if not embs:
-        if source is None:
-            raise SourceMismatch("empty family needs an explicit source group")
-        th = table(source)
-        return [CliffordReport(rho=r, rho_degree=th.degrees[r],
-                               class_members=(r,), class_size=1,
-                               per_member={}, sup_multiplicity=None)
-                for r in range(th.n_irreducibles)]
-    h = embs[0].source
+    h = embs[0].source if embs else source
+    if h is None:
+        raise SourceMismatch("empty family needs an explicit source group")
     if source is not None and source is not h:
         raise SourceMismatch("explicit source disagrees with the family")
     for e in embs:
         if e.source is not h:
             raise SourceMismatch("family members must share the amalgamated group")
         e.require_injective()
-    p = common_prime([h] + [e.target for e in embs])
-    th = table(h, prime=p)
-    actions = []
+        # a normal image is a union of classes: no conjugate of it lies outside
+        outside = np.isin(e.target.class_of, e.target.class_of[e.mapping])
+        outside[e.mapping] = False
+        if outside.any():
+            raise NotNormal(int(outside.argmax()))
+    th = table(h)
+    row_of = _row_of_label(th) if embs else {}
     restrictions = []
     for e in embs:
-        tg = table(e.target, prime=p)
-        restrictions.append(restriction_matrix(tg, th, e))
-        actions.extend(_conjugation_row_permutations(tg, th, e))
+        tg = table(e.target)
+        thp = table(h, prime=tg.prime)
+        at_p = _row_of_label(thp)
+        if at_p.keys() != row_of.keys() or len(at_p) != th.n_irreducibles:
+            raise InvariantViolation("the kernel's rows do not match by label at two primes")
+        columns = [at_p[label] for label in row_of]  # at tg.prime, in H's own row order
+        restrictions.append(restriction_matrix(tg, thp, e)[:, columns])
     reports = []
     for rho in range(th.n_irreducibles):
-        members = tuple(sorted(reachable(
-            [rho], lambda x: [perm[x] for perm in actions])))
+        # the constituents of pi|_H, for any pi over x, are the G-orbit of x
+        members = tuple(sorted(reachable([rho], lambda x: [
+            r for m in restrictions for r in np.flatnonzero(m[m[:, x].argmax()]).tolist()])))
         per = {i: _least_positive(m[:, rho]) for i, m in enumerate(restrictions)}
         sup = max(per.values()) if per else None
         reports.append(CliffordReport(

@@ -11,7 +11,8 @@ per-pair and per-element group loops instead of whole-table numpy passes,
 every triple instead of Light's associativity test, every element of the
 gluing subgroup over Fractions instead of its generators over integers,
 two word machines related by von Dyck's theorem instead of one action check,
-Smith normal forms instead of torsion counts on the gluing subgroup's rows.
+Smith normal forms instead of torsion counts on the gluing subgroup's rows,
+one family-wide prime instead of each group's own prime and matched labels.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from math import gcd
 
 import numpy as np
 
-from bohrsound.characters import Character, irreducible_character
+from bohrsound.characters import (
+    Character,
+    CliffordReport,
+    character_table,
+    irreducible_character,
+    restriction_matrix,
+    splitting_prime,
+)
 from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
@@ -870,6 +878,53 @@ def normal_subgroups(g) -> list[tuple[int, ...]]:
     found = reachable(closures, lambda a: [closure(g, set(a) | set(b))
                                            for b in closures])
     return sorted(found | {(0,)}, key=lambda t: (len(t), t))
+
+
+def common_prime(groups) -> int:
+    """One prime valid for every group in the family: p = 1 mod the lcm of
+    their exponents, p > 2 max |G|."""
+    return splitting_prime(math.lcm(*(g.exponent for g in groups)),
+                           max(g.order for g in groups))
+
+
+def fin_check_common_prime(embs):
+    """fin_check's reports with every table at common_prime of the family,
+    and the kernel's table at that prime, whose rows the reports index.
+    Orbits come from conjugating each kernel class by each ambient element,
+    one at a time, and a hand-written breadth-first search."""
+    h = embs[0].source
+    th = character_table(h, prime=common_prime([h] + [e.target for e in embs]))
+    rows = {tuple(row): i for i, row in enumerate(th.values.tolist())}
+    perms = set()
+    restrictions = []
+    for e in embs:
+        g = e.target
+        tg = character_table(g, prime=th.prime)
+        restrictions.append(restriction_matrix(tg, th, e))
+        pre = {int(y): x for x, y in enumerate(e.mapping)}
+        for x in range(g.order):
+            cols = []
+            for rep in h.class_reps:
+                y = g.conjugate(x, int(e.mapping[rep]))
+                if y not in pre:
+                    raise NotNormal((x, rep))
+                cols.append(int(h.class_of[pre[y]]))
+            perms.add(tuple(rows[tuple(row)] for row in th.values[:, cols].tolist()))
+    reports = []
+    for rho in range(th.n_irreducibles):
+        orbit, queue = {rho}, [rho]
+        while queue:
+            r = queue.pop()
+            for perm in perms:
+                if perm[r] not in orbit:
+                    orbit.add(perm[r])
+                    queue.append(perm[r])
+        per = {i: int(min(v for v in m[:, rho] if v > 0))
+               for i, m in enumerate(restrictions)}
+        reports.append(CliffordReport(
+            rho=rho, rho_degree=th.degrees[rho], class_members=tuple(sorted(orbit)),
+            class_size=len(orbit), per_member=per, sup_multiplicity=max(per.values())))
+    return th, reports
 
 
 def trivial_character(table) -> Character:

@@ -32,10 +32,10 @@ from bohrsound.groups import (
 )
 from bohrsound.characters import (
     Character,
+    _row_of_label,
     character_table,
     clifford_class,
     clifford_multiplicity,
-    common_prime,
     coproduct_extension,
     equalizer_witness,
     fin_check,
@@ -48,6 +48,8 @@ from bohrsound.characters import (
 
 from oracles import (
     check_orthonormal,
+    common_prime,
+    fin_check_common_prime,
     identity_hom,
     normal_subgroups,
     regular_character,
@@ -537,8 +539,7 @@ class TestClifford:
 
     def test_a3_class_of_size_two(self):
         _, a3, emb = a3_in_s3()
-        p = common_prime([emb.target, a3])
-        th = character_table(a3, prime=p)
+        th = character_table(a3)
         triv = th.trivial_index()
         assert clifford_class(triv, [emb]) == (triv,)
         others = [r for r in range(3) if r != triv]
@@ -607,9 +608,7 @@ class TestFinCheck:
         _, a3, emb = a3_in_s3()
         reports = fin_check([emb])
         assert len(reports) == 3
-        p = common_prime([emb.target, a3])
-        th = character_table(a3, prime=p)
-        triv = th.trivial_index()
+        triv = character_table(a3).trivial_index()
         for rep in reports:
             if rep.rho == triv:
                 assert rep.class_size == 1
@@ -655,10 +654,14 @@ class TestRestrictionStructure:
         for g in corpus_small:
             for elems in normal_subgroups(g):
                 h, emb = Subgroup(g, elems).materialize()
+                # fin_check indexes the kernel's own table; the restriction
+                # is taken at a common prime and its columns matched by label
+                row_of = _row_of_label(character_table(h))
                 p = common_prime([g, h])
                 tgp = character_table(g, prime=p)
                 thp = character_table(h, prime=p)
-                m = restriction_matrix(tgp, thp, emb)
+                rows = [row_of[label] for label in _row_of_label(thp)]
+                m = restriction_matrix(tgp, thp, emb)[:, np.argsort(rows)]
                 class_of = {rep.rho: rep.class_members for rep in fin_check([emb])}
                 for pi in range(tgp.n_irreducibles):
                     support = [r for r in range(thp.n_irreducibles) if m[pi, r] > 0]
@@ -666,6 +669,80 @@ class TestRestrictionStructure:
                     assert sorted(support) == sorted(class_of[support[0]])
                     mults = {int(m[pi, r]) for r in support}
                     assert len(mults) == 1
+
+
+class TestOwnPrimes:
+    """Every table at its own group's prime; kernel rows matched by labels
+    that do not depend on the prime."""
+
+    def test_labels_agree_at_two_primes(self, corpus_small):
+        for g in corpus_small:
+            canonical = character_table(g)
+            p = canonical.prime
+            other = character_table(g, prime=splitting_prime(g.exponent, (p + 1) // 2))
+            assert other.prime > p
+            labels = _row_of_label(canonical)
+            other_labels = _row_of_label(other)
+            assert len(labels) == len(other_labels) == canonical.n_irreducibles
+            assert labels.keys() == other_labels.keys()
+            for label, row in labels.items():
+                assert canonical.degrees[row] == other.degrees[other_labels[label]]
+
+    @staticmethod
+    def assert_matches_common_prime(embs):
+        reports = fin_check(embs)
+        th_common, expected = fin_check_common_prime(embs)
+        row_of = _row_of_label(character_table(embs[0].source))
+        to_own = [row_of[label] for label in _row_of_label(th_common)]
+        for ref in expected:
+            got = reports[to_own[ref.rho]]
+            assert got.rho_degree == ref.rho_degree
+            assert got.class_members == tuple(sorted(to_own[r] for r in ref.class_members))
+            assert (got.class_size, got.per_member, got.sup_multiplicity) == (
+                ref.class_size, ref.per_member, ref.sup_multiplicity)
+
+    def test_fin_check_matches_common_prime_route(self, corpus_small):
+        import random
+        from bohrsound.groups import Subgroup
+        cases = 0
+        for g in corpus_small:
+            for elems in normal_subgroups(g):
+                self.assert_matches_common_prime([Subgroup(g, elems).materialize()[1]])
+                cases += 1
+        # families of two to four seeded members over Z2, and over Z10, in
+        # their centres.  Reports are the same for Galois conjugate rows, so
+        # only a match between rows of different orders can show; in
+        # Z5 x H(1) the rows of Z10 nontrivial on the centre of H(1) have
+        # multiplicity 2 and the others 1, and at the primes of Z10 and of
+        # Z5 x H(1) they sort into different places.
+        pool = corpus_small + [direct_product(cyclic(5), heisenberg(1))]
+        rng = random.Random(20)
+        for kernel in (cyclic(2), cyclic(10)):
+            central = [(g, z) for g in pool for z in g.center().elements
+                       if g.element_order(z) == kernel.order]
+            for _ in range(8):
+                members = rng.sample(central, rng.randrange(2, 5))
+                self.assert_matches_common_prime([
+                    GroupHom(kernel, g, [g.power(z, k) for k in range(kernel.order)])
+                    for g, z in members])
+                cases += 1
+        assert cases > 300
+
+    def test_nine_member_family_past_any_common_prime(self):
+        # the common prime of these members lies past PRIME_SEARCH_LIMIT
+        ns = [6, 10, 14, 22, 26, 34, 38, 46, 58]
+        z2 = cyclic(2)
+        with pytest.raises(PrimeSearchFailure):
+            common_prime([z2] + [cyclic(n) for n in ns])
+        reports = fin_check([GroupHom(z2, cyclic(n), [0, n // 2]) for n in ns])
+        assert [r.per_member for r in reports] == [dict.fromkeys(range(9), 1)] * 2
+        assert [r.class_members for r in reports] == [(0,), (1,)]
+
+    def test_large_self_embedding_in_time(self):
+        start = time.perf_counter()
+        reports = fin_check([identity_hom(cyclic(1024))])
+        assert time.perf_counter() - start < 5.0
+        assert len(reports) == 1024
 
 
 class TestCoproductExtension:
@@ -766,6 +843,14 @@ class TestInvariantViolations:
         monkeypatch.setattr(characters, "restriction_matrix",
                             lambda tg, th, emb: np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(InvariantViolation):
+            fin_check([emb])
+
+    def test_unmatched_labels_are_invariant_violation(self, monkeypatch):
+        _, _, emb = a3_in_s3()
+        # the kernel's rows at the member's prime carry a label its own table lacks
+        labels = iter([{(0,): 0, (1,): 1, (2,): 2}, {(0,): 0, (1,): 1, (3,): 2}])
+        monkeypatch.setattr(characters, "_row_of_label", lambda table: next(labels))
+        with pytest.raises(InvariantViolation, match="do not match by label"):
             fin_check([emb])
 
     def test_uncovered_extension_is_invariant_violation(self, monkeypatch):

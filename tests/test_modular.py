@@ -34,7 +34,6 @@ from bohrsound.characters import (
     _roots_by_sweep,
     _roots_mod,
     character_table,
-    common_prime,
     restriction_matrix,
     restriction_multiplicity,
 )
@@ -48,7 +47,7 @@ from bohrsound.groups import (
     symmetric,
 )
 
-from oracles import charpoly_eval_oracle, normal_subgroups
+from oracles import charpoly_eval_oracle, common_prime, normal_subgroups
 
 P31 = 2**31 - 1                 # the largest prime below PRIME_SEARCH_LIMIT
 LARGE_PRIMES = [P31, 892371481, 106696591]
@@ -388,20 +387,38 @@ _DIHEDRAL = ('{"kind": "semidirect", "normal": {"kind": "cyclic", "n": n}, '
              '"acting": {"kind": "cyclic", "n": 2}, '
              '"action": [list(range(n)), [-x % n for x in range(n)]]}')
 
+# The family's tables at one large prime, and the family route, which takes
+# each table at its own group's prime: the same multiplicities either way.
 _FAMILY = """
 import json, time
-from bohrsound.soundness import soundness_verdict
+from bohrsound.characters import character_table, restriction_matrix
+from bohrsound.soundness import build_normal_family, soundness_verdict
 ns = {ns}
 request = {{"schema": 1, "kind": "finite-normal-family",
             "kernel": {{"kind": "cyclic", "n": 2}},
             "embeddings": [{{"group": {member},
                              "mapping": [0, {center}]}} for n in ns]}}
+kernel, embs = build_normal_family(request, "request")
+start = time.perf_counter()
+th = character_table(kernel, prime={prime})
+ms = [restriction_matrix(character_table(e.target, prime={prime}), th, e) for e in embs]
+seconds = time.perf_counter() - start
+common = [{{str(i): int(m[:, rho][m[:, rho] > 0].min()) for i, m in enumerate(ms)}}
+          for rho in range(th.n_irreducibles)]
 start = time.perf_counter()
 verdict = soundness_verdict(request)
-seconds = time.perf_counter() - start
 print(json.dumps({{"verdict": verdict.verdict, "seconds": seconds,
+                   "family_seconds": time.perf_counter() - start, "common": common,
                    "per_member": [r["per_member"] for r in verdict.certificate["reports"]]}}))
 """
+
+
+def _check_family(out, ns):
+    assert out["verdict"] == "Sound"
+    assert out["seconds"] < 5.0 and out["family_seconds"] < 5.0
+    assert out["per_member"] == out["common"]
+    assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]
+    assert all(len(per) == len(ns) for per in out["per_member"])
 
 
 class TestLargePrimeTables:
@@ -415,19 +432,14 @@ class TestLargePrimeTables:
     ])
     def test_cyclic_family_at_large_common_prime(self, ns, prime):
         assert common_prime([cyclic(2)] + [cyclic(n) for n in ns]) == prime
-        out = _run_limited(_FAMILY.format(ns=ns, member=_CYCLIC, center="n // 2"))
-        assert out["verdict"] == "Sound"
-        assert out["seconds"] < 5.0
-        assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]
-        assert all(len(per) == len(ns) for per in out["per_member"])
+        _check_family(_run_limited(_FAMILY.format(
+            ns=ns, member=_CYCLIC, center="n // 2", prime=prime)), ns)
 
     def test_dihedral_family_at_large_common_prime(self):
         # non-abelian members, so their tables take the class-algebra route
         ns = [6, 10, 14, 22, 26, 34, 38]
-        assert common_prime([cyclic(2)] + [dihedral(n) for n in ns]) == 106696591
+        prime = common_prime([cyclic(2)] + [dihedral(n) for n in ns])
+        assert prime == 106696591
         # the rotation by n/2, (n/2, 0), has index (n/2) * 2 = n
-        out = _run_limited(_FAMILY.format(ns=ns, member=_DIHEDRAL, center="n"))
-        assert out["verdict"] == "Sound"
-        assert out["seconds"] < 5.0
-        assert [set(per.values()) for per in out["per_member"]] == [{1}, {1}]
-        assert all(len(per) == len(ns) for per in out["per_member"])
+        _check_family(_run_limited(_FAMILY.format(
+            ns=ns, member=_DIHEDRAL, center="n", prime=prime)), ns)

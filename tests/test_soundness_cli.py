@@ -710,6 +710,26 @@ class TestVerdictCache:
             monkeypatch.setattr(module, "character_table", refuse)
         assert cli(*argv) == cold
 
+    def test_warmed_groups_serve_every_member_table(self, cli, monkeypatch):
+        # each table is keyed by its group's own prime, which `cache warm`
+        # and `chartable` use, so only the kernel at the members' primes is new
+        groups = ['{"kind":"cyclic","n":2}'] + [
+            f'{{"kind":"heisenberg","level":{lv}}}' for lv in (1, 2, 3)]
+        assert cli("cache", "warm", *(a for g in groups for a in ("--group", g)))[0] == 0
+        computed = []
+        table = characters.character_table
+
+        def record(group, prime=None):
+            computed.append(group.order)
+            return table(group, prime=prime)
+
+        monkeypatch.setattr(cache, "character_table", record)
+        code, out, err = cli("soundness", "--request", "heisenberg-prefix.json",
+                             "--format", "json")
+        assert (code, err) == (2, "")
+        assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
+        assert computed == [2, 2, 2]
+
     def test_planted_stale_entry_is_recomputed(self, cli, tmp_path):
         h8 = group_from_descriptor({"kind": "heisenberg", "level": 3})
         good = characters.character_table(h8, prime=1153).serialize()
@@ -725,6 +745,32 @@ class TestVerdictCache:
         assert code == 2 and err == ""
         assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
         assert json.loads(entry.read_text()) == good
+
+
+class TestOwnPrimeFamily:
+    """Z2 into cyclic members of orders 6 ... 58: every table at its own
+    prime, though no prime = 1 mod the lcm of their exponents lies below
+    PRIME_SEARCH_LIMIT."""
+
+    REQUEST = {"schema": 1, "kind": "finite-normal-family",
+               "kernel": {"kind": "cyclic", "n": 2},
+               "embeddings": [{"group": {"kind": "cyclic", "n": n}, "mapping": [0, n // 2]}
+                              for n in (6, 10, 14, 22, 26, 34, 38, 46, 58)]}
+
+    def check(self, verdict: dict):
+        assert (verdict["verdict"], verdict["criterion"]) == (
+            "Sound", "compact-automorphism-group")
+        assert [r["per_member"] for r in verdict["certificate"]["reports"]] == [
+            {str(i): 1 for i in range(9)}] * 2
+
+    def test_library(self):
+        self.check(soundness_verdict(self.REQUEST).to_json())
+
+    def test_cli(self, cli):
+        code, out, err = cli("soundness", "--request", json.dumps(self.REQUEST),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        self.check(json.loads(out))
 
 
 class TestTableProvider:
@@ -748,13 +794,14 @@ class TestTableProvider:
         emb = hom_from_descriptor(group_from_descriptor(spec["subgroup"]), {
             "group": spec["ambient"], "mapping": spec["mapping"]})
         characters.equalizer_witness(emb)
-        assert seen == [2, 8, 64, 512, 6, 3]  # Z2, H2, H4, H8, S3, A3
+        # Z2; each member, then Z2 at the member's prime; S3, A3
+        assert seen == [2, 8, 2, 64, 2, 512, 2, 6, 3]
 
     def test_given_provider_serves_every_table(self):
         seen = []
         request = fixture_json("heisenberg-prefix.json")
         got = soundness_verdict(request, table=self.counting(seen))
-        assert sorted(seen) == [2, 8, 64, 512]
+        assert sorted(seen) == [2, 2, 2, 2, 8, 64, 512]
         assert got.to_json() == soundness_verdict(request).to_json()
 
     def test_library_calls_touch_no_cache(self, tmp_path):
@@ -791,7 +838,8 @@ class TestUnusableCacheDir:
         assert code == 2
         assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
         lines = err.splitlines()
-        assert len(lines) == 4  # one per table: Z2, H2, H4 and H8
+        # one per table: Z2, H2, H4, H8, and Z2 at the primes of H2, H4, H8
+        assert len(lines) == 7
         assert all(line.startswith("warning: table cache not written: "
                                    "NotADirectoryError:") for line in lines)
 

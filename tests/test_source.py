@@ -56,3 +56,11 @@ def test_lie_runs_no_smith_normal_form():
     names |= {node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)}
     assert not names & {"smith_normal_form", "snf_diagonal"}
+
+
+def test_no_family_wide_prime():
+    # every table is computed at its own group's prime; the family-wide
+    # prime is kept only as the reference route in tests/oracles.py
+    assert "common_prime" not in bohrsound.__all__
+    assert [path.name for path in SRC.glob("*.py")
+            if "common_prime" in path.read_text(encoding="utf-8")] == []
