@@ -31,7 +31,6 @@ from .characters import (
     CliffordReport,
     EqualizerWitness,
     character_table,
-    clifford_class,
     clifford_multiplicity,
     coproduct_extension,
     equalizer_witness,

@@ -47,8 +47,9 @@ through _matmul_mod, so all arithmetic is exact for every prime below
 config.PRIME_SEARCH_LIMIT = 2**31.
 
 Value vectors at different primes are not comparable, so a restriction is
-taken with both tables at the ambient group's prime; fin_check matches the
-subgroup's rows there to its own table by prime-free labels (_row_of_label).
+taken with both tables at the ambient group's prime.  transported moves the
+subgroup's own table there row for row, through eigenvalue multiplicities
+that do not depend on the prime, so the subgroup's table is computed once.
 
 There is no in-process memo: character_table computes on every call, and a
 caller that needs a table twice keeps it.  The cache module's disk cache is
@@ -462,9 +463,11 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
 class CharacterTable:
     """Irreducible characters of a finite group, as values in GF(p).
 
-    Rows are sorted by (degree, value vector); columns follow the group's
-    conjugacy class order.  Everything downstream treats rows as opaque
-    irreducibles and only ever compares them through integer inner products.
+    Rows are the distinct irreducibles, sorted by (degree, value vector) in
+    a computed table; a transported one keeps its source's row order.
+    Columns follow the group's conjugacy class order.  Everything downstream
+    treats rows as opaque irreducibles and only ever compares them through
+    integer inner products.
     """
 
     def __init__(self, group: FiniteGroup, prime: int, degrees, values):
@@ -728,6 +731,42 @@ def character_table(g: FiniteGroup, prime: int | None = None) -> CharacterTable:
     return _compute_table(g, table_prime(g, prime))
 
 
+def transported(table: CharacterTable, prime: int) -> CharacterTable:
+    """The same rows, in the same order, at another admissible prime q.
+
+    At class representatives g, by decreasing element order until every
+    class holds a power of one, chi has eigenvalue multiplicities m_k =
+    (1/o) sum_j chi(g^j) z^(-jk e/o), k < o = o(g), e = exponent(G), z from
+    _unity_powers(e, p): a ring map Z[exp(2 pi i/e)] -> GF(p) takes the
+    complex table to this one, so they are the same integers at q, where
+    chi(g^j) = sum_k m_k w^(jk e/o), w from _unity_powers(e, q).  The rows
+    are not sorted at q; check_table checks a sorted copy of them.
+    """
+    g, p, e = table.group, table.prime, table.group.exponent
+    q = table_prime(g, prime)
+    if q == p:
+        return table
+    z, w = _unity_powers(e, p), _unity_powers(e, q)
+    values = np.empty_like(table.values)
+    covered = np.zeros(table.n_classes, dtype=bool)
+    for rep in sorted(g.class_reps, key=g.element_order, reverse=True):
+        if covered[g.class_of[rep]]:
+            continue
+        powers = [0]  # g^0 .. g^(o-1); the identity alone for o = 1
+        while len(powers) < g.element_order(rep):
+            powers.append(int(g.mul[powers[-1], rep]))
+        o, cols = len(powers), g.class_of[powers]
+        covered[cols] = True
+        jk = np.outer(range(o), range(o)) * (e // o) % e
+        mults = _matmul_mod(table.values[:, cols], z[-jk], p) * pow(o, p - 2, p) % p
+        values[:, cols] = _matmul_mod(mults, w[jk], q)
+    try:
+        _sorted_table(g, q, np.array(table.degrees), values)
+    except PrimeSearchFailure as exc:
+        raise InvariantViolation(f"table of {g.name} moved to prime {q}: {exc}") from None
+    return CharacterTable(g, q, table.degrees, values)
+
+
 # -- characters as multiplicity vectors -----------------------------------------
 
 
@@ -851,16 +890,6 @@ def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
 # -- Clifford classes ----------------------------------------------------------------
 
 
-def clifford_class(rho: int, embs: list[GroupHom]) -> tuple[int, ...]:
-    """Orbit of the rho-th irreducible of the common source, a row of its own
-    table (character_table of the source), under conjugation by every
-    ambient group of the family.  Images must be normal."""
-    reports = fin_check(embs)
-    if not 0 <= rho < len(reports):
-        raise SourceMismatch(f"rho = {rho} is not one of {len(reports)} irreducibles")
-    return reports[rho].class_members
-
-
 def _least_positive(column: np.ndarray) -> int:
     positive = column[column > 0]
     if not positive.size:
@@ -892,41 +921,14 @@ class CliffordReport:
     sup_multiplicity: int | None
 
 
-def _row_of_label(table: CharacterTable) -> dict[tuple[int, ...], int]:
-    """Each row's index by a label naming the same complex character at every
-    prime: at class representatives g, taken by decreasing element order
-    until every class holds a power of one (labelling every class made Z128
-    in Z256 15 times slower), the eigenvalue multiplicities of chi at g,
-    m_k = (1/o) sum_j chi(g^j) z^(-jk e/o), k < o = o(g), e = exponent(G),
-    z from _unity_powers(e, p).  A ring map Z[exp(2 pi i/e)] -> GF(p) takes
-    exp(2 pi i/e) to z and the complex table to this one, and m_k is an
-    integer below p.  The chi(g^j) determine chi, so labels are distinct."""
-    g, p, e = table.group, table.prime, table.group.exponent
-    z = _unity_powers(e, p)
-    covered = np.zeros(table.n_classes, dtype=bool)
-    blocks = []
-    for rep in sorted(g.class_reps, key=g.element_order, reverse=True):
-        if covered[g.class_of[rep]]:
-            continue
-        powers = [0, rep]
-        while len(powers) < g.element_order(rep):
-            powers.append(int(g.mul[powers[-1], rep]))
-        o, cols = len(powers), g.class_of[powers]
-        covered[cols] = True
-        fourier = z[-np.outer(range(o), range(o)) * (e // o) % e]
-        blocks.append(_matmul_mod(table.values[:, cols], fourier, p) * pow(o, p - 2, p) % p)
-    labels = np.concatenate(blocks, axis=1).tolist()
-    return {tuple(label): i for i, label in enumerate(labels)}
-
-
 def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
               table=None) -> list[CliffordReport]:
     """Clifford class and multiplicity data for every irreducible of the source.
 
     All embeddings must share one source H and have normal image.  Reports
     index the rows of H's table at its own prime, as `chartable` prints it;
-    each member's restriction is taken at the member's prime and matched to
-    those rows by _row_of_label.  By Clifford's theorem the constituents of
+    each member's restriction is taken at the member's prime, against that
+    table transported there.  By Clifford's theorem the constituents of
     any pi|_H are one orbit of G on Irr(H), so classes are read off the
     restrictions.  An empty family needs the source passed explicitly and
     yields singleton classes with empty multiplicity maps.  `table(group,
@@ -949,16 +951,10 @@ def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
         if outside.any():
             raise NotNormal(int(outside.argmax()))
     th = table(h)
-    row_of = _row_of_label(th) if embs else {}
     restrictions = []
     for e in embs:
         tg = table(e.target)
-        thp = table(h, prime=tg.prime)
-        at_p = _row_of_label(thp)
-        if at_p.keys() != row_of.keys() or len(at_p) != th.n_irreducibles:
-            raise InvariantViolation("the kernel's rows do not match by label at two primes")
-        columns = [at_p[label] for label in row_of]  # at tg.prime, in H's own row order
-        restrictions.append(restriction_matrix(tg, thp, e)[:, columns])
+        restrictions.append(restriction_matrix(tg, transported(th, tg.prime), e))
     reports = []
     for rho in range(th.n_irreducibles):
         # the constituents of pi|_H, for any pi over x, are the G-orbit of x
@@ -987,8 +983,8 @@ def coproduct_extension(phi_h: Character, phi_k: Character,
     th = phi_h.table
     if th.group is not emb.source:
         raise SourceMismatch("phi_h must live on the embedding source")
-    tg = character_table(emb.target, prime=th.prime)
-    m = restriction_matrix(tg, th, emb)
+    tg = character_table(emb.target)
+    m = restriction_matrix(tg, transported(th, tg.prime), emb)
     need = list(phi_h.coeffs)
     chosen = [0] * tg.n_irreducibles
     while any(need):

@@ -32,9 +32,7 @@ from bohrsound.groups import (
 )
 from bohrsound.characters import (
     Character,
-    _row_of_label,
     character_table,
-    clifford_class,
     clifford_multiplicity,
     coproduct_extension,
     equalizer_witness,
@@ -44,6 +42,7 @@ from bohrsound.characters import (
     restriction_matrix,
     restriction_multiplicity,
     splitting_prime,
+    transported,
 )
 
 from oracles import (
@@ -531,27 +530,30 @@ class TestEqualizer:
                         restricted_values(tg, j, emb, th))
 
 
+def class_members(embs):
+    return [rep.class_members for rep in fin_check(embs)]
+
+
 class TestClifford:
     def test_central_singletons(self):
         g, z2, emb = center_z2_in_heisenberg(1)
-        for rho in (0, 1):
-            assert clifford_class(rho, [emb]) == (rho,)
+        assert class_members([emb]) == [(0,), (1,)]
 
     def test_a3_class_of_size_two(self):
         _, a3, emb = a3_in_s3()
         th = character_table(a3)
         triv = th.trivial_index()
-        assert clifford_class(triv, [emb]) == (triv,)
+        classes = class_members([emb])
+        assert classes[triv] == (triv,)
         others = [r for r in range(3) if r != triv]
-        cls = clifford_class(others[0], [emb])
-        assert set(cls) == set(others)
+        assert set(classes[others[0]]) == set(others)
 
     def test_representative_independence(self):
         _, a3, emb = a3_in_s3()
+        classes = class_members([emb])
         for rho in range(3):
-            cls = clifford_class(rho, [emb])
-            for other in cls:
-                assert clifford_class(other, [emb]) == cls
+            for other in classes[rho]:
+                assert classes[other] == classes[rho]
 
     def test_not_normal(self):
         s3 = symmetric(3)
@@ -559,17 +561,11 @@ class TestClifford:
         transposition = next(i for i in range(6) if s3.element_order(i) == 2)
         emb = GroupHom(z2, s3, [0, transposition])
         with pytest.raises(NotNormal):
-            clifford_class(0, [emb])
+            fin_check([emb])
 
     def test_empty_family_needs_source(self):
         with pytest.raises(SourceMismatch):
-            clifford_class(0, [])
-
-    @pytest.mark.parametrize("rho", [-1, 3, 10])
-    def test_rho_out_of_range(self, rho):
-        _, _, emb = a3_in_s3()  # A3 has three irreducibles
-        with pytest.raises(SourceMismatch, match="is not one of 3 irreducibles"):
-            clifford_class(rho, [emb])
+            fin_check([])
 
     def test_multiplicity_examples(self):
         _, a3, emb = a3_in_s3()
@@ -655,13 +651,11 @@ class TestRestrictionStructure:
             for elems in normal_subgroups(g):
                 h, emb = Subgroup(g, elems).materialize()
                 # fin_check indexes the kernel's own table; the restriction
-                # is taken at a common prime and its columns matched by label
-                row_of = _row_of_label(character_table(h))
+                # is taken at a common prime, against that table moved there
                 p = common_prime([g, h])
                 tgp = character_table(g, prime=p)
-                thp = character_table(h, prime=p)
-                rows = [row_of[label] for label in _row_of_label(thp)]
-                m = restriction_matrix(tgp, thp, emb)[:, np.argsort(rows)]
+                thp = transported(character_table(h), p)
+                m = restriction_matrix(tgp, thp, emb)
                 class_of = {rep.rho: rep.class_members for rep in fin_check([emb])}
                 for pi in range(tgp.n_irreducibles):
                     support = [r for r in range(thp.n_irreducibles) if m[pi, r] > 0]
@@ -672,28 +666,36 @@ class TestRestrictionStructure:
 
 
 class TestOwnPrimes:
-    """Every table at its own group's prime; kernel rows matched by labels
-    that do not depend on the prime."""
+    """Every table at its own group's prime; the kernel's table is
+    transported to each member's prime, row for row."""
 
-    def test_labels_agree_at_two_primes(self, corpus_small):
-        for g in corpus_small:
-            canonical = character_table(g)
-            p = canonical.prime
-            other = character_table(g, prime=splitting_prime(g.exponent, (p + 1) // 2))
-            assert other.prime > p
-            labels = _row_of_label(canonical)
-            other_labels = _row_of_label(other)
-            assert len(labels) == len(other_labels) == canonical.n_irreducibles
-            assert labels.keys() == other_labels.keys()
-            for label, row in labels.items():
-                assert canonical.degrees[row] == other.degrees[other_labels[label]]
+    def test_transported_equals_computed(self, corpus_small):
+        import random
+        # corpus_small, every group of the chartable-ladder workload, and 1
+        ladder = [cyclic(n) for n in (32, 48, 64, 80, 96)]
+        ladder += [dihedral(n) for n in (64, 80, 96, 112, 128)]
+        ladder += [heisenberg(2), heisenberg(3), symmetric(5), alternating(5),
+                   direct_product(cyclic(8), symmetric(4))]
+        rng = random.Random(21)
+        for group in corpus_small + ladder + [trivial_group()]:
+            own = character_table(group)
+            assert transported(own, own.prime) is own
+            # a seeded admissible prime among the next five past the group's own
+            q = own.prime
+            for _ in range(rng.randrange(1, 6)):
+                q = splitting_prime(group.exponent, (q + 1) // 2)
+            moved = transported(own, q)
+            computed = character_table(group, prime=q)
+            assert moved.prime == q and moved.degrees == own.degrees
+            assert (sorted(map(tuple, moved.values.tolist()))
+                    == sorted(map(tuple, computed.values.tolist()))), group.name
 
     @staticmethod
     def assert_matches_common_prime(embs):
         reports = fin_check(embs)
         th_common, expected = fin_check_common_prime(embs)
-        row_of = _row_of_label(character_table(embs[0].source))
-        to_own = [row_of[label] for label in _row_of_label(th_common)]
+        moved = transported(character_table(embs[0].source), th_common.prime)
+        to_own = [moved.row_index(row) for row in th_common.values]
         for ref in expected:
             got = reports[to_own[ref.rho]]
             assert got.rho_degree == ref.rho_degree
@@ -808,19 +810,37 @@ class TestCoproductExtension:
             if not subs:
                 continue
             h, emb = Subgroup(g, rng.choice(subs)).materialize()
-            p = common_prime([g, h])
-            tgp = character_table(g, prime=p)
-            thp = character_table(h, prime=p)
-            rho = rng.randrange(thp.n_irreducibles)
+            th = character_table(h)
+            rho = rng.randrange(th.n_irreducibles)
             tk = character_table(cyclic(2))
             pad_k = Character(
-                tk, (thp.degrees[rho], 0))
+                tk, (th.degrees[rho], 0))
             phi_g, phi_k = coproduct_extension(
-                irreducible_character(thp, rho), pad_k, emb)
+                irreducible_character(th, rho), pad_k, emb)
             assert phi_k.degree == phi_g.degree
-            m = restriction_matrix(tgp, thp, emb)
+            tg = phi_g.table
+            m = restriction_matrix(tg, transported(th, tg.prime), emb)
             got = sum(c * int(m[pi, rho]) for pi, c in enumerate(phi_g.coeffs))
             assert got >= 1
+
+    def test_kernel_table_at_its_own_prime(self):
+        # Z2's own prime is 5, which is inadmissible for S3
+        s3, z2 = symmetric(3), cyclic(2)
+        transposition = next(i for i in range(6) if s3.element_order(i) == 2)
+        emb = GroupHom(z2, s3, [0, transposition])
+        th = character_table(z2)
+        assert th.prime == 5
+        sign = irreducible_character(th, 1 - th.trivial_index())
+        phi_g, phi_k = coproduct_extension(
+            sign, trivial_character(character_table(cyclic(3))), emb)
+        tg = phi_g.table
+        assert tg.prime == character_table(s3).prime == 13
+        # the first row whose restriction holds Z2's sign: S3's sign, which
+        # sorts before its degree-2 row
+        s3_sign = next(i for i, d in enumerate(tg.degrees)
+                       if d == 1 and i != tg.trivial_index())
+        assert phi_g.coeffs == tuple(int(i == s3_sign) for i in range(3))
+        assert phi_k.coeffs == (1, 0, 0)
 
 
 @pytest.mark.invariant
@@ -845,12 +865,19 @@ class TestInvariantViolations:
         with pytest.raises(InvariantViolation):
             fin_check([emb])
 
-    def test_unmatched_labels_are_invariant_violation(self, monkeypatch):
-        _, _, emb = a3_in_s3()
-        # the kernel's rows at the member's prime carry a label its own table lacks
-        labels = iter([{(0,): 0, (1,): 1, (2,): 2}, {(0,): 0, (1,): 1, (3,): 2}])
-        monkeypatch.setattr(characters, "_row_of_label", lambda table: next(labels))
-        with pytest.raises(InvariantViolation, match="do not match by label"):
+    @pytest.mark.parametrize("root", [1, 12], ids=["trivial", "order-2"])
+    def test_tampered_transport_is_invariant_violation(self, monkeypatch, root):
+        # A3's own prime is 7 and S3's is 13; a wrong cube root of unity at
+        # 13 moves A3's rows to non-homomorphisms or to repeated rows
+        s3, a3, emb = a3_in_s3()
+        assert (character_table(a3).prime, character_table(s3).prime) == (7, 13)
+        unity_powers = characters._unity_powers
+
+        def wrong_at_13(e, p):
+            return np.array([root ** k % p for k in range(e)]) if p == 13 else unity_powers(e, p)
+
+        monkeypatch.setattr(characters, "_unity_powers", wrong_at_13)
+        with pytest.raises(InvariantViolation, match="moved to prime 13"):
             fin_check([emb])
 
     def test_uncovered_extension_is_invariant_violation(self, monkeypatch):

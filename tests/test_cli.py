@@ -114,7 +114,7 @@ def fixture(name: str):
 # valid but small inputs by flag; group orders stay small so that no case is
 # a legal but slow table.  Generators have rank at most 3: `zmat finiteness`
 # enumerates an infinite group up to Minkowski's bound, M(3) + 1 = 49
-# matrices, but M(4) + 1 = 1153 of growing integers after a 2^70 mutation
+# matrices, but M(4) + 1 = 5761 of growing integers after a 2^70 mutation
 # take seconds, and at rank 7 and 8 the bound is millions of matrices (past
 # 1 GiB), a known gap this fuzz leaves out until finiteness stops enumerating.
 VALID = {

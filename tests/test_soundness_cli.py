@@ -712,7 +712,8 @@ class TestVerdictCache:
 
     def test_warmed_groups_serve_every_member_table(self, cli, monkeypatch):
         # each table is keyed by its group's own prime, which `cache warm`
-        # and `chartable` use, so only the kernel at the members' primes is new
+        # and `chartable` use, and the kernel's table is transported to the
+        # members' primes, so the family request computes no table
         groups = ['{"kind":"cyclic","n":2}'] + [
             f'{{"kind":"heisenberg","level":{lv}}}' for lv in (1, 2, 3)]
         assert cli("cache", "warm", *(a for g in groups for a in ("--group", g)))[0] == 0
@@ -728,7 +729,7 @@ class TestVerdictCache:
                              "--format", "json")
         assert (code, err) == (2, "")
         assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
-        assert computed == [2, 2, 2]
+        assert computed == []
 
     def test_planted_stale_entry_is_recomputed(self, cli, tmp_path):
         h8 = group_from_descriptor({"kind": "heisenberg", "level": 3})
@@ -794,14 +795,14 @@ class TestTableProvider:
         emb = hom_from_descriptor(group_from_descriptor(spec["subgroup"]), {
             "group": spec["ambient"], "mapping": spec["mapping"]})
         characters.equalizer_witness(emb)
-        # Z2; each member, then Z2 at the member's prime; S3, A3
-        assert seen == [2, 8, 2, 64, 2, 512, 2, 6, 3]
+        # Z2 and each member; S3, A3
+        assert seen == [2, 8, 64, 512, 6, 3]
 
     def test_given_provider_serves_every_table(self):
         seen = []
         request = fixture_json("heisenberg-prefix.json")
         got = soundness_verdict(request, table=self.counting(seen))
-        assert sorted(seen) == [2, 2, 2, 2, 8, 64, 512]
+        assert sorted(seen) == [2, 8, 64, 512]
         assert got.to_json() == soundness_verdict(request).to_json()
 
     def test_library_calls_touch_no_cache(self, tmp_path):
@@ -838,8 +839,8 @@ class TestUnusableCacheDir:
         assert code == 2
         assert out == (GOLDEN / "heisenberg-prefix.verdict.json").read_text()
         lines = err.splitlines()
-        # one per table: Z2, H2, H4, H8, and Z2 at the primes of H2, H4, H8
-        assert len(lines) == 7
+        # one per table: Z2, H2, H4, H8
+        assert len(lines) == 4
         assert all(line.startswith("warning: table cache not written: "
                                    "NotADirectoryError:") for line in lines)
 
