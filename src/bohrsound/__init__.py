@@ -26,16 +26,13 @@ from .groups import (
     trivial_group,
 )
 from .characters import (
-    Character,
     CharacterTable,
     CliffordReport,
     EqualizerWitness,
     character_table,
     clifford_multiplicity,
-    coproduct_extension,
     equalizer_witness,
     fin_check,
-    irreducible_character,
     restriction_multiplicity,
     splitting_prime,
 )
@@ -82,11 +79,9 @@ from .lie import (
     LieDatum,
     SimpleType,
     achievable_center_autos,
-    centralizer_in_finite_group,
     compactness_conditions,
     largest_compact_verdict,
     lie_center,
-    liftable,
     simple_type,
     torus2_automorphism_family_witness,
     torus_image_invariants,

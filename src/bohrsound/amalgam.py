@@ -24,10 +24,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
+from . import config
 from .errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
@@ -37,6 +37,7 @@ from .errors import (
     NotClassFunction,
     NotSubadditive,
     NotSymmetric,
+    SizeLimit,
     SourceMismatch,
 )
 from .groups import (
@@ -94,29 +95,6 @@ class AmalgamSpec:
     @property
     def n_factors(self) -> int:
         return len(self.factors)
-
-    @cached_property
-    def pseudometric_tables(self):
-        """Index tables for the pseudometric DP, built once per spec.
-
-        The DP state stacks one block per factor, block i holding the
-        elements of factor i at offsets[i] + x.  Returns (offsets,
-        letter_cost, blocks): letter_cost[offsets[i] + g, offsets[m] + z]
-        is the position of g z^-1 (m = i) or of g (z = 0) in the
-        concatenated factor elements, and their count t otherwise; blocks
-        holds (offsets[m], offsets[m] + table of x^-1 z) for each factor m.
-        """
-        sizes = [fac.order for fac in self.factors]
-        total = sum(sizes)
-        offsets = [sum(sizes[:m]) for m in range(len(sizes))]
-        letter_cost = np.full((total, total), total, dtype=np.intp)
-        blocks = []
-        for off, fac in zip(offsets, self.factors):
-            block = slice(off, off + fac.order)
-            letter_cost[block, offsets] = np.arange(off, off + fac.order)[:, None]
-            letter_cost[block, block] = off + fac.mul[:, fac.inv]
-            blocks.append((off, off + fac.mul[fac.inv]))
-        return offsets, letter_cost, blocks
 
     def check_word(self, word) -> tuple[tuple[int, int], ...]:
         out = []
@@ -440,12 +418,14 @@ def coproduct_pseudometric(spec: AmalgamSpec, lengths, word) -> Fraction:
     after which the least entry 0 over all m is written back into each.
     One width at a time, all its intervals and split points form one numpy
     batch; x runs in chunks that keep every temporary within the size of
-    the state.  Costs are integers over the common denominator, and
-    "unreachable" is the finite sentinel top = n * max + 1; each width
-    starts from top, so no entry exceeds it and no sum exceeds 2 * top.
-    The arrays are int64 while 2 * top < 2^63 and hold Python ints
-    otherwise.  Completeness of the two state kinds is checked
-    against exhaustive enumeration in the test suite, not assumed.
+    the state.  A state past GROUP_MAX_ORDER^2 cells, sum |G_m| (n + 1)^2,
+    is refused with SizeLimit before anything is allocated.  Costs are
+    integers over the common denominator, and "unreachable" is the finite
+    sentinel top = n * max + 1; each width starts from top, so no entry
+    exceeds it and no sum exceeds 2 * top.  The arrays are int64 while
+    2 * top < 2^63 and hold Python ints otherwise.  Completeness of the two
+    state kinds is checked against exhaustive enumeration in the test
+    suite, not assumed.
     """
     if spec.h.order != 1:
         raise AmalgamNotTrivial("the pseudometric construction needs a coproduct")
@@ -458,31 +438,46 @@ def coproduct_pseudometric(spec: AmalgamSpec, lengths, word) -> Fraction:
     n = len(letters)
     if n == 0:
         return Fraction(0)
+    sizes = [fac.order for fac in spec.factors]
+    total = sum(sizes)
+    limit = config.GROUP_MAX_ORDER
+    if total * (n + 1) ** 2 > limit * limit:
+        raise SizeLimit(f"pseudometric state of {total} x {n + 1}^2 cells "
+                        f"exceeds {limit}^2")
 
     denom = math.lcm(*(v.denominator for lf in lengths for v in lf.values))
     scaled = [v.numerator * (denom // v.denominator)
               for lf in lengths for v in lf.values]
     top = n * max(scaled) + 1
     dtype = np.int64 if 2 * top < 1 << 63 else object
-    offsets, letter_cost, blocks = spec.pseudometric_tables
     costs = np.array(scaled + [top], dtype=dtype)
-    v = np.empty((len(letter_cost), n + 1, n + 1), dtype=dtype)
+    # factor m's elements sit at offsets[m] + x of the stacked state; letter
+    # (i, g) costs the position of g z^-1 (factor i) or of g (z = 0), and the
+    # sentinel `total` (cost top) at every other z
+    offsets = [sum(sizes[:m]) for m in range(len(sizes))]
+    factor, element = np.array(letters).T
+    letter_cost = np.full((n, total), total, dtype=np.intp)
+    letter_cost[:, offsets] = (np.array(offsets)[factor] + element)[:, None]
+    for m, (off, fac) in enumerate(zip(offsets, spec.factors)):
+        mine = factor == m
+        letter_cost[mine, off:off + fac.order] = \
+            off + fac.mul[element[mine]][:, fac.inv]
+    v = np.empty((total, n + 1, n + 1), dtype=dtype)
     starts = np.arange(n)
-    v[:, starts, starts + 1] = costs[
-        letter_cost[[offsets[i] + g for i, g in letters]]].T
+    v[:, starts, starts + 1] = costs[letter_cost].T
     for width in range(2, n + 1):
         a = starts[:n - width + 1, None]
         c = a + starts[1:width]
         left, right = v[:, a, c], v[:, c, a + width]
         best = np.full(right.shape[:2], top, dtype=dtype)
-        for off, inv_mul in blocks:
-            order = len(inv_mul)
+        for off, fac in zip(offsets, spec.factors):
+            order = fac.order
             part = best[off:off + order]
             step = max(1, v.size // (order * c.size))
             for x in range(0, order, step):
                 x_end = min(x + step, order)
                 pairs = (left[off + x:off + x_end, None]
-                         + right[inv_mul[x:x_end]])
+                         + right[off + fac.mul[fac.inv[x:x_end]]])
                 np.minimum(part, pairs.min(axis=(0, 3)), out=part)
         best[offsets] = best[offsets].min(axis=0)
         v[:, a[:, 0], a[:, 0] + width] = best

@@ -121,7 +121,8 @@ def clear() -> int:
 
 
 def inspect() -> list[dict]:
-    """One row per cache entry: digest, order, prime, class count."""
+    """One row per cache entry that reads as a table: digest, order, prime,
+    class count.  Unreadable files and other JSON are skipped."""
     base = config.cache_dir()
     rows = []
     for name in _entry_names(base):
@@ -130,11 +131,14 @@ def inspect() -> list[dict]:
                 data = json.load(fh)
         except (OSError, ValueError):
             continue
+        if not (isinstance(data, dict) and isinstance(data.get("group_digest"), str)
+                and isinstance(data.get("class_reps"), list)):
+            continue  # load_table treats it as stale too
         rows.append({
             "file": name,
-            "group_digest": data.get("group_digest"),
+            "group_digest": data["group_digest"],
             "order": data.get("order"),
             "prime": data.get("prime"),
-            "classes": len(data.get("class_reps", [])),
+            "classes": len(data["class_reps"]),
         })
     return rows

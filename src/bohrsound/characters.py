@@ -71,7 +71,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    DegreeMismatch,
     InvariantViolation,
     NotNormal,
     NotProper,
@@ -767,42 +766,6 @@ def transported(table: CharacterTable, prime: int) -> CharacterTable:
     return CharacterTable(g, q, table.degrees, values)
 
 
-# -- characters as multiplicity vectors -----------------------------------------
-
-
-@dataclass(frozen=True)
-class Character:
-    """A (not necessarily irreducible) character: multiplicities over table rows."""
-
-    table: CharacterTable
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.table.n_irreducibles:
-            raise DegreeMismatch("coefficient count must match the table")
-        if any(c < 0 for c in self.coeffs):
-            raise DegreeMismatch("characters have nonnegative multiplicities")
-
-    @property
-    def degree(self) -> int:
-        return sum(c * d for c, d in zip(self.coeffs, self.table.degrees))
-
-    def __add__(self, other: "Character") -> "Character":
-        if (other.table.group is not self.table.group
-                or other.table.prime != self.table.prime):
-            raise SourceMismatch("characters over different tables")
-        return Character(self.table, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def irreducible_character(table: CharacterTable, index: int) -> Character:
-    if not 0 <= index < table.n_irreducibles:
-        raise SourceMismatch(
-            f"index {index} is not one of {table.n_irreducibles} irreducibles")
-    coeffs = [0] * table.n_irreducibles
-    coeffs[index] = 1
-    return Character(table, tuple(coeffs))
-
-
 # -- restriction ------------------------------------------------------------------
 
 
@@ -966,40 +929,3 @@ def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
             rho=rho, rho_degree=th.degrees[rho], class_members=members,
             class_size=len(members), per_member=per, sup_multiplicity=sup))
     return reports
-
-
-# -- extension step for finite coproducts ----------------------------------------------
-
-
-def coproduct_extension(phi_h: Character, phi_k: Character,
-                        emb: GroupHom) -> tuple[Character, Character]:
-    """Extend phi_h to the ambient group and pad phi_k to match degrees.
-
-    Greedy: scan ambient irreducibles in row order, take one copy of the first
-    whose restriction still covers a needed subgroup constituent, repeat.
-    """
-    if phi_h.degree != phi_k.degree:
-        raise DegreeMismatch(f"degrees differ: {phi_h.degree} != {phi_k.degree}")
-    th = phi_h.table
-    if th.group is not emb.source:
-        raise SourceMismatch("phi_h must live on the embedding source")
-    tg = character_table(emb.target)
-    m = restriction_matrix(tg, transported(th, tg.prime), emb)
-    need = list(phi_h.coeffs)
-    chosen = [0] * tg.n_irreducibles
-    while any(need):
-        rho = next(i for i, c in enumerate(need) if c > 0)
-        pi = next((i for i in range(tg.n_irreducibles) if m[i, rho] > 0), None)
-        if pi is None:
-            raise InvariantViolation(
-                "restriction of the regular character misses a row")
-        chosen[pi] += 1
-        for j in range(th.n_irreducibles):
-            need[j] = max(0, need[j] - int(m[pi, j]))
-    phi_g = Character(tg, tuple(chosen))
-    pad = phi_g.degree - phi_k.degree
-    tk = phi_k.table
-    triv = tk.trivial_index()
-    padded = list(phi_k.coeffs)
-    padded[triv] += pad
-    return phi_g, Character(tk, tuple(padded))

@@ -79,10 +79,6 @@ class NotProper(BohrsoundError):
     pass
 
 
-class DegreeMismatch(BohrsoundError):
-    pass
-
-
 # zmat
 
 class NotUnimodular(BohrsoundError):
@@ -160,7 +156,3 @@ class WrongOrder(BohrsoundError):
         super().__init__(f"expected element of order {expected}, got order {got}")
         self.expected = expected
         self.got = got
-
-
-class NotMember(BohrsoundError):
-    pass

@@ -7,10 +7,10 @@ is exact: centers come from the classification table, torus parts are
 integer numerators over N, the common denominator of the generators' torus
 images, and D is held once, as integer rows, on which the center and the
 glued torus subgroup are counted as q-torsion at prime powers q.  The center
-automorphisms and the gluing map are homomorphisms, and D's generators
-generate its support, so support preservation, the joint sign and the
-intertwining with a torus automorphism are checked on the generators alone;
-only kernel preservation is checked on all the kernel's rows, by one gather.
+automorphisms are homomorphisms, and D's generators generate its support,
+so support preservation and the joint sign are checked on the generators
+alone; only kernel preservation is checked on all the kernel's rows, by one
+gather.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ import numpy as np
 
 from . import config
 from .errors import (
-    DimensionMismatch,
     DoesNotCommute,
     InvalidDelta,
     InvariantViolation,
-    NotMember,
-    NotUnimodular,
     SchemaError,
     SizeLimit,
     UnsupportedRank,
@@ -36,12 +33,10 @@ from .errors import (
 )
 from .groups import FiniteAbelian, TorusPoint, abelian_from_orders, factorize
 from .zmat import (
-    MatrixGroupResult,
     element_order,
     embeds_into_fixed,
     fixed_subgroup_structure,
     mat,
-    mat_det,
     mat_inv_unimodular,
     mat_mul,
 )
@@ -264,10 +259,10 @@ def achievable_center_autos(factors) -> list[tuple[tuple[int, ...], tuple[int, .
 
 
 def _preserved_autos(datum: LieDatum):
-    """(cols, signs, at, eps) per achievable auto mapping the support onto
+    """(cols, signs, eps) per achievable auto mapping the support onto
     itself (the generators decide): it maps simple rows by one gather,
-    rows[:, cols] * signs % orders, D's rows `at` hold the generators'
-    images, and eps is the joint sign it acts as on them, or None."""
+    rows[:, cols] * signs % orders, and eps is the joint sign it acts as on
+    the generators, or None."""
     dtype, c = datum.elements.dtype, len(datum.center_orders)
     orders = np.array(datum.center_orders, dtype)
     offsets = np.array(datum.block_offsets, np.intp)
@@ -278,29 +273,9 @@ def _preserved_autos(datum: LieDatum):
         cols = np.repeat(offsets[src] - offsets, datum.block_widths) + np.arange(c)
         signs = np.repeat(np.array(sign, dtype)[src], datum.block_widths)
         images = gens[:, cols] * signs % orders
-        at = [datum.row_of.get(k) for k in _keys(images)]
-        if None not in at:
-            yield cols, signs, at, next(
+        if None not in map(datum.row_of.get, _keys(images)):
+            yield cols, signs, next(
                 (eps for eps in (1, -1) if (images == gens * eps % orders).all()), None)
-
-
-def liftable(datum: LieDatum, alpha0) -> bool:
-    """Whether the torus automorphism extends over the whole quotient.
-
-    True iff some achievable automorphism of the simple centers preserves
-    the gluing support and intertwines the gluing map with alpha0; both
-    sides of the intertwining are homomorphisms, so the generators decide.
-    """
-    alpha0 = mat(alpha0)
-    z = datum.torus_rank
-    if len(alpha0) != z or any(len(r) != z for r in alpha0):
-        raise DimensionMismatch(f"matrix must be {z}x{z}")
-    if mat_det(alpha0) not in (1, -1):
-        raise NotUnimodular(mat_det(alpha0))
-    n, c = datum.denominator, len(datum.center_orders)
-    moved = [list(t.act(alpha0).numerators_over(n)) for _, t in datum.generators]
-    return any(datum.elements[at, c:].tolist() == moved
-               for _, _, at, _ in _preserved_autos(datum))
 
 
 def _rigidity(datum: LieDatum) -> bool | None:
@@ -317,7 +292,7 @@ def _rigidity(datum: LieDatum) -> bool | None:
     c, rows = len(datum.center_orders), datum.elements
     orders = np.array(datum.center_orders, rows.dtype)
     kernel = np.flatnonzero((rows[:, c:] == 0).all(axis=1))[:, None]
-    for cols, signs, _, eps in _preserved_autos(datum):
+    for cols, signs, eps in _preserved_autos(datum):
         if eps is None:
             image = rows[kernel, cols] * signs % orders
             image = [datum.row_of.get(k) for k in _keys(image)]
@@ -457,17 +432,3 @@ def torus2_automorphism_family_witness(alpha, b1, b2,
         current = mat_mul(b2, mat_mul(current, b2_inv))
     return TorusFamilyWitness(witnesses=tuple(seen),
                               degenerate=len(seen) < n_max + 1)
-
-
-def centralizer_in_finite_group(m, ambient: MatrixGroupResult) -> frozenset:
-    """Elements of a finite matrix group commuting with a given member, by one
-    batched product (members' entries fit the dtype; int64 wraps mod 2^64)."""
-    m = mat(m)
-    if not ambient.finite:
-        raise NotMember("ambient group is not finite")
-    if m not in ambient.elements:
-        raise NotMember(f"{m} is outside the ambient group")
-    mats = ambient.matrices
-    x = np.array(m, mats.dtype)
-    commute = (mats @ x == x @ mats).all(axis=(1, 2))
-    return frozenset(tuple(map(tuple, g)) for g in mats[commute].tolist())

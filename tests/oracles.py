@@ -27,10 +27,8 @@ from math import gcd
 import numpy as np
 
 from bohrsound.characters import (
-    Character,
     CliffordReport,
     character_table,
-    irreducible_character,
     restriction_matrix,
     splitting_prime,
 )
@@ -775,7 +773,9 @@ def _preserved_images(datum, graph):
 
 
 def liftable_elementwise(datum, alpha0) -> bool:
-    """`lie.liftable` with the intertwining tested at every element of D."""
+    """Whether the torus automorphism alpha0 extends over the quotient: some
+    achievable center automorphism preserving the gluing support
+    intertwines the gluing map with alpha0, tested at every element of D."""
     graph = gluing_graph_oracle(datum)
     for image in _preserved_images(datum, graph):
         if all(tuple(sum((Fraction(a) * v for a, v in zip(row, graph[s])),
@@ -925,14 +925,6 @@ def fin_check_common_prime(embs):
             rho=rho, rho_degree=th.degrees[rho], class_members=tuple(sorted(orbit)),
             class_size=len(orbit), per_member=per, sup_multiplicity=max(per.values())))
     return th, reports
-
-
-def trivial_character(table) -> Character:
-    return irreducible_character(table, table.trivial_index())
-
-
-def regular_character(table) -> Character:
-    return Character(table, tuple(table.degrees))
 
 
 def mat_vec(a, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ import pytest
 from bohrsound import cache, characters, config
 from bohrsound.cli import main
 from bohrsound.errors import (
-    DegreeMismatch,
     InvariantViolation,
     NotInjective,
     NotNormal,
@@ -31,13 +30,10 @@ from bohrsound.groups import (
     trivial_group,
 )
 from bohrsound.characters import (
-    Character,
     character_table,
     clifford_multiplicity,
-    coproduct_extension,
     equalizer_witness,
     fin_check,
-    irreducible_character,
     restricted_values,
     restriction_matrix,
     restriction_multiplicity,
@@ -51,9 +47,7 @@ from oracles import (
     fin_check_common_prime,
     identity_hom,
     normal_subgroups,
-    regular_character,
     regular_character_data,
-    trivial_character,
 )
 
 
@@ -383,47 +377,6 @@ class TestNumericOracle:
                     assert tuple(int(round(x)) for x in vec.real) in lifted
 
 
-class TestCharacterArithmetic:
-    def test_regular_character_coeffs(self):
-        tab = character_table(symmetric(3))
-        reg = regular_character(tab)
-        assert reg.coeffs == tab.degrees
-        assert reg.degree == 6
-
-    def test_addition(self):
-        tab = character_table(cyclic(4))
-        c = trivial_character(tab) + irreducible_character(tab, 1)
-        assert c.degree == 2
-        with pytest.raises(SourceMismatch):
-            c + trivial_character(character_table(cyclic(2)))
-
-    def test_addition_across_lookups(self):
-        g = symmetric(3)
-        first, second = character_table(g), character_table(g)
-        total = irreducible_character(first, 1) + irreducible_character(second, 2)
-        assert total.coeffs == (0, 1, 1)
-
-    def test_addition_needs_one_group_and_one_prime(self):
-        tab = character_table(cyclic(4))
-        for other in (character_table(cyclic(4)),  # an equal group, not the same
-                      character_table(tab.group, prime=17)):
-            with pytest.raises(SourceMismatch):
-                trivial_character(tab) + trivial_character(other)
-
-    @pytest.mark.parametrize("index", [-1, 3, 5])
-    def test_irreducible_index_out_of_range(self, index):
-        tab = character_table(symmetric(3))
-        with pytest.raises(SourceMismatch):
-            irreducible_character(tab, index)
-
-    def test_negative_coeffs_rejected(self):
-        tab = character_table(cyclic(2))
-        with pytest.raises(DegreeMismatch):
-            Character(tab, (1, -1))
-        with pytest.raises(DegreeMismatch):
-            Character(tab, (1,))
-
-
 class TestRestriction:
     def test_trivial_to_trivial(self):
         s3, a3, emb = a3_in_s3()
@@ -747,102 +700,6 @@ class TestOwnPrimes:
         assert len(reports) == 1024
 
 
-class TestCoproductExtension:
-    def test_trivial_degree_one(self):
-        z4 = cyclic(4)
-        z2 = cyclic(2)
-        emb = GroupHom(z2, z4, [0, 2])
-        th = character_table(z2, prime=character_table(z4).prime)
-        tk = character_table(cyclic(3))
-        phi_g, phi_k = coproduct_extension(
-            trivial_character(th), trivial_character(tk), emb)
-        assert phi_g.degree == 1
-        assert phi_g.coeffs[phi_g.table.trivial_index()] == 1
-        assert phi_k.coeffs == (1, 0, 0)
-
-    def test_a3_nontrivial_lands_on_two_dim(self):
-        s3, a3, emb = a3_in_s3()
-        tg = character_table(s3)
-        th = character_table(a3, prime=tg.prime)
-        tk = character_table(cyclic(2))
-        rho = 1 if th.trivial_index() != 1 else 2
-        phi_g, phi_k = coproduct_extension(
-            irreducible_character(th, rho), trivial_character(tk), emb)
-        assert phi_g.degree == 2
-        two = next(i for i, d in enumerate(tg.degrees) if d == 2)
-        assert phi_g.coeffs[two] == 1 and sum(phi_g.coeffs) == 1
-        assert phi_k.degree == 2
-        assert phi_k.coeffs[tk.trivial_index()] == 2
-
-    def test_regular_character_of_z2_in_z4(self):
-        z4 = cyclic(4)
-        z2 = cyclic(2)
-        emb = GroupHom(z2, z4, [0, 2])
-        tg = character_table(z4)
-        th = character_table(z2, prime=tg.prime)
-        tk = character_table(cyclic(2))
-        phi_g, phi_k = coproduct_extension(
-            regular_character(th), regular_character(tk), emb)
-        assert phi_g.degree == 2
-        assert phi_k.degree == 2
-        m = restriction_matrix(tg, th, emb)
-        restricted = [0, 0]
-        for pi, c in enumerate(phi_g.coeffs):
-            for r in range(2):
-                restricted[r] += c * int(m[pi, r])
-        assert restricted[0] >= 1 and restricted[1] >= 1
-
-    def test_degree_mismatch(self):
-        z4 = cyclic(4)
-        z2 = cyclic(2)
-        emb = GroupHom(z2, z4, [0, 2])
-        th = character_table(z2, prime=character_table(z4).prime)
-        tk = character_table(cyclic(2))
-        with pytest.raises(DegreeMismatch):
-            coproduct_extension(regular_character(th), trivial_character(tk), emb)
-
-    def test_restriction_contains_input(self, corpus_small):
-        import random
-        from bohrsound.groups import Subgroup
-        rng = random.Random(13)
-        for g in corpus_small[::9]:
-            subs = [s for s in normal_subgroups(g) if 1 < len(s) < g.order]
-            if not subs:
-                continue
-            h, emb = Subgroup(g, rng.choice(subs)).materialize()
-            th = character_table(h)
-            rho = rng.randrange(th.n_irreducibles)
-            tk = character_table(cyclic(2))
-            pad_k = Character(
-                tk, (th.degrees[rho], 0))
-            phi_g, phi_k = coproduct_extension(
-                irreducible_character(th, rho), pad_k, emb)
-            assert phi_k.degree == phi_g.degree
-            tg = phi_g.table
-            m = restriction_matrix(tg, transported(th, tg.prime), emb)
-            got = sum(c * int(m[pi, rho]) for pi, c in enumerate(phi_g.coeffs))
-            assert got >= 1
-
-    def test_kernel_table_at_its_own_prime(self):
-        # Z2's own prime is 5, which is inadmissible for S3
-        s3, z2 = symmetric(3), cyclic(2)
-        transposition = next(i for i in range(6) if s3.element_order(i) == 2)
-        emb = GroupHom(z2, s3, [0, transposition])
-        th = character_table(z2)
-        assert th.prime == 5
-        sign = irreducible_character(th, 1 - th.trivial_index())
-        phi_g, phi_k = coproduct_extension(
-            sign, trivial_character(character_table(cyclic(3))), emb)
-        tg = phi_g.table
-        assert tg.prime == character_table(s3).prime == 13
-        # the first row whose restriction holds Z2's sign: S3's sign, which
-        # sorts before its degree-2 row
-        s3_sign = next(i for i, d in enumerate(tg.degrees)
-                       if d == 1 and i != tg.trivial_index())
-        assert phi_g.coeffs == tuple(int(i == s3_sign) for i in range(3))
-        assert phi_k.coeffs == (1, 0, 0)
-
-
 @pytest.mark.invariant
 class TestInvariantViolations:
     """States a correct restriction matrix never produces, built by patching it.
@@ -879,17 +736,6 @@ class TestInvariantViolations:
         monkeypatch.setattr(characters, "_unity_powers", wrong_at_13)
         with pytest.raises(InvariantViolation, match="moved to prime 13"):
             fin_check([emb])
-
-    def test_uncovered_extension_is_invariant_violation(self, monkeypatch):
-        z4 = cyclic(4)
-        z2 = cyclic(2)
-        emb = GroupHom(z2, z4, [0, 2])
-        th = character_table(z2, prime=character_table(z4).prime)
-        tk = character_table(cyclic(3))
-        monkeypatch.setattr(characters, "restriction_matrix",
-                            lambda tg, th, emb: np.zeros((4, 2), dtype=np.int64))
-        with pytest.raises(InvariantViolation):
-            coproduct_extension(trivial_character(th), trivial_character(tk), emb)
 
     def test_cli_reports_invariant_violation(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))

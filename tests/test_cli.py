@@ -338,6 +338,22 @@ def test_regular_lengths_of_order_1024_fit_in_1_gib(tmp_path):
     assert (code, exited, out, err) == (0, False, "4\n", "")
 
 
+def free_cyclic_spec(n: int, factors: int) -> str:
+    return json.dumps({"schema": 1, "kind": "amalgam",
+                       "amalgam": {"kind": "cyclic", "n": 1},
+                       "factors": [{"group": {"kind": "cyclic", "n": n},
+                                    "injection": ["e"]}] * factors})
+
+
+def test_three_factors_of_order_4096_fit_in_1_gib(tmp_path):
+    # the DP builds one cost row per letter and gathers x^-1 z a chunk at a
+    # time, never a (sum |G_m|)^2 table (1.12 GiB here)
+    [(_, code, exited, out, err)] = run_in_child(
+        [["amalgam", "dist", "--spec", free_cyclic_spec(4096, 3),
+          "--word", "0:1 1:1"]], tmp_path)
+    assert (code, exited, out, err) == (0, False, "2\n", "")
+
+
 def test_gluing_past_the_cell_limit_fits_in_1_gib(tmp_path):
     # |D| = 4096 across 4200 factors is 17.2M cells, past GROUP_MAX_ORDER^2:
     # refused while D grows, before its last coset is allocated
@@ -387,6 +403,9 @@ REFUSED = [
       "--targets", sl2z_targets(modulus=0)], "SchemaError"),
     (["amalgam", "eval", "--spec", "sl2z.json", "--word", "0:a",
       "--targets", sl2z_targets(dimension=10 ** 6)], "DimensionMismatch"),
+    # 3 * 4096 * 37^2 DP cells, past GROUP_MAX_ORDER^2
+    (["amalgam", "dist", "--spec", free_cyclic_spec(4096, 3),
+      "--word", " ".join(f"{k % 3}:1" for k in range(36))], "SizeLimit"),
 ]
 
 

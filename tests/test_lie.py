@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from bohrsound.errors import (
-    DimensionMismatch,
     DoesNotCommute,
     InvalidDelta,
     InvariantViolation,
-    NotMember,
     NotUnimodular,
     SchemaError,
     SizeLimit,
@@ -31,16 +29,14 @@ from bohrsound.lie import (
     LieDatum,
     SimpleType,
     achievable_center_autos,
-    centralizer_in_finite_group,
     compactness_conditions,
     largest_compact_verdict,
     lie_center,
-    liftable,
     simple_type,
     torus2_automorphism_family_witness,
     torus_image_invariants,
 )
-from bohrsound.zmat import generated_group, mat_mul
+from bohrsound.zmat import mat_mul
 
 from oracles import (
     achievable_center_autos_bfs,
@@ -60,7 +56,6 @@ from oracles import (
 
 A1 = SimpleType("A", 1)
 ROT3 = ((0, 1), (-1, -1))
-NEG2 = ((-1, 0), (0, -1))
 
 BLOCK_ROT3 = ((0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 0, 1), (0, 0, -1, -1))
 BLOCK_B1 = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -455,7 +450,7 @@ class TestAchievableAutos:
         autos = achievable_center_autos(datum.factors)
         assert len(autos) == 8
         # D is trivial, so every auto maps the support onto itself
-        for auto, (cols, signs, _, _) in zip(autos, lie._preserved_autos(datum)):
+        for auto, (cols, signs, _) in zip(autos, lie._preserved_autos(datum)):
             image = np.array(points)[:, cols] * signs % datum.center_orders
             assert image.tolist() == [list(apply_center_auto(datum, auto, p))
                                       for p in points]
@@ -480,39 +475,6 @@ class TestAchievableAutos:
                     apply_center_auto(datum, a, apply_center_auto(datum, b, p))
                     for p in points)
                 assert composed in tables.values()
-
-
-class TestLiftable:
-    def test_identity_always_lifts(self):
-        for datum in (glued_torus_su_datum(3, 2), bare_torus_datum(2)):
-            assert liftable(datum, ((1, 0), (0, 1)))
-
-    def test_negation_lifts_on_glued_data(self):
-        assert liftable(glued_torus_su_datum(3, 2), NEG2)
-
-    def test_unipotent_annihilating_image_lifts(self):
-        assert liftable(glued_torus_su_datum(3, 2), ((1, 81), (0, 1)))
-
-    def test_small_unipotent_does_not_lift(self):
-        assert not liftable(glued_torus_su_datum(3, 2), ((1, 1), (0, 1)))
-
-    def test_rotation_does_not_lift(self):
-        assert not liftable(glued_torus_su_datum(3, 2), ((0, -1), (1, 0)))
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            liftable(glued_torus_su_datum(3, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(NotUnimodular):
-            liftable(glued_torus_su_datum(3, 2), ((2, 0), (0, 1)))
-
-    def test_liftable_closed_under_product(self):
-        datum = glued_torus_su_datum(3, 2)
-        lifting = [((1, 0), (0, 1)), NEG2, ((1, 81), (0, 1))]
-        for a in lifting:
-            for b in lifting:
-                assert liftable(datum, mat_mul(a, b))
 
 
 FACTOR_POOL = ("A1", "A2", "A3", "A5", "C3", "D4", "D5", "D6", "E6", "E7")
@@ -546,17 +508,6 @@ def random_datum(rng: random.Random) -> LieDatum:
     return LieDatum(z, factors, keep)
 
 
-def torus_matrices(datum: LieDatum):
-    z = datum.torus_rank
-    if z == 1:
-        return [((1,),), ((-1,),)]
-    if z == 2:
-        return [((1, 0), (0, 1)), NEG2, ROT3, ((0, -1), (1, 0)),
-                ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
-                ((2, 1), (1, 1)), ((1, datum.denominator), (0, 1))]
-    return []
-
-
 class TestGeneratorChecks:
     """The generator-only checks against the elementwise Fraction oracles."""
 
@@ -564,7 +515,7 @@ class TestGeneratorChecks:
         rng = random.Random(7)
         data = [glued_torus_su_datum(3, 2), LieDatum(2, [SimpleType("D", 4)])]
         data += [random_datum(rng) for _ in range(200)]
-        rigid_seen, lift_seen = set(), set()
+        rigid_seen = set()
         for datum in data:
             graph = gluing_graph_oracle(datum)
             assert {s: tuple(Fraction(v, datum.denominator) for v in t)
@@ -572,12 +523,7 @@ class TestGeneratorChecks:
             rigid = lie._rigidity(datum)
             assert rigid == rigidity_elementwise(datum)
             rigid_seen.add(rigid)
-            for alpha0 in torus_matrices(datum):
-                lifts = liftable(datum, alpha0)
-                assert lifts == liftable_elementwise(datum, alpha0)
-                lift_seen.add(lifts)
         assert rigid_seen == {True, False, None}
-        assert lift_seen == {True, False}
         assert {d.torus_rank for d in data} == {0, 1, 2}
         assert any(len(set(d.factors)) < len(d.factors) for d in data)
         assert any(SimpleType("D", 4) in d.factors and d.generators
@@ -727,7 +673,7 @@ class TestLargestCompactVerdict:
         v = largest_compact_verdict(d)
         assert v.kind == "NoLargest"
         assert v.witness_label == "reflection-split"
-        assert liftable(d, v.witness)
+        assert liftable_elementwise(d, v.witness)
 
     def test_non_rigid_is_unknown(self):
         d = LieDatum(2, [SimpleType("A", 2)] * 2, [
@@ -784,84 +730,6 @@ class TestWitnessFamily:
         twice = tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4))
         with pytest.raises(NotUnimodular):
             torus2_automorphism_family_witness(BLOCK_ROT3, BLOCK_B1, twice, 5)
-
-
-class TestCentralizer:
-    def test_rotation_centralizer_is_whole_group(self):
-        ambient = generated_group([ROT3, NEG2])
-        assert ambient.order == 6
-        cen = centralizer_in_finite_group(ROT3, ambient)
-        assert cen == ambient.elements
-
-    def test_centralizer_is_cyclic_generated_by_negated_rotation(self):
-        ambient = generated_group([ROT3, NEG2])
-        cen = centralizer_in_finite_group(ROT3, ambient)
-        gen = tuple(tuple(-x for x in row) for row in ROT3)
-        powers = set()
-        cur = gen
-        for _ in range(6):
-            powers.add(cur)
-            cur = mat_mul(cur, gen)
-        assert powers == cen
-
-    def test_central_elements_centralize_everything(self):
-        ambient = generated_group([ROT3, NEG2])
-        ident = ((1, 0), (0, 1))
-        assert centralizer_in_finite_group(ident, ambient) == ambient.elements
-        assert centralizer_in_finite_group(NEG2, ambient) == ambient.elements
-
-    def test_proper_centralizer_in_nonabelian_group(self):
-        swap = ((0, 1), (1, 0))
-        refl = ((1, 0), (0, -1))
-        ambient = generated_group([swap, refl])
-        assert ambient.order == 8
-        cen = centralizer_in_finite_group(refl, ambient)
-        assert len(cen) == 4
-        assert cen < ambient.elements
-
-    def test_outsider_rejected(self):
-        ambient = generated_group([ROT3, NEG2])
-        with pytest.raises(NotMember):
-            centralizer_in_finite_group(((1, 1), (0, 1)), ambient)
-
-    def test_b4_against_the_product_loop(self):
-        # B_4, order 384, tested in one batched product: the same sets as
-        # one mat_mul pair per element
-        perm = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-        swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        sign = ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        ambient = generated_group([perm, swap, sign])
-        assert ambient.order == 384
-        for m in (mat_mul(perm, perm), swap, sign, mat_mul(swap, sign)):
-            assert centralizer_in_finite_group(m, ambient) == frozenset(
-                g for g in ambient.elements if mat_mul(g, m) == mat_mul(m, g))
-        ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-        assert centralizer_in_finite_group(ident, ambient) == ambient.elements
-
-    @pytest.mark.parametrize("a,dtype", [(200, np.int64), (300, object)])
-    def test_large_entries(self, a, dtype):
-        # the group of test_proper_centralizer_in_nonabelian_group conjugated
-        # by u: entries past 2^30, held as int64 or, once products of the
-        # closure could wrap, as Python ints, and multiplied in one batch
-        u = ((1, a), (a, a * a + 1))
-        u_inv = ((a * a + 1, -a), (-a, 1))
-        swap, refl = ((0, 1), (1, 0)), ((1, 0), (0, -1))
-
-        def conj(g):
-            return mat_mul(u, mat_mul(g, u_inv))
-        ambient = generated_group([conj(swap), conj(refl)])
-        assert ambient.matrices.dtype == dtype
-        assert abs(ambient.matrices).max() > 2 ** 30
-        want = centralizer_in_finite_group(refl, generated_group([swap, refl]))
-        assert len(want) == 4
-        assert centralizer_in_finite_group(conj(refl), ambient) == \
-            frozenset(map(conj, want))
-
-    def test_infinite_ambient_rejected(self):
-        infinite = generated_group([((1, 1), (0, 1))])
-        assert not infinite.finite
-        with pytest.raises(NotMember):
-            centralizer_in_finite_group(((1, 1), (0, 1)), infinite)
 
 
 class TestReadyMadeData:

@@ -976,6 +976,17 @@ class TestChartableAndCache:
         assert foreign.read_text() == '{"order": 6}'
         assert [p.name for p in base.iterdir()] == ["notmine.json"]
 
+    @pytest.mark.parametrize("payload", ["[]", '{"class_reps": 5}'])
+    def test_inspect_skips_entries_that_are_not_tables(self, cli, tmp_path, payload):
+        # named like an entry but no table, so load_table treats it as stale
+        code, _, _ = cli("cache", "warm", "--group", '{"kind":"cyclic","n":6}')
+        assert code == 0
+        (tmp_path / "cache" / f"{'0' * 64}-p5.json").write_text(payload)
+        for fmt in ("text", "json"):
+            code, out, err = cli("cache", "inspect", "--format", fmt)
+            assert (code, err) == (0, "")
+        assert [e["order"] for e in json.loads(out)["entries"]] == [6]
+
     def test_stale_cache_entry_recomputed(self, cli, tmp_path):
         argv = ("chartable", "--group", '{"kind":"cyclic","n":5}',
                 "--format", "json")

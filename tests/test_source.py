@@ -2,41 +2,67 @@
 
 import ast
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import bohrsound
 
 SRC = Path(bohrsound.__file__).parent
+ROOT = Path(__file__).parents[1]
 
 
-def test_every_top_level_name_is_used_or_exported():
-    # a def or class that no other module names and the package does not
-    # export is test-only code; it belongs in tests/oracles.py
-    defined = {}
+def _named_in_src() -> set[str]:
+    """Every name, attribute and imported name that src/ code uses, outside
+    the package's export list in __init__."""
     named = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    return named
+
+
+def test_every_top_level_name_is_used_or_exported():
+    # a def or class that no other module names and the package does not
+    # export is test-only code; it belongs in tests/oracles.py
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+    named = _named_in_src()
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in named and name not in bohrsound.__all__)
     assert unused == []
 
 
+def test_every_export_has_a_caller():
+    # an exported function or class earns its place by a caller in src/ (the
+    # CLI's routes included), an acceptance criterion or the benchmark, which
+    # names the layers it wraps as strings; any other export is a
+    # library-only route, to be deleted or moved to tests/oracles.py
+    named = _named_in_src()
+    for path in [ROOT / "tests" / "test_acceptance.py",
+                 *sorted((ROOT / "perfbench").glob("*.py"))]:
+        named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    uncalled = [name for name in bohrsound.__all__
+                if (inspect.isfunction(getattr(bohrsound, name))
+                    or inspect.isclass(getattr(bohrsound, name)))
+                and name not in named]
+    assert uncalled == []
+
+
 def test_traced_layers_name_existing_functions():
     # perfbench/tracing.py wraps each LAYERS function by name, so a rename
     # in src/ would crash every traced benchmark run; read it, install nothing
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
