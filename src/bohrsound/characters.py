@@ -28,19 +28,15 @@ sequential numpy steps.  The power sums tr(A^k), k <= d, give the
 characteristic polynomial f by Newton's identities, exact since d <= r <=
 |G| < p/2 makes every k <= d invertible mod p.
 
-Eigenvalues are the roots of f.  Below p = _SWEEP_PRIMES = 2**14 they are
-found as Dixon found them, by evaluating f at every point of GF(p), in one
-numpy sweep; at and above it as gcd(f, x^p - x), split by Cantor-Zassenhaus
-(Math. Comp. 36, 1981) down to linear factors, with every power mod f taken
-on big integers packed one coefficient per slot (Kronecker substitution).
-The two routes cross between p = 1.6 * 10**4 and 6.6 * 10**4 (see
-_SWEEP_PRIMES), so the sweep's cost and its arrays are bounded by a
-constant, and no other cost or allocation grows with p.  Every eigenspace of
-a matrix comes from one block Krylov basis, giant steps over the babies
-times a block V.  The random choices (round coefficients, Krylov blocks,
-splitting shifts) come from a generator seeded with the prime, so each
-computation is reproducible; the table does not depend on them, since rows
-are canonical and sorted by (degree, values).
+Eigenvalues are the roots of f, found as Dixon found them: by evaluating f
+at every point of GF(p), in one numpy sweep.  Its arrays are sized by p, so
+the class-algebra route runs only at the group's own prime, which lies below
+_SWEEP_PRIMES = 2**15 for every admitted order; a table at any other prime
+is transported from there.  Every eigenspace of a matrix comes from one
+block Krylov basis, giant steps over the babies times a block V.  The random
+choices (round coefficients, Krylov blocks) come from a generator seeded
+with the prime, so each computation is reproducible; the table does not
+depend on them, since rows are canonical and sorted by (degree, values).
 
 Residues are int64 in [0, p).  Every sum of products of residue arrays goes
 through _matmul_mod, so all arithmetic is exact for every prime below
@@ -49,7 +45,8 @@ config.PRIME_SEARCH_LIMIT = 2**31.
 Value vectors at different primes are not comparable, so a restriction is
 taken with both tables at the ambient group's prime.  transported moves the
 subgroup's own table there row for row, through eigenvalue multiplicities
-that do not depend on the prime, so the subgroup's table is computed once.
+that do not depend on the prime, so the subgroup's table is computed once;
+character_table moves a non-abelian table to a given prime the same way.
 
 There is no in-process memo: character_table computes on every call, and a
 caller that needs a table twice keeps it.  The cache module's disk cache is
@@ -232,11 +229,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by the monic b."""
     a = list(a)
@@ -251,117 +243,28 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return q, _poly_trim([c % p for c in a[:db]])
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd; a must be nonzero."""
-    a = _poly_monic(a, p)
-    while b:
-        b = _poly_monic(b, p)
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
+# Every own prime, splitting_prime(e, n) for e | n <= CHARTABLE_MAX_ORDER, lies
+# below this bound (the largest is 18,899), so each of the root sweep's arrays
+# stays within 256 KiB; a table at any other prime is transported from its own.
+_SWEEP_PRIMES = 1 << 15
 
 
-def _poly_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + shift)**e mod the monic f, of degree k >= 2.
-
-    Polynomials are packed one coefficient per slot into a big integer
-    (Kronecker substitution): a square is one product, and folding its high
-    half adds multiples of the packed rows of red; slots stay below 2k p**2,
-    so they never carry into each other.
+def _roots_mod(f, p: int) -> list[int]:
+    """Distinct roots of the nonzero f (coefficients low degree first) in GF(p),
+    ascending: one Horner evaluation at every point, as Dixon found them.
+    Each step stays below p**2 + p < 2**63 in int64.  InvariantViolation at
+    p >= _SWEEP_PRIMES, before anything sized by p is allocated.
     """
-    k = len(f) - 1
-    # red[i] = x**(k + i) mod f: the high half of a product folds onto these
-    red = []
-    row = [-c % p for c in f[:k]]
-    for _ in range(k - 1):
-        red.append(row)
-        top = row[-1]
-        row = [(lo - top * c) % p for lo, c in zip([0] + row[:-1], f)]
-    width = 2 * (p - 1).bit_length() + (2 * k).bit_length()
-    mask = (1 << width) - 1
-    low = (1 << width * k) - 1
-
-    def pack(coeffs):
-        packed = 0
-        for x in reversed(coeffs):
-            packed = packed << width | x
-        return packed
-
-    red_packed = [pack(r) for r in red]
-    out = [shift % p, 1]
-    for bit in bin(e)[3:]:
-        sq = pack(out) ** 2
-        acc = sq & low
-        for i, r in enumerate(red_packed):
-            acc += (sq >> width * (k + i) & mask) % p * r
-        out = [(acc >> width * j & mask) % p for j in range(k)]
-        if bit == "1":
-            # times (x + shift): shift up, fold the x**k coefficient onto red[0]
-            top = out[-1]
-            out = [(lo + shift * c + top * r) % p
-                   for lo, c, r in zip([0] + out[:-1], out, red[0])]
-    return _poly_trim(out)
-
-
-# _roots_mod evaluates f at every point of GF(p) below this prime and splits
-# it above.  Timed on random split polynomials with distinct roots (best of
-# 7), a sweep costs about 5 ns * p * deg and the splitting 0.06 to
-# 0.3 ms * deg; at p = 16381 that is 0.7 against 0.7 to 1.2 ms at degree 8
-# and 7.5 against 20 to 28 ms at degree 92, and the two cross between
-# p = 1.6 * 10**4 and 6.6 * 10**4 (65537, at degree 92).  Below 2**14 the
-# sweep is never the slower, and its arrays stay within 128 KiB.
-_SWEEP_PRIMES = 1 << 14
-
-
-def _roots_mod(f, p: int, rng: random.Random) -> list[int]:
-    """Distinct roots of the nonzero f (coefficients low degree first) in GF(p), ascending.
-
-    Below _SWEEP_PRIMES by _roots_by_sweep, otherwise by _roots_by_splitting;
-    both return the same list.
-    """
-    f = _poly_monic(_poly_trim([int(c) % p for c in f]), p)
-    if p < _SWEEP_PRIMES:
-        return _roots_by_sweep(f, p)
-    return _roots_by_splitting(f, p, rng)
-
-
-def _roots_by_sweep(f: list[int], p: int) -> list[int]:
-    """Distinct roots of the monic f in GF(p), ascending: one Horner evaluation
-    at every point.  Each step stays below p**2 + p < 2**63 in int64."""
+    if p >= _SWEEP_PRIMES:
+        raise InvariantViolation(f"root sweep at p = {p}, not below {_SWEEP_PRIMES}")
+    f = _poly_trim([int(c) % p for c in f])
     x = np.arange(p, dtype=np.int64)
-    acc = np.ones(p, dtype=np.int64)
+    acc = np.full(p, f[-1], dtype=np.int64)
     for c in reversed(f[:-1]):
         acc *= x
         acc += c
         acc %= p
     return np.flatnonzero(acc == 0).tolist()
-
-
-def _roots_by_splitting(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """Distinct roots of the monic f in GF(p), ascending, in time polynomial
-    in deg f and log p; nothing is sized by p.
-
-    Their product is gcd(f, x^p - x); Cantor-Zassenhaus splits it with
-    gcd(g, (x + a)^((p-1)/2) - 1) for random shifts a, down to linear factors.
-    """
-    if len(f) > 2:
-        xp = _poly_powmod(0, p, f, p) + [0, 0]
-        xp[1] -= 1
-        f = _poly_gcd(f, _poly_trim([c % p for c in xp]), p)
-    pending = [f]
-    roots = []
-    while pending:
-        g = pending.pop()
-        if len(g) < 3:  # linear, or 1 when f has no root
-            roots += [-g[0] % p] if len(g) == 2 else []
-            continue
-        while True:
-            w = _poly_powmod(rng.randrange(p), (p - 1) // 2, g, p) or [0]
-            w[0] = (w[0] - 1) % p
-            h = _poly_gcd(g, _poly_trim(w), p)
-            if 2 <= len(h) < len(g):
-                pending += [h, _poly_divmod(g, h, p)[0]]
-                break
-    return sorted(roots)
 
 
 # -- eigenspaces -------------------------------------------------------------------
@@ -390,7 +293,7 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
     d = a.shape[0]
     powers = _power_table(a, p)
     f = _charpoly_mod(powers, p)
-    roots = _roots_mod(f, p, rng)
+    roots = _roots_mod(f, p)
     m = len(roots)
     s = np.zeros(m + 1, dtype=np.int64)  # prod (x - lam_j), low degree first
     s[0] = 1
@@ -580,8 +483,8 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
 
 
 def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
-    """The table from the central characters; every group takes this route
-    except the abelian ones, which _compute_table reads off the dual group."""
+    """The table from the central characters, at p below _SWEEP_PRIMES;
+    character_table takes this route at a non-abelian group's own prime."""
     n = g.order
     sizes = np.array([len(c) for c in g.conjugacy_classes], dtype=np.int64)
     inv_cls = list(g.inverse_class)
@@ -666,10 +569,6 @@ def _sorted_table(g: FiniteGroup, p: int, degrees: np.ndarray,
     return table
 
 
-def _compute_table(g: FiniteGroup, p: int) -> CharacterTable:
-    return _dual_group_table(g, p) if g.is_abelian else _dixon_table(g, p)
-
-
 def check_table(table: CharacterTable) -> None:
     """Raise PrimeSearchFailure unless the table is square with the degrees
     in its identity column, rows strictly increasing (so pairwise distinct),
@@ -725,26 +624,41 @@ def table_prime(g: FiniteGroup, prime: int | None = None) -> int:
 
 
 def character_table(g: FiniteGroup, prime: int | None = None) -> CharacterTable:
-    """Character table at table_prime(g, prime), computed on every call: nothing
-    is kept in the process, so a caller that needs a table twice keeps it."""
-    return _compute_table(g, table_prime(g, prime))
+    """Character table at table_prime(g, prime), rows sorted, computed on every
+    call: nothing is kept in the process, so a caller that needs a table twice
+    keeps it.  An abelian group's table is read off the dual group at that
+    prime; any other is computed by Dixon's route at the group's own prime and
+    transported from there.
+    """
+    q = table_prime(g, prime)
+    if g.is_abelian:
+        return _dual_group_table(g, q)
+    own = _dixon_table(g, table_prime(g))
+    return own if own.prime == q else _moved(own, q)[0]
 
 
 def transported(table: CharacterTable, prime: int) -> CharacterTable:
-    """The same rows, in the same order, at another admissible prime q.
+    """The same rows, in the same order, at another admissible prime; _moved
+    checks a sorted copy of them."""
+    q = table_prime(table.group, prime)
+    if q == table.prime:
+        return table
+    return CharacterTable(table.group, q, table.degrees, _moved(table, q)[1])
+
+
+def _moved(table: CharacterTable, q: int) -> tuple[CharacterTable, np.ndarray]:
+    """The table's rows at the admissible prime q != table.prime: the checked
+    table with its rows sorted, and the values in the source's row order.
 
     At class representatives g, by decreasing element order until every
     class holds a power of one, chi has eigenvalue multiplicities m_k =
     (1/o) sum_j chi(g^j) z^(-jk e/o), k < o = o(g), e = exponent(G), z from
     _unity_powers(e, p): a ring map Z[exp(2 pi i/e)] -> GF(p) takes the
     complex table to this one, so they are the same integers at q, where
-    chi(g^j) = sum_k m_k w^(jk e/o), w from _unity_powers(e, q).  The rows
-    are not sorted at q; check_table checks a sorted copy of them.
+    chi(g^j) = sum_k m_k w^(jk e/o), w from _unity_powers(e, q).
+    InvariantViolation if the rows at q fail check_table.
     """
     g, p, e = table.group, table.prime, table.group.exponent
-    q = table_prime(g, prime)
-    if q == p:
-        return table
     z, w = _unity_powers(e, p), _unity_powers(e, q)
     values = np.empty_like(table.values)
     covered = np.zeros(table.n_classes, dtype=bool)
@@ -760,10 +674,9 @@ def transported(table: CharacterTable, prime: int) -> CharacterTable:
         mults = _matmul_mod(table.values[:, cols], z[-jk], p) * pow(o, p - 2, p) % p
         values[:, cols] = _matmul_mod(mults, w[jk], q)
     try:
-        _sorted_table(g, q, np.array(table.degrees), values)
+        return _sorted_table(g, q, np.array(table.degrees), values), values
     except PrimeSearchFailure as exc:
         raise InvariantViolation(f"table of {g.name} moved to prime {q}: {exc}") from None
-    return CharacterTable(g, q, table.degrees, values)
 
 
 # -- restriction ------------------------------------------------------------------

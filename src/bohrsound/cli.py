@@ -4,7 +4,9 @@ Arguments that take JSON accept either a file path or an inline JSON
 string (anything starting with '{' or '['); bare file names also resolve
 against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation, 2 when only an unknown-prefix verdict
-is possible, 1 for input errors and for a reader that closed stdout early.
+is possible, 1 for input errors (SizeLimit also for a descriptor nested too
+deeply and for an input that runs out of memory) and for a reader that
+closed stdout early.
 
 The surface is one table, COMMANDS: a row per command path, with its help
 text, its handler and its arguments; a row with no handler is a group of
@@ -488,6 +490,8 @@ def main(argv=None) -> int:
             return args.handler(args)
         except RecursionError:  # semidirect and mixed-family descriptors nest
             raise SizeLimit("descriptor nested too deeply") from None
+        except MemoryError:  # an admitted input past the memory at hand
+            raise SizeLimit("input needs more memory than is available") from None
     except BohrsoundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -366,6 +366,18 @@ def test_gluing_past_the_cell_limit_fits_in_1_gib(tmp_path):
     assert err.startswith("error: SizeLimit: ")
 
 
+def test_running_out_of_memory_is_size_limit(tmp_path):
+    # 16 factors of order 4096 hold 16 tables of 64 MiB, past 1 GiB: the
+    # allocation that fails ends as one SizeLimit line, not a traceback
+    start = time.perf_counter()
+    [(_, code, exited, out, err)] = run_in_child(
+        [["amalgam", "nf", "--spec", free_cyclic_spec(4096, 16),
+          "--word", "0:1 1:1"]], tmp_path)
+    assert time.perf_counter() - start < 10
+    assert (code, exited, out) == (1, False, "")
+    assert err.startswith("error: SizeLimit: ") and err.count("\n") == 1
+
+
 def lie_datum(**fields) -> str:
     return json.dumps({"schema": 1, "kind": "lie-datum", "z": 0,
                        "factors": ["A1"], **fields})

@@ -2,10 +2,8 @@
 
 Every reference here takes another route: Python integers for products,
 cofactor expansion (elimination over GF(p) past 6 rows) for characteristic
-polynomials, evaluation at every point of GF(p) for roots (small p only),
-and known integer character values.
-The two root routes, the sweep over GF(p) and Cantor-Zassenhaus, are also
-checked against each other.
+polynomials, Python evaluation at every point of GF(p) or known roots for
+roots, and known integer character values.
 """
 
 import json
@@ -20,37 +18,30 @@ import numpy as np
 import pytest
 
 import bohrsound
-from bohrsound import characters
+from bohrsound import characters, config
 from bohrsound.characters import (
     CharacterTable,
     _charpoly_mod,
     _eigenspaces,
     _matmul_mod,
-    _poly_divmod,
-    _poly_monic,
-    _poly_powmod,
     _power_table,
-    _roots_by_splitting,
-    _roots_by_sweep,
     _roots_mod,
     character_table,
     restriction_matrix,
     restriction_multiplicity,
+    splitting_prime,
 )
 from bohrsound.errors import InvariantViolation, PrimeSearchFailure
 from bohrsound.groups import (
     Subgroup,
     cyclic,
     dihedral,
-    direct_product,
-    heisenberg,
     symmetric,
 )
 
 from oracles import charpoly_eval_oracle, common_prime, normal_subgroups
 
 P31 = 2**31 - 1                 # the largest prime below PRIME_SEARCH_LIMIT
-LARGE_PRIMES = [P31, 892371481, 106696591]
 
 
 def _eval(coeffs, x, p):
@@ -161,11 +152,11 @@ class TestRoots:
             for _ in range(6):
                 f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
                 want = [x for x in range(p) if _eval(f, x, p) == 0]
-                assert _roots_mod(f, p, random.Random(1)) == want
-                assert _roots_by_splitting(_poly_monic(f, p), p,
-                                           random.Random(1)) == want
+                assert _roots_mod(f, p) == want
 
-    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    # H8's own prime, the largest own prime of an admitted order, and the
+    # largest prime below the sweep bound 2**15
+    @pytest.mark.parametrize("p", [1153, 18899, 32749])
     def test_known_roots_with_repeats(self, p):
         rng = random.Random(p)
         # x^2 - c for a non-residue c has no roots in GF(p)
@@ -174,126 +165,58 @@ class TestRoots:
             roots = rng.sample(range(p), distinct)
             repeated = roots + rng.choices(roots, k=distinct // 2 + 1)
             f = _from_roots(repeated, p)
-            assert _roots_mod(f, p, random.Random(2)) == sorted(roots)
+            assert _roots_mod(f, p) == sorted(roots)
             g = [(lo - c * hi) % p for lo, hi in zip([0, 0] + f, f + [0, 0])]  # f (x^2 - c)
-            assert _roots_mod(g, p, random.Random(3)) == sorted(roots)
+            assert _roots_mod(g, p) == sorted(roots)
 
     def test_no_roots(self):
         p = 13
-        assert _roots_mod([2, 0, 1], p, random.Random(0)) == []  # x^2 + 2
-        assert _roots_mod([5], p, random.Random(0)) == []
-        assert _roots_mod([4, 4, 1], p, random.Random(0)) == [11]  # (x + 2)^2
+        assert _roots_mod([2, 0, 1], p) == []  # x^2 + 2
+        assert _roots_mod([5], p) == []
+        assert _roots_mod([4, 4, 1], p) == [11]  # (x + 2)^2
 
 
-def _times(f, g, p):
-    return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % p
-            for k in range(len(f) + len(g) - 1)]
+class TestSweepBound:
+    """The root sweep runs only below _SWEEP_PRIMES, at a group's own prime."""
 
+    def test_every_own_prime_is_below_the_bound(self):
+        # every exponent e divides the order n, so every (e, n) pair is covered
+        own = [splitting_prime(e, n) for n in range(1, config.CHARTABLE_MAX_ORDER + 1)
+               for e in range(1, n + 1) if n % e == 0]
+        assert len(own) == 7262
+        assert max(own) == 18899 < characters._SWEEP_PRIMES
 
-def _powmod_oracle(shift, e, f, p):
-    """(x + shift)**e mod f, right to left, each product reduced by _poly_divmod."""
-    out, base = [1], [shift % p, 1]
-    while e:
-        if e & 1:
-            out = _poly_divmod(_times(out, base, p), f, p)[1]
-        base = _poly_divmod(_times(base, base, p), f, p)[1]
-        e >>= 1
-    return out
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("p", [32771, 4084081, P31])
+    def test_sweep_refuses_primes_at_the_bound(self, p):
+        # at P31 a sweep would allocate 16 GiB per array
+        assert p >= characters._SWEEP_PRIMES
+        with pytest.raises(InvariantViolation):
+            _roots_mod([1, 1], p)
 
+    def test_roots_only_at_the_own_prime(self, monkeypatch):
+        swept = []
+        roots_mod = characters._roots_mod
+        monkeypatch.setattr(characters, "_roots_mod",
+                            lambda f, p: swept.append(p) or roots_mod(f, p))
+        tab = character_table(symmetric(3), prime=P31)
+        assert tab.prime == P31 and tab.degrees == (1, 1, 2)
+        assert swept and set(swept) == {13}
 
-class _Bounded(random.Random):
-    """A generator that fails the test, instead of hanging it, once the
-    splitting has drawn more shifts than a terminating run ever needs."""
-
-    draws = 0
-
-    def randrange(self, *args):
-        self.draws += 1
-        assert self.draws < 200, "the splitting does not terminate"
-        return super().randrange(*args)
-
-
-class TestPolyPowmod:
-    """The packed powers that drive the splitting, against plain reduction."""
-
-    @pytest.mark.parametrize("p", [16411, 4084081, P31])
-    @pytest.mark.parametrize("k", [2, 15, 16, 17, 40, 92])
-    def test_against_repeated_reduction(self, p, k):
-        rng = random.Random(k * p)
-        f = [rng.randrange(p) for _ in range(k)] + [1]
-        for e in (p, (p - 1) // 2):
-            for shift in (0, rng.randrange(p)):
-                assert _poly_powmod(shift, e, f, p) == _powmod_oracle(shift, e, f, p)
-
-    def test_quadratics_at_largest_prime(self):
-        # the splitting ends on linear factors, so a quadratic must split or vanish
-        p = P31
-        rng = random.Random(14)
-        r, s = rng.sample(range(p), 2)
-        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
-        for f, want in [([-c % p, 0, 1], []),
-                        ([-r * r % p, 0, 1], sorted([r, p - r])),
-                        ([0, 0, 1], [0]),
-                        (_from_roots([r, r], p), [r]),
-                        (_from_roots([r, s], p), sorted([r, s]))]:
-            for seed in range(4):
-                assert _roots_by_splitting(f, p, _Bounded(seed)) == want
-
-
-# the canonical primes of S5, Z8xS4, D128 and H8; primes on either side of
-# the sweep bound 2**14; and primes past it, where the sweep still runs in a
-# test's time
-ROUTE_PRIMES = [241, 409, 641, 1153, 12289, 16381, 16411, 40961, 65537]
-
-
-class TestRootRoutes:
-    """The sweep over GF(p) and Cantor-Zassenhaus against each other."""
-
-    @pytest.mark.parametrize("p", ROUTE_PRIMES)
-    def test_routes_agree(self, p):
-        rng = random.Random(p)
-        # x^2 - c for a non-residue c: a factor with no root
-        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
-        rootless = [-c % p, 0, 1]
-        for distinct in (1, 2, 3, 5, 8, 13, 21, 34):
-            roots = rng.sample(range(p), distinct)
-            repeated = roots + rng.choices(roots, k=rng.randrange(distinct + 1))
-            split = _from_roots(repeated, p)
-            arbitrary = [rng.randrange(p) for _ in range(distinct)] + [1]
-            for f, want in [(split, sorted(roots)),
-                            (_times(split, rootless, p), sorted(roots)),
-                            (_times(split, _times(rootless, rootless, p), p),
-                             sorted(roots)),
-                            (arbitrary, None)]:
-                swept = _roots_by_sweep(f, p)
-                assert swept == _roots_by_splitting(f, p, random.Random(distinct))
-                assert want is None or swept == want
-        for f in (rootless, _times(rootless, rootless, p), [1]):
-            assert _roots_by_sweep(f, p) == _roots_by_splitting(
-                f, p, random.Random(0)) == []
-
-    @pytest.mark.parametrize("p, route", [(16381, "sweep"), (16411, "splitting")])
-    def test_roots_mod_takes_one_route_by_the_prime(self, monkeypatch, p, route):
-        assert (p < characters._SWEEP_PRIMES) == (route == "sweep")
-        taken = []
-        monkeypatch.setattr(characters, "_roots_by_sweep",
-                            lambda f, p: taken.append("sweep") or [])
-        monkeypatch.setattr(characters, "_roots_by_splitting",
-                            lambda f, p, rng: taken.append("splitting") or [])
-        _roots_mod([3, 2, 4], p, random.Random(0))
-        assert taken == [route]
-
-    def test_tables_agree_across_routes(self, corpus, monkeypatch):
-        groups = [g for g in corpus if not g.is_abelian]
-        groups += [heisenberg(3), dihedral(128), symmetric(5),
-                   direct_product(cyclic(8), symmetric(4))]
-        swept = [character_table(g) for g in groups]
-        assert max(tab.prime for tab in swept) < characters._SWEEP_PRIMES
-        monkeypatch.setattr(characters, "_SWEEP_PRIMES", 0)
-        for g, tab in zip(groups, swept):
-            split = character_table(g)
-            assert split.degrees == tab.degrees
-            assert split.values.tolist() == tab.values.tolist()
+    @pytest.mark.parametrize("group, prime", [
+        (symmetric(3), 7),               # not above 2|G|
+        (symmetric(3), P31 - 2),         # not a prime
+        (symmetric(3), 17),              # a prime, but not 1 mod 6
+        (symmetric(3), 2**31 + 11),      # a prime = 1 mod 6 past PRIME_SEARCH_LIMIT
+        (cyclic(4), 7),                  # a prime, not 1 mod 4
+    ])
+    def test_inadmissible_prime_is_refused_first(self, monkeypatch, group, prime):
+        def refuse(*args):
+            raise AssertionError("table work before the prime check")
+        for name in ("_dixon_table", "_dual_group_table", "_roots_mod", "_moved"):
+            monkeypatch.setattr(characters, name, refuse)
+        with pytest.raises(PrimeSearchFailure, match="inadmissible"):
+            character_table(group, prime=prime)
 
 
 class TestEigenspaces:

@@ -358,6 +358,10 @@ class TestGoldenCertificates:
         (("liecheck", "--datum", "glued-su-3-2.json"),
          "glued-su-3-2.report.json"),
         (("liecheck", "--datum", "bare-t2.json"), "bare-t2.report.json"),
+        # S5 computed at its own prime 241 and transported to a prime near
+        # 2**31, where _matmul_mod splits its operands into limbs
+        (("chartable", "--group", '{"kind":"symmetric","n":5}',
+          "--prime", "2000000641"), "s5-p2000000641.table.json"),
     ])
     def test_json_output_is_pinned(self, cli, argv, golden):
         code, out, _ = cli(*argv, "--format", "json")
