@@ -13,7 +13,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    TorusPoint,
     alternating,
     cyclic,
     dihedral,

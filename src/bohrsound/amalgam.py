@@ -43,7 +43,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    TorusPoint,
     trivial_group,
     validate_action,
 )
@@ -77,20 +76,16 @@ class AmalgamSpec:
             if emb.source is not h or emb.target is not fac:
                 raise SourceMismatch("injection endpoints do not match the spec")
             emb.require_injective()
-            rep = [-1] * fac.order
-            head = [-1] * fac.order
-            reps = []
-            for t in range(fac.order):
-                if rep[t] >= 0:
-                    continue
-                reps.append(t)
-                for hx in range(h.order):
-                    e = fac.op(emb(hx), t)
-                    rep[e] = t
-                    head[e] = hx
-            self.rep_of.append(rep)
-            self.head_of.append(head)
-            self.transversals.append(tuple(reps))
+            # column x of mul[image] is the right coset H x; x = iota(h) rep
+            # gives h by x rep^-1 through the injection's inverse
+            rep = fac.mul[emb.mapping].min(axis=0)
+            pre = np.empty(fac.order, np.int64)
+            pre[emb.mapping] = np.arange(h.order)
+            head = pre[fac.mul[np.arange(fac.order), fac.inv[rep]]]
+            self.rep_of.append(rep.tolist())
+            self.head_of.append(head.tolist())
+            self.transversals.append(tuple(
+                np.flatnonzero(rep == np.arange(fac.order)).tolist()))
 
     @property
     def n_factors(self) -> int:
@@ -244,26 +239,29 @@ class MatrixTarget:
 class TorusSemidirectTarget:
     """Per-factor maps into (Q/Z)^k semidirect an integer matrix group.
 
-    Elements are (TorusPoint, matrix) pairs multiplying as
-    (t1, m1)(t2, m2) = (t1 + m1 t2, m1 m2); all arithmetic exact.
+    Elements are (point, matrix) pairs, a point being a tuple of k Fractions
+    reduced into [0, 1), multiplying as (t1, m1)(t2, m2) = (t1 + m1 t2 mod 1,
+    m1 m2); all arithmetic exact.
     """
 
     def __init__(self, rank: int, maps):
         self.rank = rank
-        self.maps = [[(tp, mat(m)) for tp, m in factor_maps]
+        self.maps = [[(tuple(Fraction(a) % 1 for a in tp), mat(m))
+                      for tp, m in factor_maps]
                      for factor_maps in maps]
         for factor_maps in self.maps:
             for tp, m in factor_maps:
-                if tp.dim != rank or len(m) != rank or len(m[0]) != rank:
+                if len(tp) != rank or len(m) != rank or len(m[0]) != rank:
                     raise DimensionMismatch(f"torus targets must have rank {rank}")
 
     def identity(self):
-        return TorusPoint.zero(self.rank), mat_identity(self.rank)
+        return (Fraction(0),) * self.rank, mat_identity(self.rank)
 
     def multiply(self, a, b):
         t1, m1 = a
         t2, m2 = b
-        return t1 + t2.act(m1), mat_mul(m1, m2)
+        return (tuple((x + sum(m * y for m, y in zip(row, t2))) % 1
+                      for x, row in zip(t1, m1)), mat_mul(m1, m2))
 
     def image(self, i: int, x: int):
         return self.maps[i][x]

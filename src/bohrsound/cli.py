@@ -329,10 +329,10 @@ def _serialize_target_value(target, value):
         rows = [list(r) for r in value]
         return {"matrix": rows}, [str(list(r)) for r in rows]
     point, matrix = value  # torus semidirect
-    coords = [[c.numerator, c.denominator] for c in point.coords]
+    coords = [[c.numerator, c.denominator] for c in point]
     rows = [list(r) for r in matrix]
     return ({"torus": coords, "matrix": rows},
-            [f"torus: {[str(c) for c in point.coords]}",
+            [f"torus: {[str(c) for c in point]}",
              f"matrix: {rows}"])
 
 

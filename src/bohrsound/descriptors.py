@@ -7,6 +7,8 @@ labels; mathematical validation stays in the constructors it calls.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from . import config
@@ -21,7 +23,6 @@ from .amalgam import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    TorusPoint,
     cyclic,
     group_from_table,
     heisenberg,
@@ -207,6 +208,19 @@ def parse_word(spec: AmalgamSpec, text: str,
     return tuple(letters)
 
 
+def torus_point(pairs, where: str) -> tuple[Fraction, ...]:
+    """The point of (Q/Z)^k a descriptor writes as [[num, den], ...]: one
+    Fraction per coordinate, reduced into [0, 1) and so in lowest terms,
+    which makes tuple equality and hashing those of the point."""
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(x) is int for x in pair) and pair[1] != 0
+            for pair in pairs):
+        raise SchemaError(f"{where}: torus coordinates must be "
+                          "[num, den] integer pairs with den != 0")
+    return tuple(Fraction(n, d) % 1 for n, d in pairs)
+
+
 def target_from_descriptor(spec: AmalgamSpec, d: dict,
                            where: str = "targets"):
     """Evaluation targets: matrix, finite-group, or torus-semidirect maps."""
@@ -217,39 +231,27 @@ def target_from_descriptor(spec: AmalgamSpec, d: dict,
         modulus = optional_field(d, "modulus", int, where)
         if modulus is not None and modulus < 1:
             raise SchemaError(f"{where}: modulus must be positive")
-        maps = []
-        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
-            if not isinstance(factor_maps, list):
-                raise SchemaError(f"{where}.factors[{i}] must be an array")
-            maps.append([int_rows(m, f"{where}.factors[{i}][{j}]")
-                         for j, m in enumerate(factor_maps)])
-        return MatrixTarget(dim, maps, modulus=modulus)
-    if kind == "finite-targets":
+        make, entry = partial(MatrixTarget, dim, modulus=modulus), int_rows
+    elif kind == "finite-targets":
         grp = group_from_descriptor(require_field(d, "group", dict, where),
                                     f"{where}.group")
-        maps = []
-        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
-            if not isinstance(factor_maps, list):
-                raise SchemaError(f"{where}.factors[{i}] must be an array")
-            maps.append([resolve_element(grp, tok, f"{where}.factors[{i}][{j}]")
-                         for j, tok in enumerate(factor_maps)])
-        return FiniteTarget(grp, maps)
-    if kind == "torus-semidirect-targets":
-        rank = require_field(d, "rank", int, where)
-        maps = []
-        for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
-            if not isinstance(factor_maps, list):
-                raise SchemaError(f"{where}.factors[{i}] must be an array")
-            entries = []
-            for j, entry in enumerate(factor_maps):
-                sub = f"{where}.factors[{i}][{j}]"
-                point = TorusPoint.parse(
-                    require_field(entry, "torus", list, sub), sub)
-                matrix = int_rows(require_field(entry, "matrix", list, sub), sub)
-                entries.append((point, tuple(tuple(r) for r in matrix)))
-            maps.append(entries)
-        return TorusSemidirectTarget(rank, maps)
-    raise SchemaError(f"{where}: unknown target kind {kind!r}")
+        make, entry = partial(FiniteTarget, grp), partial(resolve_element, grp)
+    elif kind == "torus-semidirect-targets":
+        make = partial(TorusSemidirectTarget,
+                       require_field(d, "rank", int, where))
+
+        def entry(e, sub):
+            return (torus_point(require_field(e, "torus", list, sub), sub),
+                    int_rows(require_field(e, "matrix", list, sub), sub))
+    else:
+        raise SchemaError(f"{where}: unknown target kind {kind!r}")
+    maps = []
+    for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
+        if not isinstance(factor_maps, list):
+            raise SchemaError(f"{where}.factors[{i}] must be an array")
+        maps.append([entry(e, f"{where}.factors[{i}][{j}]")
+                     for j, e in enumerate(factor_maps)])
+    return make(maps)
 
 
 def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
@@ -269,6 +271,5 @@ def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
             if not isinstance(s, list) or \
                     not all(isinstance(x, int) for x in s):
                 raise SchemaError(f"{where}: generator {i} must be integers")
-            point = TorusPoint.parse(t, f"{where}: image {i}")
-            generators.append((tuple(s), point.coords))
+            generators.append((tuple(s), torus_point(t, f"{where}: image {i}")))
     return LieDatum(z, factors, generators)

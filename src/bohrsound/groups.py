@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -26,7 +25,6 @@ from .errors import (
     NotAnAction,
     NotASubgroup,
     NotInjective,
-    SchemaError,
     SizeLimit,
     SourceMismatch,
 )
@@ -144,16 +142,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
-    def power(self, a: int, k: int) -> int:
-        r = 0
-        for _ in range(k % self.element_orders[a]):
-            r = self.op(r, a)
-        return r
-
     def element_order(self, a: int) -> int:
         return self.element_orders[a]
 
@@ -211,9 +199,6 @@ class FiniteGroup:
     def center(self) -> "Subgroup":
         mask = (self.mul == self.mul.T).all(axis=1)
         return Subgroup(self, tuple(int(v) for v in np.nonzero(mask)[0]))
-
-    def subgroup(self, elements) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(int(x) for x in elements))))
 
     # -- identity and hashing -------------------------------------------------
 
@@ -330,11 +315,6 @@ class Subgroup:
 
     def __contains__(self, x: int) -> bool:
         return x in self._set
-
-    def is_normal(self) -> bool:
-        """Normal iff a union of conjugacy classes."""
-        cls = self.parent.class_of
-        return int(np.isin(cls, cls[list(self.elements)]).sum()) == self.order
 
     def materialize(self) -> tuple[FiniteGroup, GroupHom]:
         """Standalone group on the sorted elements plus the inclusion map."""
@@ -605,80 +585,3 @@ def abelian_from_orders(orders) -> FiniteAbelian:
             ds[i], ds[j] = gcd(ds[i], ds[j]), lcm(ds[i], ds[j])
     return FiniteAbelian(tuple(d for d in ds if d > 1))
 
-
-class TorusPoint:
-    """A point of (Q/Z)^k: numerators in [0, den) over one positive denominator,
-    in lowest terms, so den is the order.  TorusPoint(nums, den) is nums/den;
-    TorusPoint(coords) takes rational (int or Fraction) coordinates."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums, den: int = 1):
-        nums = tuple(nums)
-        common = lcm(*(a.denominator for a in nums))
-        nums = [a.numerator * (common // a.denominator) for a in nums]
-        den *= common
-        g = gcd(den, *nums)
-        self.den = den // g
-        self.nums = tuple(a // g % self.den for a in nums)
-
-    @classmethod
-    def zero(cls, k: int) -> "TorusPoint":
-        return cls((0,) * k)
-
-    @classmethod
-    def parse(cls, pairs, where: str) -> "TorusPoint":
-        """The point a descriptor writes as [[num, den], ...]."""
-        if not isinstance(pairs, list) or not all(
-                isinstance(pair, list) and len(pair) == 2
-                and all(type(x) is int for x in pair) and pair[1] != 0
-                for pair in pairs):
-            raise SchemaError(f"{where}: torus coordinates must be "
-                              "[num, den] integer pairs with den != 0")
-        den = lcm(*(abs(d) for _, d in pairs))
-        return cls([n * (den // d) for n, d in pairs], den)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
-    @property
-    def order(self) -> int:
-        return self.den
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
-
-    def numerators_over(self, n: int) -> tuple[int, ...]:
-        """The numerators over n, a multiple of den."""
-        return tuple(a * (n // self.den) for a in self.nums)
-
-    def act(self, matrix) -> "TorusPoint":
-        """Image under an integer k x k matrix acting on (Q/Z)^k."""
-        return TorusPoint([sum(m * a for m, a in zip(row, self.nums))
-                           for row in matrix], self.den)
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        if self.dim != other.dim:
-            raise SourceMismatch("torus points of different rank")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return TorusPoint([x * a + y * b for x, y in zip(self.nums, other.nums)],
-                          den)
-
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint([-a for a in self.nums], self.den)
-
-    def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusPoint) and \
-            (self.nums, self.den) == (other.nums, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"

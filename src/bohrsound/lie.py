@@ -3,9 +3,10 @@
 The group is described by its central torus rank, a list of simple factor
 types, and a finite gluing subgroup D given as the graph of a map from a
 subgroup of the product of simple centers into the torus.  Everything here
-is exact: centers come from the classification table, torus parts are
-integer numerators over N, the common denominator of the generators' torus
-images, and D is held once, as integer rows, on which the center and the
+is exact: centers come from the classification table, a torus point is a
+tuple of Fractions reduced into [0, 1), written in D's rows as integer
+numerators over N, the common denominator of the generators' torus images,
+and D is held once, as integer rows, on which the center and the
 glued torus subgroup are counted as q-torsion at prime powers q.  The center
 automorphisms are homomorphisms, and D's generators generate its support,
 so support preservation and the joint sign are checked on the generators
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import (
     UnsupportedRank,
     WrongOrder,
 )
-from .groups import FiniteAbelian, TorusPoint, abelian_from_orders, factorize
+from .groups import FiniteAbelian, abelian_from_orders, factorize
 from .zmat import (
     element_order,
     embeds_into_fixed,
@@ -109,15 +111,17 @@ def simple_type(token) -> SimpleType:
 class LieDatum:
     """(T^torus_rank x prod factors) / D with D the graph of a gluing map.
 
-    Generators give pairs (simple center part, rational torus image); the
-    generated subgroup must project injectively to the simple part.  D is
-    held once, as `elements`: one row per element, the simple coordinates
-    modulo the center orders, then the torus numerators modulo N, the common
-    denominator of the torus images (int64 below 2^62); `row_of` finds the
-    row of a simple part by its `_keys`.  Each generator adds one coset of
-    its multiples at a time, refused once |D| would pass G =
-    config.GROUP_MAX_ORDER or its |D| (c + z) cells G^2, the largest table
-    the builders accept; N past G is refused up front (N <= |D|).
+    Generators give pairs (simple center part, rational torus image), held
+    reduced: the simple part modulo the center orders, the torus image as a
+    tuple of Fractions in [0, 1).  The generated subgroup must project
+    injectively to the simple part.  D is held once, as `elements`: one row
+    per element, the simple coordinates modulo the center orders, then the
+    torus numerators over N, the lcm of the torus images' denominators,
+    modulo N (int64 below 2^62); `row_of` finds the row of a simple part by
+    its `_keys`.  Each generator adds one coset of its multiples at a time,
+    refused once |D| would pass G = config.GROUP_MAX_ORDER or its |D| (c + z)
+    cells G^2, the largest table the builders accept; N past G is refused up
+    front (N <= |D|).
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -142,9 +146,9 @@ class LieDatum:
                 raise InvalidDelta(
                     f"torus part needs {torus_rank} coordinates, got {len(torus)}")
             simple = tuple(int(v) % m for v, m in zip(simple, self.center_orders))
-            gens.append((simple, TorusPoint(torus)))
+            gens.append((simple, tuple(Fraction(a) % 1 for a in torus)))
         self.generators = tuple(gens)
-        n = self.denominator = lcm(*(t.den for _, t in gens))
+        n = self.denominator = lcm(*(a.denominator for _, t in gens for a in t))
         limit = config.GROUP_MAX_ORDER
         if n > limit:
             raise SizeLimit(f"gluing subgroup of order at least {n} exceeds {limit}")
@@ -153,7 +157,7 @@ class LieDatum:
         moduli = np.array(moduli, dtype)
         elements = np.zeros((1, len(moduli)), dtype)
         for s, t in gens:
-            g = step = np.array(s + t.numerators_over(n), dtype)
+            g = step = np.array(s + tuple(int(a * n) for a in t), dtype)
             cosets = [elements]
             while not (elements == step).all(axis=1).any():
                 size = (len(cosets) + 1) * len(elements)

@@ -334,11 +334,14 @@ def _mat_pow(m: IntMatrix, e: int) -> IntMatrix:
 # -- orbits on the character lattice ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitResult:
+    """A finite orbit keeps the closure's (size, k) array of vectors, in
+    int64 or, past its range, Python ints; an infinite one only its cap."""
+
     finite: bool
     size: int | None = None
-    elements: frozenset[tuple[int, ...]] | None = None
+    elements: np.ndarray | None = None
     cap: int | None = None
 
 
@@ -355,8 +358,7 @@ def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult
     found = _closure([(v,)], step, cap)
     if found is None:
         return OrbitResult(finite=False, cap=cap)
-    return OrbitResult(finite=True, size=len(found),
-                       elements=frozenset(map(tuple, found[:, 0].tolist())))
+    return OrbitResult(finite=True, size=len(found), elements=found[:, 0])
 
 
 # -- fixed subgroups on the torus -------------------------------------------------
@@ -464,14 +466,7 @@ def torus_soundness(k: int, factor_gens) -> TorusSoundness:
 
 
 @dataclass(frozen=True)
-class OrbitMember:
-    rank: int
-    orbit: OrbitResult
-
-
-@dataclass(frozen=True)
 class OrbitObstruction:
-    members: tuple[OrbitMember, ...]
     sizes: tuple[int | None, ...]  # None marks ExceedsCap
     growing: bool = field(default=False)
 
@@ -479,17 +474,16 @@ class OrbitObstruction:
 def coproduct_orbit_obstruction(members, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitObstruction:
     """Per-member character orbits with a strictly-increasing-growth flag.
 
-    members: iterable of (rank, generator list, character vector).
+    members: iterable of (rank, generator list, character vector); the
+    generators fix the rank, so the first entry is not read.
     """
-    out = []
     sizes: list[int | None] = []
-    for rank, gens, chi in members:
+    for _, gens, chi in members:
         chi = tuple(int(x) for x in chi)
         if not any(chi):
             raise DimensionMismatch("character vector must be nonzero")
         orb = char_orbit(chi, gens, cap=cap)
-        out.append(OrbitMember(rank=rank, orbit=orb))
         sizes.append(orb.size if orb.finite else None)
     growing = len(sizes) >= 2 and None not in sizes \
         and all(a < b for a, b in zip(sizes, sizes[1:]))
-    return OrbitObstruction(members=tuple(out), sizes=tuple(sizes), growing=growing)
+    return OrbitObstruction(sizes=tuple(sizes), growing=growing)

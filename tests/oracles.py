@@ -48,7 +48,6 @@ from bohrsound.groups import (
     FiniteAbelian,
     GroupHom,
     Subgroup,
-    TorusPoint,
     abelian_from_orders,
     factorize,
     greedy_generators,
@@ -140,7 +139,7 @@ def length_function_validate_loop(lf):
             raise NotSymmetric(x)
     for x in range(g.order):
         for y in range(g.order):
-            if vals[g.conjugate(y, x)] != vals[x]:
+            if vals[g.mul[g.mul[y, x], g.inv[y]]] != vals[x]:
                 raise NotClassFunction((x, y))
             if vals[g.op(x, y)] > vals[x] + vals[y]:
                 raise NotSubadditive((x, y))
@@ -590,7 +589,7 @@ def torus_image_invariants_snf(datum) -> FiniteAbelian:
         return FiniteAbelian(())
     n = datum.denominator
     _, s, _ = smith_normal_form(
-        [t.numerators_over(n) for _, t in datum.generators])
+        [[int(a * n) for a in t] for _, t in datum.generators])
     return abelian_from_orders(n // gcd(s[i][i], n)
                                for i in range(min(len(datum.generators), z)))
 
@@ -672,7 +671,15 @@ def char_orbit_bfs(vector, gens, cap) -> OrbitResult:
                         return OrbitResult(finite=False, cap=cap)
                     nxt.append(y)
         frontier = nxt
-    return OrbitResult(finite=True, size=len(seen), elements=frozenset(seen))
+    return OrbitResult(finite=True, size=len(seen),
+                       elements=np.array(sorted(seen), dtype=object))
+
+
+def orbit_key(res: OrbitResult) -> tuple:
+    """An orbit result as comparable values, its vectors as a set of tuples."""
+    vectors = None if res.elements is None else frozenset(
+        map(tuple, res.elements.tolist()))
+    return res.finite, res.size, res.cap, vectors
 
 
 def element_order_loop(m, bound=None):
@@ -747,7 +754,7 @@ def gluing_graph_oracle(datum) -> dict:
     """Simple part -> rational torus part for every element of the gluing
     subgroup, by a hand-written closure over Fraction coordinates."""
     orders = datum.center_orders
-    gens = [(s, t.coords) for s, t in datum.generators]
+    gens = datum.generators
     zero = ((0,) * len(orders), (Fraction(0),) * datum.torus_rank)
     seen = {zero}
     frontier = [zero]
@@ -841,8 +848,14 @@ def preimage(hom) -> dict[int, int]:
     return {int(v): i for i, v in enumerate(hom.mapping)}
 
 
+def is_normal(sub) -> bool:
+    """Normal iff every conjugate g h g^-1 of every element h lies in it."""
+    g, elems = sub.parent, list(sub.elements)
+    return bool(np.isin(g.mul[g.mul[:, elems], g.inv[:, None]], elems).all())
+
+
 def require_normal(sub) -> None:
-    if not sub.is_normal():
+    if not is_normal(sub):
         raise NotNormal(sub.elements)
 
 
@@ -905,7 +918,7 @@ def fin_check_common_prime(embs):
         for x in range(g.order):
             cols = []
             for rep in h.class_reps:
-                y = g.conjugate(x, int(e.mapping[rep]))
+                y = int(g.mul[g.mul[x, e.mapping[rep]], g.inv[x]])
                 if y not in pre:
                     raise NotNormal((x, rep))
                 cols.append(int(h.class_of[pre[y]]))
@@ -952,8 +965,8 @@ def glued_torus_su_datum(k: int, l: int) -> LieDatum:
     a, b = 3 ** k, 3 ** l
     factors = [SimpleType("A", a - 1), SimpleType("A", b - 1)]
     generators = [
-        ((1, 0), TorusPoint((1, 0), a).coords),
-        ((0, 1), TorusPoint((1, 3), b).coords),
+        ((1, 0), (Fraction(1, a), Fraction(0))),
+        ((0, 1), (Fraction(1, b), Fraction(3, b))),
     ]
     return LieDatum(2, factors, generators)
 

@@ -23,7 +23,6 @@ from bohrsound.errors import (
 )
 from bohrsound.groups import (
     GroupHom,
-    TorusPoint,
     alternating,
     cyclic,
     dihedral,
@@ -272,13 +271,12 @@ class TestEvalHom:
 
     def test_torus_semidirect_target(self):
         spec = free_product([cyclic(2)])
-        half = TorusPoint([Fraction(1, 2)])
         tgt = TorusSemidirectTarget(1, [[
-            (TorusPoint.zero(1), ((1,),)),
-            (half, ((-1,),)),
+            ((0,), ((1,),)),
+            ((Fraction(1, 2),), ((-1,),)),
         ]])
         point, matrix = eval_hom(spec, [(0, 1), (0, 1)], tgt)
-        assert point == TorusPoint.zero(1)
+        assert point == (Fraction(0),)
         assert matrix == ((1,),)
 
     def test_map_length_checked(self):

@@ -598,6 +598,25 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["matrix"] == [[-1, -1], [0, -1]]
 
+    def test_eval_torus_pinned(self, cli):
+        # rank 2, non-diagonal matrices, coordinates given unreduced; the
+        # printed point is reduced into [0, 1), a zero coordinate as 0 or [0, 1]
+        entries = [{"torus": [[1, 3], [-1, 3]], "matrix": [[0, 1], [1, 0]]},
+                   {"torus": [[5, -4], [1, 8]], "matrix": [[-1, 0], [1, 1]]}]
+        one = {"torus": [[0, 1], [0, 1]], "matrix": [[1, 0], [0, 1]]}
+        targets = json.dumps({"schema": 1, "kind": "torus-semidirect-targets",
+                              "rank": 2, "factors": [[one, e] for e in entries]})
+        argv = ("amalgam", "eval", "--spec", "z2-free-z2.json", "--targets",
+                targets, "--word", "0:x 1:y 0:x 1:y 0:x", "--format")
+        assert cli(*argv, "text") == (
+            0, "torus: ['0', '23/24']\nmatrix: [[1, 0], [-1, -1]]\n", "")
+        code, out, _ = cli(*argv, "json")
+        assert code == 0
+        assert out == ('{\n  "matrix": [\n    [\n      1,\n      0\n    ],\n'
+                       '    [\n      -1,\n      -1\n    ]\n  ],\n'
+                       '  "torus": [\n    [\n      0,\n      1\n    ],\n'
+                       '    [\n      23,\n      24\n    ]\n  ]\n}\n')
+
     def test_zmat_finiteness(self, cli):
         code, out, _ = cli("zmat", "finiteness", "--gens",
                            "[[[0,-1],[1,1]]]", "--format", "json")

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import bohrsound
@@ -57,6 +58,30 @@ def test_every_export_has_a_caller():
                     or inspect.isclass(getattr(bohrsound, name)))
                 and name not in named]
     assert uncalled == []
+
+
+def _attributes(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def test_every_class_member_is_named():
+    # a method or property earns its place by being named as an attribute
+    # outside its own body: in src/, an acceptance criterion or the
+    # benchmark; any other member is test-only code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    named = sum(map(_attributes, trees), Counter())
+    for path in [ROOT / "tests" / "test_acceptance.py",
+                 *sorted((ROOT / "perfbench").glob("*.py"))]:
+        named += _attributes(ast.parse(path.read_text(encoding="utf-8")))
+    unnamed = [f"{cls.name}.{member.name}" for tree in trees
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for member in cls.body
+               if isinstance(member, ast.FunctionDef)
+               and not member.name.startswith("__")
+               and named[member.name] == _attributes(member)[member.name]]
+    assert unnamed == []
 
 
 def test_traced_layers_name_existing_functions():
