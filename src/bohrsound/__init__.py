@@ -26,7 +26,6 @@ from .groups import (
 )
 from .characters import (
     CharacterTable,
-    CliffordReport,
     EqualizerWitness,
     character_table,
     clifford_multiplicity,

@@ -29,7 +29,9 @@ characteristic polynomial f by Newton's identities, exact since d <= r <=
 |G| < p/2 makes every k <= d invertible mod p.
 
 Eigenvalues are the roots of f, found as Dixon found them: by evaluating f
-at every point of GF(p), in one numpy sweep.  Its arrays are sized by p, so
+at every point of GF(p), in one numpy sweep; their multiplicities are read
+off f's derivatives at all the roots, in one more product.  The sweep's
+arrays are sized by p, so
 the class-algebra route runs only at the group's own prime, which lies below
 _SWEEP_PRIMES = 2**15 for every admitted order; a table at any other prime
 is transported from there.  Every eigenspace of a matrix comes from one
@@ -54,6 +56,9 @@ the only table cache; it takes its prime from table_prime too.  The
 functions that need tables (fin_check, equalizer_witness) take a `table`
 provider with character_table's signature, so the CLI can pass the cached
 one; by default they look up character_table when called.
+
+fin_check returns a finite normal family's certificate as the CLI prints it;
+its docstring gives the layout.
 """
 
 from __future__ import annotations
@@ -220,29 +225,6 @@ def _charpoly_mod(powers: np.ndarray, p: int) -> list[int]:
     return coeffs[::-1]
 
 
-# -- polynomials over GF(p): lists of ints, low degree first, no trailing zeros --
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic b."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q[i - db] = c
-            for j in range(db):
-                a[i - db + j] -= c * b[j]
-    return q, _poly_trim([c % p for c in a[:db]])
-
-
 # Every own prime, splitting_prime(e, n) for e | n <= CHARTABLE_MAX_ORDER, lies
 # below this bound (the largest is 18,899), so each of the root sweep's arrays
 # stays within 256 KiB; a table at any other prime is transported from its own.
@@ -257,7 +239,7 @@ def _roots_mod(f, p: int) -> list[int]:
     """
     if p >= _SWEEP_PRIMES:
         raise InvariantViolation(f"root sweep at p = {p}, not below {_SWEEP_PRIMES}")
-    f = _poly_trim([int(c) % p for c in f])
+    f = [int(c) % p for c in f]
     x = np.arange(p, dtype=np.int64)
     acc = np.full(p, f[-1], dtype=np.int64)
     for c in reversed(f[:-1]):
@@ -265,6 +247,26 @@ def _roots_mod(f, p: int) -> list[int]:
         acc += c
         acc %= p
     return np.flatnonzero(acc == 0).tolist()
+
+
+def _multiplicities(f, roots: list[int], p: int) -> list[int]:
+    """The multiplicity of each root of f (residues, low degree first): the
+    least j with f^(j)(lam) != 0, exact since j <= deg f < p makes j!
+    invertible.  With m roots none has multiplicity past deg f - m + 1, so
+    f, f', ..., f^(deg f - m + 1) suffice, evaluated at every root at once
+    by one product with the powers lam^i, which double in length each step.
+    """
+    d, m = len(f) - 1, len(roots)
+    lams = np.array(roots, dtype=np.int64)
+    powers = np.ones((1, m), dtype=np.int64)
+    while len(powers) <= d:
+        powers = np.concatenate([powers, powers * (powers[-1] * lams % p) % p])
+    derivs = np.zeros((d - m + 2, d + 1), dtype=np.int64)  # row j: f^(j)
+    derivs[0] = f
+    for j in range(1, len(derivs)):
+        derivs[j, :-1] = derivs[j - 1, 1:] * np.arange(1, d + 1) % p
+    values = _matmul_mod(derivs, powers[:d + 1], p)
+    return (values != 0).argmax(axis=0).tolist()
 
 
 # -- eigenspaces -------------------------------------------------------------------
@@ -294,24 +296,15 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
     powers = _power_table(a, p)
     f = _charpoly_mod(powers, p)
     roots = _roots_mod(f, p)
+    mult = _multiplicities(f, roots, p)
+    if sum(mult) != d:
+        raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
     m = len(roots)
     s = np.zeros(m + 1, dtype=np.int64)  # prod (x - lam_j), low degree first
     s[0] = 1
     for lam in roots:
         s[1:] = (s[:-1] - lam * s[1:]) % p
         s[0] = -lam * s[0] % p
-    s = s.tolist()
-    mult = [1] * m
-    rest = _poly_divmod(f, s, p)[0]
-    for j, lam in enumerate(roots):
-        while len(rest) > 1:
-            quot, rem = _poly_divmod(rest, [-lam % p, 1], p)
-            if rem:
-                break
-            rest = quot
-            mult[j] += 1
-    if sum(mult) != d:
-        raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
     lams = np.array(roots, dtype=np.int64)
     # numer[t, j] = coefficient of x^t in s / (x - lam_j), by synthetic division
     numer = np.empty((m, m), dtype=np.int64)
@@ -766,50 +759,44 @@ def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
 # -- Clifford classes ----------------------------------------------------------------
 
 
-def _least_positive(column: np.ndarray) -> int:
-    positive = column[column > 0]
-    if not positive.size:
+def _least_positive(m: np.ndarray) -> np.ndarray:
+    """Each column's least positive entry, in one masked reduction;
+    InvariantViolation if a column has none."""
+    big = np.iinfo(m.dtype).max
+    least = m.min(axis=0, initial=big, where=m > 0)
+    if (least == big).any():
         raise InvariantViolation("rho does not appear in any restriction")
-    return int(positive.min())
+    return least
 
 
 def clifford_multiplicity(tg: CharacterTable, th: CharacterTable,
                           emb: GroupHom, rho: int) -> int:
     """Smallest positive <pi|_H, rho> over the ambient irreducibles."""
     emb.require_injective()
-    return _least_positive(restriction_matrix(tg, th, emb)[:, rho])
-
-
-@dataclass(frozen=True)
-class CliffordReport:
-    """Per-irreducible summary used by the finiteness criterion.
-
-    per_member maps the family index to the minimal positive multiplicity of
-    rho in restrictions from that member; sup_multiplicity is their maximum
-    (None for an empty family).
-    """
-
-    rho: int
-    rho_degree: int
-    class_members: tuple[int, ...]
-    class_size: int
-    per_member: dict[int, int]
-    sup_multiplicity: int | None
+    return int(_least_positive(restriction_matrix(tg, th, emb))[rho])
 
 
 def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
-              table=None) -> list[CliffordReport]:
-    """Clifford class and multiplicity data for every irreducible of the source.
+              table=None) -> dict:
+    """The certificate of a finite normal family: Clifford class and least
+    multiplicities for every irreducible rho of the source H.
 
-    All embeddings must share one source H and have normal image.  Reports
-    index the rows of H's table at its own prime, as `chartable` prints it;
-    each member's restriction is taken at the member's prime, against that
-    table transported there.  By Clifford's theorem the constituents of
-    any pi|_H are one orbit of G on Irr(H), so classes are read off the
-    restrictions.  An empty family needs the source passed explicitly and
-    yields singleton classes with empty multiplicity maps.  `table(group,
-    prime=None)` provides the tables: character_table by default, or any
-    provider that returns the same table, such as cache.cached_character_table.
+    It is {"kernel_order", "member_orders", "reports"}, with one report row
+    per rho: {"rho", "degree", "class_members", "class_size", "per_member",
+    "sup_multiplicity"}.  per_member maps str(i) to the least positive
+    multiplicity of rho in the restrictions from member i, and
+    sup_multiplicity is their maximum, None for an empty family.  Every value
+    is a Python int, so the CLI prints the certificate as it is.
+
+    All embeddings must share one source H and have normal image.  Rows
+    index H's table at its own prime, as `chartable` prints it; each
+    member's restriction is taken at the member's prime, against that table
+    transported there.  By Clifford's theorem the constituents of any pi|_H
+    are one orbit of G on Irr(H), so classes are read off the restrictions.
+    An empty family needs the source passed explicitly and yields singleton
+    classes.  `table(group, prime=None)` provides the tables: character_table
+    by default, or any provider that returns the same table, such as
+    cache.cached_character_table.
     """
     table = table or character_table
     h = embs[0].source if embs else source
@@ -831,14 +818,17 @@ def fin_check(embs: list[GroupHom], source: FiniteGroup | None = None,
     for e in embs:
         tg = table(e.target)
         restrictions.append(restriction_matrix(tg, transported(th, tg.prime), e))
+    least = [_least_positive(m).tolist() for m in restrictions]
     reports = []
     for rho in range(th.n_irreducibles):
         # the constituents of pi|_H, for any pi over x, are the G-orbit of x
-        members = tuple(sorted(reachable([rho], lambda x: [
-            r for m in restrictions for r in np.flatnonzero(m[m[:, x].argmax()]).tolist()])))
-        per = {i: _least_positive(m[:, rho]) for i, m in enumerate(restrictions)}
-        sup = max(per.values()) if per else None
-        reports.append(CliffordReport(
-            rho=rho, rho_degree=th.degrees[rho], class_members=members,
-            class_size=len(members), per_member=per, sup_multiplicity=sup))
-    return reports
+        members = sorted(reachable([rho], lambda x: [
+            r for m in restrictions for r in np.flatnonzero(m[m[:, x].argmax()]).tolist()]))
+        per = {str(i): mins[rho] for i, mins in enumerate(least)}
+        reports.append({
+            "rho": rho, "degree": th.degrees[rho], "class_members": members,
+            "class_size": len(members), "per_member": per,
+            "sup_multiplicity": max(per.values(), default=None)})
+    return {"kernel_order": h.order,
+            "member_orders": [e.target.order for e in embs],
+            "reports": reports}

@@ -48,7 +48,7 @@ from .amalgam import (
     regular_pullback_length,
     word_equal,
 )
-from .characters import character_table, equalizer_witness
+from .characters import character_table, equalizer_witness, fin_check
 from .descriptors import (
     amalgam_from_descriptor,
     check_schema,
@@ -62,12 +62,7 @@ from .descriptors import (
 )
 from .errors import BohrsoundError, SchemaError, SizeLimit
 from .lie import compactness_conditions
-from .soundness import (
-    build_normal_family,
-    clifford_certificate,
-    serialize_matrix_group,
-    soundness_verdict,
-)
+from .soundness import build_normal_family, serialize_matrix_group, soundness_verdict
 from .zmat import char_orbit, fixed_subgroup_structure, generated_group
 
 # -- input plumbing ----------------------------------------------------------------
@@ -207,8 +202,8 @@ def run_equalizer(args) -> int:
 def run_clifford(args) -> int:
     spec = load_object(args.spec, "spec")
     check_schema(spec, "spec")
-    payload = clifford_certificate(*build_normal_family(spec, "spec"),
-                                   _table_provider(args))
+    kernel, embs = build_normal_family(spec, "spec")
+    payload = fin_check(embs, source=kernel, table=_table_provider(args))
     lines = [f"kernel order: {payload['kernel_order']}",
              f"members: {payload['member_orders']}"]
     for r in payload["reports"]:
@@ -246,8 +241,7 @@ def run_zmat_finiteness(args) -> int:
 def run_zmat_orbit(args) -> int:
     gens = _gens(args.gens)
     vector = load_json(args.vector, "vector")
-    if not isinstance(vector, list) or \
-            not all(isinstance(x, int) for x in vector):
+    if not isinstance(vector, list) or not all(type(x) is int for x in vector):
         raise SchemaError("vector: expected an array of integers")
     orbit = char_orbit(tuple(vector), gens, cap=args.cap)
     if orbit.finite:

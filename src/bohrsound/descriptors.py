@@ -37,23 +37,20 @@ GROUP_KINDS = ("table", "cyclic", "symmetric", "heisenberg", "semidirect")
 
 
 def require_field(d, field, types, where):
+    """d[field], a SchemaError unless it is one of `types`.  No field takes a
+    bool, and a JSON true or false, a Python bool, is an int too: refused."""
     if not isinstance(d, dict):
         raise SchemaError(f"{where}: expected an object, got {type(d).__name__}")
     if field not in d:
         raise SchemaError(f"{where}: missing field {field!r}")
     value = d[field]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"{where}: field {field!r} has the wrong type")
     return value
 
 
 def optional_field(d, field, types, where, default=None):
-    if field not in d:
-        return default
-    value = d[field]
-    if not isinstance(value, types):
-        raise SchemaError(f"{where}: field {field!r} has the wrong type")
-    return value
+    return require_field(d, field, types, where) if field in d else default
 
 
 def check_schema(d: dict, where: str = "document") -> None:
@@ -67,8 +64,7 @@ def int_rows(value, where) -> list[list[int]]:
         raise SchemaError(f"{where}: expected a nonempty array of rows")
     rows = []
     for row in value:
-        if not isinstance(row, list) or \
-                not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
             raise SchemaError(f"{where}: rows must be arrays of integers")
         if len(row) != len(value[0]):
             raise SchemaError(f"{where}: rows must all have the same length")
@@ -118,11 +114,11 @@ def descriptor_order(d) -> int | None:
     if not isinstance(d, dict):
         return None
     kind, n, level = d.get("kind"), d.get("n"), d.get("level")
-    if kind == "cyclic" and isinstance(n, int) and n >= 1:
+    if kind == "cyclic" and type(n) is int and n >= 1:
         return n
-    if kind == "symmetric" and isinstance(n, int) and 1 <= n <= config.SYMMETRIC_MAX_N:
+    if kind == "symmetric" and type(n) is int and 1 <= n <= config.SYMMETRIC_MAX_N:
         return factorial(n)
-    if (kind == "heisenberg" and isinstance(level, int)
+    if (kind == "heisenberg" and type(level) is int
             and 1 <= level <= config.HEISENBERG_MAX_LEVEL):
         return 8 ** level
     if kind == "table" and isinstance(d.get("table"), list):
@@ -268,8 +264,7 @@ def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
             raise SchemaError(
                 f"{where}: generator and image counts differ")
         for i, (s, t) in enumerate(zip(simple_gens, images)):
-            if not isinstance(s, list) or \
-                    not all(isinstance(x, int) for x in s):
+            if not isinstance(s, list) or not all(type(x) is int for x in s):
                 raise SchemaError(f"{where}: generator {i} must be integers")
             generators.append((tuple(s), torus_point(t, f"{where}: image {i}")))
     return LieDatum(z, factors, generators)

@@ -41,6 +41,7 @@ from .zmat import (
     mat,
     mat_inv_unimodular,
     mat_mul,
+    row_keys,
 )
 
 
@@ -118,10 +119,10 @@ class LieDatum:
     per element, the simple coordinates modulo the center orders, then the
     torus numerators over N, the lcm of the torus images' denominators,
     modulo N (int64 below 2^62); `row_of` finds the row of a simple part by
-    its `_keys`.  Each generator adds one coset of its multiples at a time,
-    refused once |D| would pass G = config.GROUP_MAX_ORDER or its |D| (c + z)
-    cells G^2, the largest table the builders accept; N past G is refused up
-    front (N <= |D|).
+    its zmat.row_keys key.  Each generator adds one coset of its multiples
+    at a time, refused once |D| would pass G = config.GROUP_MAX_ORDER or its
+    |D| (c + z) cells G^2, the largest table the builders accept; N past G is
+    refused up front (N <= |D|).
     """
 
     def __init__(self, torus_rank: int, factors, generators=()):
@@ -168,17 +169,10 @@ class LieDatum:
                 step = (step + g) % moduli
             elements = np.concatenate(cosets)
         self.elements = elements
-        self.row_of = dict(zip(_keys(elements[:, :c]), range(len(elements))))
+        self.row_of = dict(zip(row_keys(elements[:, :c]), range(len(elements))))
         if len(self.row_of) < len(elements):
             raise InvalidDelta(
                 f"gluing subgroup is not a graph at simple part {(0,) * c}")
-
-
-def _keys(simple: np.ndarray) -> list:
-    """One dict key per simple row: its bytes, or its text for Python ints."""
-    if simple.dtype == object:
-        return list(map(str, simple.tolist()))
-    return [row.tobytes() for row in simple]
 
 
 def _primary_orders(torsion, primes) -> list[int]:
@@ -277,7 +271,7 @@ def _preserved_autos(datum: LieDatum):
         cols = np.repeat(offsets[src] - offsets, datum.block_widths) + np.arange(c)
         signs = np.repeat(np.array(sign, dtype)[src], datum.block_widths)
         images = gens[:, cols] * signs % orders
-        if None not in map(datum.row_of.get, _keys(images)):
+        if None not in map(datum.row_of.get, row_keys(images)):
             yield cols, signs, next(
                 (eps for eps in (1, -1) if (images == gens * eps % orders).all()), None)
 
@@ -299,7 +293,7 @@ def _rigidity(datum: LieDatum) -> bool | None:
     for cols, signs, eps in _preserved_autos(datum):
         if eps is None:
             image = rows[kernel, cols] * signs % orders
-            image = [datum.row_of.get(k) for k in _keys(image)]
+            image = [datum.row_of.get(k) for k in row_keys(image)]
             if None not in image and (rows[image, c:] == 0).all():
                 return False
     even_d = any(f.series == "D" and f.rank % 2 == 0 for f in datum.factors)

@@ -3,7 +3,9 @@
 A family descriptor asks whether the pushout of the family embeds into its
 compact counterpart.  Each decided verdict names exactly one criterion from
 a fixed whitelist; certificates are plain JSON-ready dictionaries so the
-CLI can print them verbatim in either format.
+CLI can print them verbatim in either format.  A finite normal family's
+certificate is characters.fin_check's, whose docstring gives its layout; a
+prefix verdict adds its multiplicity sequences to it.
 """
 
 from __future__ import annotations
@@ -105,39 +107,17 @@ def build_normal_family(d: dict, where: str):
                     for i, e in enumerate(entries)]
 
 
-def serialize_reports(reports) -> list[dict]:
-    return [{
-        "rho": r.rho,
-        "degree": r.rho_degree,
-        "class_members": list(r.class_members),
-        "class_size": r.class_size,
-        "per_member": {str(i): int(v) for i, v in sorted(r.per_member.items())},
-        "sup_multiplicity": r.sup_multiplicity,
-    } for r in reports]
-
-
-def clifford_certificate(kernel, embs, table=None) -> dict:
-    """Kernel order, member orders and the serialized fin_check reports: the
-    certificate of a finite normal family, and what `clifford` prints."""
-    return {
-        "kernel_order": kernel.order,
-        "member_orders": [e.target.order for e in embs],
-        "reports": serialize_reports(fin_check(embs, source=kernel,
-                                               table=table)),
-    }
-
-
 def _finite_normal_verdict(d: dict, where: str, table) -> SoundnessVerdict:
+    kernel, embs = build_normal_family(d, where)
     return SoundnessVerdict(SOUND, "compact-automorphism-group",
-                            clifford_certificate(*build_normal_family(d, where),
-                                                 table))
+                            fin_check(embs, source=kernel, table=table))
 
 
 def _prefix_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     kernel, embs = build_normal_family(d, where)
     if not embs:
         raise SchemaError(f"{where}: a prefix declaration needs members")
-    certificate = clifford_certificate(kernel, embs, table)
+    certificate = fin_check(embs, source=kernel, table=table)
     n = len(embs)
     sequences = {}
     growing = []

@@ -2,9 +2,8 @@
 
 Matrices are tuples of tuples of Python ints at the interface.  A finite
 group's elements are stored once, as one (order, k, k) array sorted as
-`sorted()` sorts their nested lists (`np.lexsort` over flattened rows), with
-`elements` a frozenset-of-tuples view built on first access.  Finiteness of
-generated subgroups of GL(k, Z) is decided by enumeration against
+`sorted()` sorts their nested lists (`np.lexsort` over flattened rows).
+Finiteness of generated subgroups of GL(k, Z) is decided by enumeration against
 Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
 seeing M(k) + 1 distinct elements certifies infinitude.
 
@@ -39,7 +38,7 @@ Holt and Rees, Linear Algebra Appl. 192, 1993).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -190,23 +189,14 @@ def minkowski_bound(k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MatrixGroupResult:
-    """Outcome of enumerating a generated subgroup of GL(k, Z)."""
+    """Outcome of enumerating a generated subgroup of GL(k, Z); a finite one
+    keeps the sorted (order, k, k) array of its elements."""
 
     finite: bool
     rank: int
     order: int | None = None
     matrices: np.ndarray | None = None
     witness_count: int | None = None
-
-    @cached_property
-    def elements(self) -> frozenset[IntMatrix] | None:
-        return None if self.matrices is None else frozenset(
-            tuple(map(tuple, m)) for m in self.matrices.tolist())
-
-    def __eq__(self, other) -> bool:
-        fields = ("finite", "rank", "order", "witness_count", "elements")
-        return isinstance(other, MatrixGroupResult) and all(
-            getattr(self, f) == getattr(other, f) for f in fields)
 
     def __str__(self) -> str:
         if self.finite:
@@ -252,7 +242,7 @@ def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
     steps = np.array(step, dtype=dtype)
     frontier = np.array(seeds, dtype=dtype)
     levels = [frontier]
-    seen = set(_closure_keys(frontier))
+    seen = set(row_keys(frontier))
     while len(frontier):
         if not exact and int(np.abs(frontier).max()) * colsum >= _INT64_LIMIT:
             # int64 products could wrap: continue in Python ints, rekeyed
@@ -260,10 +250,10 @@ def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
             steps = steps.astype(object)
             frontier = frontier.astype(object)
             levels = [level.astype(object) for level in levels]
-            seen = set(_closure_keys(np.concatenate(levels)))
+            seen = set(row_keys(np.concatenate(levels)))
         products = np.matmul(frontier[:, None], steps[None]).reshape(-1, r, k)
         fresh = []
-        for i, key in enumerate(_closure_keys(products)):
+        for i, key in enumerate(row_keys(products)):
             if key not in seen:
                 seen.add(key)
                 if len(seen) > bound:
@@ -274,12 +264,16 @@ def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
     return np.concatenate(levels)
 
 
-def _closure_keys(elements: np.ndarray) -> list:
-    """Hashable keys for an (n, r, k) array: raw bytes for int64, else tuples."""
-    n = len(elements)
-    if elements.dtype == object:
-        return list(map(tuple, elements.reshape(n, -1).tolist()))
-    flat = np.ascontiguousarray(elements).reshape(n, -1)
+def row_keys(rows: np.ndarray) -> list:
+    """One hashable key per row of an (n, ...) array of int64 or Python ints,
+    equal exactly when the rows are: the row's raw bytes for int64 (b"" at
+    width 0, where numpy has no void view), else a tuple of its ints."""
+    flat = rows.reshape(len(rows), prod(rows.shape[1:]))
+    if rows.dtype == object:
+        return list(map(tuple, flat.tolist()))
+    if not flat.shape[1]:
+        return [b""] * len(flat)
+    flat = np.ascontiguousarray(flat)
     return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel().tolist()
 
 

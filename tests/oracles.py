@@ -26,12 +26,7 @@ from math import gcd
 
 import numpy as np
 
-from bohrsound.characters import (
-    CliffordReport,
-    character_table,
-    restriction_matrix,
-    splitting_prime,
-)
+from bohrsound.characters import character_table, restriction_matrix, splitting_prime
 from bohrsound.errors import (
     AmalgamNotTrivial,
     DimensionMismatch,
@@ -675,6 +670,14 @@ def char_orbit_bfs(vector, gens, cap) -> OrbitResult:
                        elements=np.array(sorted(seen), dtype=object))
 
 
+def group_key(res: MatrixGroupResult) -> tuple:
+    """A matrix group result as comparable values, its matrices as a set of
+    nested tuples."""
+    matrices = None if res.matrices is None else frozenset(
+        tuple(map(tuple, m)) for m in res.matrices.tolist())
+    return res.finite, res.rank, res.order, res.witness_count, matrices
+
+
 def orbit_key(res: OrbitResult) -> tuple:
     """An orbit result as comparable values, its vectors as a set of tuples."""
     vectors = None if res.elements is None else frozenset(
@@ -901,8 +904,8 @@ def common_prime(groups) -> int:
 
 
 def fin_check_common_prime(embs):
-    """fin_check's reports with every table at common_prime of the family,
-    and the kernel's table at that prime, whose rows the reports index.
+    """fin_check's report rows with every table at common_prime of the
+    family, and the kernel's table at that prime, whose rows the reports index.
     Orbits come from conjugating each kernel class by each ambient element,
     one at a time, and a hand-written breadth-first search."""
     h = embs[0].source
@@ -932,11 +935,12 @@ def fin_check_common_prime(embs):
                 if perm[r] not in orbit:
                     orbit.add(perm[r])
                     queue.append(perm[r])
-        per = {i: int(min(v for v in m[:, rho] if v > 0))
+        per = {str(i): int(min(v for v in m[:, rho] if v > 0))
                for i, m in enumerate(restrictions)}
-        reports.append(CliffordReport(
-            rho=rho, rho_degree=th.degrees[rho], class_members=tuple(sorted(orbit)),
-            class_size=len(orbit), per_member=per, sup_multiplicity=max(per.values())))
+        reports.append({
+            "rho": rho, "degree": th.degrees[rho], "class_members": sorted(orbit),
+            "class_size": len(orbit), "per_member": per,
+            "sup_multiplicity": max(per.values())})
     return th, reports
 
 

@@ -491,20 +491,20 @@ class TestEqualizer:
 
 
 def class_members(embs):
-    return [rep.class_members for rep in fin_check(embs)]
+    return [rep["class_members"] for rep in fin_check(embs)["reports"]]
 
 
 class TestClifford:
     def test_central_singletons(self):
         g, z2, emb = center_z2_in_heisenberg(1)
-        assert class_members([emb]) == [(0,), (1,)]
+        assert class_members([emb]) == [[0], [1]]
 
     def test_a3_class_of_size_two(self):
         _, a3, emb = a3_in_s3()
         th = character_table(a3)
         triv = th.trivial_index()
         classes = class_members([emb])
-        assert classes[triv] == (triv,)
+        assert classes[triv] == [triv]
         others = [r for r in range(3) if r != triv]
         assert set(classes[others[0]]) == set(others)
 
@@ -552,35 +552,55 @@ class TestFinCheck:
         for level in (1, 2, 3):
             g, _, emb = center_z2_in_heisenberg(level)
             embs.append(GroupHom(z2, g, emb.mapping))
-        reports = fin_check(embs)
+        certificate = fin_check(embs)
+        assert certificate["kernel_order"] == 2
+        assert certificate["member_orders"] == [8, 64, 512]
+        reports = certificate["reports"]
         assert len(reports) == 2
         nontrivial = reports[1]
-        assert nontrivial.class_size == 1
-        assert [nontrivial.per_member[i] for i in range(3)] == [2, 4, 8]
-        assert nontrivial.sup_multiplicity == 8
-        assert reports[0].per_member == {0: 1, 1: 1, 2: 1}
+        assert nontrivial["class_size"] == 1
+        assert [nontrivial["per_member"][str(i)] for i in range(3)] == [2, 4, 8]
+        assert nontrivial["sup_multiplicity"] == 8
+        assert reports[0]["per_member"] == {"0": 1, "1": 1, "2": 1}
 
     def test_single_a3(self):
         _, a3, emb = a3_in_s3()
-        reports = fin_check([emb])
+        reports = fin_check([emb])["reports"]
         assert len(reports) == 3
         triv = character_table(a3).trivial_index()
         for rep in reports:
-            if rep.rho == triv:
-                assert rep.class_size == 1
+            if rep["rho"] == triv:
+                assert rep["class_size"] == 1
             else:
-                assert rep.class_size == 2
-            assert rep.per_member == {0: 1}
-            assert rep.sup_multiplicity == 1
+                assert rep["class_size"] == 2
+            assert rep["per_member"] == {"0": 1}
+            assert rep["sup_multiplicity"] == 1
 
     def test_empty_family(self):
         z2 = cyclic(2)
-        reports = fin_check([], source=z2)
+        certificate = fin_check([], source=z2)
+        assert (certificate["kernel_order"], certificate["member_orders"]) == (2, [])
+        reports = certificate["reports"]
         assert len(reports) == 2
         for rep in reports:
-            assert rep.class_members == (rep.rho,)
-            assert rep.per_member == {}
-            assert rep.sup_multiplicity is None
+            assert rep["class_members"] == [rep["rho"]]
+            assert rep["per_member"] == {}
+            assert rep["sup_multiplicity"] is None
+
+    def test_certificate_holds_python_ints(self):
+        # the CLI prints the certificate as it is, and json prints no numpy int
+        _, _, emb = a3_in_s3()
+
+        def leaves(x):
+            if isinstance(x, dict):
+                assert all(type(k) is str for k in x)
+                x = list(x.values())
+            if isinstance(x, list):
+                return [leaf for item in x for leaf in leaves(item)]
+            return [x]
+
+        for certificate in (fin_check([emb, emb]), fin_check([], source=cyclic(2))):
+            assert {type(v) for v in leaves(certificate)} <= {int, type(None)}
 
     def test_empty_family_without_source(self):
         with pytest.raises(SourceMismatch):
@@ -597,8 +617,8 @@ class TestFinCheck:
         p = common_prime([g, z2])
         tg = character_table(g, prime=p)
         th = character_table(z2, prime=p)
-        for rep in fin_check([emb]):
-            assert rep.per_member[0] == clifford_multiplicity(tg, th, emb, rep.rho)
+        for rep in fin_check([emb])["reports"]:
+            assert rep["per_member"]["0"] == clifford_multiplicity(tg, th, emb, rep["rho"])
 
 
 class TestRestrictionStructure:
@@ -616,7 +636,8 @@ class TestRestrictionStructure:
                 tgp = character_table(g, prime=p)
                 thp = transported(character_table(h), p)
                 m = restriction_matrix(tgp, thp, emb)
-                class_of = {rep.rho: rep.class_members for rep in fin_check([emb])}
+                class_of = {rep["rho"]: rep["class_members"]
+                            for rep in fin_check([emb])["reports"]}
                 for pi in range(tgp.n_irreducibles):
                     support = [r for r in range(thp.n_irreducibles) if m[pi, r] > 0]
                     assert support
@@ -655,16 +676,16 @@ class TestOwnPrimes:
 
     @staticmethod
     def assert_matches_common_prime(embs):
-        reports = fin_check(embs)
+        reports = fin_check(embs)["reports"]
         th_common, expected = fin_check_common_prime(embs)
         moved = transported(character_table(embs[0].source), th_common.prime)
         to_own = [moved.row_index(row) for row in th_common.values]
         for ref in expected:
-            got = reports[to_own[ref.rho]]
-            assert got.rho_degree == ref.rho_degree
-            assert got.class_members == tuple(sorted(to_own[r] for r in ref.class_members))
-            assert (got.class_size, got.per_member, got.sup_multiplicity) == (
-                ref.class_size, ref.per_member, ref.sup_multiplicity)
+            got = reports[to_own[ref["rho"]]]
+            assert got["degree"] == ref["degree"]
+            assert got["class_members"] == sorted(to_own[r] for r in ref["class_members"])
+            fields = ("class_size", "per_member", "sup_multiplicity")
+            assert [got[f] for f in fields] == [ref[f] for f in fields]
 
     def test_fin_check_matches_common_prime_route(self, corpus_small):
         import random
@@ -700,13 +721,13 @@ class TestOwnPrimes:
         z2 = cyclic(2)
         with pytest.raises(PrimeSearchFailure):
             common_prime([z2] + [cyclic(n) for n in ns])
-        reports = fin_check([GroupHom(z2, cyclic(n), [0, n // 2]) for n in ns])
-        assert [r.per_member for r in reports] == [dict.fromkeys(range(9), 1)] * 2
-        assert [r.class_members for r in reports] == [(0,), (1,)]
+        reports = fin_check([GroupHom(z2, cyclic(n), [0, n // 2]) for n in ns])["reports"]
+        assert [r["per_member"] for r in reports] == [dict.fromkeys(map(str, range(9)), 1)] * 2
+        assert [r["class_members"] for r in reports] == [[0], [1]]
 
     def test_large_self_embedding_in_time(self):
         start = time.perf_counter()
-        reports = fin_check([identity_hom(cyclic(1024))])
+        reports = fin_check([identity_hom(cyclic(1024))])["reports"]
         assert time.perf_counter() - start < 5.0
         assert len(reports) == 1024
 

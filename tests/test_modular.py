@@ -24,6 +24,7 @@ from bohrsound.characters import (
     _charpoly_mod,
     _eigenspaces,
     _matmul_mod,
+    _multiplicities,
     _power_table,
     _roots_mod,
     character_table,
@@ -168,6 +169,10 @@ class TestRoots:
             assert _roots_mod(f, p) == sorted(roots)
             g = [(lo - c * hi) % p for lo, hi in zip([0, 0] + f, f + [0, 0])]  # f (x^2 - c)
             assert _roots_mod(g, p) == sorted(roots)
+            # each root's multiplicity is its count in the list f was built from
+            for h in (f, g):
+                assert _multiplicities(h, sorted(roots), p) == [
+                    repeated.count(r) for r in sorted(roots)]
 
     def test_no_roots(self):
         p = 13

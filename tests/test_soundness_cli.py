@@ -362,6 +362,20 @@ class TestGoldenCertificates:
         # 2**31, where _matmul_mod splits its operands into limbs
         (("chartable", "--group", '{"kind":"symmetric","n":5}',
           "--prime", "2000000641"), "s5-p2000000641.table.json"),
+        # Z3 in Z3:Z2, Z3:Z4 and Z6: the class [1, 2] has size 2
+        (("clifford", "--spec", "normal-z3.json"), "normal-z3.clifford.json"),
+        # the center of Z4:Z2, where per_member reaches 2, and Z2 in Z4
+        (("clifford", "--spec", "normal-z2-central.json"),
+         "normal-z2-central.clifford.json"),
+        (("soundness", "--request", "normal-z2-central.json"),
+         "normal-z2-central.verdict.json"),
+        # no members: every sup_multiplicity is null
+        (("clifford", "--spec", "normal-empty.json"), "normal-empty.clifford.json"),
+        (("soundness", "--request", "normal-empty.json"),
+         "normal-empty.verdict.json"),
+        # eleven members: per_member's keys sort as strings, "10" before "2"
+        (("clifford", "--spec", "normal-z2-eleven.json"),
+         "normal-z2-eleven.clifford.json"),
     ])
     def test_json_output_is_pinned(self, cli, argv, golden):
         code, out, _ = cli(*argv, "--format", "json")
@@ -372,6 +386,51 @@ class TestGoldenCertificates:
         code, out, _ = cli("soundness", "--request", "torus-collapse.json")
         assert code == 0
         assert out == (GOLDEN / "torus-collapse.verdict.txt").read_text()
+
+    def test_clifford_text_output_is_pinned(self, cli):
+        # the text lists per_member in member order, "2" before "10"
+        code, out, _ = cli("clifford", "--spec", "normal-z2-eleven.json")
+        assert code == 0
+        assert out == (GOLDEN / "normal-z2-eleven.clifford.txt").read_text()
+
+
+_GLUED = fixture_json("glued-su-3-2.json")
+_TARGETS = {"schema": 1, "kind": "matrix-targets", "dimension": 1,
+            "factors": [[[[1]], [[-1]]], [[[1]], [[-1]]]]}
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true and false are Python bools, which are ints: every field
+    that wants an integer refuses them, with exit 1 and a SchemaError."""
+
+    @pytest.mark.parametrize("argv", [
+        ("chartable", "--group", '{"kind":"cyclic","n":true}'),
+        ("chartable", "--group", '{"kind":"symmetric","n":true}'),
+        ("chartable", "--group", '{"kind":"heisenberg","level":true}'),
+        ("chartable", "--group", '{"kind":"table","table":[[false]]}'),
+        ("soundness", "--request", '{"schema":true,"kind":"torus-family",'
+                                   '"rank":1,"factor_generators":[]}'),
+        ("soundness", "--request", '{"schema":1,"kind":"torus-family",'
+                                   '"rank":true,"factor_generators":[]}'),
+        ("zmat", "finiteness", "--gens", "[[[true,false],[false,true]]]"),
+        ("zmat", "orbit", "--vector", "[true,0]", "--gens", "[[[1,0],[0,1]]]"),
+        ("liecheck", "--datum", json.dumps({**_GLUED, "z": True})),
+        ("liecheck", "--datum", json.dumps({**_GLUED, "delta": {
+            **_GLUED["delta"], "simple_part_generators": [[True, 0], [0, 1]]}})),
+        ("amalgam", "eval", "--spec", "z2-free-z2.json", "--word", "0:x",
+         "--targets", json.dumps({**_TARGETS, "dimension": True})),
+        ("amalgam", "eval", "--spec", "z2-free-z2.json", "--word", "0:x",
+         "--targets", json.dumps({**_TARGETS, "modulus": True})),
+    ])
+    def test_boolean_is_schema_error(self, cli, argv):
+        code, out, err = cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SchemaError:")
+
+    def test_integer_targets_still_evaluate(self, cli):
+        code, out, _ = cli("amalgam", "eval", "--spec", "z2-free-z2.json",
+                           "--word", "0:x", "--targets", json.dumps(_TARGETS))
+        assert (code, out) == (0, "[-1]\n")
 
 
 class TestCliExitCodes:
