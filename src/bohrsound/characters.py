@@ -6,12 +6,11 @@ true integer.
 
 An abelian group's characters are its homomorphisms into the e-th roots of
 unity of GF(p), e = exponent(G) (Serre, Linear Representations of Finite
-Groups, section 3.1).  They are read off the dual group: extended one cyclic
-step at a time along a chain of subgroups, as exponents of one root of unity
-z, in O(|G|^2).  The set of rows does not depend on z: another root z^j, j
-prime to e, maps each row lam to the row lam^j.  Rows are sorted, so the
-table equals the one the class-algebra route gives.  check_table checks such
-a table by definition, in O(|G|^2 log|G|), rather than by the Gram product.
+Groups, section 3.1), read off the dual group as exponents of one root of
+unity z: extended along a chain of subgroups, a whole cyclic step per pass,
+in O(|G|^2).  Another root z^j, j prime to e, maps each row lam to lam^j, so
+the sorted rows equal the class-algebra route's.  check_table checks such a
+table by definition, in O(|G|^2 log|G|), rather than by the Gram product.
 
 Every other table comes from the class-algebra eigenvector method (Dixon,
 Numer. Math. 10, 1967): the structure constants of the class sums give r
@@ -20,25 +19,21 @@ characters; degrees and values are recovered from orthogonality.
 
 Each refinement round splits the pending subspaces by the eigenspaces of one
 random linear combination A of the class matrices, usually all of them in
-the first round.  It reads everything off one table of powers of the d x d
-matrix A, by baby and giant steps (Paterson-Stockmeyer, SIAM J. Comput. 2,
-1973): A^0 .. A^s, s = isqrt(d) + 1, or fewer past 523 classes so that the
-babies stay within 48 MiB.  That is about 2 sqrt(d) products, not O(d)
-sequential numpy steps.  The power sums tr(A^k), k <= d, give the
-characteristic polynomial f by Newton's identities, exact since d <= r <=
-|G| < p/2 makes every k <= d invertible mod p.
-
-Eigenvalues are the roots of f, found as Dixon found them: by evaluating f
-at every point of GF(p), in one numpy sweep; their multiplicities are read
-off f's derivatives at all the roots, in one more product.  The sweep's
-arrays are sized by p, so
-the class-algebra route runs only at the group's own prime, which lies below
-_SWEEP_PRIMES = 2**15 for every admitted order; a table at any other prime
-is transported from there.  Every eigenspace of a matrix comes from one
-block Krylov basis, giant steps over the babies times a block V.  The random
-choices (round coefficients, Krylov blocks) come from a generator seeded
-with the prime, so each computation is reproducible; the table does not
-depend on them, since rows are canonical and sorted by (degree, values).
+the first round, in about sqrt(d) whole-array passes, not one per class,
+coefficient or eigenvalue.  Baby and giant steps (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 1973) read everything off A^0 .. A^s, s =
+isqrt(d) + 1 (fewer past 523 classes, so the babies stay within 48 MiB):
+the power sums tr(A^k), which give the characteristic polynomial f by
+Newton's identities (exact, as d <= r <= |G| < p/2), and one block Krylov
+basis whose images span the eigenspaces.  The eigenvalues are the roots of
+f, found as Dixon found them, from f at every point of GF(p), with the same
+split of f's coefficients; multiplicities are read off f's derivatives.
+That sweep is sized by p, so this route runs only at the group's own prime,
+below _SWEEP_PRIMES = 2**15 for every admitted order; a table at any other
+prime is transported from there.  The random choices (round coefficients,
+Krylov blocks) come from a generator seeded with the prime, so each
+computation is reproducible; the table does not depend on them, since rows
+are canonical and sorted by (degree, values).
 
 Residues are int64 in [0, p).  Every sum of products of residue arrays goes
 through _matmul_mod, so all arithmetic is exact for every prime below
@@ -216,60 +211,83 @@ def _charpoly_mod(powers: np.ndarray, p: int) -> list[int]:
     while True:
         sums += _matmul_mod(babies, giant.T.ravel(), p).tolist()
         if len(sums) > d:
-            break
+            return _newton(sums[:d + 1], p)
         giant = powers[s] if len(sums) == s else _matmul_mod(giant, powers[s], p)
+
+
+def _newton(sums: list[int], p: int) -> list[int]:
+    """The monic polynomial, low degree first, whose roots have the power
+    sums sums[1:] mod p."""
     coeffs = [1]
-    for k in range(1, d + 1):
+    for k in range(1, len(sums)):
         acc = sum(map(operator.mul, coeffs, sums[k:0:-1]))
         coeffs.append(-acc * pow(k, p - 2, p) % p)
     return coeffs[::-1]
 
 
+def _vandermonde(points: np.ndarray, rows: int, p: int) -> np.ndarray:
+    """points^i mod p in row i < rows, points in [0, p), by doubling in place."""
+    out = np.ones((rows, len(points)), dtype=np.int64)
+    out[1:2] = points
+    for k in (1 << i for i in range(1, (rows - 1).bit_length())):
+        block = out[k:2 * k]  # row k + i is row i times points^k
+        np.multiply(out[:len(block)], out[k - 1] * points % p, out=block)
+        block %= p
+    return out
+
+
 # Every own prime, splitting_prime(e, n) for e | n <= CHARTABLE_MAX_ORDER, lies
-# below this bound (the largest is 18,899), so each of the root sweep's arrays
-# stays within 256 KiB; a table at any other prime is transported from its own.
+# below this bound (the largest is 18,899); the root sweep's powers of every point
+# take (isqrt(d) + 2) p words for d classes.  Other primes get transported tables.
 _SWEEP_PRIMES = 1 << 15
 
 
 def _roots_mod(f, p: int) -> list[int]:
     """Distinct roots of the nonzero f (coefficients low degree first) in GF(p),
-    ascending: one Horner evaluation at every point, as Dixon found them.
-    Each step stays below p**2 + p < 2**63 in int64.  InvariantViolation at
-    p >= _SWEEP_PRIMES, before anything sized by p is allocated.
-    """
+    ascending, from f at every point: one product with x^0 .. x^(s-1) evaluates
+    its chunks of s = isqrt(deg f) + 1 coefficients (s = 1, plain Horner, below
+    16 + p/256 coefficients, where that measured cheaper), joined by Horner's
+    rule in x^s, each step below p**2 + p < 2**63.  InvariantViolation at p >=
+    _SWEEP_PRIMES, before anything sized by p is allocated."""
     if p >= _SWEEP_PRIMES:
         raise InvariantViolation(f"root sweep at p = {p}, not below {_SWEEP_PRIMES}")
-    f = [int(c) % p for c in f]
-    x = np.arange(p, dtype=np.int64)
-    acc = np.full(p, f[-1], dtype=np.int64)
-    for c in reversed(f[:-1]):
-        acc *= x
-        acc += c
-        acc %= p
+    s = isqrt(len(f) - 1) + 1 if len(f) > 16 + p // 256 else 1
+    chunks = np.zeros((-(-len(f) // s), s), dtype=np.int64)
+    chunks.flat[:len(f)] = [int(c) % p for c in f]
+    powers = _vandermonde(np.arange(p, dtype=np.int64), s + 1, p)
+    values = _matmul_mod(chunks, powers[:s], p) if s > 1 else chunks
+    acc = np.zeros(p, dtype=np.int64) + values[-1]
+    for chunk in values[-2::-1]:
+        acc = (acc * powers[s] + chunk) % p
     return np.flatnonzero(acc == 0).tolist()
 
 
-def _multiplicities(f, roots: list[int], p: int) -> list[int]:
-    """The multiplicity of each root of f (residues, low degree first): the
-    least j with f^(j)(lam) != 0, exact since j <= deg f < p makes j!
-    invertible.  With m roots none has multiplicity past deg f - m + 1, so
-    f, f', ..., f^(deg f - m + 1) suffice, evaluated at every root at once
-    by one product with the powers lam^i, which double in length each step.
+def _multiplicities(f, vander: np.ndarray, p: int) -> list[int]:
+    """The multiplicity of each root lam of f (residues, low degree first),
+    from vander[i, j] = lam_j^i, i <= deg f: the least j with f^(j)(lam) != 0,
+    exact since j <= deg f < p makes j! invertible.  With m roots, f, f', ...,
+    f^(deg f - m + 1) suffice, evaluated at every root by one product.
     """
-    d, m = len(f) - 1, len(roots)
-    lams = np.array(roots, dtype=np.int64)
-    powers = np.ones((1, m), dtype=np.int64)
-    while len(powers) <= d:
-        powers = np.concatenate([powers, powers * (powers[-1] * lams % p) % p])
+    d, m = len(f) - 1, vander.shape[1]
     derivs = np.zeros((d - m + 2, d + 1), dtype=np.int64)  # row j: f^(j)
     derivs[0] = f
     for j in range(1, len(derivs)):
         derivs[j, :-1] = derivs[j - 1, 1:] * np.arange(1, d + 1) % p
-    values = _matmul_mod(derivs, powers[:d + 1], p)
+    values = _matmul_mod(derivs, vander[:d + 1], p)
     return (values != 0).argmax(axis=0).tolist()
 
 
 # -- eigenspaces -------------------------------------------------------------------
+
+
+def _quotients(vander: np.ndarray, p: int) -> np.ndarray:
+    """numer[t, j], the coefficient of x^t in s / (x - lam_j), s = prod (x -
+    lam_j), from vander[i, j] = lam_j^i, i <= m: s by Newton's identities, and
+    sum over i > t of s_i lam_j^(i-t-1) as a Hankel matrix of s times vander."""
+    m = vander.shape[1]
+    s = _newton((vander[:m + 1].sum(axis=1) % p).tolist(), p)
+    hankel = np.array(s[1:] + [0] * m)[np.add.outer(range(m), range(m))]
+    return _matmul_mod(hankel, vander[:m], p)
 
 
 def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
@@ -295,23 +313,14 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
     d = a.shape[0]
     powers = _power_table(a, p)
     f = _charpoly_mod(powers, p)
-    roots = _roots_mod(f, p)
-    mult = _multiplicities(f, roots, p)
-    if sum(mult) != d:
+    lams = np.array(_roots_mod(f, p), dtype=np.int64)
+    m = len(lams)
+    vander = _vandermonde(lams, d + 1, p)  # vander[i, j] = lam_j^i
+    mult = np.array(_multiplicities(f, vander, p))
+    if mult.sum() != d:
         raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
-    m = len(roots)
-    s = np.zeros(m + 1, dtype=np.int64)  # prod (x - lam_j), low degree first
-    s[0] = 1
-    for lam in roots:
-        s[1:] = (s[:-1] - lam * s[1:]) % p
-        s[0] = -lam * s[0] % p
-    lams = np.array(roots, dtype=np.int64)
-    # numer[t, j] = coefficient of x^t in s / (x - lam_j), by synthetic division
-    numer = np.empty((m, m), dtype=np.int64)
-    numer[m - 1] = 1
-    for t in range(m - 1, 0, -1):
-        numer[t - 1] = (s[t] + lams * numer[t]) % p
-    k = max(mult)
+    numer = _quotients(vander, p)
+    k = int(mult.max())
     if start is None:
         start = np.zeros(d, dtype=np.int64)
         start[0] = 1
@@ -326,29 +335,29 @@ def _eigenspaces(a: np.ndarray, p: int, rng: random.Random,
             krylov[0, :, 0] = start
         # a^(t + i) V = a^t (a^i V) for the baby powers a^i, i < step, and
         # t = 0, step, 2 step, ...: one product by the giant step a^step each
-        step = len(powers) - 1
-        block = np.stack([_matmul_mod(baby, krylov[0], p) for baby in powers[:min(step, m)]])
+        step, babies = len(powers) - 1, min(len(powers) - 1, m)
+        block = _matmul_mod(powers[:babies].reshape(-1, d), krylov[0], p).reshape(babies, d, k)
         krylov[:step] = block
         for t in range(step, m, step):
             wide = _matmul_mod(powers[step], block.transpose(1, 0, 2).reshape(d, step * k), p)
             block = wide.reshape(d, step, k).transpose(1, 0, 2)
             krylov[t:t + step] = block[:m - t]
         images = _matmul_mod(numer.T, krylov.reshape(m, d * k), p).reshape(m, d, k)
-        nonzero = images.any(axis=1).tolist()
-        spaces = []
-        for j in range(m):
-            if mult[j] == 1:
-                c = nonzero[j].index(True) if True in nonzero[j] else k
-                spaces.append((images[j][:, c:c + 1], None, None))
-            else:
-                echelon, rows = _rref_mod(images[j].T, p)
-                spaces.append((echelon[:len(rows)].T, rows, images[j][rows, 0]))
-        u = np.concatenate([space[0] for space in spaces], axis=1)
-        lam_cols = np.repeat(lams, [space[0].shape[1] for space in spaces])
+        # a simple eigenvalue's space is its image's first nonzero column,
+        # gathered for all of them at once; it has none on a failed draw
+        nonzero = images.any(axis=1)
+        simple = np.flatnonzero((mult == 1) & nonzero.any(axis=1))
+        vecs = images[simple, :, nonzero[simple].argmax(axis=1)]
+        spaces = {j: (v[:, None], None, None) for j, v in zip(simple.tolist(), vecs)}
+        for j in np.flatnonzero(mult > 1).tolist():
+            echelon, rows = _rref_mod(images[j].T, p)
+            spaces[j] = (echelon[:len(rows)].T, rows, images[j][rows, 0])
+        u = np.concatenate([vecs.T] + [spaces[j][0] for j in spaces if mult[j] > 1], axis=1)
+        lam_cols = np.repeat(lams[list(spaces)], [space[0].shape[1] for space in spaces.values()])
         if (_matmul_mod(a, u, p) != u * lam_cols % p).any():
             raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
         if u.shape[1] == d:
-            return spaces
+            return [spaces[j] for j in range(m)]
     raise PrimeSearchFailure("class matrix failed to diagonalize mod p")
 
 
@@ -489,16 +498,12 @@ def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
     weighted = omega * size_inv[:, None] % p
     t = (omega[inv_cls] * weighted % p).sum(axis=0) % p
     # chi(1)^2 = |G| / t; below p, since p > 2|G|
-    degrees = []
-    for x in t:
-        dsq = n * pow(int(x), p - 2, p) % p
-        deg = isqrt(dsq)
-        if not 0 < dsq <= n or deg * deg != dsq:
-            raise PrimeSearchFailure("degree recovery failed")
-        degrees.append(deg)
-    if sum(d * d for d in degrees) != n:
+    dsq = np.array([n * pow(int(x), p - 2, p) % p for x in t], dtype=np.int64)
+    degrees = np.array([isqrt(x) for x in dsq.tolist()], dtype=np.int64)
+    if not ((0 < dsq) & (dsq <= n) & (degrees * degrees == dsq)).all():
+        raise PrimeSearchFailure("degree recovery failed")
+    if dsq.sum() != n:
         raise PrimeSearchFailure("degree square sum mismatch")
-    degrees = np.array(degrees, dtype=np.int64)
     return _sorted_table(g, p, degrees, (weighted * degrees % p).T)
 
 
@@ -508,10 +513,7 @@ def _unity_powers(e: int, p: int) -> np.ndarray:
     primes = factorize(e)
     z = next(z for z in (pow(c, (p - 1) // e, p) for c in range(2, p))
              if all(pow(z, e // q, p) != 1 for q in primes))
-    powers = [1]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * z % p)
-    return np.array(powers, dtype=np.int64)
+    return _vandermonde(np.array([z]), e, p)[:, 0]
 
 
 def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
@@ -524,6 +526,7 @@ def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
     by lam(x) = z^(a/m + t e/m) for t < m, and on the coset H x^k by
     lam(h x^k) = lam(h) lam(x)^k.  m divides a: an extension of lam to G
     (there always is one) takes x to some z^c, and a = m c mod e with m | e.
+    A step takes x's powers by doubling, and all m cosets in one pass.
     """
     n, e, mul = g.order, g.exponent, g.mul
     exps = np.zeros((1, n), dtype=np.int64)  # columns outside H are unused
@@ -532,17 +535,16 @@ def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
     in_h[0] = True
     while elems.size < n:
         x = int(np.argmin(in_h))
-        cosets = [elems]
-        power = x
-        while not in_h[power]:
-            cosets.append(mul[elems, power])
-            power = int(mul[power, x])
-        m = len(cosets)  # and power = x^m lies in H
-        at_x = (exps[:, power, None] // m + np.arange(m) * (e // m)).ravel()
+        powers = np.array([0, x])  # x^0 .. x^(2^i - 1), until one past x^0 is in H
+        while not in_h[powers[1:]].any():
+            powers = np.concatenate([powers, mul[powers, mul[powers[-1], x]]])
+        m = 1 + int(in_h[powers[1:]].argmax())  # and x^m lies in H
+        cosets = mul[elems, powers[:m, None]]  # row k: the coset H x^k
+        at_x = (exps[:, powers[m], None] // m + np.arange(m) * (e // m)).ravel()
         exps = np.repeat(exps, m, axis=0)
-        for k, coset in enumerate(cosets[1:], 1):
-            exps[:, coset] = (exps[:, elems] + k * at_x[:, None]) % e
-        elems = np.concatenate(cosets)
+        k = np.arange(1, m)[:, None]
+        exps[:, cosets[1:]] = (exps[:, None, elems] + k * at_x[:, None, None]) % e
+        elems = cosets.ravel()
         in_h[elems] = True
     return _sorted_table(g, p, np.ones(n, dtype=np.int64), _unity_powers(e, p)[exps])
 

@@ -81,9 +81,12 @@ def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
     """
     kind = require_field(d, "kind", str, where)
     name = optional_field(d, "name", str, where)
+    # elements resolve by label, so labels must be distinct strings
+    labels = optional_field(d, "labels", list, where) if kind in ("cyclic", "table") else None
+    if labels is not None and len({x for x in labels if type(x) is str}) < len(labels):
+        raise SchemaError(f"{where}.labels: expected distinct strings")
     if kind == "cyclic":
         n = require_field(d, "n", int, where)
-        labels = optional_field(d, "labels", list, where)
         return cyclic(n, labels=labels, name=name)
     if kind == "symmetric":
         return symmetric(require_field(d, "n", int, where))
@@ -91,7 +94,6 @@ def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
         return heisenberg(require_field(d, "level", int, where))
     if kind == "table":
         table = int_rows(require_field(d, "table", list, where), where)
-        labels = optional_field(d, "labels", list, where)
         return group_from_table(table, labels=labels, name=name)
     if kind == "semidirect":
         normal = group_from_descriptor(

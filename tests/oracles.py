@@ -12,7 +12,9 @@ every triple instead of Light's associativity test, every element of the
 gluing subgroup over Fractions instead of its generators over integers,
 two word machines related by von Dyck's theorem instead of one action check,
 Smith normal forms instead of torsion counts on the gluing subgroup's rows,
-one family-wide prime instead of each group's own prime and matched labels.
+one family-wide prime instead of each group's own prime and matched labels,
+one power, coset, coefficient, root or pair at a time instead of the table
+engine's whole-array passes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import gcd
 
 import numpy as np
 
+from bohrsound import characters
 from bohrsound.characters import character_table, restriction_matrix, splitting_prime
 from bohrsound.errors import (
     AmalgamNotTrivial,
@@ -87,6 +90,18 @@ def alternating_table_loop(n: int) -> tuple[np.ndarray, list[str]]:
     pos = {e: k for k, e in enumerate(evens)}
     sub = [[pos[int(table[a, b])] for b in evens] for a in evens]
     return np.array(sub, dtype=np.int32), [labels[e] for e in evens]
+
+
+def element_orders_stepping(group) -> tuple[int, ...]:
+    """Every order at once, stepping all unfinished powers x^k -> x^(k+1):
+    as many steps as the largest order."""
+    orders = np.ones(group.order, dtype=np.int64)
+    todo = power = np.arange(1, group.order)
+    while todo.size:
+        power = group.mul[power, todo]
+        orders[todo] += 1
+        todo, power = todo[power != 0], power[power != 0]
+    return tuple(orders.tolist())
 
 
 def group_element_order_loop(group, a: int) -> int:
@@ -217,6 +232,16 @@ def invariant_factors_by_primes(orders) -> tuple[int, ...]:
                          for q, es in primary.items() if i < len(es))
                for i in range(depth)]
     return tuple(sorted(factors))
+
+
+def abelian_from_orders_pairwise(orders) -> tuple[int, ...]:
+    """Invariant factors by Z/a + Z/b = Z/gcd + Z/lcm: pairing each order with
+    every later one leaves it dividing them all, in O(n^2) pairs."""
+    ds = [int(d) for d in orders if int(d) > 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
+    return tuple(d for d in ds if d > 1)
 
 
 # -- abelian embedding by backtracking generator-image search ----------------------
@@ -611,6 +636,62 @@ def charpoly_eval_oracle(a, p: int, x: int) -> int:
             if f:
                 m[r] = [(u - f * v) % p for u, v in zip(m[r], m[c])]
     return det % p
+
+
+def roots_by_horner(f, p: int) -> list[int]:
+    """Roots of f (low degree first) in GF(p): Horner's rule at every point,
+    three numpy steps per coefficient."""
+    f = [int(c) % p for c in f]
+    x = np.arange(p, dtype=np.int64)
+    acc = np.full(p, f[-1], dtype=np.int64)
+    for c in reversed(f[:-1]):
+        acc = (acc * x + c) % p
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def quotients_by_division(roots, p: int) -> np.ndarray:
+    """numer[t, j], the coefficient of x^t in s / (x - lam_j) for s = prod
+    (x - lam_j): s multiplied out one root at a time, then synthetic division
+    one coefficient at a time."""
+    m = len(roots)
+    s = np.zeros(m + 1, dtype=np.int64)  # low degree first
+    s[0] = 1
+    for lam in roots:
+        s[1:] = (s[:-1] - lam * s[1:]) % p
+        s[0] = -lam * s[0] % p
+    lams = np.array(roots, dtype=np.int64)
+    numer = np.empty((m, m), dtype=np.int64)
+    numer[m - 1] = 1
+    for t in range(m - 1, 0, -1):
+        numer[t - 1] = (s[t] + lams * numer[t]) % p
+    return numer
+
+
+def dual_group_table_by_cosets(g, p: int):
+    """The abelian table along the same chain of subgroups as
+    characters._dual_group_table, stepping x^k until it enters H and
+    updating the exponents one coset H x^k at a time."""
+    n, e, mul = g.order, g.exponent, g.mul
+    exps = np.zeros((1, n), dtype=np.int64)
+    elems = np.zeros(1, dtype=np.int64)
+    in_h = np.zeros(n, dtype=bool)
+    in_h[0] = True
+    while elems.size < n:
+        x = int(np.argmin(in_h))
+        cosets = [elems]
+        power = x
+        while not in_h[power]:
+            cosets.append(mul[elems, power])
+            power = int(mul[power, x])
+        m = len(cosets)
+        at_x = (exps[:, power, None] // m + np.arange(m) * (e // m)).ravel()
+        exps = np.repeat(exps, m, axis=0)
+        for k, coset in enumerate(cosets[1:], 1):
+            exps[:, coset] = (exps[:, elems] + k * at_x[:, None]) % e
+        elems = np.concatenate(cosets)
+        in_h[elems] = True
+    return characters._sorted_table(g, p, np.ones(n, dtype=np.int64),
+                                    characters._unity_powers(e, p)[exps])
 
 
 # -- integer matrix groups by tuple breadth-first search ----------------------------

@@ -45,6 +45,7 @@ from bohrsound.characters import (
 from oracles import (
     check_orthonormal,
     common_prime,
+    dual_group_table_by_cosets,
     fin_check_common_prime,
     identity_hom,
     normal_subgroups,
@@ -271,6 +272,18 @@ class TestAbelianRoute:
         assert len(primes) == 2 + (ns in [(2,) * 6, (6, 6), (4, 8, 2)])
         for p in primes:
             self.assert_same(g, p)
+
+    def test_against_coset_at_a_time_update(self, corpus):
+        # the same chain, one gather and update per coset: byte-identical tables
+        groups = [g for g in corpus if g.is_abelian] + [
+            trivial_group(), cyclic(1), cyclic(2), klein_four(), cyclic(1024),
+            _product(64, 2), _product(4, 8, 2), _product(6, 6)]
+        groups += [_product(*(2,) * k) for k in range(2, 11)]
+        for g in groups:
+            for p in _admissible_primes(g):
+                fast, want = characters._dual_group_table(g, p), dual_group_table_by_cosets(g, p)
+                assert (fast.prime, fast.degrees) == (want.prime, want.degrees), g.name
+                assert fast.values.tobytes() == want.values.tobytes(), g.name
 
     def test_z512_against_dixon(self):
         self.assert_same(cyclic(512), 7681)

@@ -53,8 +53,10 @@ from oracles import (
     automorphisms_loop,
     closure,
     compose,
+    abelian_from_orders_pairwise,
     conjugacy_classes_loop,
     derived_subgroup,
+    element_orders_stepping,
     graph_of_rows,
     group_element_order_loop,
     identity_hom,
@@ -266,6 +268,23 @@ class TestPrimitiveOracles:
         assert np.array_equal(g.mul, table)
         assert g.labels == tuple(labels)
         assert g.name == f"A{n}"
+
+    def test_element_orders_match_stepping(self):
+        # every builder at small sizes, orders with one, two and three primes
+        z2 = cyclic(2)
+        elementary = [z2]
+        for _ in range(6):
+            elementary.append(direct_product(elementary[-1], z2))
+        z3_moved = group_from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        groups = ([trivial_group(), cyclic(1), klein_four(), heisenberg(1), heisenberg(2),
+                   symmetric(5), alternating(5), direct_product(cyclic(8), symmetric(4)),
+                   semidirect(cyclic(7), cyclic(3), multiplication_action(7, 2, 3))[0],
+                   Subgroup(cyclic(12), (0, 3, 6, 9)).materialize()[0], z3_moved]
+                  + [cyclic(n) for n in range(2, 41)] + [dihedral(n) for n in range(2, 17)]
+                  + [symmetric(n) for n in range(1, 5)] + [alternating(n) for n in range(1, 5)]
+                  + elementary)
+        for g in groups:
+            assert g.element_orders == element_orders_stepping(g), g.name
 
     def test_element_orders_match_loop(self, corpus):
         for g in oracle_groups(corpus):
@@ -599,6 +618,20 @@ class TestFiniteAbelian:
             orders = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
             assert abelian_from_orders(orders).invariant_factors == \
                 invariant_factors_by_primes(orders)
+
+    def test_from_orders_matches_pairwise(self):
+        rng = random.Random(19)
+        pool = (0, 1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 16, 30, 35, 49, 77, 210, 1001, 2**20)
+        for _ in range(3000):
+            orders = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+            assert abelian_from_orders(orders).invariant_factors == \
+                abelian_from_orders_pairwise(orders), orders
+
+    def test_from_orders_many_equal_orders(self):
+        # the pairwise route takes about 2 s here, the chain insertion milliseconds
+        orders = [2] * 4000
+        assert abelian_from_orders(orders).invariant_factors == \
+            abelian_from_orders_pairwise(orders) == (2,) * 4000
 
     def test_from_orders_factors_nothing(self):
         # trial division would take 10^12 steps on this product of two primes

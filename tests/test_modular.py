@@ -26,7 +26,9 @@ from bohrsound.characters import (
     _matmul_mod,
     _multiplicities,
     _power_table,
+    _quotients,
     _roots_mod,
+    _vandermonde,
     character_table,
     restriction_matrix,
     restriction_multiplicity,
@@ -40,7 +42,13 @@ from bohrsound.groups import (
     symmetric,
 )
 
-from oracles import charpoly_eval_oracle, common_prime, normal_subgroups
+from oracles import (
+    charpoly_eval_oracle,
+    common_prime,
+    normal_subgroups,
+    quotients_by_division,
+    roots_by_horner,
+)
 
 P31 = 2**31 - 1                 # the largest prime below PRIME_SEARCH_LIMIT
 
@@ -171,8 +179,34 @@ class TestRoots:
             assert _roots_mod(g, p) == sorted(roots)
             # each root's multiplicity is its count in the list f was built from
             for h in (f, g):
-                assert _multiplicities(h, sorted(roots), p) == [
+                vander = _vandermonde(np.array(sorted(roots)), len(h), p)
+                assert _multiplicities(h, vander, p) == [
                     repeated.count(r) for r in sorted(roots)]
+
+    # 3 is the least prime, 18899 the largest own prime
+    @pytest.mark.parametrize("p", [3, 13, 1153, 18899])
+    def test_against_horner(self, p):
+        rng = random.Random(p)
+        # degree 0; degree 1 with root 0 and with another root; 0 repeated
+        cases = [[1], [p - 1], [0, 1], [1, p - 1], [0, 0, 1], [1, 1, 0]]
+        for deg in (1, 2, 3, 4, 7, 8, 9, 15, 16, 24, 63, 92):
+            for _ in range(4):
+                cases.append([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+            roots = [0] + [rng.randrange(p) for _ in range(deg - 1)]
+            cases.append(_from_roots(roots + roots[:deg // 2 + 1], p))  # repeats
+        for f in cases:
+            assert _roots_mod(f, p) == roots_by_horner(f, p), f
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 18899])
+    def test_quotients_against_synthetic_division(self, p):
+        rng = random.Random(p)
+        for m in range(1, min(p - 1, 45) + 1):  # m <= d < p, as for a charpoly
+            for trial in range(3):  # the first draw has root 0
+                roots = sorted(rng.sample(range(p), m) if trial
+                               else [0] + rng.sample(range(1, p), m - 1))
+                vander = _vandermonde(np.array(roots), m + 1, p)
+                assert np.array_equal(_quotients(vander, p),
+                                      quotients_by_division(roots, p)), roots
 
     def test_no_roots(self):
         p = 13

@@ -433,6 +433,46 @@ class TestBooleansAreNotIntegers:
         assert (code, out) == (0, "[-1]\n")
 
 
+def _repeated_label_spec() -> str:
+    return json.dumps({
+        "schema": 1, "kind": "amalgam", "amalgam": {"kind": "cyclic", "n": 1},
+        "factors": [
+            {"group": {"kind": "cyclic", "n": 2, "labels": ["x", "x"]}, "injection": [0]},
+            {"group": {"kind": "cyclic", "n": 2}, "injection": [0]}]})
+
+
+class TestLabelsAreDistinctStrings:
+    """Elements resolve by label, so a repeated label would name two
+    elements (a word printed back would rename one), and a label that is no
+    string names none: both are refused with exit 1 and a SchemaError that
+    names the field's path."""
+
+    @pytest.mark.parametrize("argv, path", [
+        (("amalgam", "nf", "--spec", _repeated_label_spec(), "--word", "0:1 1:g 0:1"),
+         "amalgam.factors[0].labels"),
+        (("chartable", "--group", '{"kind":"cyclic","n":3,"labels":[1,[2],"c"]}'),
+         "group.labels"),
+        (("chartable", "--group", '{"kind":"cyclic","n":2,"labels":["e",true]}'),
+         "group.labels"),
+        (("chartable", "--group",
+          '{"kind":"table","table":[[0,1],[1,0]],"labels":["t","t"]}'), "group.labels"),
+        (("chartable", "--group",
+          '{"kind":"semidirect","normal":{"kind":"cyclic","n":3,"labels":["a","b","a"]},'
+          '"acting":{"kind":"cyclic","n":1},"action":[[0,1,2]]}'), "group.normal.labels"),
+    ])
+    def test_refused(self, cli, argv, path):
+        code, out, err = cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: SchemaError: {path}:")
+
+    def test_distinct_labels_still_resolve(self, cli):
+        spec = json.loads(_repeated_label_spec())
+        spec["factors"][0]["group"]["labels"] = ["e", "x"]
+        code, out, _ = cli("amalgam", "nf", "--spec", json.dumps(spec),
+                           "--word", "0:1 1:g 0:1")
+        assert (code, out) == (0, "0:x 1:g 0:x\n")
+
+
 class TestCliExitCodes:
     def test_decided_is_zero(self, cli):
         code, _, _ = cli("soundness", "--request", "torus-collapse.json")
