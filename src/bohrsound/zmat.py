@@ -7,15 +7,16 @@ Finiteness of generated subgroups of GL(k, Z) is decided by enumeration against
 Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
 seeing M(k) + 1 distinct elements certifies infinitude.
 
-Group and orbit enumeration share one breadth-first closure (`_closure`).
-Each level multiplies the whole frontier by every step matrix in a single
-batched `np.matmul` over int64 and dedupes the products in frontier-major,
-step-minor order, so the first M(k) + 1 distinct elements are the same ones
-a one-product-at-a-time search would find.  Before each level it checks
-that the products cannot overflow: max|frontier entry| times the largest
-column abs-sum of the step matrices must stay below 2^63.  When that fails,
-or an input entry does not fit in int64, the closure continues in exact
-Python ints (object arrays), so results are exact for every input.
+Groups are enumerated by Dimino's algorithm (G. Butler, Fundamental
+Algorithms for Permutation Groups, LNCS 559, 1991).  The first generator
+g other than I gives <g>, of the order `element_order` finds, whose powers
+double in number with each product.  Each later generator outside the
+group H so far adds disjoint right cosets H c, from c = g on: c s for each
+generator s so far that is not yet an element starts another.  A finite
+semigroup of invertible matrices is a group, so no inverse is needed.  A
+batch of cosets is one np.matmul, keyed by the products' bytes.  Products
+run in int64 only when k max|a| max|b| < 2^63; an entry or a product past
+that restarts the enumeration in Python ints, so every result is exact.
 
 `element_order` uses Minkowski's lemma instead of enumeration: the kernel
 of GL(k, Z) -> GL(k, F_3) is torsion-free, so an element of finite order
@@ -38,6 +39,7 @@ Holt and Rees, Linear Algebra Appl. 192, 1993).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from math import prod
 
 import numpy as np
@@ -98,10 +100,7 @@ def mat_det(a: IntMatrix) -> int:
 
 def mat_inv_unimodular(a: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant +-1: V U, since U a V = I."""
-    d = mat_det(a)
-    if d not in (1, -1):
-        raise NotUnimodular(d)
-    u, _, v = smith_normal_form(a)
+    u, _, v = smith_normal_form(_unimodular([a])[0][0])
     return mat_mul(v, u)
 
 
@@ -204,63 +203,111 @@ class MatrixGroupResult:
         return f"infinite ({self.witness_count} distinct elements enumerated)"
 
 
-def _steps_with_inverses(gens) -> tuple[list[IntMatrix], int]:
-    """Each generator followed by its inverse, and their size k.
-
-    Raises unless the generators are k x k with determinant +-1; the
-    determinant is computed once per generator, by `mat_inv_unimodular`.
-    """
+def _unimodular(gens) -> tuple[list[IntMatrix], int]:
+    """The generators as k x k matrices, and k; raises unless each has
+    determinant +-1, computed once per generator."""
     gens = [mat(g) for g in gens]
     if not gens:
         raise DimensionMismatch("at least one generator required")
     k = len(gens[0])
-    step = []
     for g in gens:
         if len(g) != k or len(g[0]) != k:
             raise DimensionMismatch("generators must be square of equal size")
-        step += [g, mat_inv_unimodular(g)]
-    return step, k
+        if (d := mat_det(g)) not in (1, -1):
+            raise NotUnimodular(d)
+    return gens, k
 
 
-_INT64_LIMIT = 1 << 63
+# At most this many products in one batched matmul, so that a wide closure
+# level or a phase with large cosets is taken a slice at a time.
+_BATCH_PRODUCTS = 1 << 12
 
 
-def _closure(seeds: list[IntMatrix], step: list[IntMatrix],
-             bound: int) -> np.ndarray | None:
-    """Distinct products seed * w over words w in `step`, breadth first.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, exactly; over int64 it raises OverflowError past 2^63."""
+    if a.dtype == object or not (a.size and b.size):
+        return np.matmul(a, b)
+    # |x| viewed as uint64 is exact for every int64 x, -2^63 included
+    if a.shape[-1] * int(np.abs(a).view(np.uint64).max()) \
+            * int(np.abs(b).view(np.uint64).max()) >= 1 << 63:
+        raise OverflowError("int64 matrix products could wrap")
+    return np.matmul(a, b)
 
-    Seeds are r x k and step matrices k x k, all of Python ints.  Returns
-    every element found, as one (n, r, k) array, or None as soon as more
-    than `bound` distinct elements have been seen.
-    """
-    r, k = len(seeds[0]), len(step[0])
-    colsum = max(sum(abs(g[i][j]) for i in range(k))
-                 for g in step for j in range(k))
-    exact = max(abs(v) for m in (*seeds, *step)
-                for row in m for v in row) >= _INT64_LIMIT
-    dtype = object if exact else np.int64
-    steps = np.array(step, dtype=dtype)
-    frontier = np.array(seeds, dtype=dtype)
-    levels = [frontier]
-    seen = set(row_keys(frontier))
-    while len(frontier):
-        if not exact and int(np.abs(frontier).max()) * colsum >= _INT64_LIMIT:
-            # int64 products could wrap: continue in Python ints, rekeyed
-            exact = True
-            steps = steps.astype(object)
-            frontier = frontier.astype(object)
-            levels = [level.astype(object) for level in levels]
-            seen = set(row_keys(np.concatenate(levels)))
-        products = np.matmul(frontier[:, None], steps[None]).reshape(-1, r, k)
-        fresh = []
-        for i, key in enumerate(row_keys(products)):
-            if key not in seen:
-                seen.add(key)
+
+def _new_rows(keys: list, known: set, dtype, shape) -> tuple[dict, np.ndarray]:
+    """The keys not in `known`, each once in order of first occurrence (as
+    dict keys), and the (n, *shape) array of the rows they key."""
+    new = dict.fromkeys(filterfalse(known.__contains__, keys))
+    if dtype == object:
+        return new, np.array(list(new), dtype=object).reshape(-1, *shape)
+    return new, np.frombuffer(b"".join(new), np.int64).reshape(-1, *shape)
+
+
+def _dimino(gens: list[IntMatrix], k: int, bound: int,
+            dtype) -> np.ndarray | None:
+    """The elements of the group generated by `gens` as one (n, k, k) array
+    of `dtype`, or None past `bound` elements (see the module docstring)."""
+    group = np.array([identity(k)], dtype=dtype)
+    seen = set(row_keys(group))
+    for i, gen in enumerate(gens):
+        g = np.array([gen], dtype=dtype)
+        if row_keys(g)[0] in seen:
+            continue
+        if len(group) == 1:
+            if (n := _order(gen, bound)) is None:
+                return None
+            group = np.concatenate([group, g])  # g^j for j < m = 2
+            while len(group) < n:  # g^m g^j = g^(m + j) doubles m
+                group = np.concatenate([group, _mul(_mul(group[-1:], g), group)])
+            group = group[:n]
+            seen = set(row_keys(group))
+            continue
+        tall, blocks, cands = group.reshape(-1, k), [group], g
+        per = max(1, _BATCH_PRODUCTS // len(group))
+        steps = np.array(gens[:i + 1], dtype=dtype)  # s in G_(i-1) is harmless
+        while len(cands):
+            reps = []
+            for at in range(0, len(cands), per):
+                cosets = _mul(tall, cands[at:at + per])  # h c for h in H
+                new, rows = _new_rows(row_keys(cosets.reshape(-1, k, k)),
+                                      seen, dtype, (k, k))
+                seen.update(new)
                 if len(seen) > bound:
                     return None
-                fresh.append(i)
-        frontier = products[fresh]
-        levels.append(frontier)
+                blocks.append(rows)
+                reps.append(rows[::len(group)])  # one element per new coset
+            products = _mul(np.concatenate(reps)[:, None], steps)
+            cands = _new_rows(row_keys(products.reshape(-1, k, k)), seen,
+                              dtype, (k, k))[1]
+        group = np.concatenate(blocks)
+    return group
+
+
+def _closure(v: tuple[int, ...], step: list[IntMatrix], bound: int,
+             dtype) -> np.ndarray | None:
+    """The distinct row vectors v w over words w in `step`, breadth first,
+    as one (n, k) array of `dtype`, or None past `bound` vectors.
+
+    The steps are closed under inverses, so a product of level L lies in
+    level L - 1, L or L + 1: only those levels' keys are kept.
+    """
+    k = len(v)
+    steps = np.concatenate(np.array(step, dtype=dtype), axis=1)  # [g_0 | g_1 ..]
+    per = max(1, _BATCH_PRODUCTS // len(step))
+    levels = [np.empty((0, k), dtype), np.array([v], dtype=dtype)]
+    window, count = set(row_keys(levels[1])), 1
+    while len(levels[-1]):
+        parts = []
+        for at in range(0, len(levels[-1]), per):  # frontier-major, step-minor
+            products = _mul(levels[-1][at:at + per], steps).reshape(-1, k)
+            new, rows = _new_rows(row_keys(products), window, dtype, (k,))
+            count += len(new)
+            if count > bound:
+                return None
+            window.update(new)
+            parts.append(rows)
+        levels.append(np.concatenate(parts))
+        window.difference_update(row_keys(levels[-3]))
     return np.concatenate(levels)
 
 
@@ -278,11 +325,14 @@ def row_keys(rows: np.ndarray) -> list:
 
 
 def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
-    """BFS closure of the generated subgroup, stopping past Minkowski's bound."""
-    step, k = _steps_with_inverses(gens)
+    """Dimino's enumeration of the generated group, up to Minkowski's bound."""
+    gens, k = _unimodular(gens)
     if bound is None:
         bound = minkowski_bound(k)
-    found = _closure([identity(k)], step, bound)
+    try:
+        found = _dimino(gens, k, bound, np.int64)
+    except OverflowError:
+        found = _dimino(gens, k, bound, object)
     if found is None:
         return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
     flat = found.reshape(len(found), -1)
@@ -291,38 +341,22 @@ def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
 
 
 def element_order(m: IntMatrix, bound: int | None = None) -> int | None:
-    """Multiplicative order, or None when it is infinite or exceeds `bound`.
+    """Multiplicative order, or None when it is infinite or exceeds `bound`."""
+    (m,), k = _unimodular([m])
+    return _order(m, minkowski_bound(k) if bound is None else bound)
 
-    A finite order equals n3, the order of m mod 3 (at most 3^k - 1), so m
-    has finite order exactly when m^n3 = I over Z.
-    """
-    m = mat(m)
-    k = len(m)
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise NotUnimodular(d)
-    if bound is None:
-        bound = minkowski_bound(k)
-    ident = np.eye(k, dtype=np.int64)
-    m3 = np.array([[v % 3 for v in row] for row in m], dtype=np.int64)
-    x = m3
-    for n3 in range(1, min(bound, 3 ** k - 1) + 1):
-        if np.array_equal(x, ident):
-            return n3 if _mat_pow(m, n3) == identity(k) else None
+
+def _order(m: IntMatrix, bound: int) -> int | None:
+    """element_order of a unimodular m: a finite order is n3, the order of
+    m mod 3 (at most 3^k - 1), so it is finite exactly when m^n3 = I."""
+    ident = np.eye(len(m), dtype=np.int64).tolist()
+    x = m3 = (np.array(m, dtype=object) % 3).astype(np.int64)
+    for n3 in range(1, min(bound, 3 ** len(m) - 1) + 1):
+        if x.tolist() == ident:
+            power = np.linalg.matrix_power(np.array(m, dtype=object), n3)
+            return n3 if power.tolist() == ident else None
         x = (x @ m3) % 3
     return None
-
-
-def _mat_pow(m: IntMatrix, e: int) -> IntMatrix:
-    """m^e over Z by square-and-multiply."""
-    out = identity(len(m))
-    while e:
-        if e & 1:
-            out = mat_mul(out, m)
-        e >>= 1
-        if e:
-            m = mat_mul(m, m)
-    return out
 
 
 # -- orbits on the character lattice ---------------------------------------------
@@ -343,16 +377,19 @@ def char_orbit(vector, gens, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitResult
     """Orbit of a character-lattice vector under the generated group."""
     if cap < 1:  # every orbit holds its vector, so it would exceed the cap
         raise SizeLimit(f"orbit cap must be at least 1, got {cap}")
-    step, k = _steps_with_inverses(gens)
+    gens, k = _unimodular(gens)
     v = tuple(int(x) for x in vector)
     if len(v) != k:
         raise DimensionMismatch("vector rank does not match the generators")
     # g.v is the row vector v^T g^T, so the orbit is a closure of rows
-    step = [transpose(g) for g in step]
-    found = _closure([(v,)], step, cap)
+    step = [transpose(s) for g in gens for s in (g, mat_inv_unimodular(g))]
+    try:
+        found = _closure(v, step, cap, np.int64)
+    except OverflowError:  # an entry or a product past int64: Python ints
+        found = _closure(v, step, cap, object)
     if found is None:
         return OrbitResult(finite=False, cap=cap)
-    return OrbitResult(finite=True, size=len(found), elements=found[:, 0])
+    return OrbitResult(finite=True, size=len(found), elements=found)
 
 
 # -- fixed subgroups on the torus -------------------------------------------------
@@ -468,11 +505,14 @@ class OrbitObstruction:
 def coproduct_orbit_obstruction(members, cap: int = config.DEFAULT_ORBIT_CAP) -> OrbitObstruction:
     """Per-member character orbits with a strictly-increasing-growth flag.
 
-    members: iterable of (rank, generator list, character vector); the
-    generators fix the rank, so the first entry is not read.
+    members: iterable of (rank, generator list, character vector), each
+    generator rank x rank.
     """
     sizes: list[int | None] = []
-    for _, gens, chi in members:
+    for i, (rank, gens, chi) in enumerate(members):
+        if any(len(g) != rank for g in gens):
+            raise DimensionMismatch(f"member {i} has rank {rank} but "
+                                    "generators of another size")
         chi = tuple(int(x) for x in chi)
         if not any(chi):
             raise DimensionMismatch("character vector must be nonzero")

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bohrsound
@@ -310,7 +311,8 @@ class TestGeneratedGroup:
 
 
 class TestBatchedClosure:
-    """The batched numpy closure against the tuple BFS in oracles.py."""
+    """Dimino's enumeration and the orbit closure against the tuple BFS in
+    oracles.py."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_torus_shapes_conjugated(self, k):
@@ -422,6 +424,123 @@ class TestBatchedClosure:
                 char_orbit(v, [ALPHA], cap=cap)
         with pytest.raises(SizeLimit):
             coproduct_orbit_obstruction([(2, [ALPHA], (1, 0))], cap=cap)
+
+
+def unipotent(k):
+    """I + E_01: infinite order, and the identity mod 3 after 3 steps."""
+    return tuple(tuple(int(i == j) + int((i, j) == (0, 1)) for j in range(k))
+                 for i in range(k))
+
+
+def weyl_e6_gens():
+    """The simple reflections of W(E6) on its root lattice, from the Cartan
+    matrix (Bourbaki's labels: 1-3-4-5-6 with 2 joined to 4)."""
+    cartan = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (1, 3)):
+        cartan[i][j] = cartan[j][i] = -1
+    return [tuple(tuple(int(r == c) - int(r == i) * cartan[i][c]
+                        for c in range(6)) for r in range(6))
+            for i in range(6)]
+
+
+class TestDimino:
+    """The phases of Dimino's enumeration: cyclic, coset, and the restart
+    in Python ints."""
+
+    def test_huge_entry_of_infinite_order_is_decided_at_once(self):
+        # the cyclic phase reads the order mod 3 before any power is built
+        m = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -2 ** 70, -1), (0, 0, 1, 0))
+        start = time.perf_counter()
+        res = generated_group([m])
+        assert time.perf_counter() - start < 0.1
+        assert not res.finite and res.witness_count == minkowski_bound(4) + 1
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_unipotent_generator(self, k, monkeypatch):
+        products = []
+        mul = zmat._mul
+
+        def counting_mul(a, b):
+            products.append(a)
+            return mul(a, b)
+
+        monkeypatch.setattr(zmat, "_mul", counting_mul)
+        res = generated_group([unipotent(k)])
+        assert not res.finite and res.witness_count == minkowski_bound(k) + 1
+        assert products == []
+        # a finite first generator, then the unipotent one in a coset phase
+        res = generated_group([padded_block(k, ALPHA), unipotent(k)], 200)
+        assert not res.finite and res.witness_count == 201
+        assert group_key(res) == group_key(generated_group_bfs(
+            [padded_block(k, ALPHA), unipotent(k)], 200))
+
+    def test_cyclic_phase_doubles(self, monkeypatch):
+        calls = []
+        mul = zmat._mul
+        monkeypatch.setattr(zmat, "_mul",
+                            lambda a, b: calls.append(len(b)) or mul(a, b))
+        blocks = [((0, -1), (1, 1)), ((0, -1), (1, 0)), ((0, 1), (-1, -1))]
+        m = [[0] * 6 for _ in range(6)]
+        for at, block in zip((0, 2, 4), blocks):  # orders 6, 4 and 3
+            for i in range(2):
+                m[at + i][at:at + 2] = block[i]
+        res = generated_group([m])
+        assert res.finite and res.order == 12
+        assert len(calls) == 2 * 3  # 2 -> 4 -> 8 -> 16 powers, 2 products each
+        assert group_key(res) == group_key(generated_group_bfs([m]))
+
+    def test_coset_phase_crosses_the_int64_guard(self, monkeypatch):
+        # the entries (up to 2^40) and the coset products h c fit in int64,
+        # but c s could reach 2^81: the enumeration starts again in Python
+        # ints after its cyclic phase
+        t = ((1, 2 ** 20), (0, 1))
+        swap = mat_mul(mat_mul(t, SWAP), mat_inv_unimodular(t))
+        orders = []
+        order = zmat._order
+        monkeypatch.setattr(zmat, "_order",
+                            lambda m, bound: orders.append(m) or order(m, bound))
+        res = generated_group([NEG, swap])
+        assert res.finite and res.order == 4
+        assert res.matrices.dtype == object
+        assert orders == [NEG, NEG]  # once per attempt
+        assert group_key(res) == group_key(generated_group_bfs([NEG, swap]))
+        big = 2 ** 30
+        gens = [NEG, ((1, big), (0, 1)), ((1, 0), (big, 1))]
+        for bound in (24, 200):
+            res = generated_group(gens, bound)
+            assert not res.finite and res.witness_count == bound + 1
+            assert group_key(res) == group_key(generated_group_bfs(gens, bound))
+
+    def test_coset_batches_are_capped(self, monkeypatch):
+        monkeypatch.setattr(zmat, "_BATCH_PRODUCTS", 64)
+        sizes = []
+        mul = zmat._mul
+
+        def recording_mul(a, b):
+            out = mul(a, b)
+            if a.ndim == 2:  # H stacked, times a batch of c: (c, |H| k, k)
+                sizes.append((len(out) * len(a) // a.shape[1],
+                              len(a) // a.shape[1]))
+            return out
+
+        monkeypatch.setattr(zmat, "_mul", recording_mul)
+        gens = hyperoctahedral_gens(4)
+        assert group_key(generated_group(gens)) == \
+            group_key(generated_group_bfs(gens))
+        assert sizes and all(n <= max(64, h) for n, h in sizes)
+
+    @pytest.mark.parametrize("gens, order", [
+        (hyperoctahedral_gens(6), 46080),
+        (weyl_e6_gens(), 51840),
+    ], ids=["B6", "WE6"])
+    def test_rank_6_ladder(self, gens, order):
+        res = generated_group(gens)
+        assert res.finite and res.order == order
+        keys = set(zmat.row_keys(res.matrices))
+        assert len(keys) == order
+        for g in gens:
+            moved = np.matmul(res.matrices, np.array(g, dtype=np.int64))
+            assert set(zmat.row_keys(moved)) == keys
 
 
 class TestSortedElements:
@@ -557,6 +676,36 @@ class TestCharOrbit:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             char_orbit((1, 0, 0), [ALPHA])
+
+    def test_seeded_sweep_against_bfs(self):
+        rng = random.Random(2718)
+        for _ in range(30):
+            k = rng.randint(2, 5)
+            u, u_inv = signed_permutation(rng, k)
+            pool = hyperoctahedral_gens(k) + [padded_block(k, BETA),
+                                               random_unimodular(rng, k, 3)]
+            gens = [mat_mul(mat_mul(u, g), u_inv)
+                    for g in rng.sample(pool, rng.randint(1, 3))]
+            v = tuple(rng.randint(-2, 2) for _ in range(k))
+            cap = rng.choice((50, 400, 4000))
+            assert orbit_key(char_orbit(v, gens, cap=cap)) == \
+                orbit_key(char_orbit_bfs(v, gens, cap))
+
+    def test_keys_of_three_levels_at_most(self, monkeypatch):
+        # steps closed under inverses keep a product within one level of
+        # its factor, so the closure holds the keys of three levels only:
+        # the 40-cycle's levels hold two vectors each
+        held = []
+        new_rows = zmat._new_rows
+        monkeypatch.setattr(zmat, "_new_rows", lambda keys, known, *rest:
+                            held.append(len(known)) or
+                            new_rows(keys, known, *rest))
+        cycle = permutation_matrix([(i + 1) % 40 for i in range(40)])
+        res = char_orbit((1,) + (0,) * 39, [cycle])
+        assert res.finite and res.size == 40
+        assert sorted(map(tuple, res.elements.tolist())) == \
+            sorted(cycle[i] for i in range(40))
+        assert max(held) <= 6
 
 
 class TestFixedStructure:
@@ -702,3 +851,9 @@ class TestOrbitObstruction:
     def test_zero_vector_rejected(self):
         with pytest.raises(DimensionMismatch):
             coproduct_orbit_obstruction([(2, [SWAP], (0, 0))])
+
+    def test_rank_must_match_the_generators(self):
+        members = self.members([2, 3]) + [(4, self.members([5])[0][1],
+                                            (1, 0, 0, 0, 0))]
+        with pytest.raises(DimensionMismatch, match="member 2 has rank 4"):
+            coproduct_orbit_obstruction(members)
