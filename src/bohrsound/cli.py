@@ -51,12 +51,12 @@ from .amalgam import (
 from .characters import character_table, equalizer_witness, fin_check
 from .descriptors import (
     amalgam_from_descriptor,
-    check_schema,
     hom_from_descriptor,
     int_rows,
+    int_vector,
     lie_datum_from_descriptor,
+    parse,
     parse_word,
-    require_field,
     table_group_from_descriptor,
     target_from_descriptor,
 )
@@ -88,14 +88,6 @@ def load_json(value: str, where: str = "input") -> dict | list:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # nesting past the stack
         raise SchemaError(f"{where}: invalid JSON ({exc})") from None
-
-
-def load_object(value: str, where: str) -> dict:
-    """load_json for an argument that must hold a JSON object."""
-    data = load_json(value, where)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    return data
 
 
 def pinned_json(value, pad: str = "\n") -> str:
@@ -156,7 +148,7 @@ def _table_provider(args):
 
 
 def run_soundness(args) -> int:
-    verdict = soundness_verdict(load_object(args.request, "request"),
+    verdict = soundness_verdict(load_json(args.request, "request"),
                                 table=_table_provider(args))
     lines = []
     if args.format == "text":  # the certificate is large; render it once
@@ -169,16 +161,9 @@ def run_soundness(args) -> int:
 
 
 def run_equalizer(args) -> int:
-    spec = load_object(args.spec, "spec")
-    check_schema(spec, "spec")
-    if require_field(spec, "kind", str, "spec") != "subgroup-embedding":
-        raise SchemaError("spec: expected kind 'subgroup-embedding'")
-    subgroup = table_group_from_descriptor(
-        require_field(spec, "subgroup", dict, "spec"), "spec.subgroup")
-    emb = hom_from_descriptor(subgroup, {
-        "group": require_field(spec, "ambient", dict, "spec"),
-        "mapping": require_field(spec, "mapping", list, "spec"),
-    }, "spec")
+    spec = parse(load_json(args.spec, "spec"), "subgroup-embedding", "spec")
+    emb = hom_from_descriptor(table_group_from_descriptor(spec["subgroup"]), {
+        "group": spec["ambient"], "mapping": spec["mapping"]}, "spec")
     witness = equalizer_witness(emb, table=_table_provider(args))
     rows = [list(row) for row in witness.values]
     payload = {
@@ -200,9 +185,7 @@ def run_equalizer(args) -> int:
 
 
 def run_clifford(args) -> int:
-    spec = load_object(args.spec, "spec")
-    check_schema(spec, "spec")
-    kernel, embs = build_normal_family(spec, "spec")
+    kernel, embs = build_normal_family(load_json(args.spec, "spec"), "spec")
     payload = fin_check(embs, source=kernel, table=_table_provider(args))
     lines = [f"kernel order: {payload['kernel_order']}",
              f"members: {payload['member_orders']}"]
@@ -215,7 +198,7 @@ def run_clifford(args) -> int:
 
 
 def run_chartable(args) -> int:
-    group = table_group_from_descriptor(load_object(args.group, "group"))
+    group = table_group_from_descriptor(load_json(args.group, "group"))
     table = _table_provider(args)(group, prime=args.prime)
     lines = [f"group: {group.name} (order {group.order})",
              f"prime: {table.prime}",
@@ -240,10 +223,8 @@ def run_zmat_finiteness(args) -> int:
 
 def run_zmat_orbit(args) -> int:
     gens = _gens(args.gens)
-    vector = load_json(args.vector, "vector")
-    if not isinstance(vector, list) or not all(type(x) is int for x in vector):
-        raise SchemaError("vector: expected an array of integers")
-    orbit = char_orbit(tuple(vector), gens, cap=args.cap)
+    vector = int_vector(load_json(args.vector, "vector"), "vector")
+    orbit = char_orbit(vector, gens, cap=args.cap)
     if orbit.finite:
         emit({"finite": True, "size": orbit.size}, args.format,
              [f"finite orbit of size {orbit.size}"])

@@ -1,15 +1,17 @@
 """JSON descriptors for groups, embeddings, amalgams, targets, and requests.
 
-Every file the CLI consumes is a JSON object with a top-level "schema"
-version and a "kind" tag.  Parsing here only checks shape and resolves
-labels; mathematical validation stays in the constructors it calls.
+SCHEMAS lists every field of every document kind, and `parse` walks a
+document through it once: an unknown kind, an unknown or missing field and a
+value of the wrong type are a SchemaError naming the field's path.  The
+builders read the walker's Parsed copy by subscript; mathematical validation
+stays in the constructors they call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import factorial
+from typing import NamedTuple
 
 from . import config
 from .characters import check_table_order
@@ -31,33 +33,6 @@ from .groups import (
 )
 from .lie import LieDatum, simple_type
 
-SCHEMA_VERSION = 1
-
-GROUP_KINDS = ("table", "cyclic", "symmetric", "heisenberg", "semidirect")
-
-
-def require_field(d, field, types, where):
-    """d[field], a SchemaError unless it is one of `types`.  No field takes a
-    bool, and a JSON true or false, a Python bool, is an int too: refused."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(d).__name__}")
-    if field not in d:
-        raise SchemaError(f"{where}: missing field {field!r}")
-    value = d[field]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"{where}: field {field!r} has the wrong type")
-    return value
-
-
-def optional_field(d, field, types, where, default=None):
-    return require_field(d, field, types, where) if field in d else default
-
-
-def check_schema(d: dict, where: str = "document") -> None:
-    version = require_field(d, "schema", int, where)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{where}: unsupported schema version {version}")
-
 
 def int_rows(value, where) -> list[list[int]]:
     if not isinstance(value, list) or not value:
@@ -72,74 +47,191 @@ def int_rows(value, where) -> list[list[int]]:
     return rows
 
 
-def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
-    """Build a finite group from {"kind": ..., ...parameters}.
-
-    Kinds: cyclic {n}, symmetric {n}, heisenberg {level},
-    table {table, labels?}, semidirect {normal, acting, action}.
-    All kinds accept an optional "name"; cyclic and table accept "labels".
-    """
-    kind = require_field(d, "kind", str, where)
-    name = optional_field(d, "name", str, where)
-    # elements resolve by label, so labels must be distinct strings
-    labels = optional_field(d, "labels", list, where) if kind in ("cyclic", "table") else None
-    if labels is not None and len({x for x in labels if type(x) is str}) < len(labels):
-        raise SchemaError(f"{where}.labels: expected distinct strings")
-    if kind == "cyclic":
-        n = require_field(d, "n", int, where)
-        return cyclic(n, labels=labels, name=name)
-    if kind == "symmetric":
-        return symmetric(require_field(d, "n", int, where))
-    if kind == "heisenberg":
-        return heisenberg(require_field(d, "level", int, where))
-    if kind == "table":
-        table = int_rows(require_field(d, "table", list, where), where)
-        return group_from_table(table, labels=labels, name=name)
-    if kind == "semidirect":
-        normal = group_from_descriptor(
-            require_field(d, "normal", dict, where), f"{where}.normal")
-        acting = group_from_descriptor(
-            require_field(d, "acting", dict, where), f"{where}.acting")
-        action = int_rows(require_field(d, "action", list, where), where)
-        grp, _, _ = semidirect(normal, acting, action, name=name)
-        return grp
-    raise SchemaError(f"{where}: unknown group kind {kind!r}; "
-                      f"expected one of {GROUP_KINDS}")
+def int_vector(value, where) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise SchemaError(f"{where}: expected an array of integers")
+    return tuple(value)
 
 
-def descriptor_order(d) -> int | None:
-    """The order of the group a descriptor names, read off its parameters
-    without building the group: n for cyclic, n! for symmetric, 8^level for
-    heisenberg, the row count for table, and the product of the parts'
-    orders for semidirect.  None where a parameter is malformed or out of
-    the builder's range, which the builder refuses anyway."""
+def torus_point(pairs, where: str) -> tuple[Fraction, ...]:
+    """The point of (Q/Z)^k a descriptor writes as [[num, den], ...]: one
+    Fraction per coordinate, reduced into [0, 1) and so in lowest terms,
+    which makes tuple equality and hashing those of the point."""
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(x) is int for x in pair) and pair[1] != 0
+            for pair in pairs):
+        raise SchemaError(f"{where}: torus coordinates must be "
+                          "[num, den] integer pairs with den != 0")
+    return tuple(Fraction(n, d) % 1 for n, d in pairs)
+
+
+def labels(value, where) -> list[str]:
+    """Element labels: elements resolve by label, so distinct strings."""
+    if not isinstance(value, list) or \
+            len({x for x in value if type(x) is str}) < len(value):
+        raise SchemaError(f"{where}: expected distinct strings")
+    return value
+
+
+class Opt(NamedTuple):
+    """An optional field: its type, and the value the walker fills in."""
+    type: object
+    default: object = None
+
+
+NO_DELTA = {"simple_part_generators": (), "phi_images": ()}
+
+# Each kind's fields, name -> type, where a type is int or str (a JSON
+# integer, never true or false, or a string); list (an array of element
+# tokens, which a builder resolves); [t] (an array of t); a value parser
+# above; a role of ROLES (a document whose "kind" is one of the role's
+# kinds); or the name of a kindless entry below; Opt(type, default) marks
+# an optional field.  Only the builders that take a name list "name".
+SCHEMAS = {
+    "cyclic": {"n": int, "labels": Opt(labels), "name": Opt(str)},
+    "symmetric": {"n": int},
+    "heisenberg": {"level": int},
+    "table": {"table": int_rows, "labels": Opt(labels), "name": Opt(str)},
+    "semidirect": {"normal": "group", "acting": "group", "action": int_rows, "name": Opt(str)},
+    "amalgam": {"amalgam": "group", "factors": ["amalgam-factor"]},
+    "amalgam-factor": {"group": "group", "injection": list},
+    "matrix-targets": {"dimension": int, "modulus": Opt(int), "factors": [[int_rows]]},
+    "finite-targets": {"group": "group", "factors": [list]},
+    "torus-semidirect-targets": {"rank": int, "factors": [["torus-target"]]},
+    "torus-target": {"torus": torus_point, "matrix": int_rows},
+    "lie-datum": {"z": int, "factors": [str], "delta": Opt("delta", NO_DELTA)},
+    "delta": {"simple_part_generators": [int_vector], "phi_images": [torus_point]},
+    "torus-family": {"rank": int, "factor_generators": [[int_rows]]},
+    "finite-normal-family": {"kernel": "group", "embeddings": ["embedding"]},
+    "normal-family-prefix": {"kernel": "group", "embeddings": ["embedding"]},
+    "split-family": {"kernel": "group", "members": ["split-member"]},
+    "mixed-family": {"members": ["family"]},
+    "embedding": {"group": "group", "mapping": list},
+    "split-member": {"normal": "group", "action": int_rows},
+    "subgroup-embedding": {"subgroup": "group", "ambient": "group", "mapping": list},
+}
+
+# the kinds a document of each role may have; every role but "group" names
+# a whole document, which carries "schema": 1 (a nested one may repeat it)
+ROLES = {
+    "group": ("table", "cyclic", "symmetric", "heisenberg", "semidirect"),
+    "amalgam": ("amalgam",),
+    "targets": ("matrix-targets", "finite-targets", "torus-semidirect-targets"),
+    "lie-datum": ("lie-datum",),
+    "family": ("torus-family", "finite-normal-family", "normal-family-prefix",
+               "split-family", "mixed-family"),
+    "normal-family": ("finite-normal-family", "normal-family-prefix"),
+    "subgroup-embedding": ("subgroup-embedding",),
+}
+
+
+class Parsed(dict):
+    """A document the walker has checked, every optional field filled in."""
+
+
+def parse(d, role: str, where: str) -> Parsed:
+    """`d` walked through SCHEMAS as a document of `role` (or an entry
+    name).  A Parsed document passes as it is, so a builder handed part of
+    one walks nothing twice."""
+    doc = _walk(d, role, where)
+    if doc is not d and role in ROLES and role != "group" and "schema" not in d:
+        raise SchemaError(f"{where}: missing field 'schema'")
+    return doc
+
+
+def _walk(value, type_, where: str):
+    if isinstance(type_, list):
+        if not isinstance(value, list):
+            raise SchemaError(f"{where}: expected an array")
+        return [_walk(v, type_[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(type_, str):
+        return _document(value, type_, where)
+    if type_ in (int, str, list):
+        # JSON true and false are Python bools, and so ints: refused
+        if not isinstance(value, type_) or isinstance(value, bool):
+            raise SchemaError(f"{where}: expected {type_.__name__}")
+        return value
+    return type_(value, where)
+
+
+def _document(d, name: str, where: str) -> Parsed:
+    if type(d) is Parsed:
+        return d
     if not isinstance(d, dict):
-        return None
-    kind, n, level = d.get("kind"), d.get("n"), d.get("level")
-    if kind == "cyclic" and type(n) is int and n >= 1:
-        return n
-    if kind == "symmetric" and type(n) is int and 1 <= n <= config.SYMMETRIC_MAX_N:
-        return factorial(n)
-    if (kind == "heisenberg" and type(level) is int
-            and 1 <= level <= config.HEISENBERG_MAX_LEVEL):
-        return 8 ** level
-    if kind == "table" and isinstance(d.get("table"), list):
+        raise SchemaError(f"{where}: expected an object, got {type(d).__name__}")
+    doc, tags = Parsed(), ()
+    if name in ROLES:  # the kind picks the fields
+        if "kind" not in d:
+            raise SchemaError(f"{where}: missing field 'kind'")
+        if d["kind"] not in ROLES[name]:
+            raise SchemaError(f"{where}: unknown {name} kind {d['kind']!r}; "
+                              f"expected one of {ROLES[name]}")
+        if "schema" in d and _walk(d["schema"], int, f"{where}.schema") != 1:
+            raise SchemaError(f"{where}: unsupported schema version {d['schema']}")
+        doc["kind"] = name = d["kind"]
+        tags = ("kind", "schema")
+    fields = SCHEMAS[name]
+    for key in d:
+        if key not in fields and key not in tags:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+    for field, type_ in fields.items():
+        if field in d:
+            doc[field] = _walk(d[field], type_.type if isinstance(type_, Opt)
+                               else type_, f"{where}.{field}")
+        elif isinstance(type_, Opt):
+            doc[field] = type_.default
+        else:
+            raise SchemaError(f"{where}: missing field {field!r}")
+    return doc
+
+
+def group_from_descriptor(d: dict, where: str = "group") -> FiniteGroup:
+    """Build a finite group from {"kind": ..., ...parameters}; SCHEMAS lists
+    the fields of each kind."""
+    d = parse(d, "group", where)
+    kind = d["kind"]
+    if kind == "cyclic":
+        return cyclic(d["n"], labels=d["labels"], name=d["name"])
+    if kind == "symmetric":
+        return symmetric(d["n"])
+    if kind == "heisenberg":
+        return heisenberg(d["level"])
+    if kind == "table":
+        return group_from_table(d["table"], labels=d["labels"], name=d["name"])
+    return semidirect(group_from_descriptor(d["normal"]),
+                      group_from_descriptor(d["acting"]), d["action"],
+                      name=d["name"])[0]
+
+
+def descriptor_order(d: Parsed) -> int | None:
+    """The order of the group a Parsed descriptor names, read off its
+    parameters without building the group: n for cyclic, n! for symmetric,
+    8^level for heisenberg, the row count for table, and the product of the
+    parts' orders for semidirect.  None where a parameter is out of the
+    builder's range, which the builder refuses anyway."""
+    kind = d["kind"]
+    if kind == "cyclic":
+        return d["n"] if d["n"] >= 1 else None
+    if kind == "symmetric":
+        return factorial(d["n"]) if 1 <= d["n"] <= config.SYMMETRIC_MAX_N else None
+    if kind == "heisenberg":
+        return 8 ** d["level"] if 1 <= d["level"] <= config.HEISENBERG_MAX_LEVEL else None
+    if kind == "table":
         return len(d["table"])
-    if kind == "semidirect":
-        parts = [descriptor_order(d.get(key)) for key in ("normal", "acting")]
-        if None not in parts:
-            return parts[0] * parts[1]
-    return None
+    parts = [descriptor_order(d[key]) for key in ("normal", "acting")]
+    return None if None in parts else parts[0] * parts[1]
 
 
 def table_group_from_descriptor(d, where: str = "group") -> FiniteGroup:
     """group_from_descriptor for a group whose character table is wanted:
     SizeLimit past CHARTABLE_MAX_ORDER, by the order the descriptor gives
     where it gives one, before the group is built."""
+    d = parse(d, "group", where)
     order = descriptor_order(d)
     if order is not None:
         check_table_order(order)
-    return group_from_descriptor(d, where)
+    return group_from_descriptor(d)
 
 
 def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:
@@ -153,37 +245,31 @@ def resolve_element(group: FiniteGroup, token, where: str = "element") -> int:
             f"{where}: {token!r} is not an element of {group.name}") from None
 
 
+def _resolve_all(group: FiniteGroup, tokens, where: str) -> list[int]:
+    return [resolve_element(group, tok, f"{where}[{i}]")
+            for i, tok in enumerate(tokens)]
+
+
 def hom_from_descriptor(source: FiniteGroup, d: dict,
                         where: str = "embedding") -> GroupHom:
     """{"group": <descriptor>, "mapping": [element tokens]} -> GroupHom.  Every
     caller computes the target's table, so it is built by
     table_group_from_descriptor."""
-    target = table_group_from_descriptor(require_field(d, "group", dict, where),
-                                         f"{where}.group")
-    mapping = require_field(d, "mapping", list, where)
-    resolved = [resolve_element(target, tok, f"{where}.mapping[{i}]")
-                for i, tok in enumerate(mapping)]
-    return GroupHom(source, target, resolved)
+    d = parse(d, "embedding", where)
+    target = table_group_from_descriptor(d["group"])
+    return GroupHom(source, target,
+                    _resolve_all(target, d["mapping"], f"{where}.mapping"))
 
 
 def amalgam_from_descriptor(d: dict, where: str = "amalgam") -> AmalgamSpec:
     """{"kind": "amalgam", "amalgam": <group>, "factors": [{group, injection}]}"""
-    check_schema(d, where)
-    if require_field(d, "kind", str, where) != "amalgam":
-        raise SchemaError(f"{where}: expected kind 'amalgam'")
-    h = group_from_descriptor(require_field(d, "amalgam", dict, where),
-                              f"{where}.amalgam")
-    factors = []
-    injections = []
-    for i, entry in enumerate(require_field(d, "factors", list, where)):
-        sub = f"{where}.factors[{i}]"
-        grp = group_from_descriptor(require_field(entry, "group", dict, sub), sub)
-        inj = require_field(entry, "injection", list, sub)
-        resolved = [resolve_element(grp, tok, f"{sub}.injection[{j}]")
-                    for j, tok in enumerate(inj)]
-        factors.append(grp)
-        injections.append(GroupHom(h, grp, resolved))
-    return AmalgamSpec(h, factors, injections)
+    d = parse(d, "amalgam", where)
+    h = group_from_descriptor(d["amalgam"])
+    factors = [group_from_descriptor(entry["group"]) for entry in d["factors"]]
+    return AmalgamSpec(h, factors, [
+        GroupHom(h, grp, _resolve_all(grp, entry["injection"],
+                                      f"{where}.factors[{i}].injection"))
+        for i, (grp, entry) in enumerate(zip(factors, d["factors"]))])
 
 
 def parse_word(spec: AmalgamSpec, text: str,
@@ -206,67 +292,29 @@ def parse_word(spec: AmalgamSpec, text: str,
     return tuple(letters)
 
 
-def torus_point(pairs, where: str) -> tuple[Fraction, ...]:
-    """The point of (Q/Z)^k a descriptor writes as [[num, den], ...]: one
-    Fraction per coordinate, reduced into [0, 1) and so in lowest terms,
-    which makes tuple equality and hashing those of the point."""
-    if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(type(x) is int for x in pair) and pair[1] != 0
-            for pair in pairs):
-        raise SchemaError(f"{where}: torus coordinates must be "
-                          "[num, den] integer pairs with den != 0")
-    return tuple(Fraction(n, d) % 1 for n, d in pairs)
-
-
 def target_from_descriptor(spec: AmalgamSpec, d: dict,
                            where: str = "targets"):
     """Evaluation targets: matrix, finite-group, or torus-semidirect maps."""
-    check_schema(d, where)
-    kind = require_field(d, "kind", str, where)
-    if kind == "matrix-targets":
-        dim = require_field(d, "dimension", int, where)
-        modulus = optional_field(d, "modulus", int, where)
-        if modulus is not None and modulus < 1:
-            raise SchemaError(f"{where}: modulus must be positive")
-        make, entry = partial(MatrixTarget, dim, modulus=modulus), int_rows
-    elif kind == "finite-targets":
-        grp = group_from_descriptor(require_field(d, "group", dict, where),
-                                    f"{where}.group")
-        make, entry = partial(FiniteTarget, grp), partial(resolve_element, grp)
-    elif kind == "torus-semidirect-targets":
-        make = partial(TorusSemidirectTarget,
-                       require_field(d, "rank", int, where))
-
-        def entry(e, sub):
-            return (torus_point(require_field(e, "torus", list, sub), sub),
-                    int_rows(require_field(e, "matrix", list, sub), sub))
-    else:
-        raise SchemaError(f"{where}: unknown target kind {kind!r}")
-    maps = []
-    for i, factor_maps in enumerate(require_field(d, "factors", list, where)):
-        if not isinstance(factor_maps, list):
-            raise SchemaError(f"{where}.factors[{i}] must be an array")
-        maps.append([entry(e, f"{where}.factors[{i}][{j}]")
-                     for j, e in enumerate(factor_maps)])
-    return make(maps)
+    d = parse(d, "targets", where)
+    if d["kind"] == "matrix-targets":
+        if d["modulus"] is not None and d["modulus"] < 1:
+            raise SchemaError(f"{where}.modulus: must be positive")
+        return MatrixTarget(d["dimension"], d["factors"], modulus=d["modulus"])
+    if d["kind"] == "finite-targets":
+        grp = group_from_descriptor(d["group"])
+        return FiniteTarget(grp, [
+            _resolve_all(grp, tokens, f"{where}.factors[{i}]")
+            for i, tokens in enumerate(d["factors"])])
+    return TorusSemidirectTarget(d["rank"], [
+        [(e["torus"], e["matrix"]) for e in entries] for entries in d["factors"]])
 
 
 def lie_datum_from_descriptor(d: dict, where: str = "lie-datum") -> LieDatum:
     """{"z", "factors": ["A26", ...], "delta": {generators and images}}."""
-    check_schema(d, where)
-    z = require_field(d, "z", int, where)
-    factors = [simple_type(tok) for tok in require_field(d, "factors", list, where)]
-    delta = optional_field(d, "delta", dict, where)
-    generators = []
-    if delta is not None:
-        simple_gens = require_field(delta, "simple_part_generators", list, where)
-        images = require_field(delta, "phi_images", list, where)
-        if len(simple_gens) != len(images):
-            raise SchemaError(
-                f"{where}: generator and image counts differ")
-        for i, (s, t) in enumerate(zip(simple_gens, images)):
-            if not isinstance(s, list) or not all(type(x) is int for x in s):
-                raise SchemaError(f"{where}: generator {i} must be integers")
-            generators.append((tuple(s), torus_point(t, f"{where}: image {i}")))
-    return LieDatum(z, factors, generators)
+    d = parse(d, "lie-datum", where)
+    generators = d["delta"]["simple_part_generators"]
+    images = d["delta"]["phi_images"]
+    if len(generators) != len(images):
+        raise SchemaError(f"{where}.delta: generator and image counts differ")
+    return LieDatum(d["z"], [simple_type(tok) for tok in d["factors"]],
+                    list(zip(generators, images)))

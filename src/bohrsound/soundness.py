@@ -16,11 +16,9 @@ from . import config
 from .amalgam import split_decomposition_check
 from .characters import fin_check
 from .descriptors import (
-    check_schema,
     group_from_descriptor,
     hom_from_descriptor,
-    int_rows,
-    require_field,
+    parse,
     table_group_from_descriptor,
 )
 from .errors import InvariantViolation, SchemaError
@@ -76,17 +74,8 @@ def serialize_matrix_group(res: MatrixGroupResult) -> dict:
     return out
 
 
-def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
-    rank = require_field(d, "rank", int, where)
-    raw = require_field(d, "factor_generators", list, where)
-    factor_gens = []
-    for i, gens in enumerate(raw):
-        if not isinstance(gens, list):
-            raise SchemaError(f"{where}.factor_generators[{i}] must be an array")
-        factor_gens.append([
-            int_rows(g, f"{where}.factor_generators[{i}][{j}]")
-            for j, g in enumerate(gens)])
-    result = torus_soundness(rank, factor_gens)
+def _torus_verdict(d: dict) -> SoundnessVerdict:
+    result = torus_soundness(d["rank"], d["factor_generators"])
     certificate = {
         "rank": result.rank,
         "factor_orders": list(result.factor_orders),
@@ -100,24 +89,20 @@ def _torus_verdict(d: dict, where: str) -> SoundnessVerdict:
 def build_normal_family(d: dict, where: str):
     """The kernel group and the embeddings a normal-family descriptor names;
     every group is refused past CHARTABLE_MAX_ORDER before it is built."""
-    kernel = table_group_from_descriptor(require_field(d, "kernel", dict, where),
-                                         f"{where}.kernel")
-    entries = require_field(d, "embeddings", list, where)
+    d = parse(d, "normal-family", where)
+    kernel = table_group_from_descriptor(d["kernel"])
     return kernel, [hom_from_descriptor(kernel, e, f"{where}.embeddings[{i}]")
-                    for i, e in enumerate(entries)]
+                    for i, e in enumerate(d["embeddings"])]
 
 
-def _finite_normal_verdict(d: dict, where: str, table) -> SoundnessVerdict:
+def _normal_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     kernel, embs = build_normal_family(d, where)
-    return SoundnessVerdict(SOUND, "compact-automorphism-group",
-                            fin_check(embs, source=kernel, table=table))
-
-
-def _prefix_verdict(d: dict, where: str, table) -> SoundnessVerdict:
-    kernel, embs = build_normal_family(d, where)
-    if not embs:
+    prefix = d["kind"] == "normal-family-prefix"
+    if prefix and not embs:
         raise SchemaError(f"{where}: a prefix declaration needs members")
     certificate = fin_check(embs, source=kernel, table=table)
+    if not prefix:
+        return SoundnessVerdict(SOUND, "compact-automorphism-group", certificate)
     n = len(embs)
     sequences = {}
     growing = []
@@ -136,16 +121,10 @@ def _prefix_verdict(d: dict, where: str, table) -> SoundnessVerdict:
     return SoundnessVerdict(UNKNOWN, None, certificate)
 
 
-def _split_verdict(d: dict, where: str) -> SoundnessVerdict:
-    kernel = group_from_descriptor(require_field(d, "kernel", dict, where),
-                                   f"{where}.kernel")
-    members = []
-    for i, entry in enumerate(require_field(d, "members", list, where)):
-        sub = f"{where}.members[{i}]"
-        grp = group_from_descriptor(require_field(entry, "normal", dict, sub),
-                                    f"{sub}.normal")
-        action = int_rows(require_field(entry, "action", list, sub), sub)
-        members.append((grp, action))
+def _split_verdict(d: dict) -> SoundnessVerdict:
+    kernel = group_from_descriptor(d["kernel"])
+    members = [(group_from_descriptor(m["normal"]), m["action"])
+               for m in d["members"]]
     split_decomposition_check(kernel, members)
     return SoundnessVerdict(SOUND, "split-family", {
         "kernel_order": kernel.order,
@@ -155,26 +134,21 @@ def _split_verdict(d: dict, where: str) -> SoundnessVerdict:
 
 
 def _family_verdict(d: dict, where: str, table) -> SoundnessVerdict:
-    kind = require_field(d, "kind", str, where)
-    if kind == "torus-family":
-        return _torus_verdict(d, where)
-    if kind == "finite-normal-family":
-        return _finite_normal_verdict(d, where, table)
-    if kind == "normal-family-prefix":
-        return _prefix_verdict(d, where, table)
-    if kind == "split-family":
-        return _split_verdict(d, where)
-    if kind == "mixed-family":
+    if d["kind"] == "torus-family":
+        return _torus_verdict(d)
+    if d["kind"] == "split-family":
+        return _split_verdict(d)
+    if d["kind"] == "mixed-family":
         return _mixed_verdict(d, where, table)
-    raise SchemaError(f"{where}: unknown family kind {kind!r}")
+    return _normal_verdict(d, where, table)
 
 
 def _mixed_verdict(d: dict, where: str, table) -> SoundnessVerdict:
-    raw = require_field(d, "members", list, where)
-    if not raw:
+    members = d["members"]
+    if not members:
         raise SchemaError(f"{where}: a mixed family needs members")
     inner = [_family_verdict(m, f"{where}.members[{i}]", table)
-             for i, m in enumerate(raw)]
+             for i, m in enumerate(members)]
     for i, v in enumerate(inner):
         # a subfamily of a sound family is sound, so one bad member settles it
         if v.verdict == UNSOUND:
@@ -182,19 +156,15 @@ def _mixed_verdict(d: dict, where: str, table) -> SoundnessVerdict:
                 "deciding_member": i,
                 "member_certificate": v.certificate,
             })
-    kinds = {m.get("kind") for m in raw}
-    if kinds == {"torus-family"}:
-        ranks = {m.get("rank") for m in raw}
-        if len(ranks) == 1:
-            merged = {
-                "kind": "torus-family",
-                "rank": raw[0]["rank"],
-                "factor_generators": [gens for m in raw
-                                      for gens in m["factor_generators"]],
-            }
-            joint = _torus_verdict(merged, where)
-            joint.certificate["joint_decision_over_members"] = len(raw)
-            return joint
+    if {m["kind"] for m in members} == {"torus-family"} \
+            and len({m["rank"] for m in members}) == 1:
+        joint = _torus_verdict({
+            "rank": members[0]["rank"],
+            "factor_generators": [gens for m in members
+                                  for gens in m["factor_generators"]],
+        })
+        joint.certificate["joint_decision_over_members"] = len(members)
+        return joint
     return SoundnessVerdict(UNKNOWN, None, {
         "members": [{"verdict": v.verdict, "criterion": v.criterion}
                     for v in inner],
@@ -210,5 +180,4 @@ def soundness_verdict(request: dict, table=None) -> SoundnessVerdict:
     families; None means characters.character_table, looked up when
     fin_check runs.  The CLI passes cache.cached_character_table.
     """
-    check_schema(request, "request")
-    return _family_verdict(request, "request", table)
+    return _family_verdict(parse(request, "family", "request"), "request", table)

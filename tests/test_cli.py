@@ -2,6 +2,7 @@
 out-of-range counts, and a fuzz of the error contract built from the
 command table."""
 
+import functools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bohrsound
-from bohrsound import cli, config, errors
+from bohrsound import cli, config, descriptors, errors
 
 from oracles import distinct_b_descriptor
 
@@ -70,13 +71,12 @@ def split_request(**fields) -> str:
 
 @pytest.mark.parametrize("fields", [{"samples": 0}, {"samples": 1, "seed": 3},
                                     {"seed": -1}])
-def test_split_request_ignores_sampling_fields(fields, capsys):
-    # like every unknown descriptor field, the old check's sample count and
-    # seed are ignored: the certificate is the same without them
-    argv = ("soundness", "--format", "json", "--request")
-    want = run(capsys, *argv, "split-inversion.json")
-    assert want[0] == 0
-    assert run(capsys, *argv, split_request(**fields)) == want
+def test_split_request_refuses_sampling_fields(fields, capsys):
+    # the old check's sample count and seed are read by nothing now, so
+    # like every unknown descriptor field they are refused
+    result = run(capsys, "soundness", "--request", split_request(**fields))
+    assert_one_error(result, "SchemaError")
+    assert f"request: unknown field {next(iter(fields))!r}" in result[2]
 
 
 def test_bad_action_in_mixed_family_is_one_error(capsys):
@@ -193,14 +193,23 @@ INTS = ["-18446744073709551616", "-7", "-1", "0", "1", "2", "3", "5", "7",
         "97", "x"]
 
 
+# every field name in the schema table
+FIELDS = sorted({field for fields in descriptors.SCHEMAS.values()
+                 for field in fields})
+
+
 def mutate(rng: random.Random, value):
-    """A copy of a JSON value with one node replaced, or one entry dropped."""
+    """A copy of a JSON value with one node replaced, one entry dropped, or a
+    field of the schema table added to one object."""
     if isinstance(value, (dict, list)) and value and rng.random() < 0.8:
         keys = list(value) if isinstance(value, dict) else range(len(value))
         key = rng.choice(keys)
         copy = dict(value) if isinstance(value, dict) else list(value)
-        if rng.random() < 0.15:
+        roll = rng.random()
+        if roll < 0.15:
             del copy[key]
+        elif roll < 0.25 and isinstance(copy, dict):
+            copy[rng.choice(FIELDS)] = rng.choice(REPLACEMENTS)
         else:
             copy[key] = mutate(rng, copy[key])
         return copy
@@ -249,6 +258,60 @@ def fuzz_cases(seed: int) -> list[list[str]]:
                 argv.append("--bogus")
             cases.append(argv + ["--format", rng.choice(["text", "json"])])
     return cases
+
+
+# a call that reads one document of each role, the document last
+ROLE_CALLS = {
+    "group": ["chartable", "--group"],
+    "amalgam": ["amalgam", "nf", "--word", "", "--spec"],
+    "targets": ["amalgam", "eval", "--spec", "sl2z.json", "--word", "",
+                "--targets"],
+    "lie-datum": ["liecheck", "--datum"],
+    "family": ["soundness", "--request"],
+    "normal-family": ["clifford", "--spec"],
+    "subgroup-embedding": ["equalizer", "--spec"],
+}
+
+
+def documents(value, type_, path=()):
+    """(path, kind) of every object in `value`, a valid JSON value of the
+    schema table's type `type_`; a kindless entry's kind is its table name."""
+    if isinstance(type_, descriptors.Opt):
+        type_ = type_.type
+    if isinstance(type_, list):
+        for i, item in enumerate(value):
+            yield from documents(item, type_[0], path + (i,))
+    elif isinstance(type_, str):
+        kind = value["kind"] if type_ in descriptors.ROLES else type_
+        yield path, kind
+        for field, field_type in descriptors.SCHEMAS[kind].items():
+            if field in value:
+                yield from documents(value[field], field_type, path + (field,))
+
+
+def unknown_field_cases(seed: int) -> list[list[str]]:
+    """One call per kind of the schema table: a valid document that holds
+    the kind, with one field of the table that the kind lacks added to it."""
+    rng = random.Random(seed)
+    valid = [fixture(v) if isinstance(v, str) else v for vs in VALID.values()
+             for v in vs if isinstance(v, dict) or str(v).endswith(".json")]
+    cases = {}
+    for role, call in ROLE_CALLS.items():
+        for value in valid:
+            try:
+                descriptors.parse(value, role, role)
+            except errors.SchemaError:
+                continue
+            for path, kind in documents(value, role):
+                if kind in cases:
+                    continue
+                doc = json.loads(json.dumps(value))
+                node = functools.reduce(lambda d, key: d[key], path, doc)
+                foreign = [f for f in FIELDS if f not in descriptors.SCHEMAS[kind]]
+                node[rng.choice(foreign)] = 1
+                cases[kind] = call + [json.dumps(doc)]
+    assert sorted(cases) == sorted(descriptors.SCHEMAS)
+    return list(cases.values())
 
 
 CHILD = r"""
@@ -306,10 +369,16 @@ def run_in_child(cases: list[list[str]], cwd: Path) -> list:
 
 
 def test_fuzzed_arguments_keep_the_error_contract(tmp_path):
+    unknown = unknown_field_cases(FUZZ_SEED)
+    results = run_in_child(fuzz_cases(FUZZ_SEED) + unknown, tmp_path)
     breaches = [(argv, breach, code if breach else None, err)
-                for argv, code, exited, out, err
-                in run_in_child(fuzz_cases(FUZZ_SEED), tmp_path)
+                for argv, code, exited, out, err in results
                 if (breach := contract_breach(code, exited, out, err))]
+    # an unknown field is refused as such, whatever the kind that holds it
+    breaches += [(argv, "no SchemaError", code, err)
+                 for argv, code, _, _, err in results[-len(unknown):]
+                 if not (err.startswith("error: SchemaError: ")
+                         and "unknown field" in err)]
     assert breaches == []
 
 
@@ -419,6 +488,50 @@ REFUSED = [
     (["amalgam", "dist", "--spec", free_cyclic_spec(4096, 3),
       "--word", " ".join(f"{k % 3}:1" for k in range(36))], "SizeLimit"),
 ]
+
+
+def edited(name: str, edit) -> str:
+    """A bundled fixture as JSON text, after `edit` changed it in place."""
+    d = fixture(name)
+    edit(d)
+    return json.dumps(d)
+
+
+# a field or kind no builder reads, once ignored: each changed the answer or
+# was answered as if absent, with exit 0
+UNREAD = [
+    pytest.param(["liecheck", "--datum", edited(
+        "glued-su-3-2.json", lambda d: d.update(detla=d.pop("delta")))],
+        "lie-datum: unknown field 'detla'", id="detla"),
+    pytest.param(["amalgam", "eval", "--spec", "sl2z.json",
+                  "--word", " ".join(["0:a 1:b"] * 6),
+                  "--targets", sl2z_targets(modulo=5)],
+                 "targets: unknown field 'modulo'", id="modulo"),
+    pytest.param(["chartable", "--group",
+                  '{"kind":"cyclic","n":3,"lables":["a","b","c"],"bogus":1}'],
+                 "group: unknown field 'lables'", id="lables"),
+    pytest.param(["chartable", "--group",
+                  '{"kind":"heisenberg","level":1,"labels":[1,2]}'],
+                 "group: unknown field 'labels'", id="heisenberg-labels"),
+    pytest.param(["liecheck", "--datum", lie_datum(kind="not-a-lie")],
+                 "lie-datum: unknown lie-datum kind 'not-a-lie'", id="not-a-lie"),
+    pytest.param(["liecheck", "--datum", edited(
+        "glued-su-3-2.json", lambda d: d["delta"].update(bogus=1))],
+        "lie-datum.delta: unknown field 'bogus'", id="delta-extra"),
+    pytest.param(["clifford", "--spec", edited(
+        "heisenberg-prefix.json", lambda d: d.update(kind="split-family"))],
+        "spec: unknown normal-family kind 'split-family'", id="clifford-split"),
+    pytest.param(["amalgam", "nf", "--word", "0:a", "--spec", edited(
+        "sl2z.json", lambda d: d["factors"][0].update(bogus=1))],
+        "amalgam.factors[0]: unknown field 'bogus'", id="factor-extra"),
+]
+
+
+@pytest.mark.parametrize("argv, named", UNREAD)
+def test_unread_fields_and_kinds_are_refused(argv, named, capsys):
+    result = run(capsys, *argv)
+    assert_one_error(result, "SchemaError")
+    assert result[2].startswith(f"error: SchemaError: {named}")
 
 
 def test_once_fatal_inputs_are_refused(tmp_path):

@@ -48,6 +48,9 @@ def cli(capsys, monkeypatch, tmp_path):
     return run
 
 
+UNPARSED = [{"kind": "semidirect", "normal": {"kind": "cyclic", "n": 5}}, []]
+
+
 class TestGroupDescriptors:
     def test_cyclic(self):
         g = group_from_descriptor({"kind": "cyclic", "n": 6})
@@ -76,11 +79,17 @@ class TestGroupDescriptors:
         ({"kind": "symmetric", "n": 10**9}, None),
         ({"kind": "heisenberg", "level": 9}, None),
         ({"kind": "cyclic", "n": 0}, None),
-        ({"kind": "semidirect", "normal": {"kind": "cyclic", "n": 5}}, None),
-        ([], None),
+        *[(d, None) for d in UNPARSED],
     ])
     def test_descriptor_order(self, d, order):
-        assert descriptors.descriptor_order(d) == order
+        # descriptor_order reads the walker's output: a malformed descriptor
+        # is refused before any order is read
+        if d in UNPARSED:
+            with pytest.raises(SchemaError):
+                descriptors.parse(d, "group", "group")
+            return
+        assert descriptors.descriptor_order(
+            descriptors.parse(d, "group", "group")) == order
         if order is not None:
             assert group_from_descriptor(d).order == order
 
@@ -449,7 +458,7 @@ class TestLabelsAreDistinctStrings:
 
     @pytest.mark.parametrize("argv, path", [
         (("amalgam", "nf", "--spec", _repeated_label_spec(), "--word", "0:1 1:g 0:1"),
-         "amalgam.factors[0].labels"),
+         "amalgam.factors[0].group.labels"),
         (("chartable", "--group", '{"kind":"cyclic","n":3,"labels":[1,[2],"c"]}'),
          "group.labels"),
         (("chartable", "--group", '{"kind":"cyclic","n":2,"labels":["e",true]}'),

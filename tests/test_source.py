@@ -115,3 +115,11 @@ def test_no_family_wide_prime():
     assert "common_prime" not in bohrsound.__all__
     assert [path.name for path in SRC.glob("*.py")
             if "common_prime" in path.read_text(encoding="utf-8")] == []
+
+
+def test_descriptor_fields_are_read_by_one_walker():
+    # descriptors.SCHEMAS and its walker decide every descriptor field; the
+    # per-site field readers they replaced must not come back
+    readers = re.compile(r"\b(require_field|optional_field|check_schema)\b")
+    assert [path.name for path in SRC.glob("*.py")
+            if readers.search(path.read_text(encoding="utf-8"))] == []
