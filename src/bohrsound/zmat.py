@@ -2,7 +2,11 @@
 
 Matrices are tuples of tuples of Python ints at the interface.  A finite
 group's elements are stored once, as one (order, k, k) array sorted as
-`sorted()` sorts their nested lists (`np.lexsort` over flattened rows).
+`sorted()` sorts their nested lists, which is the order of their flattened
+rows.  Over int64, when the entries' span s satisfies s^(k^2) < 2^63, one
+argsort of each row's mixed-radix key, its digits the entries less the
+least one, gives that order; small groups, wider entries and Python ints
+take `np.lexsort` over the k^2 columns.
 Finiteness of generated subgroups of GL(k, Z) is decided by enumeration against
 Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
 seeing M(k) + 1 distinct elements certifies infinitude.
@@ -335,9 +339,28 @@ def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
         found = _dimino(gens, k, bound, object)
     if found is None:
         return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
-    flat = found.reshape(len(found), -1)
     return MatrixGroupResult(finite=True, rank=k, order=len(found),
-                             matrices=found[np.lexsort(flat.T[::-1])])
+                             matrices=_sorted_elements(found))
+
+
+# Below this many entries np.lexsort's k^2 passes cost less than forming
+# the keys (B_3, 432 entries: 8 against 12 us; B_4, 6,144: 56 against 27 us).
+_KEYED_SORT_MIN = 1 << 11
+
+
+def _sorted_elements(found: np.ndarray) -> np.ndarray:
+    """The (n, k, k) elements in the order `sorted()` gives their nested
+    lists, which is the lexicographic order of their flattened rows."""
+    flat = found.reshape(len(found), -1)
+    if found.dtype != object and flat.size >= _KEYED_SORT_MIN:
+        lo = int(flat.min())
+        span = int(flat.max()) - lo + 1
+        if span ** flat.shape[1] < 1 << 63:  # the keys below fit int64
+            weights = span ** np.arange(flat.shape[1] - 1, -1, -1,
+                                        dtype=np.int64)
+            # distinct elements have distinct keys, so any sort is stable
+            return found[np.argsort((flat - lo) @ weights)]
+    return found[np.lexsort(flat.T[::-1])]
 
 
 def element_order(m: IntMatrix, bound: int | None = None) -> int | None:

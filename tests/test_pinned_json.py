@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,12 +73,49 @@ def test_matches_the_stdlib_layout(value):
 @given(int_blocks())
 def test_int_blocks_match_the_stdlib_layout(block):
     value, defect = block
-    shape, _ = cli._int_block(value)
+    shape, rows = cli._int_block(value)
     assert bool(shape) == (defect is None)
+    if shape:  # the innermost rows themselves, in row-major order
+        level = [value]
+        for _ in shape[1:]:
+            level = [item for part in level for item in part]
+        assert list(map(id, rows)) == list(map(id, level))
+        assert set(map(len, rows)) == {shape[-1]}
     assert cli.pinned_json(value) == stdlib_json(value)
 
 
-def test_hyperoctahedral_certificate_is_byte_identical():
+@pytest.mark.parametrize("value", [
+    [[1, 0], [True, False]],
+    [[True, 0], [1, 0]],
+    [[1, 0], [1.0, 0]],
+    [[[1, 0], [0, 1]], [[True, 0], [0, 1]]],
+])
+def test_near_int_leaves_are_not_merged_with_int_rows(value):
+    # equal as tuples, (1, 0) == (True, False) == (1.0, 0), but not as text
+    assert not cli._int_block(value)[0]
+    assert cli.pinned_json(value) == stdlib_json(value)
+
+
+def test_repeated_rows_and_tuple_rows_equal_to_list_rows():
+    rows = [[1, -2, 3], (1, -2, 3), [0, 0, 0], (0, 0, 0), [1, -2, 3]]
+    value = {"block": rows * 3, "nested": [rows, tuple(rows)],
+             "depth_one": [(7, 7), [7, 7], 7]}
+    assert cli.pinned_json(value) == stdlib_json(value)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("indent", [0, 1, 3])
+def test_blocks_nested_at_several_indents(depth, indent):
+    block = [3, -1, 2 ** 70]
+    for n in range(2, depth + 1):  # n copies, the last a tuple
+        block = [block] * (n - 1) + [tuple(block)]
+    value = block
+    for level in range(indent):
+        value = {f"k{level}": value, "pad": [None, value]}
+    assert cli.pinned_json(value) == stdlib_json(value)
+
+
+def hyperoctahedral_payload() -> dict:
     # B_5 (order 3840): the largest certificate cli-mix traffic prints, 1.99 MB
     k = 5
 
@@ -93,7 +131,24 @@ def test_hyperoctahedral_certificate_is_byte_identical():
                    [sign]]}
     payload = soundness_verdict(request).to_json()
     assert payload["certificate"]["joint"]["order"] == 3840
+    return payload
+
+
+def test_hyperoctahedral_certificate_is_byte_identical():
+    payload = hyperoctahedral_payload()
     assert cli.pinned_json(payload) == stdlib_json(payload)
+
+
+def test_hyperoctahedral_certificate_peak_memory():
+    # one join of the pieces; the block's rows are keyed, not its leaves
+    payload = hyperoctahedral_payload()
+    tracemalloc.start()
+    try:
+        size = len(cli.pinned_json(payload))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size
 
 
 def str_keyed(value) -> bool:

@@ -575,6 +575,48 @@ class TestSortedElements:
             gens = [mat_mul(mat_mul(u, g), u_inv) for g in picked]
             self.assert_sorted_like_oracle(gens)
 
+    @staticmethod
+    def lexsort_calls(monkeypatch) -> list:
+        """Records each np.lexsort call: the route for small groups and
+        for wide entries."""
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: calls.append(keys) or lexsort(keys))
+        return calls
+
+    def test_small_entries_sort_by_mixed_radix_keys(self, monkeypatch):
+        # B_4 has entries -1..1: span 3, and 3^16 < 2^63
+        calls = self.lexsort_calls(monkeypatch)
+        self.assert_sorted_like_oracle(hyperoctahedral_gens(4))
+        assert not calls
+        assert generated_group(hyperoctahedral_gens(4)).matrices.size \
+            >= zmat._KEYED_SORT_MIN
+
+    def test_wide_int64_entries_fall_back_to_lexsort(self, monkeypatch):
+        # B_4 conjugated by I + 20 E_01: entries span far more than 2^(63/16)
+        u = tuple(tuple(int(i == j) + 20 * ((i, j) == (0, 1)) for j in range(4))
+                  for i in range(4))
+        u_inv = mat_inv_unimodular(u)
+        gens = [mat_mul(mat_mul(u, g), u_inv) for g in hyperoctahedral_gens(4)]
+        matrices = generated_group(gens).matrices
+        span = int(matrices.max()) - int(matrices.min()) + 1
+        assert matrices.dtype == np.int64 and span ** 16 >= 2 ** 63
+        assert matrices.size >= zmat._KEYED_SORT_MIN
+        calls = self.lexsort_calls(monkeypatch)
+        self.assert_sorted_like_oracle(gens)
+        assert calls
+
+    @pytest.mark.parametrize("span", [55108, 55109])  # span^4 just below/above 2^63
+    def test_keys_at_the_int64_edge(self, span):
+        rng = np.random.default_rng(span)
+        lo = -2 ** 62
+        found = rng.integers(0, span, size=(zmat._KEYED_SORT_MIN, 2, 2)) + lo
+        found[:2] = [[[lo, lo], [lo, lo]],
+                     [[lo + span - 1] * 2, [lo + span - 1] * 2]]
+        found = np.unique(found, axis=0)  # distinct, as a group's elements
+        found = found[rng.permutation(len(found))]
+        assert zmat._sorted_elements(found).tolist() == sorted(found.tolist())
+
     def test_object_dtype_group(self):
         t = ((1, 2 ** 64), (0, 1))
         t_inv = mat_inv_unimodular(t)
