@@ -122,7 +122,8 @@ def clear() -> int:
 
 def inspect() -> list[dict]:
     """One row per cache entry that reads as a table: digest, order, prime,
-    class count.  Unreadable files and other JSON are skipped."""
+    class count.  Unreadable files, other JSON and entries whose order or
+    prime is not an int (json reads NaN and 1e400 as floats) are skipped."""
     base = config.cache_dir()
     rows = []
     for name in _entry_names(base):
@@ -132,13 +133,14 @@ def inspect() -> list[dict]:
         except (OSError, ValueError):
             continue
         if not (isinstance(data, dict) and isinstance(data.get("group_digest"), str)
-                and isinstance(data.get("class_reps"), list)):
+                and isinstance(data.get("class_reps"), list)
+                and type(data.get("order")) is int and type(data.get("prime")) is int):
             continue  # load_table treats it as stale too
         rows.append({
             "file": name,
             "group_digest": data["group_digest"],
-            "order": data.get("order"),
-            "prime": data.get("prime"),
+            "order": data["order"],
+            "prime": data["prime"],
             "classes": len(data["class_reps"]),
         })
     return rows

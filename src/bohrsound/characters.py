@@ -432,7 +432,7 @@ class CharacterTable:
             "class_reps": list(self.group.class_reps),
             "class_sizes": [len(c) for c in self.group.conjugacy_classes],
             "degrees": list(self.degrees),
-            "values": [[int(v) for v in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
     def __repr__(self) -> str:

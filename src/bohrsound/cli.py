@@ -17,28 +17,16 @@ cache, cache.cached_character_table, and under `--no-cache` from
 characters.character_table, which reads and writes nothing; output is the
 same either way.  The parser is built on `main`'s first call and reused:
 argparse makes a fresh namespace on every parse.
-
-JSON output is pinned by the golden certificates to the bytes of
-`json.dumps(payload, indent=2, sort_keys=True)`.  With an indent the stdlib
-runs its pure-Python encoder, so `pinned_json` writes that layout itself,
-as one writer: it walks dicts (sorted `str` keys) and lists, appending
-pieces to one list that is joined once at the end, and hands every other
-scalar to the compact C encoder.  A rectangular block of plain ints (a
-group's elements) is written row by row: each distinct innermost row is
-rendered once, keyed by its tuple, and one `str.format` of a template for
-the block's shape and indent, with a field per row, places them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
 from importlib import resources
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import cache, config
@@ -94,73 +82,18 @@ def load_json(value: str, where: str = "input") -> dict | list:
 
 
 def pinned_json(value) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for `str`-keyed values."""
-    out: list[str] = []
-    _write(value, "\n", out)
-    return "".join(out)
-
-
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the pinned layout of `value` to `out`; `pad` is the newline
-    and indent of the line `value` starts on."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner, sep = pad + "  ", "{"
-        for key in sorted(value):
-            out += sep, inner, encode_basestring_ascii(key), ": "
-            _write(value[key], inner, out)
-            sep = ","
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        shape, rows = _int_block(value)
-        if shape:
-            out.append(_block_text(shape, rows, pad))
-            return
-        inner, sep = pad + "  ", "["
-        for item in value:
-            out += sep, inner
-            _write(item, inner, out)
-            sep = ","
-        out.append(pad + "]")
+    """`json.dumps(value, indent=2, sort_keys=True)`, the layout the golden
+    certificates pin, for values with `str` keys and no floats: orjson
+    writes 1e16 where the stdlib writes 1e+16, and null for NaN."""
+    import orjson  # here: its import takes ms that text output need not pay
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    except TypeError:  # ints past 64 bits, lone surrogates, depth > 255, non-str keys
+        pass
     else:
-        out.append(json.dumps(value))
-
-
-def _int_block(value) -> tuple[tuple[int, ...], list]:
-    """Shape and innermost rows of a rectangular nest of lists and tuples
-    whose leaves are all of type `int`; shape () for anything else."""
-    shape, rows, level = [], [], [value]
-    # stops at a ragged level, or at the empty level below empty lists
-    while (kinds := set(map(type, level))) <= {list, tuple} \
-            and len(lengths := set(map(len, level))) == 1:
-        shape.append(lengths.pop())
-        rows, level = level, list(itertools.chain.from_iterable(level))
-    return (tuple(shape) if kinds == {int} else ()), rows
-
-
-def _block_text(shape: tuple[int, ...], rows: list, pad: str) -> str:
-    """The pinned layout of an int block, each distinct row written once:
-    its leaves are all `int`, so equal tuples have equal text."""
-    row = _block_template(shape[-1:], pad + "  " * (len(shape) - 1))
-    if len(shape) == 1:
-        return row.format(*rows[0])
-    keys = list(map(tuple, rows))
-    texts = dict.fromkeys(keys)
-    for key in texts:
-        texts[key] = row.format(*key)
-    return _block_template(shape[:-1], pad).format(*map(texts.__getitem__, keys))
-
-
-def _block_template(shape: tuple[int, ...], pad: str) -> str:
-    """The pinned layout of a block of this shape, one "{}" per entry."""
-    inner = pad + "  "
-    item = _block_template(shape[1:], inner) if len(shape) > 1 else "{}"
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+        if text.isascii() and b"\x7f" not in text:  # the stdlib escapes both
+            return text.decode()
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 def emit(payload: dict, fmt: str, lines) -> None:

@@ -455,19 +455,17 @@ def validate_action(normal: FiniteGroup, acting: FiniteGroup, action) -> np.ndar
 
 
 def semidirect(normal: FiniteGroup, acting: FiniteGroup, action,
-               name: str | None = None,
-               _validated: bool = False) -> tuple[FiniteGroup, GroupHom, GroupHom]:
+               name: str | None = None) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     """Semidirect product N x| A; returns the group and both embeddings.
 
-    Element (n, a) has index n*|A| + a, so (0, 0) is the identity.  With
-    _validated the action must be the array validate_action returned.
+    Element (n, a) has index n*|A| + a, so (0, 0) is the identity.
     """
     na, nn = acting.order, normal.order
     total = nn * na
     if total > config.GROUP_MAX_ORDER:
         raise SizeLimit(f"semidirect product of order {total} exceeds "
                         f"{config.GROUP_MAX_ORDER}")
-    act = action if _validated else validate_action(normal, acting, action)
+    act = validate_action(normal, acting, action)
     n1, a1 = np.divmod(np.arange(total), na)
     # (n1, a1) * (n2, a2) = (n1 * act[a1](n2), a1 a2)
     n2, a2 = n1, a1

@@ -489,7 +489,7 @@ def split_machines_agree(h, members) -> bool:
     if not members:
         return True
     acts = [validate_action(fac, h, action) for fac, action in members]
-    built = [semidirect(fac, h, act, _validated=True)
+    built = [semidirect(fac, h, act)
              for (fac, _), act in zip(members, acts)]
     spec_a = AmalgamSpec(h, [grp for grp, _, _ in built],
                          [emb_h for _, _, emb_h in built])

@@ -1,7 +1,8 @@
-"""The CLI's JSON encoder against the stdlib layout the goldens pin."""
+"""The CLI's JSON encoder against the stdlib layout the goldens pin.
+
+Its contract is what the CLI prints: `str` keys and no floats."""
 
 import json
-import math
 import tracemalloc
 
 from hypothesis import given, settings
@@ -22,22 +23,16 @@ TEXT = st.text(st.characters(codec=None, exclude_categories=())
                | st.sampled_from(TRICKY), max_size=8)
 INTS = st.integers() | st.integers(min_value=2 ** 63, max_value=2 ** 200) \
     | st.integers(min_value=-2 ** 200, max_value=-2 ** 63)
-SCALARS = (st.none() | st.booleans() | INTS | TEXT
-           | st.floats(allow_nan=True, allow_infinity=True)
-           | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+SCALARS = st.none() | st.booleans() | INTS | TEXT
 
 
 @st.composite
 def int_blocks(draw):
-    """(block, defect): a rectangular nest of ints, depth 1-3, of lists and
-    tuples mixed, or one with a bool leaf, a ragged row or an empty inner
-    list in its last row; defect names which, or is None."""
+    """A rectangular nest of ints, depth 1-3, of lists and tuples mixed, or
+    one with a bool leaf, a ragged row or an empty inner list in its last
+    row."""
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     defect = draw(st.sampled_from([None, None, "bool", "ragged", "empty"]))
-    # a depth-1 block has no inner rows, and a lone row cannot be ragged
-    if defect in ("ragged", "empty") and len(shape) == 1 \
-            or defect == "ragged" and math.prod(shape[:-1]) == 1:
-        defect = None
 
     def build(dims, last):
         if not dims:
@@ -48,12 +43,12 @@ def int_blocks(draw):
             row = {"ragged": row[:-1], "empty": []}.get(defect, row)
         return tuple(row) if draw(st.booleans()) else row
 
-    return build(shape, True), defect
+    return build(shape, True)
 
 
-# rectangular int blocks take the template route; a bool among the leaves,
-# a ragged row or an empty inner list must not
-LEAVES = SCALARS | int_blocks().map(lambda block: block[0]) \
+# rectangular int blocks, and ones spoiled by a bool leaf, a ragged row or
+# an empty inner list
+LEAVES = SCALARS | int_blocks() \
     | st.lists(INTS | st.booleans(), max_size=6)
 VALUES = st.recursive(
     LEAVES,
@@ -71,29 +66,39 @@ def test_matches_the_stdlib_layout(value):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(int_blocks())
-def test_int_blocks_match_the_stdlib_layout(block):
-    value, defect = block
-    shape, rows = cli._int_block(value)
-    assert bool(shape) == (defect is None)
-    if shape:  # the innermost rows themselves, in row-major order
-        level = [value]
-        for _ in shape[1:]:
-            level = [item for part in level for item in part]
-        assert list(map(id, rows)) == list(map(id, level))
-        assert set(map(len, rows)) == {shape[-1]}
+def test_int_blocks_match_the_stdlib_layout(value):
     assert cli.pinned_json(value) == stdlib_json(value)
 
 
 @pytest.mark.parametrize("value", [
     [[1, 0], [True, False]],
     [[True, 0], [1, 0]],
-    [[1, 0], [1.0, 0]],
     [[[1, 0], [0, 1]], [[True, 0], [0, 1]]],
 ])
 def test_near_int_leaves_are_not_merged_with_int_rows(value):
-    # equal as tuples, (1, 0) == (True, False) == (1.0, 0), but not as text
-    assert not cli._int_block(value)[0]
+    # equal as tuples, (1, 0) == (True, False), but not as text
     assert cli.pinned_json(value) == stdlib_json(value)
+
+
+def nested_lists(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    2 ** 63 - 1, -2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 63 - 1,
+    {"a\x7fb": 1}, {"key": "a\x7fb"}, {"\u00e9t\u00e9": 1},
+    {"key": "\ud800"}, nested_lists(300), {1: "int key", 2: [2 ** 64]},
+], ids=["2^63-1", "-2^63", "2^64-1", "2^64", "-2^63-1", "DEL key",
+        "DEL value", "non-ASCII key", "lone surrogate", "300 deep",
+        "int keys"])
+def test_edges_of_the_fast_route_match_the_stdlib(value):
+    # orjson refuses ints past 64 bits, lone surrogates, nesting past 255 and
+    # non-str keys, and writes DEL and non-ASCII unescaped
+    assert cli.pinned_json(value) == stdlib_json(value)
+    assert cli.pinned_json({"k": [value]}) == stdlib_json({"k": [value]})
 
 
 def test_repeated_rows_and_tuple_rows_equal_to_list_rows():
@@ -139,8 +144,15 @@ def test_hyperoctahedral_certificate_is_byte_identical():
     assert cli.pinned_json(payload) == stdlib_json(payload)
 
 
+def test_the_stdlib_writes_only_what_orjson_cannot(monkeypatch):
+    payload = hyperoctahedral_payload()
+    want = stdlib_json(payload)
+    monkeypatch.setattr(cli.json, "dumps", None)
+    assert cli.pinned_json(payload) == want
+
+
 def test_hyperoctahedral_certificate_peak_memory():
-    # one join of the pieces; the block's rows are keyed, not its leaves
+    # the encoded bytes and their decoded copy
     payload = hyperoctahedral_payload()
     tracemalloc.start()
     try:
@@ -152,12 +164,13 @@ def test_hyperoctahedral_certificate_peak_memory():
 
 
 def str_keyed(value) -> bool:
+    """Whether every key in value is a `str` and no leaf is a float."""
     if isinstance(value, dict):
         return all(isinstance(k, str) and str_keyed(v)
                    for k, v in value.items())
     if isinstance(value, (list, tuple)):
         return all(map(str_keyed, value))
-    return True
+    return not isinstance(value, float)
 
 
 CLI_CASES = [
@@ -206,8 +219,9 @@ CLI_CASES = [
 
 @pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)
 def test_cli_payloads_have_str_keys(argv, monkeypatch, tmp_path, capsys):
-    # pinned_json matches the stdlib only on str keys; json.dumps would turn
-    # an int key into a string, so every payload the CLI emits must have none
+    # pinned_json matches the stdlib only on str keys and without floats
+    # (orjson writes 1e16 for 1e+16 and null for NaN), so every payload the
+    # CLI emits must have neither
     monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
     emitted = []
     emit = cli.emit

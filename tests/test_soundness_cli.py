@@ -1118,6 +1118,29 @@ class TestChartableAndCache:
             assert (code, err) == (0, "")
         assert [e["order"] for e in json.loads(out)["entries"]] == [6]
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", "NaN"), ("prime", "1e400"), ("order", "6.0"),
+        ("prime", "true"), ("order", "null")])
+    def test_inspect_skips_entries_whose_order_or_prime_is_no_int(
+            self, cli, tmp_path, field, value):
+        # json.load reads NaN and 1e400 as floats, which would print as NaN
+        # and Infinity: output that a strict JSON parser refuses
+        code, _, _ = cli("cache", "warm", "--group", '{"kind":"cyclic","n":6}')
+        assert code == 0
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        data = json.loads(entry.read_text())
+        text = json.dumps({**data, field: "@"}).replace('"@"', value)
+        (tmp_path / "cache" / f"{'0' * 64}-p5.json").write_text(text)
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        for fmt in ("text", "json"):
+            code, out, err = cli("cache", "inspect", "--format", fmt)
+            assert (code, err) == (0, "")
+        entries = json.loads(out, parse_constant=refuse)["entries"]
+        assert [e["file"] for e in entries] == [entry.name]
+
     def test_stale_cache_entry_recomputed(self, cli, tmp_path):
         argv = ("chartable", "--group", '{"kind":"cyclic","n":5}',
                 "--format", "json")
