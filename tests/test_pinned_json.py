@@ -73,6 +73,7 @@ def test_int_blocks_match_the_stdlib_layout(value):
 @pytest.mark.parametrize("value", [
     [[1, 0], [True, False]],
     [[True, 0], [1, 0]],
+    [(1, 0), [True, False], (False, 0)],
     [[[1, 0], [0, 1]], [[True, 0], [0, 1]]],
 ])
 def test_near_int_leaves_are_not_merged_with_int_rows(value):
