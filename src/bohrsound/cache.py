@@ -67,15 +67,26 @@ def store_table(table: CharacterTable) -> str:
     return path
 
 
-def load_table(group: FiniteGroup, prime: int) -> CharacterTable | None:
-    """Reconstruct a cached table, or None on miss or stale entry."""
-    path = _entry_path(config.cache_dir(), group.table_digest, prime)
+def _read_entry(path: str) -> dict | None:
+    """An entry's JSON object, or None when the file cannot be read, is not
+    JSON, or lacks a str `group_digest`, a list `class_reps` or an int
+    `order` and `prime` (json reads NaN and 1e400 as floats)."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (not isinstance(data, dict)
+    if not (isinstance(data, dict) and isinstance(data.get("group_digest"), str)
+            and isinstance(data.get("class_reps"), list)
+            and type(data.get("order")) is int and type(data.get("prime")) is int):
+        return None
+    return data
+
+
+def load_table(group: FiniteGroup, prime: int) -> CharacterTable | None:
+    """Reconstruct a cached table, or None on miss or stale entry."""
+    data = _read_entry(_entry_path(config.cache_dir(), group.table_digest, prime))
+    if (data is None
             or data.get("schema") != "bohrsound/chartable/1"
             or data.get("group_digest") != group.table_digest
             or data.get("order") != group.order
@@ -121,20 +132,12 @@ def clear() -> int:
 
 
 def inspect() -> list[dict]:
-    """One row per cache entry that reads as a table: digest, order, prime,
-    class count.  Unreadable files, other JSON and entries whose order or
-    prime is not an int (json reads NaN and 1e400 as floats) are skipped."""
+    """One row per cache entry that `_read_entry` reads: digest, order,
+    prime, class count; any other file is skipped."""
     base = config.cache_dir()
     rows = []
     for name in _entry_names(base):
-        try:
-            with open(os.path.join(base, name), encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if not (isinstance(data, dict) and isinstance(data.get("group_digest"), str)
-                and isinstance(data.get("class_reps"), list)
-                and type(data.get("order")) is int and type(data.get("prime")) is int):
+        if (data := _read_entry(os.path.join(base, name))) is None:
             continue  # load_table treats it as stale too
         rows.append({
             "file": name,

@@ -3,10 +3,16 @@
 Arguments that take JSON accept either a file path or an inline JSON
 string (anything starting with '{' or '['); bare file names also resolve
 against the bundled fixtures directory.  Exit codes: 0 for a decided
-verdict or successful computation, 2 when only an unknown-prefix verdict
-is possible, 1 for input errors (SizeLimit also for a descriptor nested too
-deeply and for an input that runs out of memory) and for a reader that
-closed stdout early.
+verdict or successful computation; 1 for input errors (SizeLimit also for a
+descriptor nested too deeply and for an input that runs out of memory) and
+for a reader that closed stdout early; 2 for an answer left undecided:
+- `soundness` with verdict UnknownPrefixOnly: a normal family declared
+  infinite (a prefix), or a mixed family of sound members that no joint
+  criterion covers;
+- `liecheck` with `has_largest_compact` null (verdict Unknown): an even D_n
+  factor, whose automorphism list is under-approximated, a relevant center
+  automorphism that is not a joint sign, or torus rank >= 3;
+- `zmat orbit` past its cap (`"capped": true`).
 
 The surface is one table, COMMANDS: a row per command path, with its help
 text, its handler and its arguments; a row with no handler is a group of
@@ -96,16 +102,9 @@ def pinned_json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-def emit(payload: dict, fmt: str, lines) -> None:
-    """Print either the canonical JSON payload or the prepared text lines."""
-    if fmt == "json":
-        print(pinned_json(payload))
-    else:
-        for line in lines:
-            print(line)
-
-
 # -- subcommand handlers: one per leaf command -------------------------------------
+# Each returns its answer as (JSON document, text lines, exit code); `main`
+# alone prints the one `--format` asks for and returns the exit code.
 
 
 def _table_provider(args):
@@ -113,20 +112,19 @@ def _table_provider(args):
     return character_table if args.no_cache else cache.cached_character_table
 
 
-def run_soundness(args) -> int:
+def run_soundness(args):
     verdict = soundness_verdict(load_json(args.request, "request"),
                                 table=_table_provider(args))
-    lines = []
-    if args.format == "text":  # the certificate is large; render it once
-        lines = [f"verdict: {verdict.verdict}",
-                 f"criterion: {verdict.criterion or '(none)'}",
-                 "certificate:",
-                 pinned_json(verdict.certificate)]
-    emit(verdict.to_json(), args.format, lines)
-    return verdict.exit_code
+
+    def lines():  # the certificate is large: rendered only if read
+        yield f"verdict: {verdict.verdict}"
+        yield f"criterion: {verdict.criterion or '(none)'}"
+        yield "certificate:"
+        yield pinned_json(verdict.certificate)
+    return verdict.to_json(), lines(), verdict.exit_code
 
 
-def run_equalizer(args) -> int:
+def run_equalizer(args):
     spec = parse(load_json(args.spec, "spec"), "subgroup-embedding", "spec")
     emb = hom_from_descriptor(table_group_from_descriptor(spec["subgroup"]), {
         "group": spec["ambient"], "mapping": spec["mapping"]}, "spec")
@@ -146,11 +144,10 @@ def run_equalizer(args) -> int:
              f"self-intersection: {witness.self_intersection}",
              f"prime: {witness.prime}"]
     lines += [f"values[{i}]: {row}" for i, row in zip(witness.indices, rows)]
-    emit(payload, args.format, lines)
-    return 0
+    return payload, lines, 0
 
 
-def run_clifford(args) -> int:
+def run_clifford(args):
     kernel, embs = build_normal_family(load_json(args.spec, "spec"), "spec")
     payload = fin_check(embs, source=kernel, table=_table_provider(args))
     lines = [f"kernel order: {payload['kernel_order']}",
@@ -159,19 +156,17 @@ def run_clifford(args) -> int:
         lines.append(
             f"rho {r['rho']} (degree {r['degree']}): class {r['class_members']}"
             f" multiplicities {r['per_member']} sup {r['sup_multiplicity']}")
-    emit(payload, args.format, lines)
-    return 0
+    return payload, lines, 0
 
 
-def run_chartable(args) -> int:
+def run_chartable(args):
     group = table_group_from_descriptor(load_json(args.group, "group"))
     table = _table_provider(args)(group, prime=args.prime)
     lines = [f"group: {group.name} (order {group.order})",
              f"prime: {table.prime}",
              f"classes: {table.n_classes}",
              f"degrees: {list(table.degrees)}"]
-    emit(table.serialize(), args.format, lines)
-    return 0
+    return table.serialize(), lines, 0
 
 
 def _gens(value: str) -> list:
@@ -181,26 +176,24 @@ def _gens(value: str) -> list:
     return [int_rows(g, f"gens[{i}]") for i, g in enumerate(gens)]
 
 
-def run_zmat_finiteness(args) -> int:
+def run_zmat_finiteness(args):
     result = generated_group(_gens(args.gens))
-    emit(serialize_matrix_group(result), args.format, [str(result)])
-    return 0
+    return serialize_matrix_group(result), [str(result)], 0
 
 
-def run_zmat_orbit(args) -> int:
+def run_zmat_orbit(args):
     gens = _gens(args.gens)
     vector = int_vector(load_json(args.vector, "vector"), "vector")
     orbit = char_orbit(vector, gens, cap=args.cap)
     if orbit.finite:
-        emit({"finite": True, "size": orbit.size}, args.format,
-             [f"finite orbit of size {orbit.size}"])
-    else:
-        emit({"finite": False, "cap": orbit.cap}, args.format,
-             [f"orbit exceeds cap {orbit.cap}"])
-    return 0
+        return ({"finite": True, "size": orbit.size},
+                [f"finite orbit of size {orbit.size}"], 0)
+    # past the cap nothing is decided: the orbit may still be finite
+    return ({"cap": orbit.cap, "capped": True},
+            [f"orbit exceeds cap {orbit.cap}"], 2)
 
 
-def run_zmat_fixed(args) -> int:
+def run_zmat_fixed(args):
     fs = fixed_subgroup_structure(int_rows(load_json(args.matrix, "matrix"),
                                            "matrix"))
     payload = {
@@ -209,35 +202,31 @@ def run_zmat_fixed(args) -> int:
         "finite_order": fs.finite_order,
         "structure": str(fs),
     }
-    emit(payload, args.format, [f"fixed points: {fs}"])
-    return 0
+    return payload, [f"fixed points: {fs}"], 0
 
 
-def run_amalgam_nf(args) -> int:
+def run_amalgam_nf(args):
     spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
     nf = normal_form(spec, parse_word(spec, args.word))
     if nf.is_identity:
-        emit({"identity": True, "letters": []}, args.format, ["identity"])
-        return 0
+        return {"identity": True, "letters": []}, ["identity"], 0
     letters = [(i, spec.factors[i].labels[x]) for i, x in nf.as_word(spec)]
-    emit({"identity": False, "letters": [[i, label] for i, label in letters]},
-         args.format, [" ".join(f"{i}:{label}" for i, label in letters)])
-    return 0
+    return ({"identity": False, "letters": [[i, label] for i, label in letters]},
+            [" ".join(f"{i}:{label}" for i, label in letters)], 0)
 
 
-def run_amalgam_eq(args) -> int:
+def run_amalgam_eq(args):
     spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
     equal = word_equal(spec, parse_word(spec, args.word),
                        parse_word(spec, args.word2))
-    emit({"equal": equal}, args.format, ["equal" if equal else "distinct"])
-    return 0
+    return {"equal": equal}, ["equal" if equal else "distinct"], 0
 
 
 LENGTH_FLAVORS = {"discrete": discrete_length,
                   "regular": regular_pullback_length}
 
 
-def run_amalgam_dist(args) -> int:
+def run_amalgam_dist(args):
     spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
     if spec.h.order != 1:
         raise SchemaError("dist requires a trivial amalgamated subgroup")
@@ -248,36 +237,28 @@ def run_amalgam_dist(args) -> int:
     else:
         value = pseudometric_distance(spec, lengths, w1,
                                       parse_word(spec, args.word2))
-    emit({"distance": {"num": value.numerator, "den": value.denominator}},
-         args.format, [str(value)])
-    return 0
+    return ({"distance": {"num": value.numerator, "den": value.denominator}},
+            [str(value)], 0)
 
 
-def run_amalgam_eval(args) -> int:
+def run_amalgam_eval(args):
     spec = amalgam_from_descriptor(load_json(args.spec, "spec"))
     target = target_from_descriptor(spec, load_json(args.targets, "targets"))
     value = eval_hom(spec, parse_word(spec, args.word), target)
-    payload, lines = _serialize_target_value(target, value)
-    emit(payload, args.format, lines)
-    return 0
-
-
-def _serialize_target_value(target, value):
     if hasattr(target, "group"):  # finite target
         label = target.group.labels[value]
-        return {"element": value, "label": label}, [label]
+        return {"element": value, "label": label}, [label], 0
     if hasattr(target, "modulus"):  # matrix target
         rows = [list(r) for r in value]
-        return {"matrix": rows}, [str(list(r)) for r in rows]
+        return {"matrix": rows}, [str(list(r)) for r in rows], 0
     point, matrix = value  # torus semidirect
     coords = [[c.numerator, c.denominator] for c in point]
     rows = [list(r) for r in matrix]
     return ({"torus": coords, "matrix": rows},
-            [f"torus: {[str(c) for c in point]}",
-             f"matrix: {rows}"])
+            [f"torus: {[str(c) for c in point]}", f"matrix: {rows}"], 0)
 
 
-def run_liecheck(args) -> int:
+def run_liecheck(args):
     datum = lie_datum_from_descriptor(load_json(args.datum, "datum"))
     report = compactness_conditions(datum)
     torus_dim, finite_part = report.center
@@ -300,7 +281,7 @@ def run_liecheck(args) -> int:
              f"compact automorphism group: {report.aut_compact}",
              f"largest compact subgroup: {report.has_largest_compact}",
              f"sign-rigid gluing: {report.inversion_only}"]
-    if datum.torus_rank == 2:
+    if datum.torus_rank >= 2:  # below, the automorphism group is compact
         verdict = report.verdict
         payload["verdict"] = {
             "kind": verdict.kind,
@@ -316,32 +297,28 @@ def run_liecheck(args) -> int:
         for label, structure, size in verdict.fixed_profiles:
             lines.append(f"  {label}: fixed {structure}"
                          + (f" (order {size})" if size is not None else ""))
-    emit(payload, args.format, lines)
-    return 0
+    return payload, lines, 2 if report.has_largest_compact is None else 0
 
 
-def run_cache_warm(args) -> int:
+def run_cache_warm(args):
     groups = [table_group_from_descriptor(load_json(g, f"group[{i}]"))
               for i, g in enumerate(args.group)]
     paths = cache.warm(groups)
-    emit({"written": paths}, args.format, [f"wrote {p}" for p in paths])
-    return 0
+    return {"written": paths}, [f"wrote {p}" for p in paths], 0
 
 
-def run_cache_clear(args) -> int:
+def run_cache_clear(args):
     removed = cache.clear()
-    emit({"removed": removed}, args.format, [f"removed {removed} entries"])
-    return 0
+    return {"removed": removed}, [f"removed {removed} entries"], 0
 
 
-def run_cache_inspect(args) -> int:
+def run_cache_inspect(args):
     rows = cache.inspect()
     lines = [f"cache dir: {config.cache_dir()} ({len(rows)} entries)"]
     lines += [f"{r['group_digest'][:16]}  order {r['order']}"
               f"  prime {r['prime']}  classes {r['classes']}"
               for r in rows]
-    emit({"dir": config.cache_dir(), "entries": rows}, args.format, lines)
-    return 0
+    return {"dir": config.cache_dir(), "entries": rows}, lines, 0
 
 
 # -- the command table ---------------------------------------------------------------
@@ -352,7 +329,7 @@ class Command(NamedTuple):
     its arguments (flag -> add_argument keywords); `no_cache` if it reads tables."""
     path: tuple[str, ...]
     help: str | None
-    handler: Callable[[argparse.Namespace], int] | None = None
+    handler: Callable[[argparse.Namespace], tuple] | None = None
     arguments: dict | None = None
     no_cache: bool = False
 
@@ -428,7 +405,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            return args.handler(args)
+            payload, lines, code = args.handler(args)
+            if args.format == "json":
+                print(pinned_json(payload))
+            else:
+                for line in lines:
+                    print(line)
+            return code
         except RecursionError:  # semidirect and mixed-family descriptors nest
             raise SizeLimit("descriptor nested too deeply") from None
         except MemoryError:  # an admitted input past the memory at hand

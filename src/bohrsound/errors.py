@@ -141,10 +141,6 @@ class InvalidDelta(BohrsoundError):
     pass
 
 
-class UnsupportedRank(BohrsoundError):
-    pass
-
-
 class DoesNotCommute(BohrsoundError):
     def __init__(self, witness):
         super().__init__(f"matrices do not commute (witness {witness})")

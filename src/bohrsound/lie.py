@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolation,
     SchemaError,
     SizeLimit,
-    UnsupportedRank,
     WrongOrder,
 )
 from .groups import FiniteAbelian, abelian_from_orders, factorize
@@ -330,11 +329,10 @@ def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
     any non-central torsion class of GL(2,Z) has fixed points large enough
     to swallow the glued torus subgroup; a hit denies the largest compact
     subgroup, a full sweep of misses confirms it.  The joint-sign answer
-    is kept as `inversion_only` at every rank.
+    is kept as `inversion_only` at every rank.  Past rank 2 the verdict
+    is Unknown.
     """
     z = datum.torus_rank
-    if z >= 3:
-        raise UnsupportedRank(f"verdict implemented for torus rank <= 2, got {z}")
     delta0 = torus_image_invariants(datum)
     rigid = _rigidity(datum)
     profiles = []
@@ -345,6 +343,9 @@ def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
 
     if z <= 1:
         return verdict("HasLargest", "automorphism group is compact")
+    if z >= 3:
+        return verdict("Unknown",
+                       f"verdict implemented for torus rank <= 2, got {z}")
     if rigid is not True:
         return verdict("Unknown",
                        "achievable automorphism list is an under-approximation"
@@ -368,7 +369,7 @@ class ConditionsReport:
     aut_compact: bool
     has_largest_compact: bool | None
     inversion_only: bool | None
-    verdict: LargestCompactVerdict | None
+    verdict: LargestCompactVerdict
 
 
 def compactness_conditions(datum: LieDatum) -> ConditionsReport:
@@ -376,25 +377,21 @@ def compactness_conditions(datum: LieDatum) -> ConditionsReport:
 
     The first is read off the presentation, the second recomputed through
     the center, which the report keeps as (torus dimension, finite part);
-    they must agree.  Up to torus rank 2 the largest-compact
-    verdict is decided once and kept in the report; compact automorphisms
-    (rank <= 1) always leave a largest compact subgroup.
+    they must agree.  The largest-compact verdict is decided once and kept
+    in the report; compact automorphisms (rank <= 1) always leave a largest
+    compact subgroup, and past rank 2 it is Unknown.
     """
     a = datum.torus_rank <= 1
     center = lie_center(datum)
     b = center[0] <= 1
     if a != b:
         raise InvariantViolation("presentation and center computations disagree")
-    if datum.torus_rank <= 2:
-        verdict = largest_compact_verdict(datum)
-        largest = {"HasLargest": True, "NoLargest": False,
-                   "Unknown": None}[verdict.kind]
-        rigid = verdict.inversion_only
-    else:
-        verdict, largest, rigid = None, None, _rigidity(datum)
+    verdict = largest_compact_verdict(datum)
     return ConditionsReport(
         center=center, no_central_2torus=a, dual_rank_le_1=b, aut_compact=a,
-        has_largest_compact=largest, inversion_only=rigid, verdict=verdict)
+        has_largest_compact={"HasLargest": True, "NoLargest": False,
+                             "Unknown": None}[verdict.kind],
+        inversion_only=verdict.inversion_only, verdict=verdict)
 
 
 # -- explicit witness families over the 2-torus ------------------------------------------------

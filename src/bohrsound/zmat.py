@@ -7,9 +7,13 @@ rows.  Over int64, when the entries' span s satisfies s^(k^2) < 2^63, one
 argsort of each row's mixed-radix key, its digits the entries less the
 least one, gives that order; small groups, wider entries and Python ints
 take `np.lexsort` over the k^2 columns.
-Finiteness of generated subgroups of GL(k, Z) is decided by enumeration against
-Minkowski's bound M(k): any finite subgroup has order dividing M(k), so
-seeing M(k) + 1 distinct elements certifies infinitude.
+Finiteness of generated subgroups of GL(k, Z) is decided against
+Minkowski's bound M(k): any finite subgroup has order dividing M(k), so a
+group shown to have more than M(k) elements is infinite.  It is shown
+either by enumerating M(k) + 1 distinct elements or, before any
+enumeration, by a generator whose order `_order` finds infinite or past
+M(k).  `witness_count` = M(k) + 1 is the bound passed, not a count of
+elements built.
 
 Groups are enumerated by Dimino's algorithm (G. Butler, Fundamental
 Algorithms for Permutation Groups, LNCS 559, 1991).  The first generator
@@ -204,7 +208,7 @@ class MatrixGroupResult:
     def __str__(self) -> str:
         if self.finite:
             return f"finite of order {self.order}"
-        return f"infinite ({self.witness_count} distinct elements enumerated)"
+        return f"infinite (more than {self.witness_count - 1} elements)"
 
 
 def _unimodular(gens) -> tuple[list[IntMatrix], int]:

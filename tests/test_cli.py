@@ -64,8 +64,12 @@ def assert_one_error(result, kind: str):
     assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
 
 
+def fixture(name: str):
+    return json.loads(cli.fixture_path(name).read_text())
+
+
 def split_request(**fields) -> str:
-    request = json.loads(cli.fixture_path("split-inversion.json").read_text())
+    request = fixture("split-inversion.json")
     return json.dumps({**request, **fields})
 
 
@@ -101,14 +105,76 @@ def test_orbit_cap_below_one_is_refused(vector, capsys):
     assert (code, out) == (0, "finite orbit of size 1\n")
 
 
+PREFIX_NOTE = "verdict covers only the materialized prefix of a family " \
+    "declared infinite"
+MIXED_NOTE = "members are individually sound but no joint criterion " \
+    "applies to the mixture"
+D_EVEN_REASON = "achievable automorphism list is an under-approximation"
+RANK_REASON = "verdict implemented for torus rank <= 2, got 3"
+
+
+def _family_note(doc):
+    return doc["verdict"], doc["certificate"]["note"]
+
+
+def _lie_reason(doc):
+    return doc["has_largest_compact"], doc["verdict"]["kind"], \
+        doc["verdict"]["reason"]
+
+
+# every route to exit 2, an answer left undecided: (argv, the text that
+# says why, the JSON fields that say it)
+UNDECIDED = {
+    "normal-prefix": (
+        ["soundness", "--request", "heisenberg-prefix.json"],
+        f'"note": "{PREFIX_NOTE}"', _family_note,
+        ("UnknownPrefixOnly", PREFIX_NOTE)),
+    "mixed-heterogeneous": (
+        ["soundness", "--request", json.dumps({
+            "schema": 1, "kind": "mixed-family", "members": [
+                fixture("split-inversion.json"),
+                {"kind": "torus-family", "rank": 2,
+                 "factor_generators": [[[[0, -1], [1, 0]]]]}]})],
+        f'"note": "{MIXED_NOTE}"', _family_note,
+        ("UnknownPrefixOnly", MIXED_NOTE)),
+    "lie-d6": (
+        ["liecheck", "--datum", json.dumps({
+            "schema": 1, "kind": "lie-datum", "z": 2, "factors": ["D6"],
+            "delta": {"simple_part_generators": [[1, 0], [0, 1]],
+                      "phi_images": [[[1, 2], [0, 1]], [[0, 1], [1, 2]]]}})],
+        f"verdict: Unknown ({D_EVEN_REASON})", _lie_reason,
+        (None, "Unknown", D_EVEN_REASON)),
+    "lie-rank-3": (
+        ["liecheck", "--datum", json.dumps({
+            "schema": 1, "kind": "lie-datum", "z": 3, "factors": ["A2"]})],
+        f"verdict: Unknown ({RANK_REASON})", _lie_reason,
+        (None, "Unknown", RANK_REASON)),
+    "orbit-capped": (
+        # the orbit has 4 vectors: past the cap it is not known infinite
+        ["zmat", "orbit", "--gens", "[[[0,1],[1,0]],[[-1,0],[0,1]]]",
+         "--vector", "[1,0]", "--cap", "3"],
+        "orbit exceeds cap 3", lambda doc: doc, {"cap": 3, "capped": True}),
+}
+
+
+@pytest.mark.parametrize("argv, line, fields, expected", UNDECIDED.values(),
+                         ids=UNDECIDED)
+def test_undecided_answers_exit_2_with_their_reason(argv, line, fields,
+                                                    expected, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert line in out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    assert fields(json.loads(out)) == expected
+
+
 # -- fuzzing the error contract ----------------------------------------------------
 
 FUZZ_SEED = 20231014
 CASES_PER_LEAF = 60
 
 
-def fixture(name: str):
-    return json.loads(cli.fixture_path(name).read_text())
 
 
 # valid but small inputs by flag; group orders stay small so that no case is

@@ -18,7 +18,6 @@ from bohrsound.errors import (
     NotUnimodular,
     SchemaError,
     SizeLimit,
-    UnsupportedRank,
     WrongOrder,
 )
 from bohrsound import cli, config, lie
@@ -628,7 +627,7 @@ class TestCompactnessConditions:
         d = lie_datum_from_descriptor(datum)
         assert lie._rigidity(d) is None
         assert rigidity_elementwise(d) is None
-        assert main(["liecheck", "--datum", json.dumps(datum)]) == 0
+        assert main(["liecheck", "--datum", json.dumps(datum)]) == 2
         out = capsys.readouterr().out
         assert "largest compact subgroup: None\nsign-rigid gluing: None\n" \
             "verdict: Unknown (achievable automorphism list is an " \
@@ -644,9 +643,10 @@ class TestLargestCompactVerdict:
     def test_rank_zero(self):
         assert largest_compact_verdict(su2_datum()).kind == "HasLargest"
 
-    def test_unsupported_rank(self):
-        with pytest.raises(UnsupportedRank):
-            largest_compact_verdict(bare_torus_datum(3))
+    def test_high_rank_is_unknown(self):
+        v = largest_compact_verdict(bare_torus_datum(3))
+        assert v.kind == "Unknown"
+        assert v.reason == "verdict implemented for torus rank <= 2, got 3"
 
     def test_bare_torus_witness(self):
         v = largest_compact_verdict(bare_torus_datum(2))

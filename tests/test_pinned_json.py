@@ -222,17 +222,17 @@ CLI_CASES = [
 def test_cli_payloads_have_str_keys(argv, monkeypatch, tmp_path, capsys):
     # pinned_json matches the stdlib only on str keys and without floats
     # (orjson writes 1e16 for 1e+16 and null for NaN), so every payload the
-    # CLI emits must have neither
+    # CLI prints must have neither
     monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
-    emitted = []
-    emit = cli.emit
+    printed = []
+    pinned_json = cli.pinned_json
 
-    def recording_emit(payload, fmt, lines):
-        emitted.append(payload)
-        emit(payload, fmt, lines)
+    def recording_pinned_json(payload):
+        printed.append(payload)
+        return pinned_json(payload)
 
-    monkeypatch.setattr(cli, "emit", recording_emit)
+    monkeypatch.setattr(cli, "pinned_json", recording_pinned_json)
     assert cli.main([*argv, "--format", "json"]) in (0, 2)
-    (payload,) = emitted
+    (payload,) = printed
     assert str_keyed(payload)
     assert capsys.readouterr().out == stdlib_json(payload) + "\n"

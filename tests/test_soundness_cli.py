@@ -743,8 +743,10 @@ class TestCliCommands:
         code, out, _ = cli("zmat", "orbit", "--vector", "[0,1]",
                            "--gens", "[[[1,1],[0,1]]]", "--cap", "10",
                            "--format", "json")
-        assert code == 0
-        assert json.loads(out)["finite"] is False
+        # a unipotent orbit grows without end, but past the cap only the
+        # cap is known: undecided, exit 2
+        assert code == 2
+        assert json.loads(out) == {"cap": 10, "capped": True}
 
     def test_zmat_fixed(self, cli):
         code, out, _ = cli("zmat", "fixed", "--matrix", "[[-1,0],[0,-1]]",

@@ -123,3 +123,25 @@ def test_descriptor_fields_are_read_by_one_walker():
     readers = re.compile(r"\b(require_field|optional_field|check_schema)\b")
     assert [path.name for path in SRC.glob("*.py")
             if readers.search(path.read_text(encoding="utf-8"))] == []
+
+
+def test_only_main_prints_in_cli():
+    # every handler returns its answer as (JSON document, text lines, exit
+    # code) and main alone prints it, so both formats print one answer
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+
+    def writes(node) -> bool:
+        return any((isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "print")
+                   or (isinstance(n, ast.Attribute) and n.attr == "stdout")
+                   for n in ast.walk(node))
+
+    printers = [fn.name for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name != "main" and writes(fn)]
+    printers += [f"line {stmt.lineno}" for stmt in tree.body
+                 if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                 and writes(stmt)]
+    assert printers == []
+    assert any(fn.name == "main" and writes(fn) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef))
