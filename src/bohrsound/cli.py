@@ -6,9 +6,9 @@ against the bundled fixtures directory.  Exit codes: 0 for a decided
 verdict or successful computation; 1 for input errors (SizeLimit also for a
 descriptor nested too deeply and for an input that runs out of memory) and
 for a reader that closed stdout early; 2 for an answer left undecided:
-- `soundness` with verdict UnknownPrefixOnly: a normal family declared
-  infinite (a prefix), or a mixed family of sound members that no joint
-  criterion covers;
+- `soundness` with verdict UnknownPrefixOnly, a normal family declared
+  infinite (a prefix), or UnknownMixture, a mixed family of sound members
+  that no joint criterion covers;
 - `liecheck` with `has_largest_compact` null (verdict Unknown): an even D_n
   factor, whose automorphism list is under-approximated, a relevant center
   automorphism that is not a joint sign, or torus rank >= 3;

@@ -33,7 +33,8 @@ CRITERIA = frozenset({
 
 SOUND = "Sound"
 UNSOUND = "Unsound"
-UNKNOWN = "UnknownPrefixOnly"
+UNKNOWN = "UnknownPrefixOnly"  # a family declared infinite, by a prefix
+UNKNOWN_MIXTURE = "UnknownMixture"  # sound members, no joint criterion
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def _mixed_verdict(d: dict, where: str, table) -> SoundnessVerdict:
         })
         joint.certificate["joint_decision_over_members"] = len(members)
         return joint
-    return SoundnessVerdict(UNKNOWN, None, {
+    return SoundnessVerdict(UNKNOWN_MIXTURE, None, {
         "members": [{"verdict": v.verdict, "criterion": v.criterion}
                     for v in inner],
         "note": "members are individually sound but no joint criterion "

@@ -7,28 +7,37 @@ rows.  Over int64, when the entries' span s satisfies s^(k^2) < 2^63, one
 argsort of each row's mixed-radix key, its digits the entries less the
 least one, gives that order; small groups, wider entries and Python ints
 take `np.lexsort` over the k^2 columns.
-Finiteness of generated subgroups of GL(k, Z) is decided against
-Minkowski's bound M(k): any finite subgroup has order dividing M(k), so a
-group shown to have more than M(k) elements is infinite.  It is shown
-either by enumerating M(k) + 1 distinct elements or, before any
-enumeration, by a generator whose order `_order` finds infinite or past
-M(k).  `witness_count` = M(k) + 1 is the bound passed, not a count of
-elements built.
+
+Finiteness of generated subgroups of GL(k, Z) rests on two facts.  Any
+finite subgroup has order dividing Minkowski's bound M(k).  And the kernel
+of GL(k, Z) -> GL(k, F_3) is torsion-free (Minkowski's lemma), so an
+element of finite order has the order of its reduction mod 3, and two
+distinct elements of a finite group differ mod 3.  `generated_group` first
+reads every generator's order with `_order`; one that is infinite (or past
+M(k)) proves the group infinite before anything is built.  Otherwise the
+enumeration keeps, beside each element, its residue mod 3, and stops at
+the first batch of new elements that leaves fewer residues than elements:
+two of them are equal mod 3, so their quotient is an element of infinite
+order.  A finite group is enumerated whole.  An infinite one is reported
+with `witness_count` = M(k) + 1, the count its proof exceeds ("more than
+M(k) elements"), not a count of elements built.
 
 Groups are enumerated by Dimino's algorithm (G. Butler, Fundamental
 Algorithms for Permutation Groups, LNCS 559, 1991).  The first generator
-g other than I gives <g>, of the order `element_order` finds, whose powers
+g other than I gives <g>, of the order `_order` found, whose powers
 double in number with each product.  Each later generator outside the
 group H so far adds disjoint right cosets H c, from c = g on: c s for each
 generator s so far that is not yet an element starts another.  A finite
 semigroup of invertible matrices is a group, so no inverse is needed.  A
-batch of cosets is one np.matmul, keyed by the products' bytes.  Products
-run in int64 only when k max|a| max|b| < 2^63; an entry or a product past
-that restarts the enumeration in Python ints, so every result is exact.
+batch of cosets is one np.matmul, keyed by the products' bytes and by the
+bytes of their residues as int8.  With `top` the largest |x| measured so
+far over the generators and elements, products run in int64 only when
+k top^2 < 2^63, and in float64, exact there and faster through BLAS, when
+k top^2 < 2^53; past 2^63 the enumeration restarts in Python ints, so
+every result is exact.
 
-`element_order` uses Minkowski's lemma instead of enumeration: the kernel
-of GL(k, Z) -> GL(k, F_3) is torsion-free, so an element of finite order
-has the order of its reduction mod 3.
+`element_order` needs no enumeration: by the same lemma it is the order n3
+of the reduction mod 3 when m^n3 = I, and infinite otherwise.
 
 `smith_normal_form` is one elimination loop per diagonal position t.  Each
 round moves the nonzero entry of least absolute value in the remaining
@@ -47,6 +56,7 @@ Holt and Rees, Linear Algebra Appl. 192, 1993).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import filterfalse
 from math import prod
 
@@ -179,6 +189,7 @@ def snf_diagonal(a: IntMatrix) -> tuple[int, ...]:
 # -- Minkowski bound and finiteness ----------------------------------------------
 
 
+@cache
 def minkowski_bound(k: int) -> int:
     """M(k): every finite subgroup of GL(k, Z) has order dividing M(k)."""
     if not 1 <= k <= config.MINKOWSKI_MAX_RANK:
@@ -231,62 +242,98 @@ def _unimodular(gens) -> tuple[list[IntMatrix], int]:
 _BATCH_PRODUCTS = 1 << 12
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, exactly; over int64 it raises OverflowError past 2^63."""
+# From about this many product entries on, converting to float64 for BLAS
+# costs less than numpy's int64 matmul loop ((25, 5) @ (5, 5, 5): 3.7 against
+# 4.3 us; (600, 5) @ (2, 5, 5): 9.6 against 24 us).
+_FLOAT_MATMUL_MIN = 1 << 9
+
+
+def _top(a: np.ndarray) -> int:
+    """The largest |x| in an int64 array (0 when empty); _mul needs no
+    bound on Python ints, so 0 for them too."""
+    if a.dtype == object:
+        return 0
+    # |x| viewed as uint64 is exact for every int64 x, -2^63 included
+    return int(np.abs(a).view(np.uint64).max(initial=0))
+
+
+def _mul(a: np.ndarray, b: np.ndarray, top: int | None = None) -> np.ndarray:
+    """a @ b, exactly, given a bound `top` on |x| over both (measured when
+    None); over int64 it raises OverflowError if a sum could pass 2^63.
+
+    Below 2^53 every partial sum is an integer that float64 holds exactly,
+    so a large product is taken in float64.  For the shapes multiplied here,
+    (r, k) or (m, 1, k, k) times (s, k, k), the product has
+    (a.size / k) (b.size / k) entries.
+    """
     if a.dtype == object or not (a.size and b.size):
         return np.matmul(a, b)
-    # |x| viewed as uint64 is exact for every int64 x, -2^63 included
-    if a.shape[-1] * int(np.abs(a).view(np.uint64).max()) \
-            * int(np.abs(b).view(np.uint64).max()) >= 1 << 63:
+    k = a.shape[-1]
+    reach = k * _top(a) * _top(b) if top is None else k * top * top
+    if reach >= 1 << 63:
         raise OverflowError("int64 matrix products could wrap")
+    if reach < 1 << 53 and a.size // k * (b.size // k) >= _FLOAT_MATMUL_MIN:
+        return np.matmul(a.astype(np.float64),
+                         b.astype(np.float64)).astype(np.int64)
     return np.matmul(a, b)
 
 
-def _new_rows(keys: list, known: set, dtype, shape) -> tuple[dict, np.ndarray]:
-    """The keys not in `known`, each once in order of first occurrence (as
-    dict keys), and the (n, *shape) array of the rows they key."""
+def _new_rows(rows: np.ndarray, known) -> tuple[dict, np.ndarray]:
+    """The keys of the rows of `rows` not in `known`, each once in order of
+    first occurrence (as dict keys), and the array of the rows they key."""
+    keys = row_keys(rows)
     new = dict.fromkeys(filterfalse(known.__contains__, keys))
-    if dtype == object:
-        return new, np.array(list(new), dtype=object).reshape(-1, *shape)
-    return new, np.frombuffer(b"".join(new), np.int64).reshape(-1, *shape)
+    if len(new) == len(keys):
+        return new, rows
+    if rows.dtype == object:
+        found = np.array(list(new), dtype=object)
+    else:
+        found = np.frombuffer(b"".join(new), np.int64)
+    return new, found.reshape(-1, *rows.shape[1:])
 
 
-def _dimino(gens: list[IntMatrix], k: int, bound: int,
+def _dimino(gens: list[IntMatrix], orders: list[int], k: int, bound: int,
             dtype) -> np.ndarray | None:
-    """The elements of the group generated by `gens` as one (n, k, k) array
-    of `dtype`, or None past `bound` elements (see the module docstring)."""
+    """The elements of the group generated by `gens`, of finite `orders`,
+    as one (n, k, k) array of `dtype`, or None once two of them are equal
+    mod 3 or there are more than `bound` (see the module docstring)."""
+    every = np.array(gens, dtype=dtype)
+    top = _top(every)  # bounds |x| over the generators and the elements so far
     group = np.array([identity(k)], dtype=dtype)
     seen = set(row_keys(group))
-    for i, gen in enumerate(gens):
-        g = np.array([gen], dtype=dtype)
-        if row_keys(g)[0] in seen:
+    for i, (key, n) in enumerate(zip(row_keys(every), orders)):
+        if key in seen:
             continue
+        g = every[i:i + 1]
         if len(group) == 1:
-            if (n := _order(gen, bound)) is None:
-                return None
             group = np.concatenate([group, g])  # g^j for j < m = 2
             while len(group) < n:  # g^m g^j = g^(m + j) doubles m
-                group = np.concatenate([group, _mul(_mul(group[-1:], g), group)])
+                power = _mul(group[-1:], g, top)
+                top = max(top, _top(power))
+                group = np.concatenate([group, _mul(power, group, top)])
+                top = max(top, _top(group))
             group = group[:n]
             seen = set(row_keys(group))
             continue
         tall, blocks, cands = group.reshape(-1, k), [group], g
+        residues = set(_residue_keys(group))  # distinct, as H is finite
         per = max(1, _BATCH_PRODUCTS // len(group))
-        steps = np.array(gens[:i + 1], dtype=dtype)  # s in G_(i-1) is harmless
+        steps = every[:i + 1]  # s in G_(i-1) is harmless
         while len(cands):
             reps = []
             for at in range(0, len(cands), per):
-                cosets = _mul(tall, cands[at:at + per])  # h c for h in H
-                new, rows = _new_rows(row_keys(cosets.reshape(-1, k, k)),
-                                      seen, dtype, (k, k))
+                cosets = _mul(tall, cands[at:at + per], top)  # h c, h in H
+                new, rows = _new_rows(cosets.reshape(-1, k, k), seen)
                 seen.update(new)
-                if len(seen) > bound:
+                residues.update(_residue_keys(rows))
+                if len(residues) < len(seen) or len(seen) > bound:
                     return None
+                top = max(top, _top(rows))
                 blocks.append(rows)
                 reps.append(rows[::len(group)])  # one element per new coset
-            products = _mul(np.concatenate(reps)[:, None], steps)
-            cands = _new_rows(row_keys(products.reshape(-1, k, k)), seen,
-                              dtype, (k, k))[1]
+            products = _mul(np.concatenate(reps)[:, None], steps, top)
+            cands = _new_rows(products.reshape(-1, k, k), seen)[1]
+            top = max(top, _top(cands))
         group = np.concatenate(blocks)
     return group
 
@@ -308,7 +355,7 @@ def _closure(v: tuple[int, ...], step: list[IntMatrix], bound: int,
         parts = []
         for at in range(0, len(levels[-1]), per):  # frontier-major, step-minor
             products = _mul(levels[-1][at:at + per], steps).reshape(-1, k)
-            new, rows = _new_rows(row_keys(products), window, dtype, (k,))
+            new, rows = _new_rows(products, window)
             count += len(new)
             if count > bound:
                 return None
@@ -320,27 +367,45 @@ def _closure(v: tuple[int, ...], step: list[IntMatrix], bound: int,
 
 
 def row_keys(rows: np.ndarray) -> list:
-    """One hashable key per row of an (n, ...) array of int64 or Python ints,
-    equal exactly when the rows are: the row's raw bytes for int64 (b"" at
-    width 0, where numpy has no void view), else a tuple of its ints."""
+    """One hashable key per row of an (n, ...) array of fixed-width ints or
+    Python ints, equal exactly when the rows are: the row's raw bytes for
+    int64 or int8 (b"" at width 0, where numpy has no void view), else a
+    tuple of its ints."""
     flat = rows.reshape(len(rows), prod(rows.shape[1:]))
     if rows.dtype == object:
         return list(map(tuple, flat.tolist()))
     if not flat.shape[1]:
         return [b""] * len(flat)
     flat = np.ascontiguousarray(flat)
-    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel().tolist()
+    return flat.view(f"V{flat.shape[1] * flat.itemsize}").ravel().tolist()
 
 
-def generated_group(gens, bound: int | None = None) -> MatrixGroupResult:
-    """Dimino's enumeration of the generated group, up to Minkowski's bound."""
-    gens, k = _unimodular(gens)
-    if bound is None:
-        bound = minkowski_bound(k)
+# x mod 3 for -3 * 2^10 <= x < 3 * 2^10, looked up at x: a negative x
+# indexes len + x, which is x mod 3 too, as 3 divides the length
+_MOD3 = (np.arange(3 << 10) % 3).astype(np.int8)
+
+
+def _residue_keys(rows: np.ndarray) -> list:
+    """The row_keys of the rows mod 3, as int8."""
     try:
-        found = _dimino(gens, k, bound, np.int64)
-    except OverflowError:
-        found = _dimino(gens, k, bound, object)
+        residues = _MOD3[rows]
+    except IndexError:  # an entry past the table, or Python ints
+        residues = (rows % 3).astype(np.int8)
+    return row_keys(residues)
+
+
+def generated_group(gens) -> MatrixGroupResult:
+    """The generated group: enumerated when finite, else proved infinite by
+    a generator's order or by two elements equal mod 3."""
+    gens, k = _unimodular(gens)
+    bound = minkowski_bound(k)
+    orders = [_order(g, bound) for g in gens]
+    found = None
+    if None not in orders:
+        try:
+            found = _dimino(gens, orders, k, bound, np.int64)
+        except OverflowError:
+            found = _dimino(gens, orders, k, bound, object)
     if found is None:
         return MatrixGroupResult(finite=False, rank=k, witness_count=bound + 1)
     return MatrixGroupResult(finite=True, rank=k, order=len(found),
@@ -377,12 +442,12 @@ def _order(m: IntMatrix, bound: int) -> int | None:
     """element_order of a unimodular m: a finite order is n3, the order of
     m mod 3 (at most 3^k - 1), so it is finite exactly when m^n3 = I."""
     ident = np.eye(len(m), dtype=np.int64).tolist()
-    x = m3 = (np.array(m, dtype=object) % 3).astype(np.int64)
+    x = m3 = np.array([[v % 3 for v in row] for row in m], dtype=np.int64)
     for n3 in range(1, min(bound, 3 ** len(m) - 1) + 1):
         if x.tolist() == ident:
             power = np.linalg.matrix_power(np.array(m, dtype=object), n3)
             return n3 if power.tolist() == ident else None
-        x = (x @ m3) % 3
+        x = _MOD3[x @ m3]
     return None
 
 

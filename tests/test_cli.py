@@ -136,7 +136,7 @@ UNDECIDED = {
                 {"kind": "torus-family", "rank": 2,
                  "factor_generators": [[[[0, -1], [1, 0]]]]}]})],
         f'"note": "{MIXED_NOTE}"', _family_note,
-        ("UnknownPrefixOnly", MIXED_NOTE)),
+        ("UnknownMixture", MIXED_NOTE)),
     "lie-d6": (
         ["liecheck", "--datum", json.dumps({
             "schema": 1, "kind": "lie-datum", "z": 2, "factors": ["D6"],
@@ -177,12 +177,24 @@ CASES_PER_LEAF = 60
 
 
 
+def corner(k: int, block) -> list:
+    """I_k with `block` in its top-left corner."""
+    return [[block[i][j] if max(i, j) < len(block) else int(i == j)
+             for j in range(k)] for i in range(k)]
+
+
+# B_8 (order 10,321,920) by an 8-cycle, a transposition and a sign flip
+B8 = [[[int((j + 1) % 8 == i) for j in range(8)] for i in range(8)],
+      corner(8, [[0, 1], [1, 0]]), corner(8, [[-1]])]
+
 # valid but small inputs by flag; group orders stay small so that no case is
-# a legal but slow table.  Generators have rank at most 3: `zmat finiteness`
-# enumerates an infinite group up to Minkowski's bound, M(3) + 1 = 49
-# matrices, but M(4) + 1 = 5761 of growing integers after a 2^70 mutation
-# take seconds, and at rank 7 and 8 the bound is millions of matrices (past
-# 1 GiB), a known gap this fuzz leaves out until finiteness stops enumerating.
+# a legal but slow table.  `zmat finiteness` stops at its first proof that a
+# group is infinite: a generator of infinite order, read before anything is
+# built, as I + E_01 beside B_8, or two elements equal mod 3, as in SL(2, Z)
+# on a 2x2 block of rank 8 after 24 elements.  A finite group is enumerated
+# whole, so the generators of rank 4 and up are only such infinite cases:
+# a mutation that drops I + E_01 from B_8 leaves 10 million elements, which
+# run out of the child's 1 GiB and end as SizeLimit.
 VALID = {
     "--request": ["torus-collapse.json", "heisenberg-prefix.json",
                   "split-inversion.json", "split-growing-orbit.json",
@@ -203,7 +215,9 @@ VALID = {
                  "action": [[0, 1, 2], [0, 2, 1]]}],
     "--gens": [[[[0, -1], [1, 0]]], [[[0, -1], [1, 1]]], [[[1, 1], [0, 1]]],
                [[[-1]]], [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
-               [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]],
+               [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]],
+               B8 + [corner(8, [[1, 1], [0, 1]])],
+               [corner(8, [[0, -1], [1, 0]]), corner(8, [[0, -1], [1, 1]])]],
     "--vector": [[1, 0], [0, 0], [1], [1, 2, 3], [0, 1, 0, 0]],
     "--matrix": [[[-1, 0], [0, -1]], [[0, -1], [1, 0]], [[1]],
                  [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],

@@ -321,7 +321,7 @@ class TestSoundnessDispatch:
             ],
         }
         verdict = soundness_verdict(request)
-        assert verdict.verdict == "UnknownPrefixOnly"
+        assert (verdict.verdict, verdict.exit_code) == ("UnknownMixture", 2)
         assert [m["verdict"] for m in verdict.certificate["members"]] == \
             ["Sound", "Sound"]
 

@@ -99,6 +99,22 @@ def signed_permutation(rng, k):
     return u, mat_inv_unimodular(u)
 
 
+def assert_like_oracle(gens, bound=None):
+    """generated_group against the tuple BFS, which gives up past `bound`
+    elements (Minkowski's bound by default; any bound above the largest
+    finite order at the rank decides the same).  A group the oracle finds
+    finite must be its group; one it gives up on must be reported infinite
+    with witness count M(k) + 1."""
+    res = generated_group(gens)
+    oracle = generated_group_bfs(gens, bound)
+    if oracle.finite:
+        assert group_key(res) == group_key(oracle)
+    else:
+        assert not res.finite
+        assert res.witness_count == minkowski_bound(res.rank) + 1
+    return res
+
+
 def hyperoctahedral_gens(k):
     """S_k by a k-cycle and a transposition, plus one sign flip: B_k."""
     cycle = permutation_matrix([(i + 1) % k for i in range(k)])
@@ -341,11 +357,9 @@ class TestBatchedClosure:
             k = rng.choice((1, 2, 2, 3, 3, 3, 4))
             gens = [random_unimodular(rng, k, steps=rng.randint(1, 4))
                     for _ in range(rng.randint(1, 2))]
-            # both sides at one bound; at rank 4 a bound of 1,200 (above the
-            # largest finite order, 1,152) spares the oracle 5,760 products
-            bound = None if k < 4 else 1200
-            res = generated_group(gens, bound)
-            assert group_key(res) == group_key(generated_group_bfs(gens, bound))
+            # at rank 4 the oracle gives up at 1,200 elements (above the
+            # largest finite order, 1,152), which spares it 5,760 products
+            res = assert_like_oracle(gens, None if k < 4 else 1200)
             finite += res.finite
             infinite += not res.finite
             v = tuple(rng.randint(-3, 3) for _ in range(k))
@@ -355,16 +369,7 @@ class TestBatchedClosure:
 
     def test_products_cross_the_int64_guard(self):
         big = 2 ** 30
-        cases = [
-            [((1, 2 ** 40), (0, 1))],  # second level runs in Python ints
-            [((1, big), (0, 1)), ((1, 0), (big, 1))],  # third level does
-        ]
-        for gens in cases:
-            for bound in (24, 200):
-                res = generated_group(gens, bound=bound)
-                assert not res.finite and res.witness_count == bound + 1
-                assert group_key(res) == group_key(generated_group_bfs(gens, bound=bound))
-        for c in (1000, 2 ** 31):
+        for c in (1000, 2 ** 20, 2 ** 31):
             # finite groups with large entries, exact either way
             t = ((1, c), (0, 1))
             t_inv = mat_inv_unimodular(t)
@@ -372,6 +377,13 @@ class TestBatchedClosure:
             res = generated_group(gens)
             assert res.finite and res.order == 8
             assert group_key(res) == group_key(generated_group_bfs(gens))
+            # SL(2, Z) conjugated: generators of finite order, entries near
+            # c^2, and two elements equal mod 3 among products past int64
+            gens = [mat_mul(mat_mul(t, g), t_inv) for g in (ALPHA, BETA)]
+            assert_like_oracle(gens, 200)
+        # generators of infinite order: decided before any product
+        assert_like_oracle([((1, 2 ** 40), (0, 1))], 200)
+        assert_like_oracle([((1, big), (0, 1)), ((1, 0), (big, 1))], 200)
         v = (1, 0)
         gens = [((1, big), (0, 1)), ((1, 0), (big, 1))]
         assert orbit_key(char_orbit(v, gens, cap=300)) == \
@@ -386,8 +398,7 @@ class TestBatchedClosure:
         assert res.finite and res.order == 4
         assert group_key(res) == group_key(generated_group_bfs(gens))
         assert all(type(v) is int for v in res.matrices.ravel().tolist())
-        res = generated_group([t], bound=30)
-        assert group_key(res) == group_key(generated_group_bfs([t], bound=30))
+        assert_like_oracle([t], 30)
         v = (2 ** 70, -3)
         assert orbit_key(char_orbit(v, [ALPHA])) == \
             orbit_key(char_orbit_bfs(v, [ALPHA], 10 ** 6))
@@ -460,25 +471,23 @@ class TestDimino:
         products = []
         mul = zmat._mul
 
-        def counting_mul(a, b):
+        def counting_mul(a, b, *top):
             products.append(a)
-            return mul(a, b)
+            return mul(a, b, *top)
 
         monkeypatch.setattr(zmat, "_mul", counting_mul)
         res = generated_group([unipotent(k)])
         assert not res.finite and res.witness_count == minkowski_bound(k) + 1
+        # after a finite generator too: every order is read before the
+        # enumeration starts
+        assert_like_oracle([padded_block(k, ALPHA), unipotent(k)], 200)
         assert products == []
-        # a finite first generator, then the unipotent one in a coset phase
-        res = generated_group([padded_block(k, ALPHA), unipotent(k)], 200)
-        assert not res.finite and res.witness_count == 201
-        assert group_key(res) == group_key(generated_group_bfs(
-            [padded_block(k, ALPHA), unipotent(k)], 200))
 
     def test_cyclic_phase_doubles(self, monkeypatch):
         calls = []
         mul = zmat._mul
-        monkeypatch.setattr(zmat, "_mul",
-                            lambda a, b: calls.append(len(b)) or mul(a, b))
+        monkeypatch.setattr(zmat, "_mul", lambda a, b, *top:
+                            calls.append(len(b)) or mul(a, b, *top))
         blocks = [((0, -1), (1, 1)), ((0, -1), (1, 0)), ((0, 1), (-1, -1))]
         m = [[0] * 6 for _ in range(6)]
         for at, block in zip((0, 2, 4), blocks):  # orders 6, 4 and 3
@@ -502,22 +511,91 @@ class TestDimino:
         res = generated_group([NEG, swap])
         assert res.finite and res.order == 4
         assert res.matrices.dtype == object
-        assert orders == [NEG, NEG]  # once per attempt
+        assert orders == [NEG, swap]  # once per generator, before either attempt
         assert group_key(res) == group_key(generated_group_bfs([NEG, swap]))
-        big = 2 ** 30
-        gens = [NEG, ((1, big), (0, 1)), ((1, 0), (big, 1))]
-        for bound in (24, 200):
-            res = generated_group(gens, bound)
-            assert not res.finite and res.witness_count == bound + 1
-            assert group_key(res) == group_key(generated_group_bfs(gens, bound))
+
+    def test_residues_on_both_sides_of_the_lookup_table(self):
+        edge = 3 << 10  # the table serves -edge <= x < edge
+        values = [-edge - 1, -edge, -edge + 1, -1, 0, 1, edge - 1, edge,
+                  2 ** 62, -2 ** 63]
+        for picked in (values[1:-3], values):
+            rows = np.array(picked, dtype=np.int64).reshape(-1, 1, 1)
+            for dtype in (np.int64, object):
+                assert zmat._residue_keys(rows.astype(dtype)) == \
+                    zmat.row_keys(np.array([[[v % 3]] for v in picked],
+                                           dtype=np.int8))
+
+    @pytest.mark.parametrize("top_bits", [25, 26, 30])
+    def test_products_exact_on_both_sides_of_float64(self, top_bits):
+        # k top^2 is 2^52, 2^54 and 2^62: a large product is taken in
+        # float64 below 2^53 and in int64 above it
+        k, rng = 4, np.random.default_rng(top_bits)
+        top = 2 ** top_bits
+        a = rng.integers(-top, top, size=(200, k), endpoint=True)
+        b = rng.integers(-top, top, size=(3, k, k), endpoint=True)
+        a[0, 0] = b[0, 0, 0] = top
+        want = np.matmul(a.astype(object), b.astype(object))
+        for given in (None, top):
+            got = zmat._mul(a, b, given)
+            assert got.dtype == np.int64 and (got == want).all()
+        with pytest.raises(OverflowError):
+            zmat._mul(a, b, 2 ** 31)  # k (2^31)^2 = 2^64
+
+    def test_bound_stays_on_dimino(self):
+        # D8 past a bound of 4 elements is no proof of anything: only the
+        # enumeration takes a bound, and generated_group passes M(2)
+        gens = [ALPHA, SWAP]
+        orders = [element_order(g) for g in gens]
+        assert zmat._dimino(gens, orders, 2, 4, np.int64) is None
+        assert len(zmat._dimino(gens, orders, 2, 8, np.int64)) == 8
+        res = generated_group(gens)
+        assert res.finite and res.order == 8
+
+    def test_sl2z_block_stops_within_its_image_mod_3(self, monkeypatch):
+        # torus-infinite-5's joint action: SL(2, Z) on a 2x2 block, by
+        # generators of orders 4 and 6.  Its image mod 3 is SL(2, 3), of
+        # order 24, so every batch before the one that shows two elements
+        # equal mod 3 fits inside it
+        built = []
+        keys = zmat._residue_keys
+        monkeypatch.setattr(zmat, "_residue_keys",
+                            lambda rows: built.append(len(rows)) or keys(rows))
+        u, u_inv = signed_permutation(random.Random(5), 5)
+        gens = [mat_mul(mat_mul(u, padded_block(5, g)), u_inv)
+                for g in (ALPHA, BETA)]
+        res = generated_group(gens)
+        assert not res.finite and res.witness_count == minkowski_bound(5) + 1
+        assert built and sum(built[:-1]) <= 24
+
+    def test_bk_with_unipotent_is_infinite_at_once_in_1_gib(self):
+        # B_k with I + E_01 at ranks 6-8 once enumerated up to M(k) and ran
+        # out of memory; the unipotent generator's order now decides it
+        code = r"""
+import json, os, resource, sys, time
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # no per-thread buffers
+from bohrsound.zmat import generated_group
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for gens in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    res = generated_group(gens)
+    print(json.dumps([res.finite, res.witness_count,
+                      time.perf_counter() - start]))
+"""
+        ranks = (6, 7, 8)
+        cases = [hyperoctahedral_gens(k) + [unipotent(k)] for k in ranks]
+        out = _run_child(code, json.dumps(cases))
+        for k, line in zip(ranks, out.splitlines(), strict=True):
+            finite, witness, seconds = json.loads(line)
+            assert (finite, witness) == (False, minkowski_bound(k) + 1)
+            assert seconds < 0.5, (k, seconds)
 
     def test_coset_batches_are_capped(self, monkeypatch):
         monkeypatch.setattr(zmat, "_BATCH_PRODUCTS", 64)
         sizes = []
         mul = zmat._mul
 
-        def recording_mul(a, b):
-            out = mul(a, b)
+        def recording_mul(a, b, *top):
+            out = mul(a, b, *top)
             if a.ndim == 2:  # H stacked, times a batch of c: (c, |H| k, k)
                 sizes.append((len(out) * len(a) // a.shape[1],
                               len(a) // a.shape[1]))
