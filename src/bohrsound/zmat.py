@@ -278,7 +278,7 @@ def _mul(a: np.ndarray, b: np.ndarray, top: int | None = None) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def _new_rows(rows: np.ndarray, known) -> tuple[dict, np.ndarray]:
+def _new_rows(rows: np.ndarray, known: set) -> tuple[dict, np.ndarray]:
     """The keys of the rows of `rows` not in `known`, each once in order of
     first occurrence (as dict keys), and the array of the rows they key."""
     keys = row_keys(rows)
@@ -309,8 +309,7 @@ def _dimino(gens: list[IntMatrix], orders: list[int], k: int, bound: int,
             group = np.concatenate([group, g])  # g^j for j < m = 2
             while len(group) < n:  # g^m g^j = g^(m + j) doubles m
                 power = _mul(group[-1:], g, top)
-                top = max(top, _top(power))
-                group = np.concatenate([group, _mul(power, group, top)])
+                group = np.concatenate([group, _mul(power, group)])
                 top = max(top, _top(group))
             group = group[:n]
             seen = set(row_keys(group))
