@@ -71,7 +71,6 @@ class AmalgamSpec:
             raise SourceMismatch("one injection per factor required")
         self.rep_of = []
         self.head_of = []
-        self.transversals = []
         for fac, emb in zip(self.factors, self.injections):
             if emb.source is not h or emb.target is not fac:
                 raise SourceMismatch("injection endpoints do not match the spec")
@@ -84,8 +83,6 @@ class AmalgamSpec:
             head = pre[fac.mul[np.arange(fac.order), fac.inv[rep]]]
             self.rep_of.append(rep.tolist())
             self.head_of.append(head.tolist())
-            self.transversals.append(tuple(
-                np.flatnonzero(rep == np.arange(fac.order)).tolist()))
 
     @property
     def n_factors(self) -> int:

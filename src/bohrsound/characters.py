@@ -61,7 +61,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -387,10 +386,6 @@ class CharacterTable:
         self._inv_cls = list(group.inverse_class)
         self._order_inv = pow(group.order, prime - 2, prime)
 
-    @cached_property
-    def _row_lookup(self) -> dict[tuple[int, ...], int]:
-        return {row: i for i, row in enumerate(map(tuple, self.values.tolist()))}
-
     @property
     def n_irreducibles(self) -> int:
         return len(self.degrees)
@@ -399,11 +394,12 @@ class CharacterTable:
         return self.values[i]
 
     def row_index(self, vector) -> int:
-        key = tuple(int(v) % self.prime for v in vector)
-        try:
-            return self._row_lookup[key]
-        except KeyError:
-            raise SourceMismatch("vector is not an irreducible character") from None
+        key = [int(v) % self.prime for v in vector]
+        if len(key) == self.n_classes:
+            hits = np.flatnonzero((self.values == key).all(axis=1))
+            if hits.size:
+                return int(hits[0])
+        raise SourceMismatch("vector is not an irreducible character")
 
     def inner(self, u, v):
         """<u, v> = sum_k |C_k| u(k) v(k^-1) / |G| over GF(p), as an integer
@@ -717,7 +713,7 @@ class EqualizerWitness:
 
     kind 'split': one irreducible restricts with self-intersection >= 2;
     kind 'collision': two distinct irreducibles restrict to equal characters.
-    `values` holds the ambient table's rows at `indices`, mod `prime`.
+    `witness_values` holds the ambient table's rows at `indices`, mod `prime`.
     """
 
     kind: str
@@ -725,7 +721,7 @@ class EqualizerWitness:
     self_intersection: int | None
     prime: int
     degrees: tuple[int, ...]
-    values: tuple[tuple[int, ...], ...]
+    witness_values: tuple[tuple[int, ...], ...]
 
 
 def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
@@ -745,7 +741,7 @@ def equalizer_witness(emb: GroupHom, table=None) -> EqualizerWitness:
         return EqualizerWitness(
             kind=kind, indices=indices, self_intersection=self_intersection,
             prime=tg.prime, degrees=tuple(tg.degrees[i] for i in indices),
-            values=tuple(tuple(tg.values[i].tolist()) for i in indices))
+            witness_values=tuple(tuple(tg.values[i].tolist()) for i in indices))
 
     for pi in range(tg.n_irreducibles):
         if self_ints[pi] >= 2:

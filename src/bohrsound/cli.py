@@ -28,6 +28,7 @@ argparse makes a fresh namespace on every parse.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -129,22 +130,14 @@ def run_equalizer(args):
     emb = hom_from_descriptor(table_group_from_descriptor(spec["subgroup"]), {
         "group": spec["ambient"], "mapping": spec["mapping"]}, "spec")
     witness = equalizer_witness(emb, table=_table_provider(args))
-    rows = [list(row) for row in witness.values]
-    payload = {
-        "kind": witness.kind,
-        "indices": list(witness.indices),
-        "degrees": list(witness.degrees),
-        "self_intersection": witness.self_intersection,
-        "prime": witness.prime,
-        "witness_values": rows,
-    }
     lines = [f"kind: {witness.kind}",
              f"ambient irreducibles: {list(witness.indices)} "
              f"(degrees {list(witness.degrees)})",
              f"self-intersection: {witness.self_intersection}",
              f"prime: {witness.prime}"]
-    lines += [f"values[{i}]: {row}" for i, row in zip(witness.indices, rows)]
-    return payload, lines, 0
+    lines += [f"values[{i}]: {list(row)}"
+              for i, row in zip(witness.indices, witness.witness_values)]
+    return dataclasses.asdict(witness), lines, 0
 
 
 def run_clifford(args):

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every validation failure carries a witness (the offending triple, pair or
-index) so callers can report actionable diagnostics instead of a bare flag.
+The witness errors carry the offending value (a triple, pair, index or
+determinant) as `.witness`, so callers can report actionable diagnostics
+instead of a bare flag; the other errors carry only their message.
 """
 
 from __future__ import annotations
@@ -27,42 +28,47 @@ class CacheNotWritten(BohrsoundError):
     """A table cache entry could not be written."""
 
 
+class WitnessError(BohrsoundError):
+    """A failure shown by a value: the message is `template` formatted with
+    the witness and any detail after it, and the witness is kept.  The
+    arguments stay in `args`, so the error survives pickling."""
+
+    def __init__(self, witness, *detail):
+        super().__init__(witness, *detail)
+        self.witness = witness
+
+    def __str__(self) -> str:
+        return self.template.format(*self.args)
+
+
 # group-core
 
 class NoIdentity(BohrsoundError):
     pass
 
 
-class NoInverse(BohrsoundError):
-    def __init__(self, element: int):
-        super().__init__(f"element {element} has no two-sided inverse")
-        self.element = element
+class NoInverse(WitnessError):
+    template = "element {} has no two-sided inverse"
 
 
-class NonAssociative(BohrsoundError):
-    def __init__(self, triple: tuple[int, int, int]):
-        super().__init__(f"associativity fails at {triple}")
-        self.triple = triple
+class NonAssociative(WitnessError):
+    template = "associativity fails at {}"
 
 
 class NotASubgroup(BohrsoundError):
     pass
 
 
-class NotAnAction(BohrsoundError):
-    def __init__(self, witness, reason: str = ""):
-        super().__init__(f"not a group action: {reason} (witness {witness})")
-        self.witness = witness
+class NotAnAction(WitnessError):
+    template = "not a group action: {1} (witness {0})"
 
 
 class NotInjective(BohrsoundError):
     pass
 
 
-class NotNormal(BohrsoundError):
-    def __init__(self, witness=None):
-        super().__init__(f"subgroup is not normal (witness {witness})")
-        self.witness = witness
+class NotNormal(WitnessError):
+    template = "subgroup is not normal (witness {})"
 
 
 class SourceMismatch(BohrsoundError):
@@ -81,20 +87,16 @@ class NotProper(BohrsoundError):
 
 # zmat
 
-class NotUnimodular(BohrsoundError):
-    def __init__(self, det: int):
-        super().__init__(f"matrix has determinant {det}, expected +-1")
-        self.det = det
+class NotUnimodular(WitnessError):
+    template = "matrix has determinant {}, expected +-1"
 
 
 class DimensionMismatch(BohrsoundError):
     pass
 
 
-class FactorNotFinite(BohrsoundError):
-    def __init__(self, index: int):
-        super().__init__(f"factor {index} generates an infinite matrix group")
-        self.index = index
+class FactorNotFinite(WitnessError):
+    template = "factor {} generates an infinite matrix group"
 
 
 # amalgam
@@ -103,10 +105,8 @@ class InvalidLetter(BohrsoundError):
     pass
 
 
-class DisagreeOnAmalgam(BohrsoundError):
-    def __init__(self, witness):
-        super().__init__(f"factor maps disagree on the amalgamated subgroup at {witness}")
-        self.witness = witness
+class DisagreeOnAmalgam(WitnessError):
+    template = "factor maps disagree on the amalgamated subgroup at {}"
 
 
 class AmalgamNotTrivial(BohrsoundError):
@@ -117,22 +117,16 @@ class NonzeroAtIdentity(BohrsoundError):
     pass
 
 
-class NotSymmetric(BohrsoundError):
-    def __init__(self, witness):
-        super().__init__(f"length function is not symmetric (witness {witness})")
-        self.witness = witness
+class NotSymmetric(WitnessError):
+    template = "length function is not symmetric (witness {})"
 
 
-class NotClassFunction(BohrsoundError):
-    def __init__(self, witness):
-        super().__init__(f"length function is not conjugation invariant (witness {witness})")
-        self.witness = witness
+class NotClassFunction(WitnessError):
+    template = "length function is not conjugation invariant (witness {})"
 
 
-class NotSubadditive(BohrsoundError):
-    def __init__(self, witness):
-        super().__init__(f"length function is not subadditive (witness {witness})")
-        self.witness = witness
+class NotSubadditive(WitnessError):
+    template = "length function is not subadditive (witness {})"
 
 
 # lie-center
@@ -141,14 +135,9 @@ class InvalidDelta(BohrsoundError):
     pass
 
 
-class DoesNotCommute(BohrsoundError):
-    def __init__(self, witness):
-        super().__init__(f"matrices do not commute (witness {witness})")
-        self.witness = witness
+class DoesNotCommute(WitnessError):
+    template = "matrices do not commute (witness {})"
 
 
-class WrongOrder(BohrsoundError):
-    def __init__(self, expected: int, got):
-        super().__init__(f"expected element of order {expected}, got order {got}")
-        self.expected = expected
-        self.got = got
+class WrongOrder(WitnessError):
+    template = "expected element of order {1}, got order {0}"

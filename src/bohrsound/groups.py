@@ -202,12 +202,6 @@ class FiniteGroup:
         """Index of the class containing the inverses of class k."""
         return tuple(self.class_of[self.inv[list(self.class_reps)]].tolist())
 
-    # -- distinguished subgroups ---------------------------------------------
-
-    def center(self) -> "Subgroup":
-        mask = (self.mul == self.mul.T).all(axis=1)
-        return Subgroup(self, tuple(int(v) for v in np.nonzero(mask)[0]))
-
     # -- identity and hashing -------------------------------------------------
 
     @cached_property

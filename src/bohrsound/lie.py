@@ -34,8 +34,8 @@ from .errors import (
 )
 from .groups import FiniteAbelian, abelian_from_orders, factorize
 from .zmat import (
+    abelian_embeds,
     element_order,
-    embeds_into_fixed,
     fixed_subgroup_structure,
     mat,
     mat_inv_unimodular,
@@ -354,7 +354,7 @@ def largest_compact_verdict(datum: LieDatum) -> LargestCompactVerdict:
     for label, rep in TORSION_CLASSES:
         fs = fixed_subgroup_structure(rep)
         profiles.append((label, str(fs), fs.finite_order))
-        if embeds_into_fixed(delta0, fs):
+        if abelian_embeds(delta0, fs.circle_rank, fs.torsion):
             return verdict("NoLargest", "glued subgroup embeds into the fixed "
                            f"points of {label}", label, rep)
     return verdict("HasLargest",
@@ -375,11 +375,12 @@ class ConditionsReport:
 def compactness_conditions(datum: LieDatum) -> ConditionsReport:
     """The equivalent compactness conditions plus the follow-up verdicts.
 
-    The first is read off the presentation, the second recomputed through
-    the center, which the report keeps as (torus dimension, finite part);
-    they must agree.  The largest-compact verdict is decided once and kept
-    in the report; compact automorphisms (rank <= 1) always leave a largest
-    compact subgroup, and past rank 2 it is Unknown.
+    The first is read off the presentation, the second off the center,
+    which the report keeps as (torus dimension, finite part).  `lie_center`
+    returns the datum's torus rank itself, so the two agree; the check that
+    they do is an invariant.  The largest-compact verdict is decided once
+    and kept in the report; compact automorphisms (rank <= 1) always leave a
+    largest compact subgroup, and past rank 2 it is Unknown.
     """
     a = datum.torus_rank <= 1
     center = lie_center(datum)
@@ -417,7 +418,7 @@ def torus2_automorphism_family_witness(alpha, b1, b2,
         if mat_mul(m, alpha) != mat_mul(alpha, m):
             raise DoesNotCommute(name)
     if element_order(b1) != 2:
-        raise WrongOrder(2, element_order(b1))
+        raise WrongOrder(element_order(b1), 2)
     b2_inv = mat_inv_unimodular(b2)
     seen = []
     current = b1

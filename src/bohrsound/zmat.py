@@ -181,11 +181,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return mat(u), mat(m), mat(v)
 
 
-def snf_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    _, s, _ = smith_normal_form(a)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
-
-
 # -- Minkowski bound and finiteness ----------------------------------------------
 
 
@@ -517,7 +512,8 @@ def fixed_subgroup_structure(m: IntMatrix) -> FixedStructure:
     if any(len(r) != k for r in m):
         raise DimensionMismatch("automorphism matrix must be square")
     diff = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(k)) for i in range(k))
-    diag = snf_diagonal(diff)  # k entries, each 0 (a circle) or a torsion order
+    _, s, _ = smith_normal_form(diff)
+    diag = [s[i][i] for i in range(k)]  # each 0 (a circle) or a torsion order
     return FixedStructure(circle_rank=diag.count(0),
                           torsion=abelian_from_orders(diag))
 
@@ -547,10 +543,6 @@ def abelian_embeds(d: FiniteAbelian, circle_rank: int, torsion: FiniteAbelian) -
     primes = set(d.primes()) | set(torsion.primes())
     return all(_p_part_embeds(d.p_partition(p), circle_rank, torsion.p_partition(p))
                for p in sorted(primes))
-
-
-def embeds_into_fixed(d: FiniteAbelian, fixed: FixedStructure) -> bool:
-    return abelian_embeds(d, fixed.circle_rank, fixed.torsion)
 
 
 # -- soundness of torus families ----------------------------------------------------

@@ -914,6 +914,11 @@ def closure(g, gens) -> tuple[int, ...]:
     return tuple(sorted(reachable([0, *gens], products.__getitem__)))
 
 
+def center(g) -> Subgroup:
+    mask = (g.mul == g.mul.T).all(axis=1)
+    return Subgroup(g, tuple(int(v) for v in np.nonzero(mask)[0]))
+
+
 def derived_subgroup(g) -> Subgroup:
     m, inv = g.mul, g.inv
     comms = m[m[m, inv[:, None]], inv]  # [a, b] = a b a^-1 b^-1

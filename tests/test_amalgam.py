@@ -81,10 +81,15 @@ def random_word(rng, spec, max_len):
     return tuple(out)
 
 
+def transversal(spec, i):
+    """Factor i's coset representatives: the elements that represent themselves."""
+    return tuple(x for x, rep in enumerate(spec.rep_of[i]) if rep == x)
+
+
 class TestSpecConstruction:
     def test_sl2z_transversals(self):
         spec = sl2z_amalgam()
-        assert spec.transversals == [(0, 1), (0, 1, 2)]
+        assert [transversal(spec, i) for i in range(2)] == [(0, 1), (0, 1, 2)]
 
     def test_coset_decomposition_covers(self):
         spec = sl2z_amalgam()
@@ -94,7 +99,7 @@ class TestSpecConstruction:
                 h = spec.head_of[i][g]
                 t = spec.rep_of[i][g]
                 assert fac.op(emb(h), t) == g
-                assert t in spec.transversals[i]
+                assert t in transversal(spec, i)
 
     def test_injection_must_be_injective(self):
         z2 = cyclic(2)
@@ -163,7 +168,7 @@ class TestNormalForm:
             for (i, t), (j, _) in zip(nf.tail, nf.tail[1:]):
                 assert i != j
             for i, t in nf.tail:
-                assert t != 0 and t in spec.transversals[i]
+                assert t != 0 and t in transversal(spec, i)
 
 
 class TestWordEqual:

@@ -43,6 +43,7 @@ from bohrsound.characters import (
 )
 
 from oracles import (
+    center,
     check_orthonormal,
     common_prime,
     dual_group_table_by_cosets,
@@ -220,12 +221,15 @@ class TestTableConstruction:
         tab = character_table(dihedral(4))
         fresh = characters.CharacterTable(tab.group, tab.prime, tab.degrees,
                                           tab.values)
-        assert "_row_lookup" not in vars(fresh)  # built on first lookup
         assert fresh.row_index(tab.row(1)) == 1
         for i in range(tab.n_irreducibles):
             assert tab.row_index(tab.row(i)) == i
         with pytest.raises(SourceMismatch):
             tab.row_index(np.zeros(tab.n_irreducibles, dtype=np.int64))
+        # a row one entry short, and one entry that would broadcast
+        for wrong_length in (tab.row(1)[:-1], [1]):
+            with pytest.raises(SourceMismatch):
+                tab.row_index(wrong_length)
 
 
 def _product(*ns):
@@ -717,7 +721,7 @@ class TestOwnPrimes:
         pool = corpus_small + [direct_product(cyclic(5), heisenberg(1))]
         rng = random.Random(20)
         for kernel in (cyclic(2), cyclic(10)):
-            central = [(g, z) for g in pool for z in g.center().elements
+            central = [(g, z) for g in pool for z in center(g).elements
                        if g.element_order(z) == kernel.order]
             for _ in range(8):
                 members = rng.sample(central, rng.randrange(2, 5))
