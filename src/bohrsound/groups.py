@@ -309,14 +309,10 @@ class Subgroup:
         sub = parent.mul[np.ix_(self.elements, self.elements)]
         if not np.isin(sub, self.elements).all():
             raise NotASubgroup("not closed under multiplication")
-        self._set = set(self.elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._set
 
     def materialize(self) -> tuple[FiniteGroup, GroupHom]:
         """Standalone group on the sorted elements plus the inclusion map."""
@@ -410,25 +406,23 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def validate_action(normal: FiniteGroup, acting: FiniteGroup, action) -> np.ndarray:
     """Check that action is a homomorphism acting -> Aut(normal).
 
-    Accepts a list of index permutations (one per acting element) or a callable
-    a -> permutation.  Returns the (|A|, |N|) array of automorphisms.  Only
-    the greedy generators g of A are checked to act by automorphisms with
-    act[g] o act[a] = act[g a] for every a; by induction on word length every
-    act[a] is then a product of automorphisms and the action multiplicative,
-    at O(log|A| (|A||N| + |N|^2)) cost.
+    Takes one index permutation of N per acting element, as an (|A|, |N|)
+    array or nested lists, and returns it as an int32 array.  An entry
+    outside range(|N|), however large, is refused with its position (a, x).
+    Only the greedy generators g of A are checked to act by automorphisms
+    with act[g] o act[a] = act[g a] for every a; by induction on word length
+    every act[a] is then a product of automorphisms and the action
+    multiplicative, at O(log|A| (|A||N| + |N|^2)) cost.
     """
-    if callable(action):
-        action = [action(a) for a in range(acting.order)]
-    try:
-        act = np.asarray(action, dtype=np.int32)
-    except OverflowError:  # an entry past int32 is no element index
-        raise NotAnAction(None, "entries out of range") from None
+    act = np.asarray(action)  # entries past int64 come as Python ints
     if act.shape != (acting.order, normal.order):
         raise NotAnAction(act.shape, "wrong shape")
-    outside = (act < 0) | (act >= normal.order)  # before any gather: -1 wraps
+    # before the int32 cast, which would overflow, and any gather: -1 wraps
+    outside = (act < 0) | (act >= normal.order)
     if outside.any():
         a, x = np.argwhere(outside)[0]
         raise NotAnAction((int(a), int(x)), "entries out of range")
+    act = act.astype(np.int32)
     idx = np.arange(normal.order)
     if not np.array_equal(act[0], idx):
         raise NotAnAction(0, "identity must act trivially")

@@ -5,8 +5,8 @@ group's elements are stored once, as one (order, k, k) array sorted as
 `sorted()` sorts their nested lists, which is the order of their flattened
 rows.  Over int64, when the entries' span s satisfies s^(k^2) < 2^63, one
 argsort of each row's mixed-radix key, its digits the entries less the
-least one, gives that order; small groups, wider entries and Python ints
-take `np.lexsort` over the k^2 columns.
+least one, gives that order; wider entries and Python ints take
+`np.lexsort` over the k^2 columns.
 
 Finiteness of generated subgroups of GL(k, Z) rests on two facts.  Any
 finite subgroup has order dividing Minkowski's bound M(k).  And the kernel
@@ -30,11 +30,10 @@ group H so far adds disjoint right cosets H c, from c = g on: c s for each
 generator s so far that is not yet an element starts another.  A finite
 semigroup of invertible matrices is a group, so no inverse is needed.  A
 batch of cosets is one np.matmul, keyed by the products' bytes and by the
-bytes of their residues as int8.  With `top` the largest |x| measured so
-far over the generators and elements, products run in int64 only when
-k top^2 < 2^63, and in float64, exact there and faster through BLAS, when
-k top^2 < 2^53; past 2^63 the enumeration restarts in Python ints, so
-every result is exact.
+bytes of their residues as int8.  Each product runs in int64 only when
+k |a| |b| < 2^63, with |a| and |b| the largest entries of its factors;
+past that the enumeration restarts in Python ints, so every result is
+exact.
 
 `element_order` needs no enumeration: by the same lemma it is the order n3
 of the reduction mod 3 when m^n3 = I, and infinite otherwise.
@@ -237,39 +236,19 @@ def _unimodular(gens) -> tuple[list[IntMatrix], int]:
 _BATCH_PRODUCTS = 1 << 12
 
 
-# From about this many product entries on, converting to float64 for BLAS
-# costs less than numpy's int64 matmul loop ((25, 5) @ (5, 5, 5): 3.7 against
-# 4.3 us; (600, 5) @ (2, 5, 5): 9.6 against 24 us).
-_FLOAT_MATMUL_MIN = 1 << 9
-
-
 def _top(a: np.ndarray) -> int:
-    """The largest |x| in an int64 array (0 when empty); _mul needs no
-    bound on Python ints, so 0 for them too."""
-    if a.dtype == object:
-        return 0
+    """The largest |x| in a nonempty int64 array."""
     # |x| viewed as uint64 is exact for every int64 x, -2^63 included
-    return int(np.abs(a).view(np.uint64).max(initial=0))
+    return int(np.abs(a).view(np.uint64).max())
 
 
-def _mul(a: np.ndarray, b: np.ndarray, top: int | None = None) -> np.ndarray:
-    """a @ b, exactly, given a bound `top` on |x| over both (measured when
-    None); over int64 it raises OverflowError if a sum could pass 2^63.
-
-    Below 2^53 every partial sum is an integer that float64 holds exactly,
-    so a large product is taken in float64.  For the shapes multiplied here,
-    (r, k) or (m, 1, k, k) times (s, k, k), the product has
-    (a.size / k) (b.size / k) entries.
-    """
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, exactly; over int64 it raises OverflowError if a sum could
+    pass 2^63."""
     if a.dtype == object or not (a.size and b.size):
         return np.matmul(a, b)
-    k = a.shape[-1]
-    reach = k * _top(a) * _top(b) if top is None else k * top * top
-    if reach >= 1 << 63:
+    if a.shape[-1] * _top(a) * _top(b) >= 1 << 63:
         raise OverflowError("int64 matrix products could wrap")
-    if reach < 1 << 53 and a.size // k * (b.size // k) >= _FLOAT_MATMUL_MIN:
-        return np.matmul(a.astype(np.float64),
-                         b.astype(np.float64)).astype(np.int64)
     return np.matmul(a, b)
 
 
@@ -293,7 +272,6 @@ def _dimino(gens: list[IntMatrix], orders: list[int], k: int, bound: int,
     as one (n, k, k) array of `dtype`, or None once two of them are equal
     mod 3 or there are more than `bound` (see the module docstring)."""
     every = np.array(gens, dtype=dtype)
-    top = _top(every)  # bounds |x| over the generators and the elements so far
     group = np.array([identity(k)], dtype=dtype)
     seen = set(row_keys(group))
     for i, (key, n) in enumerate(zip(row_keys(every), orders)):
@@ -303,9 +281,8 @@ def _dimino(gens: list[IntMatrix], orders: list[int], k: int, bound: int,
         if len(group) == 1:
             group = np.concatenate([group, g])  # g^j for j < m = 2
             while len(group) < n:  # g^m g^j = g^(m + j) doubles m
-                power = _mul(group[-1:], g, top)
+                power = _mul(group[-1:], g)
                 group = np.concatenate([group, _mul(power, group)])
-                top = max(top, _top(group))
             group = group[:n]
             seen = set(row_keys(group))
             continue
@@ -316,18 +293,16 @@ def _dimino(gens: list[IntMatrix], orders: list[int], k: int, bound: int,
         while len(cands):
             reps = []
             for at in range(0, len(cands), per):
-                cosets = _mul(tall, cands[at:at + per], top)  # h c, h in H
+                cosets = _mul(tall, cands[at:at + per])  # h c, h in H
                 new, rows = _new_rows(cosets.reshape(-1, k, k), seen)
                 seen.update(new)
                 residues.update(_residue_keys(rows))
                 if len(residues) < len(seen) or len(seen) > bound:
                     return None
-                top = max(top, _top(rows))
                 blocks.append(rows)
                 reps.append(rows[::len(group)])  # one element per new coset
-            products = _mul(np.concatenate(reps)[:, None], steps, top)
+            products = _mul(np.concatenate(reps)[:, None], steps)
             cands = _new_rows(products.reshape(-1, k, k), seen)[1]
-            top = max(top, _top(cands))
         group = np.concatenate(blocks)
     return group
 
@@ -406,16 +381,11 @@ def generated_group(gens) -> MatrixGroupResult:
                              matrices=_sorted_elements(found))
 
 
-# Below this many entries np.lexsort's k^2 passes cost less than forming
-# the keys (B_3, 432 entries: 8 against 12 us; B_4, 6,144: 56 against 27 us).
-_KEYED_SORT_MIN = 1 << 11
-
-
 def _sorted_elements(found: np.ndarray) -> np.ndarray:
     """The (n, k, k) elements in the order `sorted()` gives their nested
     lists, which is the lexicographic order of their flattened rows."""
     flat = found.reshape(len(found), -1)
-    if found.dtype != object and flat.size >= _KEYED_SORT_MIN:
+    if found.dtype != object:
         lo = int(flat.min())
         span = int(flat.max()) - lo + 1
         if span ** flat.shape[1] < 1 << 63:  # the keys below fit int64
@@ -426,10 +396,10 @@ def _sorted_elements(found: np.ndarray) -> np.ndarray:
     return found[np.lexsort(flat.T[::-1])]
 
 
-def element_order(m: IntMatrix, bound: int | None = None) -> int | None:
-    """Multiplicative order, or None when it is infinite or exceeds `bound`."""
+def element_order(m: IntMatrix) -> int | None:
+    """Multiplicative order, or None when it is infinite."""
     (m,), k = _unimodular([m])
-    return _order(m, minkowski_bound(k) if bound is None else bound)
+    return _order(m, minkowski_bound(k))
 
 
 def _order(m: IntMatrix, bound: int) -> int | None:
@@ -570,8 +540,7 @@ def torus_soundness(k: int, factor_gens) -> TorusSoundness:
             raise FactorNotFinite(i)
         factor_orders.append(res.order)
         all_gens.extend(gens)
-    joint = generated_group(all_gens) if all_gens else MatrixGroupResult(
-        finite=True, rank=k, order=1, matrices=np.array([identity(k)]))
+    joint = generated_group(all_gens or [identity(k)])
     return TorusSoundness(sound=joint.finite, rank=k,
                           factor_orders=tuple(factor_orders), joint=joint)
 

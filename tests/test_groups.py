@@ -159,6 +159,48 @@ class TestConstruction:
         assert g.op(0, 1) == 1
         assert iso_signature(g) == iso_signature(z3)
 
+    def test_identity_relocation_keeps_labels(self):
+        # S3 with its identity moved to index 4: each label stays with its
+        # element, and label_index finds it again
+        s3 = symmetric(3)
+        perm = [4, 0, 1, 2, 3, 5]  # s3's element i sits at index perm[i]
+        inv = [perm.index(i) for i in range(6)]
+        table = [[perm[s3.op(inv[i], inv[j])] for j in range(6)]
+                 for i in range(6)]
+        labels = [f"s{inv[i]}" for i in range(6)]
+        g = group_from_table(table, labels=labels)
+        assert g.labels[0] == "s0"
+        assert sorted(g.labels) == sorted(labels)
+        for i, j in itertools.product(range(6), repeat=2):
+            a, b = (int(g.labels[x][1:]) for x in (i, j))
+            assert g.labels[g.op(i, j)] == f"s{s3.op(a, b)}"
+        for i, label in enumerate(g.labels):
+            assert g.label_index(label) == i
+
+    def test_moufang_loop_fails_only_lights_test(self):
+        # Chein's M(S3, 2), order 12: (g, 0)(h, 0) = (g h, 0),
+        # (g, 0)(h, 1) = (h g, 1), (g, 1)(h, 0) = (g h^-1, 1) and
+        # (g, 1)(h, 1) = (h^-1 g, 0), with (g, i) at index g + 6 i.  It is a
+        # loop with both inverse properties, so only the associative-middle
+        # check on the greedy generators can refuse it
+        s3 = symmetric(3)
+        op, inv = s3.op, s3.inverse
+        rules = {(0, 0): lambda g, h: (op(g, h), 0),
+                 (0, 1): lambda g, h: (op(h, g), 1),
+                 (1, 0): lambda g, h: (op(g, inv(h)), 1),
+                 (1, 1): lambda g, h: (op(inv(h), g), 0)}
+        table = np.empty((12, 12), dtype=np.int64)
+        for x, y in itertools.product(range(12), repeat=2):
+            prod, side = rules[x // 6, y // 6](x % 6, y % 6)
+            table[x, y] = prod + 6 * side
+        idx = np.arange(12)
+        loop_inv = np.argmax(table == 0, axis=1)
+        assert (table[loop_inv[:, None], table] == idx).all()  # a^-1 (a y) = y
+        assert (table[table, loop_inv] == idx[:, None]).all()  # (y a) a^-1 = y
+        with pytest.raises(NonAssociative) as info:
+            group_from_table(table)
+        assert_fails_at(table, info.value.witness)
+
     def test_out_of_range_entries(self):
         with pytest.raises(NotASubgroup):
             group_from_table([[0, 1], [1, 7]])
@@ -521,6 +563,16 @@ class TestSemidirect:
             # refused before any gather, in a generator's row or another's
             with pytest.raises(NotAnAction, match="out of range"):
                 semidirect(z3, cyclic(len(bad)), bad)
+
+    @pytest.mark.parametrize("entry", [2 ** 40, 2 ** 70, -1, 3],
+                             ids=["2^40", "2^70", "-1", "3"])
+    def test_out_of_range_entry_names_its_position(self, entry):
+        # past int32 (2^40), past int64 (2^70), below 0 and just past |N|
+        with pytest.raises(NotAnAction) as info:
+            validate_action(cyclic(3), cyclic(2), [[0, 1, 2], [0, 2, entry]])
+        assert info.value.witness == (1, 2)
+        assert str(info.value) == \
+            "not a group action: entries out of range (witness (1, 2))"
 
     def test_validate_action_matches_definition(self):
         # every tuple of automorphisms, and each action with one row swapped

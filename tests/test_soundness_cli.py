@@ -706,6 +706,21 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["matrix"] == [[-1, -1], [0, -1]]
 
+    def test_eval_finite_targets(self, cli):
+        # a -> 3 and b -> 2 in Z12 agree on the amalgam: a2 and b3 both go
+        # to 6; a b -> 5, printed with its label
+        targets = json.dumps({
+            "schema": 1, "kind": "finite-targets",
+            "group": {"kind": "cyclic", "n": 12,
+                      "labels": [f"t{i}" for i in range(12)]},
+            "factors": [["t0", "t3", "t6", "t9"], [0, 2, 4, 6, 8, 10]]})
+        argv = ("amalgam", "eval", "--spec", "sl2z.json", "--word", "0:a 1:b",
+                "--targets", targets, "--format")
+        code, out, err = cli(*argv, "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"element": 5, "label": "t5"}
+        assert cli(*argv, "text") == (0, "t5\n", "")
+
     def test_eval_torus_pinned(self, cli):
         # rank 2, non-diagonal matrices, coordinates given unreduced; the
         # printed point is reduced into [0, 1), a zero coordinate as 0 or [0, 1]

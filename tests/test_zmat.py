@@ -469,9 +469,9 @@ class TestDimino:
         products = []
         mul = zmat._mul
 
-        def counting_mul(a, b, *top):
+        def counting_mul(a, b):
             products.append(a)
-            return mul(a, b, *top)
+            return mul(a, b)
 
         monkeypatch.setattr(zmat, "_mul", counting_mul)
         res = generated_group([unipotent(k)])
@@ -484,8 +484,8 @@ class TestDimino:
     def test_cyclic_phase_doubles(self, monkeypatch):
         calls = []
         mul = zmat._mul
-        monkeypatch.setattr(zmat, "_mul", lambda a, b, *top:
-                            calls.append(len(b)) or mul(a, b, *top))
+        monkeypatch.setattr(zmat, "_mul", lambda a, b:
+                            calls.append(len(b)) or mul(a, b))
         blocks = [((0, -1), (1, 1)), ((0, -1), (1, 0)), ((0, 1), (-1, -1))]
         m = [[0] * 6 for _ in range(6)]
         for at, block in zip((0, 2, 4), blocks):  # orders 6, 4 and 3
@@ -524,20 +524,29 @@ class TestDimino:
                                            dtype=np.int8))
 
     @pytest.mark.parametrize("top_bits", [25, 26, 30])
-    def test_products_exact_on_both_sides_of_float64(self, top_bits):
-        # k top^2 is 2^52, 2^54 and 2^62: a large product is taken in
-        # float64 below 2^53 and in int64 above it
+    def test_products_exact_up_to_the_int64_guard(self, top_bits):
+        # k top^2 is 2^52, 2^54 and 2^62: every product is exact in int64.
+        # Then a's largest |x| becomes 2^(61 - top_bits), on its negative
+        # side: k |a| |b| = 2^63 is refused, one less is exact
         k, rng = 4, np.random.default_rng(top_bits)
         top = 2 ** top_bits
         a = rng.integers(-top, top, size=(200, k), endpoint=True)
         b = rng.integers(-top, top, size=(3, k, k), endpoint=True)
         a[0, 0] = b[0, 0, 0] = top
-        want = np.matmul(a.astype(object), b.astype(object))
-        for given in (None, top):
-            got = zmat._mul(a, b, given)
+
+        def assert_exact():
+            want = np.matmul(a.astype(object), b.astype(object))
+            got = zmat._mul(a, b)
             assert got.dtype == np.int64 and (got == want).all()
+
+        assert_exact()
+        a[1, 1] = 1 - 2 ** (61 - top_bits)
+        assert_exact()
+        a[1, 1] -= 1
         with pytest.raises(OverflowError):
-            zmat._mul(a, b, 2 ** 31)  # k (2^31)^2 = 2^64
+            zmat._mul(a, b)
+        with pytest.raises(OverflowError):
+            zmat._mul(b[:, None], a.reshape(-1, k, k))
 
     def test_bound_stays_on_dimino(self):
         # D8 past a bound of 4 elements is no proof of anything: only the
@@ -592,8 +601,8 @@ for gens in json.loads(sys.argv[1]):
         sizes = []
         mul = zmat._mul
 
-        def recording_mul(a, b, *top):
-            out = mul(a, b, *top)
+        def recording_mul(a, b):
+            out = mul(a, b)
             if a.ndim == 2:  # H stacked, times a batch of c: (c, |H| k, k)
                 sizes.append((len(out) * len(a) // a.shape[1],
                               len(a) // a.shape[1]))
@@ -661,12 +670,12 @@ class TestSortedElements:
         return calls
 
     def test_small_entries_sort_by_mixed_radix_keys(self, monkeypatch):
-        # B_4 has entries -1..1: span 3, and 3^16 < 2^63
+        # B_k has entries -1..1: span 3, and 3^(k^2) < 2^63; B_2, of
+        # order 8, takes the keys too, however few its elements
         calls = self.lexsort_calls(monkeypatch)
-        self.assert_sorted_like_oracle(hyperoctahedral_gens(4))
+        for k in (2, 3, 4):
+            self.assert_sorted_like_oracle(hyperoctahedral_gens(k))
         assert not calls
-        assert generated_group(hyperoctahedral_gens(4)).matrices.size \
-            >= zmat._KEYED_SORT_MIN
 
     def test_wide_int64_entries_fall_back_to_lexsort(self, monkeypatch):
         # B_4 conjugated by I + 20 E_01: entries span far more than 2^(63/16)
@@ -677,21 +686,22 @@ class TestSortedElements:
         matrices = generated_group(gens).matrices
         span = int(matrices.max()) - int(matrices.min()) + 1
         assert matrices.dtype == np.int64 and span ** 16 >= 2 ** 63
-        assert matrices.size >= zmat._KEYED_SORT_MIN
         calls = self.lexsort_calls(monkeypatch)
         self.assert_sorted_like_oracle(gens)
         assert calls
 
     @pytest.mark.parametrize("span", [55108, 55109])  # span^4 just below/above 2^63
-    def test_keys_at_the_int64_edge(self, span):
+    def test_keys_at_the_int64_edge(self, span, monkeypatch):
         rng = np.random.default_rng(span)
         lo = -2 ** 62
-        found = rng.integers(0, span, size=(zmat._KEYED_SORT_MIN, 2, 2)) + lo
+        found = rng.integers(0, span, size=(2048, 2, 2)) + lo
         found[:2] = [[[lo, lo], [lo, lo]],
                      [[lo + span - 1] * 2, [lo + span - 1] * 2]]
         found = np.unique(found, axis=0)  # distinct, as a group's elements
         found = found[rng.permutation(len(found))]
+        calls = self.lexsort_calls(monkeypatch)
         assert zmat._sorted_elements(found).tolist() == sorted(found.tolist())
+        assert len(calls) == (span ** 4 >= 2 ** 63)
 
     def test_object_dtype_group(self):
         t = ((1, 2 ** 64), (0, 1))
@@ -739,8 +749,8 @@ class TestElementOrder:
                 m[at + i][at:at + len(row)] = row
             at += len(b)
         assert element_order(m) == 60
-        assert element_order(m, bound=59) is None
-        assert element_order(m, bound=60) == 60
+        assert zmat._order(mat(m), 59) is None
+        assert zmat._order(mat(m), 60) == 60
 
     def test_random_sweep_against_loop(self):
         rng = random.Random(99)
@@ -748,14 +758,13 @@ class TestElementOrder:
         for _ in range(150):
             k = rng.randint(1, 4)
             m = random_unimodular(rng, k, steps=rng.randint(1, 5))
-            # finite orders in GL(4, Z) are at most 12, so bound 60 at rank 4
-            # gives the default-bound answer without 5,760 big-int products
-            big = None if k < 4 else 60
-            got = element_order(m, big)
-            assert got == element_order_loop(m, big)
+            # finite orders in GL(4, Z) are at most 12, so the loop's bound
+            # 60 at rank 4 gives M(4)'s answer without 5,760 big-int products
+            got = element_order(m)
+            assert got == element_order_loop(m, None if k < 4 else 60)
             seen.add(got)
             bound = rng.randint(0, 8)
-            assert element_order(m, bound) == element_order_loop(m, bound)
+            assert zmat._order(mat(m), bound) == element_order_loop(m, bound)
         assert None in seen and len(seen) > 3
 
 
