@@ -17,6 +17,14 @@ Numer. Math. 10, 1967): the structure constants of the class sums give r
 commuting matrices over GF(p) whose common eigenvectors are the central
 characters; degrees and values are recovered from orthogonality.
 
+When the center Z is nontrivial and G/Z is abelian, the characters trivial
+on Z are those of G/Z (Isaacs, Character Theory of Finite Groups, ch. 2):
+read off its dual group before the first round, which then splits only the
+subspace of class functions summing to 0 over each coset of Z, where every
+other central character lies, of dimension r - |G/Z| (28 of the 92 classes
+of the Heisenberg group of order 512).  Any other group's first round splits
+the whole class space.
+
 Each refinement round splits the pending subspaces by the eigenspaces of one
 random linear combination A of the class matrices, usually all of them in
 the first round, in about sqrt(d) whole-array passes, not one per class,
@@ -440,6 +448,23 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
     """Columns spanning the r one-dimensional common eigenspaces of the class
     matrices M_i[j, k] = #{x in C_i : x^-1 z_k in C_j}, in no fixed order.
 
+    When the center Z is nontrivial and G/Z is abelian (each class lies in
+    one coset of Z), some are known before any round.  The characters
+    trivial on Z are those of G/Z (Isaacs, Character Theory of Finite
+    Groups, ch. 2), all linear: its dual group gives them, inflated to
+    omega(C) = |C| chi(gZ), in O(|G|^2).  p is admissible for G/Z, as
+    exp(G/Z) | exp(G) and |G/Z| < |G|.  Every other central character has
+    omega(zC) = lam(z) omega(C) for a linear character lam != 1 of Z, so it
+    sums to 0 over each Z-orbit of classes (the classes inside one coset).
+    They span that subspace W, of dimension r - |G/Z|, which is all that is
+    pending: its basis e_C - e_rep(C), one vector for each class C other
+    than rep(C), its orbit's least class, is in column echelon form at those
+    rows.  Its start, 1 on the central classes other than the identity, is
+    -|Z| times the projection of e_0 onto W along the inflated characters,
+    so every central character in W keeps a nonzero component.  A
+    one-dimensional W is itself a central character.  For any other group
+    the whole class space is pending.
+
     Each round splits every pending subspace by the eigenspaces of one random
     combination sum_i c_i M_i.  Two distinct central characters agree on a
     combination with probability 1/p, so one round nearly always finishes,
@@ -451,11 +476,10 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
     cls = g.class_of
     reps = np.array(g.class_reps)
     # x, k -> flat cell (class of x^-1 z_k, k), weighted by the coefficient of x's class
-    cells = (cls[g.mul[g.inv[:, None], reps]] * r + np.arange(r)).ravel()
+    cells = (cls[g.mul[:, reps]][g.inv] * r + np.arange(r)).ravel()
     cell_class = np.repeat(cls, r)
-    found: list[np.ndarray] = []
     # (basis, rows, start) as _eigenspaces returns them; None: the whole space
-    pending: list[tuple] = [(None, None, None)]
+    found, pending = _first_blocks(g, p)
     for _ in range(64):
         if not pending:
             return np.concatenate(found, axis=1)
@@ -468,16 +492,50 @@ def _central_characters(g: FiniteGroup, p: int) -> np.ndarray:
             # comb maps the span of basis into itself and basis[rows] = I,
             # so the rows of comb @ basis at `rows` are the restricted matrix
             rest = comb if basis is None else _matmul_mod(comb[rows], basis, p)
-            for vecs, sub_rows, sub_start in _eigenspaces(rest, p, rng, start):
-                if basis is not None:
-                    vecs = _matmul_mod(basis, vecs, p)
-                    sub_rows = None if sub_rows is None else [rows[i] for i in sub_rows]
-                if vecs.shape[1] == 1:
-                    found.append(vecs)
-                else:
+            spaces = _eigenspaces(rest, p, rng, start)
+            # the one-dimensional ones are central characters, taken back to
+            # the class space by one product
+            simple = [vecs for vecs, sub_rows, _ in spaces if sub_rows is None]
+            if simple:
+                simple = np.concatenate(simple, axis=1)
+                found.append(simple if basis is None else _matmul_mod(basis, simple, p))
+            for vecs, sub_rows, sub_start in spaces:
+                if sub_rows is not None:
+                    if basis is not None:
+                        vecs = _matmul_mod(basis, vecs, p)
+                        sub_rows = [rows[i] for i in sub_rows]
                     refined.append((vecs, sub_rows, sub_start))
         pending = refined
     raise PrimeSearchFailure("class matrices did not separate the characters")
+
+
+def _first_blocks(g: FiniteGroup, p: int) -> tuple[list, list]:
+    """The central characters found before the first round and the pending
+    subspaces, as _central_characters sets them out."""
+    mul, cls, reps = g.mul, g.class_of, np.array(g.class_reps)
+    whole = [], [(None, None, None)]
+    sizes = np.bincount(cls)
+    central = reps[sizes == 1]
+    if len(central) == 1:
+        return whole
+    coset = mul[:, central].min(axis=1)  # the least element of gZ
+    class_coset = coset[reps]
+    if not np.array_equal(class_coset[cls], coset):  # G/Z is not abelian
+        return whole
+    cosets = np.flatnonzero(coset == np.arange(g.order))
+    index = np.zeros(g.order, dtype=np.int64)  # coset label -> element of G/Z
+    index[cosets] = np.arange(len(cosets))
+    exps = _dual_exponents(index[coset[mul[cosets[:, None], cosets]]], g.exponent)
+    inflated = _unity_powers(g.exponent, p)[exps[:, index[class_coset]]].T
+    found = [inflated * sizes[:, None] % p]
+    orbit_rep = cls[class_coset]
+    rows = np.flatnonzero(orbit_rep != np.arange(len(reps)))
+    basis = np.zeros((len(reps), len(rows)), dtype=np.int64)
+    basis[rows, np.arange(len(rows))] = 1
+    basis[orbit_rep[rows], np.arange(len(rows))] = p - 1
+    if len(rows) == 1:
+        return found + [basis], []
+    return found, [(basis, rows.tolist(), (sizes[rows] == 1).astype(np.int64))]
 
 
 def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
@@ -486,21 +544,24 @@ def _dixon_table(g: FiniteGroup, p: int) -> CharacterTable:
     n = g.order
     sizes = np.array([len(c) for c in g.conjugacy_classes], dtype=np.int64)
     inv_cls = list(g.inverse_class)
-    vecs = _central_characters(g, p)
-    if not vecs[0].all():
+    vecs = _central_characters(g, p)  # v(C) = v(1) |C| chi(C) / chi(1) for each chi
+    v1 = vecs[0]
+    if not v1.all():
         raise PrimeSearchFailure("degenerate central character")
-    omega = vecs * np.array([pow(int(x), p - 2, p) for x in vecs[0]]) % p
-    size_inv = np.array([pow(int(s), p - 2, p) for s in sizes], dtype=np.int64)
-    weighted = omega * size_inv[:, None] % p
-    t = (omega[inv_cls] * weighted % p).sum(axis=0) % p
-    # chi(1)^2 = |G| / t; below p, since p > 2|G|
-    dsq = np.array([n * pow(int(x), p - 2, p) % p for x in t], dtype=np.int64)
+    # 1/|C| = (|G|/|C|) / |G|
+    weighted = vecs * ((n // sizes) * pow(n, p - 2, p) % p)[:, None] % p
+    # t = sum_C v(C^-1) v(C) / |C| = v(1)^2 |G| / chi(1)^2; u = 1 / (v(1) t)
+    # gives both inverses: 1/v(1) = t u and 1/t = v(1) u
+    t = (vecs[inv_cls] * weighted % p).sum(axis=0) % p
+    u = np.array([pow(int(x), p - 2, p) for x in v1 * t % p], dtype=np.int64)
+    # chi(1)^2 = |G| v(1)^2 / t; below p, since p > 2|G|
+    dsq = n * (v1 * v1 % p) % p * (v1 * u % p) % p
     degrees = np.array([isqrt(x) for x in dsq.tolist()], dtype=np.int64)
     if not ((0 < dsq) & (dsq <= n) & (degrees * degrees == dsq)).all():
         raise PrimeSearchFailure("degree recovery failed")
     if dsq.sum() != n:
         raise PrimeSearchFailure("degree square sum mismatch")
-    return _sorted_table(g, p, degrees, (weighted * degrees % p).T)
+    return _sorted_table(g, p, degrees, (weighted * (t * u % p) % p * degrees % p).T)
 
 
 def _unity_powers(e: int, p: int) -> np.ndarray:
@@ -514,17 +575,26 @@ def _unity_powers(e: int, p: int) -> np.ndarray:
 
 def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
     """The table of an abelian group, whose class k is {k}: its characters are
-    the homomorphisms to the order-e roots of unity, e = exponent(G).
+    the homomorphisms to the order-e roots of unity, e = exponent(G), read
+    off _dual_exponents."""
+    exps = _dual_exponents(g.mul, g.exponent)
+    return _sorted_table(g, p, np.ones(g.order, dtype=np.int64), _unity_powers(g.exponent, p)[exps])
 
-    They are grown along a chain 1 = H_0 < ... < G, kept as exponents of one
-    root z: with x the least element outside H and m the least k >= 1 with
-    x^m in H, a character lam of H with lam(x^m) = z^a extends in m ways,
-    by lam(x) = z^(a/m + t e/m) for t < m, and on the coset H x^k by
-    lam(h x^k) = lam(h) lam(x)^k.  m divides a: an extension of lam to G
-    (there always is one) takes x to some z^c, and a = m c mod e with m | e.
-    A step takes x's powers by doubling, and all m cosets in one pass.
+
+def _dual_exponents(mul: np.ndarray, e: int) -> np.ndarray:
+    """The homomorphisms of the abelian group with table mul to the order-e
+    roots of unity, e a multiple of its exponent, as exponents of one root z:
+    row i holds the i-th homomorphism's exponent at every element.
+
+    They are grown along a chain 1 = H_0 < ... < G: with x the least element
+    outside H and m the least k >= 1 with x^m in H, a character lam of H
+    with lam(x^m) = z^a extends in m ways, by lam(x) = z^(a/m + t e/m) for
+    t < m, and on the coset H x^k by lam(h x^k) = lam(h) lam(x)^k.  m
+    divides a: an extension of lam to G (there always is one) takes x to
+    some z^c, and a = m c mod e with m | e.  A step takes x's powers by
+    doubling, and all m cosets in one pass.
     """
-    n, e, mul = g.order, g.exponent, g.mul
+    n = len(mul)
     exps = np.zeros((1, n), dtype=np.int64)  # columns outside H are unused
     elems = np.zeros(1, dtype=np.int64)
     in_h = np.zeros(n, dtype=bool)
@@ -542,7 +612,7 @@ def _dual_group_table(g: FiniteGroup, p: int) -> CharacterTable:
         exps[:, cosets[1:]] = (exps[:, None, elems] + k * at_x[:, None, None]) % e
         elems = cosets.ravel()
         in_h[elems] = True
-    return _sorted_table(g, p, np.ones(n, dtype=np.int64), _unity_powers(e, p)[exps])
+    return exps
 
 
 def _sorted_table(g: FiniteGroup, p: int, degrees: np.ndarray,

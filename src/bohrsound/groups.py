@@ -173,7 +173,9 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        """Every class a singleton: read off the classes, which every
+        character table takes anyway, not off a transposed table."""
+        return len(self.conjugacy_classes) == self.order
 
     # -- conjugacy ----------------------------------------------------------
 

@@ -14,7 +14,8 @@ two word machines related by von Dyck's theorem instead of one action check,
 Smith normal forms instead of torsion counts on the gluing subgroup's rows,
 one family-wide prime instead of each group's own prime and matched labels,
 one power, coset, coefficient, root or pair at a time instead of the table
-engine's whole-array passes.
+engine's whole-array passes, Dixon's first round on the whole class space
+instead of the characters of G/Z(G) read off its dual group.
 """
 
 from __future__ import annotations
@@ -665,6 +666,38 @@ def quotients_by_division(roots, p: int) -> np.ndarray:
     for t in range(m - 1, 0, -1):
         numer[t - 1] = (s[t] + lams * numer[t]) % p
     return numer
+
+
+def central_characters_whole_space(g, p: int) -> np.ndarray:
+    """characters._central_characters with no block found before the first
+    round: every round, from the first, splits the whole class space."""
+    r = len(g.conjugacy_classes)
+    rng = random.Random(p)
+    cls = g.class_of
+    reps = np.array(g.class_reps)
+    cells = (cls[g.mul[g.inv[:, None], reps]] * r + np.arange(r)).ravel()
+    cell_class = np.repeat(cls, r)
+    found = []
+    pending = [(None, None, None)]
+    for _ in range(64):
+        if not pending:
+            return np.concatenate(found, axis=1)
+        coeffs = np.array([rng.randrange(p) for _ in range(r)], dtype=np.float64)
+        comb = np.bincount(cells, weights=coeffs[cell_class], minlength=r * r)
+        comb = (comb % p).astype(np.int64).reshape(r, r)
+        refined = []
+        for basis, rows, start in pending:
+            rest = comb if basis is None else characters._matmul_mod(comb[rows], basis, p)
+            for vecs, sub_rows, sub_start in characters._eigenspaces(rest, p, rng, start):
+                if basis is not None:
+                    vecs = characters._matmul_mod(basis, vecs, p)
+                    sub_rows = None if sub_rows is None else [rows[i] for i in sub_rows]
+                if vecs.shape[1] == 1:
+                    found.append(vecs)
+                else:
+                    refined.append((vecs, sub_rows, sub_start))
+        pending = refined
+    raise AssertionError("class matrices did not separate the characters")
 
 
 def dual_group_table_by_cosets(g, p: int):

@@ -44,6 +44,7 @@ from bohrsound.characters import (
 
 from oracles import (
     center,
+    central_characters_whole_space,
     check_orthonormal,
     common_prime,
     dual_group_table_by_cosets,
@@ -306,6 +307,44 @@ class TestAbelianRoute:
         tab = character_table(cyclic(512))
         assert time.perf_counter() - start < 1.0
         assert tab.prime == 7681 and tab.n_irreducibles == 512
+
+
+class TestCenterQuotient:
+    """Dixon's route with the characters of G/Z(G) read off its dual group
+    before the first round, against the whole class space from the first."""
+
+    @pytest.mark.parametrize("g", [
+        dihedral(4), heisenberg(1), heisenberg(2), heisenberg(3),
+        direct_product(heisenberg(1), heisenberg(1)),
+        direct_product(cyclic(5), heisenberg(1)),
+        direct_product(cyclic(4), heisenberg(2)),
+        # G/Z(G) non-abelian: the whole class space either way
+        dihedral(12), direct_product(cyclic(8), symmetric(4)),
+    ], ids=["D4", "H2", "H4", "H8", "H2xH2", "Z5xH2", "Z4xH4", "D12", "Z8xS4"])
+    def test_same_table_bytes_as_the_whole_space(self, monkeypatch, g):
+        p = splitting_prime(g.exponent, g.order)
+        fast = characters._dixon_table(g, p)
+        monkeypatch.setattr(characters, "_central_characters",
+                            central_characters_whole_space)
+        want = characters._dixon_table(g, p)
+        assert fast.degrees == want.degrees
+        assert fast.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("g, largest", [
+        (heisenberg(3), 92 - 64), (heisenberg(2), 22 - 16),
+        # G/Z(G) has order 4, so the one other character needs no round
+        (heisenberg(1), 0), (dihedral(4), 0),
+        (dihedral(128), 67), (direct_product(cyclic(8), symmetric(4)), 40),
+    ], ids=["H8", "H4", "H2", "D4", "D128", "Z8xS4"])
+    def test_largest_eigenspace_matrix(self, monkeypatch, g, largest):
+        eigenspaces, sizes = characters._eigenspaces, []
+
+        def spy(a, *args):
+            sizes.append(a.shape[0])
+            return eigenspaces(a, *args)
+        monkeypatch.setattr(characters, "_eigenspaces", spy)
+        character_table(g)
+        assert max(sizes, default=0) == largest
 
 
 def _mutated(table, edit):

@@ -52,10 +52,12 @@ def test_tables_match_pinned_digests():
 
 def test_fewer_baby_powers_give_the_same_tables(monkeypatch):
     # past 523 classes the power table holds fewer than isqrt(d) + 1 babies;
-    # a small budget takes that route here: 3 babies for H8, 5 for D128
-    monkeypatch.setattr(characters, "_POWER_TABLE_WORDS", 3 * 92 * 92)
+    # a small budget takes that route here: 3 babies for H8's 28-dimensional
+    # round (its 92 classes less the 64 characters of H8/Z), 5 for D128's 67
     want = json.loads(GOLDEN.read_text())
-    for g in (heisenberg(3), dihedral(128), symmetric(5)):
+    for g, words in ((heisenberg(3), 3 * 28 * 28), (dihedral(128), 3 * 92 * 92),
+                     (symmetric(5), 3 * 92 * 92)):
+        monkeypatch.setattr(characters, "_POWER_TABLE_WORDS", words)
         table = character_table(g)
         assert table_digest(table) == want[f"{g.name}@{table.prime}"]
 
